@@ -1,0 +1,445 @@
+"""Decision procedures with witnesses: separability, relative projectivity,
+formal smoothness, homological dimension bounds, and the cross-check
+reports tying the bimodule-side and extension-side theories together.
+
+Every true verdict carries a witness that re-validates by direct
+substitution (a Casimir element, a section, a dual basis); every false
+verdict carries a finite obstruction (an infeasibility functional).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .bimodule import (
+    Bimodule, BimoduleMap, centralizer, dual_module, endomorphism_ring,
+    ev_over_endo, evaluation_data, hom_bimodule, is_fg_projective_left,
+    is_fg_projective_right, is_generator, regular_bimodule, restrict_left,
+    restrict_right, static_check, sub_bimodule, tensor_over, trace_in,
+)
+from .errors import PreconditionError, ValidationError
+from .exactlin import (
+    Matrix, apply_slot, infeasibility_certificate, kernel_basis, rank,
+    solve_affine,
+)
+from .homology import (
+    coefficient_transport, comonad_apply, comparison_check, module_hochschild,
+    morita_data, ring_hochschild, syzygy,
+)
+from .structures import RingMap, multiplication_map, validate_ring_map
+
+
+def _vec(mat: Matrix) -> list:
+    out = []
+    for j in range(mat.cols):
+        out.extend(mat.column(j))
+    return out
+
+
+def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: list):
+    """Solve target_mat(s) = unit over the centralizer of t_space.
+
+    Returns (element coords in t_space, None) on success,
+    (None, obstruction functional on the target) otherwise.
+    """
+    cz = centralizer(t_space)
+    sys_mat = target_mat @ cz.basis.transpose()
+    sol = solve_affine(sys_mat, list(unit))
+    if sol is None:
+        cert = infeasibility_certificate(sys_mat, list(unit))
+        return None, cert, cz
+    element = cz.embed(sol.particular)
+    return element, None, cz
+
+
+def _check_casimir(t_space: Bimodule, target_mat: Matrix, unit, element):
+    for i in range(t_space.left_algebra.dim):
+        delta = t_space.left_action[i] - t_space.right_action[i]
+        if any(delta.apply(element)):
+            raise ValidationError("witness is not central")
+    if target_mat.apply(element) != list(unit):
+        raise ValidationError("witness does not evaluate to the unit")
+
+
+@dataclass(eq=False)
+class SeparabilityResult:
+    verdict: bool
+    casimir: tuple | None          # coords in M tensor_A *M
+    obstruction: tuple | None      # functional on B infeasible against 1
+    dimensions: dict
+
+    def __bool__(self) -> bool:
+        return self.verdict
+
+
+def is_separable_bimodule(m: Bimodule) -> SeparabilityResult:
+    """A central element of M tensor_A *M evaluating to 1, if one exists."""
+    ev = evaluation_data(m)
+    t_space = ev.tensor.space
+    b = m.left_algebra
+    element, cert, cz = _central_solve(t_space, ev.map.matrix, b.unit)
+    dims = {"tensor_square": t_space.dim, "centralizer": cz.dim}
+    if element is None:
+        return SeparabilityResult(False, None,
+                                  tuple(cert) if cert else None, dims)
+    _check_casimir(t_space, ev.map.matrix, b.unit, element)
+    return SeparabilityResult(True, tuple(element), None, dims)
+
+
+@dataclass(eq=False)
+class RelProjectivityResult:
+    verdict: bool
+    section: BimoduleMap | None    # splits the counit F(P) -> P
+    counit: BimoduleMap            # the map the section must split
+    obstruction: tuple | None      # functional on End-coordinates
+    dimensions: dict
+
+    def __bool__(self) -> bool:
+        return self.verdict
+
+
+def is_rel_projective(p: Bimodule, m: Bimodule) -> RelProjectivityResult:
+    """Does the counit M tensor_A Hom(M, P) -> P split as two-sided maps?
+
+    Splitting the counit is equivalent to relative projectivity for the
+    class of maps that split after Hom(M, -).
+    """
+    if p.left_algebra is not m.left_algebra \
+            or p.right_algebra is not m.left_algebra:
+        raise PreconditionError("p must be two-sided over M's left algebra")
+    fp, counit = comonad_apply(m, p)
+    dims = {"object": p.dim, "expansion": fp.dim}
+    if p.dim == 0:
+        zero_sec = BimoduleMap(p, fp,
+                               Matrix(m.field, [[] for _ in range(fp.dim)],
+                                      cols=0), name="section")
+        return RelProjectivityResult(True, zero_sec, counit, None, dims)
+    solver = hom_bimodule(p, fp)
+    dims["map_space"] = solver.dim
+    cols = [_vec(counit.matrix @ g) for g in solver.maps]
+    sys_mat = Matrix.from_columns(m.field, cols, p.dim * p.dim)
+    rhs = _vec(Matrix.identity(m.field, p.dim))
+    sol = solve_affine(sys_mat, rhs)
+    if sol is None:
+        cert = infeasibility_certificate(sys_mat, rhs)
+        return RelProjectivityResult(False, None, counit,
+                                     tuple(cert) if cert else None, dims)
+    sec_mat = solver.matrix_of(sol.particular)
+    if counit.matrix @ sec_mat != Matrix.identity(m.field, p.dim):
+        raise ValidationError("section does not split the counit")
+    section = BimoduleMap(p, fp, sec_mat, name="section")
+    return RelProjectivityResult(True, section, counit, None, dims)
+
+
+@dataclass(eq=False)
+class SmoothnessResult:
+    verdict: bool
+    route: str                     # ev-injective | separable | kernel-splitting
+    kernel_dim: int | None
+    detail: object                 # the underlying result used for the verdict
+    dimensions: dict
+
+    def __bool__(self) -> bool:
+        return self.verdict
+
+
+def is_formally_smooth_bimodule(m: Bimodule) -> SmoothnessResult:
+    """Is the kernel of the evaluation map relatively projective?
+
+    Short-circuits: an injective evaluation has zero kernel, and a
+    separable bimodule splits the whole evaluation, which restricts to
+    the kernel.
+    """
+    ev = evaluation_data(m)
+    t_dim = ev.tensor.space.dim
+    dims = {"tensor_square": t_dim, "evaluation_rank": rank(ev.map.matrix)}
+    if dims["evaluation_rank"] == t_dim:
+        return SmoothnessResult(True, "ev-injective", 0, None, dims)
+    sep = is_separable_bimodule(m)
+    if sep.verdict:
+        return SmoothnessResult(True, "separable", None, sep, dims)
+    ker = kernel_basis(ev.map.matrix)
+    l, _ = sub_bimodule(ev.tensor.space, ker, name="ker-ev")
+    dims["kernel"] = l.dim
+    rp = is_rel_projective(l, m)
+    return SmoothnessResult(rp.verdict, "kernel-splitting", l.dim, rp, dims)
+
+
+@dataclass(eq=False)
+class ExtensionSeparabilityResult:
+    verdict: bool
+    idempotent: tuple | None       # coords in B tensor_A B
+    obstruction: tuple | None
+    dimensions: dict
+
+    def __bool__(self) -> bool:
+        return self.verdict
+
+
+def _validated(f: RingMap) -> None:
+    v = validate_ring_map(f)
+    if not v:
+        raise ValidationError(f"invalid ring map: {v.message}")
+
+
+def is_separable_extension(f: RingMap) -> ExtensionSeparabilityResult:
+    """A central element of B tensor_A B multiplying to 1, if one exists."""
+    _validated(f)
+    b = f.target
+    mult = multiplication_map(b, f)
+    t_space = mult.source
+    element, cert, cz = _central_solve(t_space, mult.matrix, b.unit)
+    dims = {"tensor_square": t_space.dim, "centralizer": cz.dim}
+    if element is None:
+        return ExtensionSeparabilityResult(False, None,
+                                           tuple(cert) if cert else None, dims)
+    _check_casimir(t_space, mult.matrix, b.unit, element)
+    return ExtensionSeparabilityResult(True, tuple(element), None, dims)
+
+
+@dataclass(eq=False)
+class ExtensionSmoothnessResult:
+    verdict: bool
+    kernel_dim: int
+    section: BimoduleMap | None    # splits B (x) L (x) B -> L
+    counit: BimoduleMap | None     # two-sided multiplication, None when L = 0
+    obstruction: tuple | None
+    dimensions: dict
+
+    def __bool__(self) -> bool:
+        return self.verdict
+
+
+def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
+    """Is the kernel of multiplication projective relative to the base?
+
+    The relevant counit is two-sided multiplication B (x)_A L (x)_A B -> L;
+    a two-sided section witnesses smoothness of the extension.
+    """
+    _validated(f)
+    b = f.target
+    field = b.field
+    mult = multiplication_map(b, f)
+    l, _ = sub_bimodule(mult.source, kernel_basis(mult.matrix),
+                        name="ker-mult")
+    dims = {"tensor_square": mult.source.dim, "kernel": l.dim}
+    if l.dim == 0:
+        zero_sec = BimoduleMap(l, l, Matrix(field, [], cols=0), name="section")
+        return ExtensionSmoothnessResult(True, 0, zero_sec, None, None,
+                                         dims)
+    b_reg = regular_bimodule(b)
+    t1 = tensor_over(restrict_right(b_reg, f), restrict_left(l, f))
+    t2 = tensor_over(restrict_right(t1.space, f), restrict_left(b_reg, f))
+    dims["expansion"] = t2.space.dim
+    # two-sided multiplication off the fully plain (B, L, B) layout
+    prods = [[l.left_action[i] @ l.right_action[j] for j in range(b.dim)]
+             for i in range(b.dim)]
+    plain3 = []
+    for i in range(b.dim):
+        for q in range(l.dim):
+            for j in range(b.dim):
+                plain3.append(prods[i][j].column(q))
+    c3 = Matrix.from_columns(field, plain3, l.dim)
+    sec1 = t1.section
+    cols = []
+    for q2 in range(t2.space.dim):
+        v2 = t2.lift_column(q2)
+        if not t1.trivial:
+            v2, _ = apply_slot(field, v2, [t1.space.dim, b.dim], 0, sec1)
+        cols.append(c3.apply(v2))
+    counit = BimoduleMap(t2.space, l,
+                         Matrix.from_columns(field, cols, l.dim),
+                         name="two-sided-mult")
+    solver = hom_bimodule(l, t2.space)
+    dims["map_space"] = solver.dim
+    sys_cols = [_vec(counit.matrix @ g) for g in solver.maps]
+    sys_mat = Matrix.from_columns(field, sys_cols, l.dim * l.dim)
+    rhs = _vec(Matrix.identity(field, l.dim))
+    sol = solve_affine(sys_mat, rhs)
+    if sol is None:
+        cert = infeasibility_certificate(sys_mat, rhs)
+        return ExtensionSmoothnessResult(False, l.dim, None, counit,
+                                         tuple(cert) if cert else None,
+                                         dims)
+    sec_mat = solver.matrix_of(sol.particular)
+    if counit.matrix @ sec_mat != Matrix.identity(field, l.dim):
+        raise ValidationError("section does not split two-sided multiplication")
+    section = BimoduleMap(l, t2.space, sec_mat, name="section")
+    return ExtensionSmoothnessResult(True, l.dim, section, counit, None,
+                                     dims)
+
+
+@dataclass(eq=False)
+class HdimResult:
+    value: int | None              # None means every level up to nmax failed
+    nmax: int
+    witness: RelProjectivityResult | None
+    shift_inferred: bool           # verdict used syzygy shifting beyond level 1
+
+    @property
+    def bounded(self) -> bool:
+        return self.value is not None
+
+    def render(self) -> str:
+        return str(self.value) if self.bounded else f"> {self.nmax}"
+
+
+def hdim_upto(m: Bimodule, nmax: int,
+              dim_cap: int | None = None) -> HdimResult:
+    """Least n <= nmax with the n-th syzygy relatively projective.
+
+    Levels 0 and 1 are the separability and smoothness characterizations;
+    higher levels shift dimension along the bar resolution, which is the
+    standard argument but goes past the two characterized degrees, so the
+    result is flagged.
+    """
+    if not is_generator(m).verdict:
+        raise PreconditionError("homological dimension needs a generator")
+    if nmax < 0:
+        raise PreconditionError("nmax must be nonnegative")
+    for n in range(nmax + 1):
+        p = syzygy(m, n, dim_cap=dim_cap)
+        r = is_rel_projective(p, m)
+        if r.verdict:
+            return HdimResult(n, nmax, r, n >= 2)
+    return HdimResult(None, nmax, None, nmax >= 1)
+
+
+@dataclass(eq=False)
+class MoritaReport:
+    module_dims: tuple
+    ring_dims: tuple
+    dims_agree: bool
+    comparison: object             # degreewise rewrite report
+
+    @property
+    def ok(self) -> bool:
+        return self.dims_agree and self.comparison.ok
+
+
+def morita_check(m: Bimodule, coefficients: Bimodule, nmax: int,
+                 dim_cap: int | None = None) -> MoritaReport:
+    """Both cohomology theories on a progenerator, with the degreewise
+    rewrite between them."""
+    if not (is_generator(m).verdict and is_fg_projective_left(m).verdict):
+        raise PreconditionError("the comparison requires a progenerator")
+    mod_h = module_hochschild(m, coefficients, nmax, dim_cap)
+    md = morita_data(m)
+    wd = coefficient_transport(m, coefficients)
+    ring_h = ring_hochschild(md.endo.to_endo, wd.w, nmax, dim_cap)
+    comp = comparison_check(m, coefficients, nmax, dim_cap)
+    return MoritaReport(mod_h.dims(), ring_h.dims(),
+                        mod_h.dims() == ring_h.dims(), comp)
+
+
+@dataclass(eq=False)
+class SuganoReport:
+    separable_bimodule: bool
+    generator: bool
+    extension_separable: bool      # base -> endomorphism ring
+
+    @property
+    def agree(self) -> bool:
+        return self.separable_bimodule == (self.generator
+                                           and self.extension_separable)
+
+
+def sugano_check(m: Bimodule) -> SuganoReport:
+    """Separability of the bimodule against generation plus separability
+    of the base-to-endomorphisms extension, evaluated independently."""
+    if not is_fg_projective_left(m).verdict:
+        raise PreconditionError("the equivalence needs a projective module")
+    endo = endomorphism_ring(m)
+    report = SuganoReport(
+        is_separable_bimodule(m).verdict,
+        is_generator(m).verdict,
+        is_separable_extension(endo.to_endo).verdict,
+    )
+    if not report.agree:
+        raise ValidationError("separability transfer equivalence violated")
+    return report
+
+
+@dataclass(eq=False)
+class StaticReport:
+    ev_endo_injective: bool
+    trace_static: bool
+    generator: bool
+    ev_endo_iso: bool
+    endo_separable: bool           # M as a bimodule over (B, End(M))
+    dimensions: dict
+
+    @property
+    def injectivity_cluster(self) -> bool:
+        return self.ev_endo_injective == self.trace_static
+
+    @property
+    def generator_cluster(self) -> bool:
+        return self.generator == self.ev_endo_iso == self.endo_separable
+
+
+def static_criteria(m: Bimodule) -> StaticReport:
+    """The two equivalence clusters around evaluation over endomorphisms:
+    injectivity matches staticness of the trace, and surjectivity onto an
+    isomorphism matches generation and separability over (B, End(M))."""
+    endo = endomorphism_ring(m)
+    ev_s = ev_over_endo(m)
+    r = rank(ev_s.matrix)
+    injective = r == ev_s.source.dim
+    iso = injective and r == ev_s.target.dim
+    b_reg = regular_bimodule(m.left_algebra)
+    tr = trace_in(m, b_reg)
+    tr_sub, _ = sub_bimodule(b_reg, tr, name="trace")
+    static_res, _ = static_check(m, tr_sub)
+    report = StaticReport(
+        injective, static_res.verdict, is_generator(m).verdict, iso,
+        is_separable_bimodule(endo.right_module).verdict,
+        {"tensor_over_endo": ev_s.source.dim, "trace": tr.dim},
+    )
+    if not (report.injectivity_cluster and report.generator_cluster):
+        raise ValidationError("evaluation-over-endomorphisms criteria violated")
+    return report
+
+
+@dataclass(eq=False)
+class SmoothProductReport:
+    product: Bimodule
+    mode: int
+    hypotheses: dict               # name -> bool
+    smooth: SmoothnessResult
+
+    @property
+    def hypotheses_hold(self) -> bool:
+        return all(self.hypotheses.values())
+
+
+def smooth_product(x: Bimodule, y: Bimodule, mode: int) -> SmoothProductReport:
+    """Formal smoothness of X tensor_T Y from properties of the factors.
+
+    Mode 1 asks the right factor to be separable; mode 2 asks the dual of
+    X to be projective over the middle algebra and the right factor to be
+    projective and formally smooth.  Failed hypotheses are reported, not
+    raised, and the product's smoothness is computed either way.
+    """
+    if mode not in (1, 2):
+        raise PreconditionError("mode must be 1 or 2")
+    if x.right_algebra is not y.left_algebra:
+        raise PreconditionError("factors must share the middle algebra")
+    ev = evaluation_data(x)
+    hyps = {
+        "evaluation_injective": rank(ev.map.matrix) == ev.tensor.space.dim,
+        "right_projective": is_fg_projective_right(x).verdict,
+    }
+    if mode == 1:
+        hyps["partner_separable"] = is_separable_bimodule(y).verdict
+    else:
+        dual = dual_module(x)
+        hyps["dual_left_projective"] = is_fg_projective_left(dual.space).verdict
+        hyps["partner_left_projective"] = is_fg_projective_left(y).verdict
+        hyps["partner_smooth"] = is_formally_smooth_bimodule(y).verdict
+    t = tensor_over(x, y, name=f"{x.name}(x){y.name}")
+    smooth = is_formally_smooth_bimodule(t.space)
+    report = SmoothProductReport(t.space, mode, hyps, smooth)
+    if report.hypotheses_hold and not smooth.verdict:
+        raise ValidationError("product smoothness violated under hypotheses")
+    return report

@@ -1,0 +1,791 @@
+"""Relative bar resolutions and the two Hochschild-style cohomologies.
+
+The module-relative side resolves B by iterating the comonad
+F(Y) = M tensor_A Hom(M, Y); cochains are two-sided maps out of the bar
+objects. The ring-relative side builds tensor powers of S over A and
+the usual alternating coboundary. A transport pipeline rewrites
+module-relative cochains as ring-relative ones degree by degree, which
+is the comparison underlying the endomorphism-ring theorem.
+
+Everything is exact; complexes are verified (d after d vanishes) at
+construction time. Intermediate tensor dimensions are capped so an
+accidental blow-up surfaces as a resource error instead of a hang.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .bimodule import (
+    Bimodule, BimoduleMap, EquivariantBasis, HomSpace, TensorProduct,
+    centralizer, descend_plain_map, endomorphism_ring, hom_bimodule, hom_left,
+    is_fg_projective_left, is_generator, regular_bimodule, restrict_left,
+    restrict_right, sub_bimodule, tensor_over,
+)
+from .errors import (
+    DimensionCapError, PreconditionError, SingularError, ValidationError,
+)
+from .exactlin import (
+    Field, Matrix, SpanTracker, apply_slot, apply_slots, invert, kernel_basis,
+    rank,
+)
+from .structures import Algebra, RingMap, ValidationResult, validate_ring_map
+
+DEFAULT_DIM_CAP = 20000
+
+
+def _cap(dim_cap: int | None) -> int:
+    return DEFAULT_DIM_CAP if dim_cap is None else dim_cap
+
+
+def _check_cap(requested: int, dim_cap: int | None, what: str) -> None:
+    cap = _cap(dim_cap)
+    if requested > cap:
+        raise DimensionCapError(
+            f"{what} needs dimension {requested}, above the cap {cap}",
+            requested, cap)
+
+
+# ---------------------------------------------------------------------------
+# Result containers
+
+
+@dataclass(eq=False)
+class ChainComplex:
+    """P_0 <- P_1 <- ... with an augmentation P_0 -> B at index 0."""
+
+    objects: tuple
+    differentials: tuple       # differentials[n]: P_n -> P_{n-1} (P_{-1} = B)
+    augmentation_target: Bimodule
+
+    def validate(self) -> ValidationResult:
+        for n, d in enumerate(self.differentials):
+            v = d.validate()
+            if not v:
+                return ValidationResult(False, f"d_{n}: {v.message}")
+        for n in range(len(self.differentials) - 1):
+            comp = self.differentials[n].matrix @ self.differentials[n + 1].matrix
+            if not comp.is_zero():
+                return ValidationResult(False, f"d_{n} after d_{n + 1} is nonzero")
+        return ValidationResult(True)
+
+
+@dataclass(frozen=True)
+class CohomologyDegree:
+    degree: int
+    dim: int
+    cocycle_dim: int
+    coboundary_dim: int
+    representatives: tuple     # cocycle coordinates in the cochain basis
+
+
+@dataclass(eq=False)
+class CohomologyResult:
+    degrees: tuple
+
+    def dims(self) -> tuple:
+        return tuple(d.dim for d in self.degrees)
+
+    def degree(self, n: int) -> CohomologyDegree:
+        return self.degrees[n]
+
+
+def _cohomology(field: Field, space_dims: list, deltas: list,
+                nmax: int) -> CohomologyResult:
+    """Rank-nullity bookkeeping plus representative extraction."""
+    out = []
+    prev = None
+    for n in range(nmax + 1):
+        ker = kernel_basis(deltas[n])
+        tracker = SpanTracker(field, space_dims[n])
+        cob_dim = 0
+        if prev is not None:
+            for j in range(prev.cols):
+                if tracker.add(prev.column(j)):
+                    cob_dim += 1
+        reps = []
+        for row in ker.basis.data:
+            if tracker.add(list(row)):
+                reps.append(tuple(row))
+        hdim = ker.dim - cob_dim
+        if hdim != len(reps):
+            raise ValidationError("coboundaries escape the cocycle space")
+        out.append(CohomologyDegree(n, hdim, ker.dim, cob_dim, tuple(reps)))
+        prev = deltas[n]
+    return CohomologyResult(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# The comonad and its bar complex
+
+
+def _counit_map(hom: HomSpace, tensor: TensorProduct, target: Bimodule,
+                name: str) -> BimoduleMap:
+    """Evaluation off M tensor Hom(M, Y) down to Y."""
+    field = target.field
+    plain_cols = []
+    for i in range(tensor.left_factor.dim):
+        for u in range(hom.dim):
+            plain_cols.append(hom.basis[u].column(i))
+    mat = descend_plain_map(field, plain_cols, target.dim, tensor)
+    return BimoduleMap(tensor.space, target, mat, name=name)
+
+
+def comonad_apply(m: Bimodule, y: Bimodule) -> tuple:
+    """One application F(Y) = M tensor_A Hom(M, Y), with its counit."""
+    hom = hom_left(m, y)
+    tensor = tensor_over(m, hom.space, name=f"F({y.name})")
+    counit = _counit_map(hom, tensor, y, name="counit")
+    return tensor.space, counit
+
+
+def _hom_push(src_hom: HomSpace, tgt_hom: HomSpace, gmat: Matrix) -> Matrix:
+    """Hom(M, g) in solver coordinates: postcompose every basis map."""
+    cols = [tgt_hom.coords_of(gmat @ f) for f in src_hom.basis]
+    return Matrix.from_columns(gmat.field, cols, tgt_hom.dim)
+
+
+class _BarEngine:
+    """Grow-on-demand bar data for one module: objects, differentials,
+    hom levels, unit sections, and cached two-sided hom solvers."""
+
+    def __init__(self, m: Bimodule):
+        self.m = m
+        self.field = m.field
+        self.b = regular_bimodule(m.left_algebra)
+        self.homs: list[HomSpace] = []          # homs[k] = Hom(M, P_{k-1})
+        self.tensors: list[TensorProduct] = []
+        self.objects: list[Bimodule] = []
+        self.counits: list[BimoduleMap] = []
+        self.diffs: list[BimoduleMap] = []
+        self._sections: dict[int, Matrix] = {}
+        self._hom_diffs: dict[int, Matrix] = {}
+        self._bb: dict[int, list] = {}
+
+    def hom_level(self, k: int, dim_cap: int | None = None) -> HomSpace:
+        while len(self.homs) <= k:
+            idx = len(self.homs)
+            prev = self.b if idx == 0 else self.object(idx - 1, dim_cap)
+            self.homs.append(hom_left(self.m, prev, name=f"hom{idx}"))
+        return self.homs[k]
+
+    def object(self, n: int, dim_cap: int | None = None) -> Bimodule:
+        while len(self.objects) <= n:
+            self._extend(dim_cap)
+        return self.objects[n]
+
+    def diff(self, n: int, dim_cap: int | None = None) -> BimoduleMap:
+        self.object(n, dim_cap)
+        return self.diffs[n]
+
+    def _extend(self, dim_cap: int | None) -> None:
+        n = len(self.objects)
+        hom = self.hom_level(n, dim_cap)
+        _check_cap(self.m.dim * hom.dim, dim_cap, f"bar object {n}")
+        tensor = tensor_over(self.m, hom.space, name=f"bar{n}")
+        obj = tensor.space
+        prev = self.b if n == 0 else self.objects[n - 1]
+        counit = _counit_map(hom, tensor, prev, name=f"counit{n}")
+        if n == 0:
+            d = BimoduleMap(obj, prev, counit.matrix, name="d0")
+        else:
+            # d_n = counit - F(d_{n-1}), assembled slotwise on lifted columns
+            push = _hom_push(hom, self.homs[n - 1], self.diffs[n - 1].matrix)
+            h = hom.dim
+            cols = []
+            for q in range(obj.dim):
+                v = tensor.lift_column(q)
+                w, _ = apply_slot(self.field, v, [self.m.dim, h], 1, push)
+                cols.append(self.tensors[n - 1].project_vec(w))
+            fmat = Matrix.from_columns(self.field, cols, prev.dim)
+            d = BimoduleMap(obj, prev, counit.matrix - fmat, name=f"d{n}")
+            comp = self.diffs[n - 1].matrix @ d.matrix
+            if not comp.is_zero():
+                raise ValidationError(f"differential square nonzero at {n}")
+        self.tensors.append(tensor)
+        self.objects.append(obj)
+        self.counits.append(counit)
+        self.diffs.append(d)
+
+    def unit_section(self, n: int) -> Matrix:
+        """s_n: Hom(M,P_n) -> Hom(M,P_{n+1}), f -> (x -> x tensor f).
+        n = -1 is allowed and lands in Hom(M, P_0)."""
+        if n not in self._sections:
+            src = self.hom_level(n + 1)
+            self.object(n + 1)
+            tgt = self.hom_level(n + 2)
+            tensor = self.tensors[n + 1]
+            h = src.dim
+            dm = self.m.dim
+            pdim = self.objects[n + 1].dim
+            zero, one = self.field.zero, self.field.one
+            cols = []
+            for u in range(h):
+                g_cols = []
+                for i in range(dm):
+                    idx = i * h + u
+                    if tensor.trivial:
+                        col = [zero] * pdim
+                        col[idx] = one
+                    else:
+                        col = tensor.projection.column(idx)
+                    g_cols.append(col)
+                g = Matrix.from_columns(self.field, g_cols, pdim)
+                cols.append(tgt.coords_of(g))
+            self._sections[n] = Matrix.from_columns(self.field, cols, tgt.dim)
+        return self._sections[n]
+
+    def hom_diff(self, n: int) -> Matrix:
+        """Hom(M, d_n): Hom(M,P_n) -> Hom(M,P_{n-1}) in solver coordinates."""
+        if n not in self._hom_diffs:
+            self.object(n)
+            self._hom_diffs[n] = _hom_push(self.hom_level(n + 1), self.homs[n],
+                                           self.diffs[n].matrix)
+        return self._hom_diffs[n]
+
+    def bb_solver(self, n: int, coeff: Bimodule) -> EquivariantBasis:
+        bucket = self._bb.setdefault(n, [])
+        for c, solver in bucket:
+            if c is coeff:
+                return solver
+        solver = hom_bimodule(self.object(n), coeff)
+        bucket.append((coeff, solver))
+        return solver
+
+
+def _engine(m: Bimodule) -> _BarEngine:
+    eng = getattr(m, "_bar_engine", None)
+    if eng is None:
+        eng = _BarEngine(m)
+        m._bar_engine = eng
+    return eng
+
+
+def _require_generator(m: Bimodule) -> None:
+    if not is_generator(m).verdict:
+        raise PreconditionError(
+            f"{m.name} is not a generator; the bar complex is not a resolution")
+
+
+def bar_resolution(m: Bimodule, depth: int,
+                   dim_cap: int | None = None) -> ChainComplex:
+    """The augmented complex P_0 .. P_{depth-1} with d_0 the evaluation."""
+    _require_generator(m)
+    if depth < 1:
+        raise PreconditionError("depth must be at least 1")
+    eng = _engine(m)
+    eng.object(depth - 1, dim_cap)
+    return ChainComplex(tuple(eng.objects[:depth]), tuple(eng.diffs[:depth]),
+                        eng.b)
+
+
+def homotopy_check(m: Bimodule, depth: int,
+                   dim_cap: int | None = None) -> ValidationResult:
+    """Exactness certificate: after Hom(M,-), the unit sections contract
+    the augmented complex. Checks the base identity and degrees below
+    `depth`."""
+    _require_generator(m)
+    if depth < 0:
+        raise PreconditionError("depth must be nonnegative")
+    eng = _engine(m)
+    eng.object(depth, dim_cap)
+    eng.hom_level(depth + 1, dim_cap)
+    ident0 = Matrix.identity(eng.field, eng.homs[0].dim)
+    if eng.hom_diff(0) @ eng.unit_section(-1) != ident0:
+        return ValidationResult(False, "base contraction identity fails")
+    for n in range(depth):
+        lhs = (eng.hom_diff(n + 1) @ eng.unit_section(n)
+               + eng.unit_section(n - 1) @ eng.hom_diff(n))
+        if lhs != Matrix.identity(eng.field, eng.homs[n + 1].dim):
+            return ValidationResult(False, f"contraction identity fails at {n}")
+    return ValidationResult(True)
+
+
+def syzygy(m: Bimodule, n: int, dim_cap: int | None = None) -> Bimodule:
+    """Kernel of d_{n-1} as a two-sided submodule; degree 0 gives B back."""
+    _require_generator(m)
+    if n < 0:
+        raise PreconditionError("syzygy index must be nonnegative")
+    if n == 0:
+        return regular_bimodule(m.left_algebra)
+    eng = _engine(m)
+    d = eng.diff(n - 1, dim_cap)
+    ker = kernel_basis(d.matrix)
+    sub, _ = sub_bimodule(eng.objects[n - 1], ker, name=f"syz{n}({m.name})")
+    return sub
+
+
+def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
+                      dim_cap: int | None = None) -> CohomologyResult:
+    """Cohomology of two-sided maps off the bar objects into the
+    coefficients, with the coboundary precomposing the next differential."""
+    _require_generator(m)
+    if nmax < 0:
+        raise PreconditionError("nmax must be nonnegative")
+    if coefficients.left_algebra is not m.left_algebra \
+            or coefficients.right_algebra is not m.left_algebra:
+        raise PreconditionError("coefficients must be two-sided over B")
+    eng = _engine(m)
+    eng.object(nmax + 1, dim_cap)
+    solvers = [eng.bb_solver(n, coefficients) for n in range(nmax + 2)]
+    deltas = []
+    for n in range(nmax + 1):
+        d_next = eng.diffs[n + 1].matrix
+        cols = [solvers[n + 1].coords_of(g @ d_next) for g in solvers[n].maps]
+        deltas.append(Matrix.from_columns(m.field, cols, solvers[n + 1].dim))
+    for n in range(nmax):
+        if not (deltas[n + 1] @ deltas[n]).is_zero():
+            raise ValidationError(f"coboundary square nonzero at {n}")
+    return _cohomology(m.field, [s.dim for s in solvers], deltas, nmax)
+
+
+# ---------------------------------------------------------------------------
+# Ring-relative side: tensor powers of S over A and the coboundary
+
+
+@dataclass(eq=False)
+class _RingChain:
+    a: Algebra
+    s: Algebra
+    s_mid: Bimodule            # S restricted to an (A, A)-bimodule
+    spaces: list               # spaces[k] = S^{tensor_A k}, spaces[0] = A
+    to_plain: list             # columns of spaces[k] as plain s^k vectors
+    from_plain: list           # projection plain s^k -> spaces[k]
+
+
+def _ring_chain(extension: RingMap, upto: int,
+                dim_cap: int | None) -> _RingChain:
+    a, s_alg = extension.source, extension.target
+    field = a.field
+    s_reg = regular_bimodule(s_alg)
+    s_mid = restrict_right(restrict_left(s_reg, extension), extension)
+    s_mid = Bimodule(a, a, s_alg.dim, s_mid.left_action, s_mid.right_action,
+                     name=f"{s_alg.name} over {a.name}")
+    ident_s = Matrix.identity(field, s_alg.dim)
+    chain = _RingChain(a, s_alg, s_mid, [regular_bimodule(a), s_mid],
+                       [None, ident_s], [None, ident_s])
+    s = s_alg.dim
+    for k in range(2, upto + 1):
+        prev = chain.spaces[k - 1]
+        _check_cap(prev.dim * s, dim_cap, f"tensor power {k}")
+        _check_cap(s ** k, dim_cap, f"tensor power {k} (flattened)")
+        t = tensor_over(prev, s_mid, name=f"T{k}")
+        sigma_prev = chain.to_plain[k - 1]
+        cols = []
+        for q in range(t.space.dim):
+            v = t.lift_column(q)
+            w, _ = apply_slot(field, v, [prev.dim, s], 0, sigma_prev)
+            cols.append(w)
+        sigma = Matrix.from_columns(field, cols, s ** k)
+        big = chain.from_plain[k - 1].kron(ident_s)
+        pi = big if t.trivial else t.projection @ big
+        chain.spaces.append(t.space)
+        chain.to_plain.append(sigma)
+        chain.from_plain.append(pi)
+    return chain
+
+
+def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
+                  dim_cap: int | None):
+    """Cochain solvers and coboundary matrices for the ring-relative side."""
+    v = validate_ring_map(extension)
+    if not v:
+        raise ValidationError(f"invalid ring map: {v.message}")
+    if w.left_algebra is not extension.target \
+            or w.right_algebra is not extension.target:
+        raise ValidationError("coefficients must be two-sided over the target")
+    a, s_alg = extension.source, extension.target
+    field = a.field
+    s = s_alg.dim
+    w_mid = restrict_right(restrict_left(w, extension), extension)
+    w_mid = Bimodule(a, a, w.dim, w_mid.left_action, w_mid.right_action,
+                     name=f"{w.name} over {a.name}")
+    chain = _ring_chain(extension, nmax + 1, dim_cap)
+    solvers = [hom_bimodule(chain.spaces[k], w_mid) for k in range(nmax + 2)]
+    mu = Matrix.from_columns(
+        field, [list(s_alg.mult[j][k]) for j in range(s) for k in range(s)], s)
+    deltas = []
+    for n in range(nmax + 1):
+        cols = []
+        for g in solvers[n].maps:
+            if n == 0:
+                w0 = g.apply(list(a.unit))
+                bcols = [(w.left_action[j] - w.right_action[j]).apply(w0)
+                         for j in range(s)]
+            else:
+                pi_n = chain.from_plain[n]
+                bcols = []
+                for q in range(chain.spaces[n + 1].dim):
+                    v_plain = chain.to_plain[n + 1].column(q)
+                    blk = s ** n
+                    acc = [field.zero] * w.dim
+                    for j in range(s):
+                        chunk = v_plain[j * blk:(j + 1) * blk]
+                        if any(chunk):
+                            t = g.apply(pi_n.apply(chunk))
+                            la = w.left_action[j].apply(t)
+                            acc = [x + y for x, y in zip(acc, la)]
+                    sign = field.one
+                    dims = [s] * (n + 1)
+                    for i in range(1, n + 1):
+                        sign = -sign
+                        v2, _ = apply_slots(field, v_plain, dims, i - 1, 2, mu)
+                        t = g.apply(pi_n.apply(v2))
+                        acc = [x + sign * y for x, y in zip(acc, t)]
+                    sign = -sign
+                    for l in range(s):
+                        sub = v_plain[l::s]
+                        if any(sub):
+                            t = g.apply(pi_n.apply(sub))
+                            ra = w.right_action[l].apply(t)
+                            acc = [x + sign * y for x, y in zip(acc, ra)]
+                    bcols.append(acc)
+            bmat = Matrix.from_columns(field, bcols, w.dim)
+            cols.append(solvers[n + 1].coords_of(bmat))
+        deltas.append(Matrix.from_columns(field, cols, solvers[n + 1].dim))
+    for n in range(nmax):
+        if not (deltas[n + 1] @ deltas[n]).is_zero():
+            raise ValidationError(f"ring coboundary square nonzero at {n}")
+    return solvers, deltas, chain, w_mid
+
+
+def ring_hochschild(extension: RingMap, w: Bimodule, nmax: int,
+                    dim_cap: int | None = None) -> CohomologyResult:
+    """Relative Hochschild cohomology of the target over the source, with
+    two-sided coefficients w."""
+    if nmax < 0:
+        raise PreconditionError("nmax must be nonnegative")
+    solvers, deltas, _, _ = _ring_complex(extension, w, nmax, dim_cap)
+    return _cohomology(extension.source.field, [s.dim for s in solvers],
+                       deltas, nmax)
+
+
+# ---------------------------------------------------------------------------
+# Transport between the two theories (the endomorphism-ring comparison)
+
+
+def _colnz(mat: Matrix) -> list:
+    cols = [[] for _ in range(mat.cols)]
+    for i, row in enumerate(mat.data):
+        for j, a in enumerate(row):
+            if a:
+                cols[j].append((i, a))
+    return cols
+
+
+class _Sparse:
+    """Sparse vectors over mixed-radix slot dimensions, enough for the
+    transport pipeline: slot application, Kronecker, densify."""
+
+    def __init__(self, field: Field):
+        self.field = field
+        self._memo: dict[int, tuple] = {}
+
+    def colnz(self, mat: Matrix) -> list:
+        entry = self._memo.get(id(mat))
+        if entry is None or entry[0] is not mat:
+            entry = (mat, _colnz(mat))
+            self._memo[id(mat)] = entry
+        return entry[1]
+
+    def apply_slot(self, sv: dict, dims: list, k: int, mat: Matrix):
+        right = 1
+        for d in dims[k + 1:]:
+            right *= d
+        mid = dims[k]
+        cn = self.colnz(mat)
+        out: dict = {}
+        r = mat.rows
+        for idx, x in sv.items():
+            t = idx % right
+            rest = idx // right
+            j = rest % mid
+            l = rest // mid
+            base = l * r * right + t
+            for i, a in cn[j]:
+                pos = base + i * right
+                cur = out.get(pos)
+                out[pos] = a * x if cur is None else cur + a * x
+        out = {k2: v for k2, v in out.items() if v}
+        return out, dims[:k] + [r] + dims[k + 1:]
+
+    def apply_slots(self, sv: dict, dims: list, start: int, count: int,
+                    mat: Matrix):
+        merged = 1
+        for d in dims[start:start + count]:
+            merged *= d
+        dims2 = dims[:start] + [merged] + dims[start + count:]
+        return self.apply_slot(sv, dims2, start, mat)
+
+    @staticmethod
+    def kron(sv1: dict, sv2: dict, len2: int) -> dict:
+        return {i * len2 + j: a * b
+                for i, a in sv1.items() for j, b in sv2.items()}
+
+    def densify(self, sv: dict, length: int) -> list:
+        out = [self.field.zero] * length
+        for i, v in sv.items():
+            out[i] = v
+        return out
+
+    @staticmethod
+    def from_dense(vec: list) -> dict:
+        return {i: v for i, v in enumerate(vec) if v}
+
+
+@dataclass(eq=False)
+class MoritaData:
+    """M's dual as a module over the endomorphism ring, and the
+    tensor-to-endomorphisms identification with its inverse."""
+
+    endo: object
+    dual: HomSpace
+    dual_endo: Bimodule
+    theta_tensor: TensorProduct
+    theta: BimoduleMap
+    psi_plain: Matrix          # endomorphism coords -> plain dual tensor M
+    psi_unit: dict             # sparse image of the unit, slots (dual, M)
+
+
+def morita_data(m: Bimodule) -> MoritaData:
+    cached = getattr(m, "_morita_data", None)
+    if cached is not None:
+        return cached
+    field = m.field
+    endo = endomorphism_ring(m)
+    eng = _engine(m)
+    dual = eng.hom_level(0)
+    s_alg = endo.algebra
+    left = []
+    for u in range(s_alg.dim):
+        hu = endo.hom.basis[u]
+        cols = [dual.coords_of(dual.basis[v] @ hu) for v in range(dual.dim)]
+        left.append(Matrix.from_columns(field, cols, dual.dim))
+    dual_endo = Bimodule(s_alg, m.left_algebra, dual.dim, tuple(left),
+                         dual.space.right_action, name=f"*{m.name}")
+    theta_tensor = tensor_over(dual_endo, endo.right_module)
+    dm = m.dim
+    plain_cols = []
+    for d in range(dual.dim):
+        fd = dual.basis[d]
+        for i in range(dm):
+            e = Matrix.zeros(field, dm, dm)
+            for k in range(m.left_algebra.dim):
+                lk_col = m.left_action[k].column(i)
+                if any(lk_col):
+                    frow = fd.data[k]
+                    add = Matrix(field,
+                                 [[lk_col[r] * frow[c]
+                                   if (lk_col[r] and frow[c]) else field.zero
+                                   for c in range(dm)] for r in range(dm)],
+                                 cols=dm)
+                    e = e + add
+            plain_cols.append(endo.hom.coords_of(e))
+    theta_mat = descend_plain_map(field, plain_cols, s_alg.dim, theta_tensor)
+    theta = BimoduleMap(theta_tensor.space, regular_bimodule(s_alg), theta_mat,
+                        name="theta")
+    if theta_tensor.space.dim != s_alg.dim:
+        raise PreconditionError(
+            "dual tensor square does not match the endomorphism ring; "
+            "the module is not a progenerator")
+    try:
+        psi_q = invert(theta_mat)
+    except SingularError:
+        raise PreconditionError(
+            "the tensor-to-endomorphisms map is singular; "
+            "the module is not a progenerator") from None
+    psi_plain = psi_q if theta_tensor.trivial else theta_tensor.section @ psi_q
+    psi_unit = _Sparse.from_dense(psi_plain.apply(list(s_alg.unit)))
+    data = MoritaData(endo, dual, dual_endo, theta_tensor, theta, psi_plain,
+                      psi_unit)
+    m._morita_data = data
+    return data
+
+
+@dataclass(eq=False)
+class TransportedCoefficients:
+    w: Bimodule                # dual tensor_B N tensor_B M, an (S,S)-bimodule
+    t1: TensorProduct
+    t2: TensorProduct
+
+
+def coefficient_transport(m: Bimodule, n: Bimodule) -> TransportedCoefficients:
+    """The coefficient bimodule on the endomorphism-ring side."""
+    md = morita_data(m)
+    bucket = getattr(m, "_transport_cache", None)
+    if bucket is None:
+        bucket = []
+        m._transport_cache = bucket
+    for c, data in bucket:
+        if c is n:
+            return data
+    t1 = tensor_over(md.dual_endo, n)
+    t2 = tensor_over(t1.space, md.endo.right_module)
+    data = TransportedCoefficients(t2.space, t1, t2)
+    bucket.append((n, data))
+    return data
+
+
+@dataclass(frozen=True)
+class ComparisonDegree:
+    degree: int
+    module_cochain_dim: int
+    ring_cochain_dim: int
+    iso: bool
+
+
+@dataclass(eq=False)
+class ComparisonReport:
+    degrees: tuple
+    base_square: bool          # degree-0 edge square
+    step_squares: tuple        # coboundary squares, degrees 1..nmax
+
+    @property
+    def ok(self) -> bool:
+        return (self.base_square and all(self.step_squares)
+                and all(d.iso for d in self.degrees))
+
+
+def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
+                     dim_cap: int | None = None) -> ComparisonReport:
+    """Rewrite module-relative cochains as ring-relative ones and verify
+    the identification is a degreewise isomorphism commuting with both
+    coboundaries and the degree-0 edge maps."""
+    if not is_generator(m).verdict or not is_fg_projective_left(m).verdict:
+        raise PreconditionError("comparison requires a progenerator")
+    if nmax < 0:
+        raise PreconditionError("nmax must be nonnegative")
+    field = m.field
+    md = morita_data(m)
+    eng = _engine(m)
+    eng.object(nmax + 1, dim_cap)
+    wd = coefficient_transport(m, coefficients)
+    extension = md.endo.to_endo
+    rel_solvers, rel_deltas, chain, w_mid = _ring_complex(
+        extension, wd.w, nmax, dim_cap)
+    k_solvers = [eng.bb_solver(n, coefficients) for n in range(nmax + 2)]
+    mod_deltas = []
+    for n in range(nmax):
+        d_next = eng.diffs[n + 1].matrix
+        cols = [k_solvers[n + 1].coords_of(g @ d_next)
+                for g in k_solvers[n].maps]
+        mod_deltas.append(Matrix.from_columns(field, cols,
+                                              k_solvers[n + 1].dim))
+    sp = _Sparse(field)
+    dm, dd, dn = m.dim, md.dual.dim, coefficients.dim
+    s = md.endo.algebra.dim
+    ddm = dd * dm
+
+    iso_mats: dict[int, Matrix] = {}
+
+    def iso_mat(k: int) -> Matrix:
+        # plain (dual, P_{k-1}) -> Hom(M, P_{k-1}) solver coordinates
+        if k not in iso_mats:
+            prev = eng.objects[k - 1]
+            hom = eng.homs[k]
+            cols = []
+            for d in range(dd):
+                fd = md.dual.basis[d]
+                for y in range(prev.dim):
+                    g_cols = []
+                    for c in range(dm):
+                        acc = [field.zero] * prev.dim
+                        for kk in range(m.left_algebra.dim):
+                            coef = fd.data[kk][c]
+                            if coef:
+                                lcol = prev.left_action[kk].column(y)
+                                acc = [x + coef * z
+                                       for x, z in zip(acc, lcol)]
+                        g_cols.append(acc)
+                    g = Matrix.from_columns(field, g_cols, prev.dim)
+                    cols.append(hom.coords_of(g))
+            iso_mats[k] = Matrix.from_columns(field, cols, hom.dim)
+        return iso_mats[k]
+
+    def collapse(k: int, sv: dict, dims: list, lo: int):
+        # dims[lo : lo + 2k + 2] = (M, dual) pairs; contract to bar object k
+        if k == 0:
+            return sp.apply_slots(sv, dims, lo, 2, eng.tensors[0].projection)
+        sv, dims = collapse(k - 1, sv, dims, lo + 2)
+        sv, dims = sp.apply_slots(sv, dims, lo + 1, 2, iso_mat(k))
+        return sp.apply_slots(sv, dims, lo, 2, eng.tensors[k].projection)
+
+    def to_w(sv: dict, dims: list) -> list:
+        # dims = [dd, dn, dm] down to coefficient coordinates on the ring side
+        sv, dims = sp.apply_slots(sv, dims, 0, 2, wd.t1.projection)
+        sv, dims = sp.apply_slots(sv, dims, 0, 2, wd.t2.projection)
+        return sp.densify(sv, wd.w.dim)
+
+    def base_value(gmat: Matrix) -> list:
+        sv = sp.kron(md.psi_unit, md.psi_unit, ddm)
+        dims = [dd, dm, dd, dm]
+        sv, dims = collapse(0, sv, dims, 1)
+        sv, dims = sp.apply_slot(sv, dims, 1, gmat)
+        return to_w(sv, dims)
+
+    def image_cochain(gmat: Matrix, n: int) -> Matrix:
+        if n == 0:
+            w0 = base_value(gmat)
+            cols = [w_mid.left_action[q].apply(w0)
+                    for q in range(chain.a.dim)]
+            return Matrix.from_columns(field, cols, wd.w.dim)
+        cols = []
+        for q in range(chain.spaces[n].dim):
+            sv = _Sparse.from_dense(chain.to_plain[n].column(q))
+            dims = [s] * n
+            for j in range(n):
+                sv, dims = sp.apply_slot(sv, dims, j, md.psi_plain)
+            mid_len = 1
+            for d in dims:
+                mid_len *= d
+            sv = sp.kron(md.psi_unit, sp.kron(sv, md.psi_unit, ddm),
+                         mid_len * ddm)
+            dims = [dd, dm] * (n + 2)
+            sv, dims = collapse(n, sv, dims, 1)
+            sv, dims = sp.apply_slot(sv, dims, 1, gmat)
+            cols.append(to_w(sv, dims))
+        return Matrix.from_columns(field, cols, wd.w.dim)
+
+    phis = []
+    degrees = []
+    for n in range(nmax + 1):
+        cols = [rel_solvers[n].coords_of(image_cochain(g, n), verify=True)
+                for g in k_solvers[n].maps]
+        phi = Matrix.from_columns(field, cols, rel_solvers[n].dim)
+        phis.append(phi)
+        iso = (k_solvers[n].dim == rel_solvers[n].dim
+               and rank(phi) == phi.cols)
+        degrees.append(ComparisonDegree(n, k_solvers[n].dim,
+                                        rel_solvers[n].dim, iso))
+
+    # degree-0 edge square: central coefficients map equally through both edges
+    base_ok = True
+    cz = centralizer(coefficients)
+    for row in cz.basis.data:
+        nc = list(row)
+        g_cols = [coefficients.left_action[i].apply(nc)
+                  for i in range(m.left_algebra.dim)]
+        g_edge = Matrix.from_columns(field, g_cols, dn)
+        lhs = image_cochain(g_edge @ eng.diffs[0].matrix, 0)
+        psv = md.psi_unit
+        ins: dict = {}
+        for idx, val in psv.items():
+            d, i = divmod(idx, dm)
+            for j, njv in enumerate(nc):
+                if njv:
+                    ins[(d * dn + j) * dm + i] = val * njv
+        w_n = to_w(ins, [dd, dn, dm])
+        rhs_cols = [w_mid.left_action[q].apply(w_n)
+                    for q in range(chain.a.dim)]
+        rhs = Matrix.from_columns(field, rhs_cols, wd.w.dim)
+        if lhs != rhs:
+            base_ok = False
+            break
+
+    step_ok = []
+    for n in range(1, nmax + 1):
+        lhs = phis[n] @ mod_deltas[n - 1]
+        rhs = rel_deltas[n - 1] @ phis[n - 1]
+        step_ok.append(lhs == rhs)
+
+    return ComparisonReport(tuple(degrees), base_ok, tuple(step_ok))

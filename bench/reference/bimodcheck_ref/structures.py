@@ -1,0 +1,183 @@
+"""Finite-dimensional associative algebras presented by structure constants.
+
+An algebra of dimension d over the ground field is stored as the d*d
+table of coordinate vectors mult[i][j] = coordinates of basis_i * basis_j,
+together with the coordinate vector of the unit.  Algebra maps are plain
+matrices between coordinate spaces.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+
+from .errors import ShapeError
+from .exactlin import Field, Matrix
+
+
+@dataclass(eq=False)
+class Algebra:
+    field: Field
+    dim: int
+    mult: tuple            # mult[i][j]: coordinate list of basis_i * basis_j
+    unit: tuple            # coordinate list of 1
+    name: str = "A"
+
+    def __post_init__(self):
+        if len(self.mult) != self.dim or any(len(r) != self.dim for r in self.mult):
+            raise ShapeError("structure constant table must be dim x dim")
+        if any(len(self.mult[i][j]) != self.dim
+               for i in range(self.dim) for j in range(self.dim)):
+            raise ShapeError("structure constant vectors must have length dim")
+        if len(self.unit) != self.dim:
+            raise ShapeError("unit vector must have length dim")
+
+    def multiply(self, u: list, v: list) -> list:
+        zero = self.field.zero
+        out = [zero] * self.dim
+        for i, a in enumerate(u):
+            if a:
+                mi = self.mult[i]
+                for j, b in enumerate(v):
+                    if b:
+                        c = a * b
+                        for k, s in enumerate(mi[j]):
+                            if s:
+                                out[k] = out[k] + c * s
+        return out
+
+    @cached_property
+    def left_mult(self) -> tuple[Matrix, ...]:
+        """left_mult[i] is the matrix of x -> basis_i * x."""
+        mats = []
+        for i in range(self.dim):
+            cols = [self.mult[i][j] for j in range(self.dim)]
+            mats.append(Matrix.from_columns(self.field, cols, self.dim))
+        return tuple(mats)
+
+    @cached_property
+    def right_mult(self) -> tuple[Matrix, ...]:
+        """right_mult[j] is the matrix of x -> x * basis_j."""
+        mats = []
+        for j in range(self.dim):
+            cols = [self.mult[i][j] for i in range(self.dim)]
+            mats.append(Matrix.from_columns(self.field, cols, self.dim))
+        return tuple(mats)
+
+    def left_mult_by(self, coords: list) -> Matrix:
+        out = Matrix.zeros(self.field, self.dim, self.dim)
+        for i, a in enumerate(coords):
+            if a:
+                out = out + self.left_mult[i].scale(a)
+        return out
+
+    def right_mult_by(self, coords: list) -> Matrix:
+        out = Matrix.zeros(self.field, self.dim, self.dim)
+        for j, a in enumerate(coords):
+            if a:
+                out = out + self.right_mult[j].scale(a)
+        return out
+
+    def basis_vector(self, i: int) -> list:
+        v = [self.field.zero] * self.dim
+        v[i] = self.field.one
+        return v
+
+    def __repr__(self):
+        return f"Algebra({self.name}, dim={self.dim}, {self.field})"
+
+
+@dataclass(frozen=True)
+class ValidationResult:
+    ok: bool
+    message: str = ""
+
+    def __bool__(self):
+        return self.ok
+
+
+def validate_algebra(a: Algebra) -> ValidationResult:
+    """Check associativity on all basis triples and both unit axioms."""
+    for i in range(a.dim):
+        for j in range(a.dim):
+            left = a.mult[i][j]
+            for k in range(a.dim):
+                lhs = a.multiply(list(left), a.basis_vector(k))
+                rhs = a.multiply(a.basis_vector(i), list(a.mult[j][k]))
+                if any(x != y for x, y in zip(lhs, rhs)):
+                    return ValidationResult(
+                        False,
+                        f"associativity fails on basis triple ({i}, {j}, {k})")
+    unit = list(a.unit)
+    for i in range(a.dim):
+        e = a.basis_vector(i)
+        if a.multiply(unit, e) != e:
+            return ValidationResult(False, f"unit fails on the left at basis {i}")
+        if a.multiply(e, unit) != e:
+            return ValidationResult(False, f"unit fails on the right at basis {i}")
+    return ValidationResult(True)
+
+
+@dataclass(eq=False)
+class RingMap:
+    """A unital algebra homomorphism source -> target, as a matrix."""
+
+    source: Algebra
+    target: Algebra
+    matrix: Matrix
+    name: str = "f"
+
+    def __post_init__(self):
+        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
+            raise ShapeError("ring map matrix has wrong shape")
+
+    def apply(self, coords: list) -> list:
+        return self.matrix.apply(coords)
+
+    def __repr__(self):
+        return f"RingMap({self.name}: {self.source.name} -> {self.target.name})"
+
+
+def identity_map(a: Algebra) -> RingMap:
+    return RingMap(a, a, Matrix.identity(a.field, a.dim), name=f"id_{a.name}")
+
+
+def validate_ring_map(f: RingMap) -> ValidationResult:
+    """Check unitality and multiplicativity on all basis pairs."""
+    img_unit = f.apply(list(f.source.unit))
+    if img_unit != list(f.target.unit):
+        return ValidationResult(False, "map does not preserve the unit")
+    for i in range(f.source.dim):
+        fi = f.apply(f.source.basis_vector(i))
+        for j in range(f.source.dim):
+            lhs = f.apply(list(f.source.mult[i][j]))
+            rhs = f.target.multiply(fi, f.apply(f.source.basis_vector(j)))
+            if any(x != y for x, y in zip(lhs, rhs)):
+                return ValidationResult(
+                    False, f"multiplicativity fails on basis pair ({i}, {j})")
+    return ValidationResult(True)
+
+
+def multiplication_map(b: Algebra, over: RingMap):
+    """The multiplication B tensor_A B -> B induced along a ring map A -> B.
+
+    A acts on both copies of B through the map.  Returns a BimoduleMap
+    whose source is the constructed tensor square; surjectivity of the
+    multiplication is equivalent to B being generated by products.
+    """
+    from . import bimodule as bm
+
+    if over.target is not b and over.target != b:
+        raise ShapeError("ring map must land in the algebra being squared")
+    reg = bm.regular_bimodule(b)
+    left_copy = bm.restrict_right(reg, over)    # (B, A)
+    right_copy = bm.restrict_left(reg, over)    # (A, B)
+    square = bm.tensor_over(left_copy, right_copy)
+    # multiplication descends: on the plain tensor, (x, y) -> x * y
+    plain_cols = []
+    for i in range(b.dim):
+        for j in range(b.dim):
+            plain_cols.append(list(b.mult[i][j]))
+    plain = Matrix.from_columns(b.field, plain_cols, b.dim)
+    mat = plain @ square.section
+    return bm.BimoduleMap(square.space, reg, mat, name="mult")
