@@ -16,14 +16,14 @@ the hom space instead of the product of both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .errors import ShapeError, ValidationError
 from .exactlin import (
-    Field, Matrix, SpanTracker, Subspace, infeasibility_certificate,
-    kernel_basis, quotient_space, rank, right_inverse, solve_affine,
+    Field, Matrix, SpanTracker, Subspace, kernel_basis, lincomb,
+    quotient_space, rank, right_inverse, solve_or_certify,
 )
-from .structures import Algebra, RingMap, ValidationResult
+from .structures import Algebra, RingMap, ValidationResult, memoized
 
 
 @dataclass(eq=False)
@@ -34,6 +34,7 @@ class Bimodule:
     left_action: tuple       # one dim x dim Matrix per left-algebra basis element
     right_action: tuple      # one dim x dim Matrix per right-algebra basis element
     name: str = "M"
+    cache: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.left_action) != self.left_algebra.dim:
@@ -50,18 +51,10 @@ class Bimodule:
 
     def left_act(self, coords: list) -> Matrix:
         """Matrix of the left action of the algebra element with these coords."""
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, a in enumerate(coords):
-            if a:
-                out = out + self.left_action[i].scale(a)
-        return out
+        return lincomb(self.field, self.dim, self.dim, coords, self.left_action)
 
     def right_act(self, coords: list) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for j, a in enumerate(coords):
-            if a:
-                out = out + self.right_action[j].scale(a)
-        return out
+        return lincomb(self.field, self.dim, self.dim, coords, self.right_action)
 
     def basis_vector(self, i: int) -> list:
         v = [self.field.zero] * self.dim
@@ -134,13 +127,18 @@ class BimoduleMap:
         return f"BimoduleMap({self.name}: {self.source.name} -> {self.target.name})"
 
 
+@memoized
 def regular_bimodule(b: Algebra) -> Bimodule:
     """B as a bimodule over (B, B) by multiplication on both sides."""
-    cached = getattr(b, "_regular_bimodule", None)
-    if cached is None:
-        cached = Bimodule(b, b, b.dim, b.left_mult, b.right_mult, name=b.name)
-        b._regular_bimodule = cached
-    return cached
+    return Bimodule(b, b, b.dim, b.left_mult, b.right_mult, name=b.name)
+
+
+def basis_orbit(m: Bimodule, acts: tuple, i: int) -> Matrix:
+    """The matrix whose column k is acts[k] applied to basis vector i of m,
+    for acts one of m's action families.  For f a map into the acting
+    algebra, basis_orbit(m, acts, i) @ f is the endomorphism
+    y -> ((y) f) . e_i."""
+    return Matrix.from_columns(m.field, [a.column(i) for a in acts], m.dim)
 
 
 def restrict_left(m: Bimodule, f: RingMap) -> Bimodule:
@@ -213,21 +211,13 @@ class EquivariantBasis:
     def coords_of(self, mat: Matrix, verify: bool = False) -> list:
         vals = self.value_vector(mat)
         coords = [vals[p] for p in self.positions]
-        if verify:
-            recon = Matrix.zeros(self.field, self.tgt_dim, self.src_dim)
-            for c, f in zip(coords, self.maps):
-                if c:
-                    recon = recon + f.scale(c)
-            if recon != mat:
-                raise ValueError("matrix is not in the equivariant span")
+        if verify and self.matrix_of(coords) != mat:
+            raise ValidationError("matrix is not in the equivariant span")
         return coords
 
     def matrix_of(self, coords: list) -> Matrix:
-        out = Matrix.zeros(self.field, self.tgt_dim, self.src_dim)
-        for c, f in zip(coords, self.maps):
-            if c:
-                out = out + f.scale(c)
-        return out
+        return lincomb(self.field, self.tgt_dim, self.src_dim, coords,
+                       self.maps)
 
 
 def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
@@ -235,7 +225,9 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
                      ) -> EquivariantBasis:
     """Solve for all F with F src_ops[k] = ... = tgt_ops[k] F via a
     presentation of the source by operator orbits of basis vectors."""
-    assert len(src_ops) == len(tgt_ops)
+    if len(src_ops) != len(tgt_ops):
+        raise ShapeError(f"{len(src_ops)} source operators for "
+                         f"{len(tgt_ops)} target operators")
     n_ops = len(src_ops)
     span = SpanTracker(field, src_dim)
     generators: list[int] = []
@@ -267,13 +259,9 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
         # sum_{j,k} rel[j*n_ops+k] * tgt_ops[k] applied to v_j must vanish
         blocks = []
         for j in range(r):
-            acc = None
-            for k in range(n_ops):
-                c = rel[j * n_ops + k]
-                if c:
-                    term = tgt_ops[k].scale(c)
-                    acc = term if acc is None else acc + term
-            blocks.append(acc)
+            coeffs = rel[j * n_ops:(j + 1) * n_ops]
+            blocks.append(lincomb(field, tgt_dim, tgt_dim, coeffs, tgt_ops)
+                          if any(coeffs) else None)
         for t in range(tgt_dim):
             row = [field.zero] * unknowns
             nonzero = False
@@ -331,26 +319,40 @@ class HomSpace:
         return self.solver.coords_of(mat, verify=verify)
 
 
+def composition_matrix(maps, op: Matrix, before: bool,
+                       into: EquivariantBasis) -> Matrix:
+    """f -> f @ op (before) or op @ f on the given maps, one column of
+    coordinates in the solver `into` per map."""
+    cols = [into.coords_of(f @ op if before else op @ f) for f in maps]
+    return Matrix.from_columns(into.field, cols, into.dim)
+
+
+def _hom_space(m: Bimodule, n: Bimodule, src_ops, tgt_ops, left: tuple,
+               right: tuple, name: str) -> HomSpace:
+    """All maps F: m -> n with F src_ops[k] = tgt_ops[k] F, as a bimodule.
+
+    left and right are (algebra, operators, before): each operator acts on
+    the maps by F -> F @ op when before is set, by F -> op @ F otherwise.
+    """
+    solver = equivariant_maps(m.field, m.dim, n.dim, list(src_ops),
+                              list(tgt_ops))
+
+    def acts(ops, before):
+        return tuple(composition_matrix(solver.maps, op, before, solver)
+                     for op in ops)
+
+    space = Bimodule(left[0], right[0], solver.dim, acts(*left[1:]),
+                     acts(*right[1:]), name=name)
+    return HomSpace(m, n, space, solver.maps, solver)
+
+
 def hom_left(m: Bimodule, n: Bimodule, name: str = "Hom") -> HomSpace:
     """All maps intertwining the left actions, with its (A, T) structure."""
     if m.left_algebra is not n.left_algebra:
         raise ValidationError("hom_left requires a common left algebra")
-    solver = equivariant_maps(m.field, m.dim, n.dim,
-                              list(m.left_action), list(n.left_action))
-    a, t = m.right_algebra, n.right_algebra
-    d = solver.dim
-    left_acts = []
-    for i in range(a.dim):
-        ra = m.right_action[i]
-        cols = [solver.coords_of(f @ ra) for f in solver.maps]
-        left_acts.append(Matrix.from_columns(m.field, cols, d))
-    right_acts = []
-    for j in range(t.dim):
-        rt = n.right_action[j]
-        cols = [solver.coords_of(rt @ f) for f in solver.maps]
-        right_acts.append(Matrix.from_columns(m.field, cols, d))
-    space = Bimodule(a, t, d, tuple(left_acts), tuple(right_acts), name=name)
-    return HomSpace(m, n, space, solver.maps, solver)
+    return _hom_space(m, n, m.left_action, n.left_action,
+                      (m.right_algebra, m.right_action, True),
+                      (n.right_algebra, n.right_action, False), name)
 
 
 def hom_right(m: Bimodule, n: Bimodule, name: str = "Hom_r") -> HomSpace:
@@ -360,22 +362,9 @@ def hom_right(m: Bimodule, n: Bimodule, name: str = "Hom_r") -> HomSpace:
     """
     if m.right_algebra is not n.right_algebra:
         raise ValidationError("hom_right requires a common right algebra")
-    solver = equivariant_maps(m.field, m.dim, n.dim,
-                              list(m.right_action), list(n.right_action))
-    bl, bm = n.left_algebra, m.left_algebra
-    d = solver.dim
-    left_acts = []
-    for i in range(bl.dim):
-        lt = n.left_action[i]
-        cols = [solver.coords_of(lt @ f) for f in solver.maps]
-        left_acts.append(Matrix.from_columns(m.field, cols, d))
-    right_acts = []
-    for j in range(bm.dim):
-        lm = m.left_action[j]
-        cols = [solver.coords_of(f @ lm) for f in solver.maps]
-        right_acts.append(Matrix.from_columns(m.field, cols, d))
-    space = Bimodule(bl, bm, d, tuple(left_acts), tuple(right_acts), name=name)
-    return HomSpace(m, n, space, solver.maps, solver)
+    return _hom_space(m, n, m.right_action, n.right_action,
+                      (n.left_algebra, n.left_action, False),
+                      (m.left_algebra, m.left_action, True), name)
 
 
 def dual_module(m: Bimodule) -> HomSpace:
@@ -528,27 +517,25 @@ def descend_plain_map(field: Field, plain_cols: list[list], out_dim: int,
     return plain @ tensor.section
 
 
+def counit_map(hom: HomSpace, tensor: TensorProduct,
+               name: str) -> BimoduleMap:
+    """The counit m tensor f -> (m) f off M tensor Hom(M, Y) down to Y,
+    where hom = Hom(M, Y) and tensor is M tensored with its space."""
+    target = hom.target
+    plain_cols = []
+    for i in range(tensor.left_factor.dim):
+        for u in range(hom.dim):
+            plain_cols.append(hom.basis[u].column(i))
+    mat = descend_plain_map(target.field, plain_cols, target.dim, tensor)
+    return BimoduleMap(tensor.space, target, mat, name=name)
+
+
+@memoized
 def evaluation_data(m: Bimodule) -> EvaluationData:
     """ev: M tensor_A *M -> B, m tensor f -> (m) f, with its tensor square."""
-    cached = getattr(m, "_evaluation_data", None)
-    if cached is not None:
-        return cached
     dual = dual_module(m)
     tensor = tensor_over(m, dual.space, name=f"{m.name}(x)*{m.name}")
-    b = m.left_algebra
-    plain_cols = []
-    for i in range(m.dim):
-        for u in range(dual.dim):
-            plain_cols.append(dual.basis[u].column(i))
-    mat = descend_plain_map(m.field, plain_cols, b.dim, tensor)
-    ev = BimoduleMap(tensor.space, regular_bimodule(b), mat, name="ev")
-    data = EvaluationData(dual, tensor, ev)
-    m._evaluation_data = data
-    return data
-
-
-def evaluation_map(m: Bimodule) -> BimoduleMap:
-    return evaluation_data(m).map
+    return EvaluationData(dual, tensor, counit_map(dual, tensor, "ev"))
 
 
 @dataclass(eq=False)
@@ -559,10 +546,8 @@ class EndoData:
     right_module: Bimodule    # M as a (B, S) bimodule
 
 
+@memoized
 def endomorphism_ring(m: Bimodule) -> EndoData:
-    cached = getattr(m, "_endo_data", None)
-    if cached is not None:
-        return cached
     hom = hom_left(m, m, name=f"End({m.name})")
     field = m.field
     d = hom.dim
@@ -580,9 +565,7 @@ def endomorphism_ring(m: Bimodule) -> EndoData:
     to_endo = RingMap(a, s, Matrix.from_columns(field, cols, d), name="to_endo")
     right_module = Bimodule(m.left_algebra, s, m.dim, m.left_action,
                             tuple(hom.basis), name=m.name)
-    data = EndoData(s, to_endo, hom, right_module)
-    m._endo_data = data
-    return data
+    return EndoData(s, to_endo, hom, right_module)
 
 
 @dataclass(frozen=True)
@@ -599,15 +582,11 @@ def is_generator(m: Bimodule) -> GeneratorResult:
     to hitting the unit; the witness is a preimage of 1, the obstruction
     a functional killing the image but not 1.
     """
-    data = evaluation_data(m)
-    b = m.left_algebra
-    unit = list(b.unit)
-    sol = solve_affine(data.map.matrix, unit)
-    if sol is not None:
-        return GeneratorResult(True, tuple(sol.particular), None)
-    cert = infeasibility_certificate(data.map.matrix, unit)
-    assert cert is not None
-    return GeneratorResult(False, None, tuple(cert))
+    sol, cert = solve_or_certify(evaluation_data(m).map.matrix,
+                                 list(m.left_algebra.unit))
+    if sol is None:
+        return GeneratorResult(False, None, tuple(cert))
+    return GeneratorResult(True, tuple(sol), None)
 
 
 @dataclass(frozen=True)
@@ -629,33 +608,18 @@ def _fg_projective(m: Bimodule, side: str) -> ProjectivityResult:
     hd = hom.dim
     cols = []
     for i in range(d):
-        for u in range(hd):
-            # endomorphism y -> ((y) f_u) . m_i  (action on the relevant side)
-            fu = hom.basis[u]
-            endo = Matrix.zeros(field, d, d)
-            for k in range(len(acts)):
-                col_i = acts[k].column(i)
-                if any(col_i):
-                    frow = fu.data[k]
-                    add = Matrix(field,
-                                 [[col_i[r] * frow[c] if (col_i[r] and frow[c])
-                                   else field.zero for c in range(d)]
-                                  for r in range(d)], cols=d)
-                    endo = endo + add
-            cols.append([endo.data[r][c] for r in range(d) for c in range(d)])
+        # endomorphisms y -> ((y) f_u) . m_i, on the relevant side
+        orbit = basis_orbit(m, acts, i)
+        for f in hom.basis:
+            cols.append([x for row in (orbit @ f).data for x in row])
     system = Matrix.from_columns(field, cols, d * d)
-    ident = Matrix.identity(field, d)
-    rhs = [ident.data[r][c] for r in range(d) for c in range(d)]
-    sol = solve_affine(system, rhs)
+    rhs = [x for row in Matrix.identity(field, d).data for x in row]
+    sol, cert = solve_or_certify(system, rhs)
     if sol is None:
-        cert = infeasibility_certificate(system, rhs)
-        return ProjectivityResult(False, None,
-                                  tuple(cert) if cert else None)
-    pairs = []
-    for i in range(d):
-        f_coords = [sol.particular[i * hd + u] for u in range(hd)]
-        pairs.append((tuple(m.basis_vector(i)), tuple(f_coords)))
-    return ProjectivityResult(True, tuple(pairs), None)
+        return ProjectivityResult(False, None, tuple(cert))
+    pairs = tuple((tuple(m.basis_vector(i)), tuple(sol[i * hd:(i + 1) * hd]))
+                  for i in range(d))
+    return ProjectivityResult(True, pairs, None)
 
 
 def is_fg_projective_left(m: Bimodule) -> ProjectivityResult:
@@ -676,19 +640,16 @@ def trace_in(m: Bimodule, n: Bimodule) -> Subspace:
     return Subspace.from_span(m.field, n.dim, vectors)
 
 
+def _counit_over_endo(m: Bimodule, n: Bimodule, name: str) -> BimoduleMap:
+    """ev: M tensor_S Hom(M, N) -> N where S is the endomorphism ring of M."""
+    m_bs = endomorphism_ring(m).right_module
+    hom = hom_left(m_bs, n, name="H")
+    return counit_map(hom, tensor_over(m_bs, hom.space), name)
+
+
 def ev_over_endo(m: Bimodule) -> BimoduleMap:
     """ev: M tensor_S *M -> B where S is the endomorphism ring of M."""
-    endo = endomorphism_ring(m)
-    m_bs = endo.right_module
-    dual_s = hom_left(m_bs, regular_bimodule(m.left_algebra), name=f"*{m.name}")
-    tensor = tensor_over(m_bs, dual_s.space)
-    plain_cols = []
-    for i in range(m.dim):
-        for u in range(dual_s.dim):
-            plain_cols.append(dual_s.basis[u].column(i))
-    mat = descend_plain_map(m.field, plain_cols, m.left_algebra.dim, tensor)
-    return BimoduleMap(tensor.space, regular_bimodule(m.left_algebra), mat,
-                       name="ev_S")
+    return _counit_over_endo(m, regular_bimodule(m.left_algebra), "ev_S")
 
 
 @dataclass(frozen=True)
@@ -705,18 +666,8 @@ def static_check(m: Bimodule, n: Bimodule) -> tuple[StaticResult, BimoduleMap]:
 
     N must share the left algebra of M; S is the endomorphism ring.
     """
-    endo = endomorphism_ring(m)
-    m_bs = endo.right_module
-    hom = hom_left(m_bs, n, name="H")
-    tensor = tensor_over(m_bs, hom.space)
-    plain_cols = []
-    for i in range(m.dim):
-        for u in range(hom.dim):
-            plain_cols.append(hom.basis[u].column(i))
-    mat = descend_plain_map(m.field, plain_cols, n.dim, tensor)
-    r = rank(mat)
-    inj = r == tensor.space.dim
+    ev = _counit_over_endo(m, n, "ev_N")
+    r = rank(ev.matrix)
+    inj = r == ev.source.dim
     surj = r == n.dim
-    res = StaticResult(inj and surj, inj, surj, tensor.space.dim, n.dim)
-    ev = BimoduleMap(tensor.space, n, mat, name="ev_N")
-    return res, ev
+    return StaticResult(inj and surj, inj, surj, ev.source.dim, n.dim), ev

@@ -18,14 +18,8 @@ from .bimodule import (
     restrict_right, static_check, sub_bimodule, tensor_over, trace_in,
 )
 from .errors import PreconditionError, ValidationError
-from .exactlin import (
-    Matrix, apply_slot, infeasibility_certificate, kernel_basis, rank,
-    solve_affine,
-)
-from .homology import (
-    coefficient_transport, comonad_apply, comparison_check, module_hochschild,
-    morita_data, ring_hochschild, syzygy,
-)
+from .exactlin import Matrix, apply_slot, kernel_basis, rank, solve_or_certify
+from .homology import comonad_apply, comparison_check, syzygy
 from .structures import RingMap, multiplication_map, validate_ring_map
 
 
@@ -36,29 +30,45 @@ def _vec(mat: Matrix) -> list:
     return out
 
 
-def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: list):
+def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: tuple):
     """Solve target_mat(s) = unit over the centralizer of t_space.
 
-    Returns (element coords in t_space, None) on success,
-    (None, obstruction functional on the target) otherwise.
+    Returns (element coords in t_space, None, centralizer), the element
+    re-checked by substitution, or (None, obstruction functional on the
+    target, centralizer).
     """
     cz = centralizer(t_space)
-    sys_mat = target_mat @ cz.basis.transpose()
-    sol = solve_affine(sys_mat, list(unit))
+    sol, cert = solve_or_certify(target_mat @ cz.basis.transpose(),
+                                 list(unit))
     if sol is None:
-        cert = infeasibility_certificate(sys_mat, list(unit))
-        return None, cert, cz
-    element = cz.embed(sol.particular)
-    return element, None, cz
-
-
-def _check_casimir(t_space: Bimodule, target_mat: Matrix, unit, element):
+        return None, tuple(cert), cz
+    element = cz.embed(sol)
     for i in range(t_space.left_algebra.dim):
         delta = t_space.left_action[i] - t_space.right_action[i]
         if any(delta.apply(element)):
             raise ValidationError("witness is not central")
     if target_mat.apply(element) != list(unit):
         raise ValidationError("witness does not evaluate to the unit")
+    return tuple(element), None, cz
+
+
+def _split(counit: BimoduleMap, dims: dict):
+    """A two-sided section of counit: F -> P, re-checked by substitution,
+    as (section, None); else (None, infeasibility functional on the
+    coordinates of End(P))."""
+    p, fp = counit.target, counit.source
+    solver = hom_bimodule(p, fp)
+    dims["map_space"] = solver.dim
+    cols = [_vec(counit.matrix @ g) for g in solver.maps]
+    ident = Matrix.identity(p.field, p.dim)
+    sol, cert = solve_or_certify(
+        Matrix.from_columns(p.field, cols, p.dim * p.dim), _vec(ident))
+    if sol is None:
+        return None, tuple(cert)
+    sec_mat = solver.matrix_of(sol)
+    if counit.matrix @ sec_mat != ident:
+        raise ValidationError(f"section does not split {counit.name}")
+    return BimoduleMap(p, fp, sec_mat, name="section"), None
 
 
 @dataclass(eq=False)
@@ -79,11 +89,7 @@ def is_separable_bimodule(m: Bimodule) -> SeparabilityResult:
     b = m.left_algebra
     element, cert, cz = _central_solve(t_space, ev.map.matrix, b.unit)
     dims = {"tensor_square": t_space.dim, "centralizer": cz.dim}
-    if element is None:
-        return SeparabilityResult(False, None,
-                                  tuple(cert) if cert else None, dims)
-    _check_casimir(t_space, ev.map.matrix, b.unit, element)
-    return SeparabilityResult(True, tuple(element), None, dims)
+    return SeparabilityResult(element is not None, element, cert, dims)
 
 
 @dataclass(eq=False)
@@ -114,21 +120,9 @@ def is_rel_projective(p: Bimodule, m: Bimodule) -> RelProjectivityResult:
                                Matrix(m.field, [[] for _ in range(fp.dim)],
                                       cols=0), name="section")
         return RelProjectivityResult(True, zero_sec, counit, None, dims)
-    solver = hom_bimodule(p, fp)
-    dims["map_space"] = solver.dim
-    cols = [_vec(counit.matrix @ g) for g in solver.maps]
-    sys_mat = Matrix.from_columns(m.field, cols, p.dim * p.dim)
-    rhs = _vec(Matrix.identity(m.field, p.dim))
-    sol = solve_affine(sys_mat, rhs)
-    if sol is None:
-        cert = infeasibility_certificate(sys_mat, rhs)
-        return RelProjectivityResult(False, None, counit,
-                                     tuple(cert) if cert else None, dims)
-    sec_mat = solver.matrix_of(sol.particular)
-    if counit.matrix @ sec_mat != Matrix.identity(m.field, p.dim):
-        raise ValidationError("section does not split the counit")
-    section = BimoduleMap(p, fp, sec_mat, name="section")
-    return RelProjectivityResult(True, section, counit, None, dims)
+    section, cert = _split(counit, dims)
+    return RelProjectivityResult(section is not None, section, counit, cert,
+                                 dims)
 
 
 @dataclass(eq=False)
@@ -190,11 +184,8 @@ def is_separable_extension(f: RingMap) -> ExtensionSeparabilityResult:
     t_space = mult.source
     element, cert, cz = _central_solve(t_space, mult.matrix, b.unit)
     dims = {"tensor_square": t_space.dim, "centralizer": cz.dim}
-    if element is None:
-        return ExtensionSeparabilityResult(False, None,
-                                           tuple(cert) if cert else None, dims)
-    _check_casimir(t_space, mult.matrix, b.unit, element)
-    return ExtensionSeparabilityResult(True, tuple(element), None, dims)
+    return ExtensionSeparabilityResult(element is not None, element, cert,
+                                       dims)
 
 
 @dataclass(eq=False)
@@ -250,23 +241,9 @@ def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
     counit = BimoduleMap(t2.space, l,
                          Matrix.from_columns(field, cols, l.dim),
                          name="two-sided-mult")
-    solver = hom_bimodule(l, t2.space)
-    dims["map_space"] = solver.dim
-    sys_cols = [_vec(counit.matrix @ g) for g in solver.maps]
-    sys_mat = Matrix.from_columns(field, sys_cols, l.dim * l.dim)
-    rhs = _vec(Matrix.identity(field, l.dim))
-    sol = solve_affine(sys_mat, rhs)
-    if sol is None:
-        cert = infeasibility_certificate(sys_mat, rhs)
-        return ExtensionSmoothnessResult(False, l.dim, None, counit,
-                                         tuple(cert) if cert else None,
-                                         dims)
-    sec_mat = solver.matrix_of(sol.particular)
-    if counit.matrix @ sec_mat != Matrix.identity(field, l.dim):
-        raise ValidationError("section does not split two-sided multiplication")
-    section = BimoduleMap(l, t2.space, sec_mat, name="section")
-    return ExtensionSmoothnessResult(True, l.dim, section, counit, None,
-                                     dims)
+    section, cert = _split(counit, dims)
+    return ExtensionSmoothnessResult(section is not None, l.dim, section,
+                                     counit, cert, dims)
 
 
 @dataclass(eq=False)
@@ -323,13 +300,9 @@ def morita_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     rewrite between them."""
     if not (is_generator(m).verdict and is_fg_projective_left(m).verdict):
         raise PreconditionError("the comparison requires a progenerator")
-    mod_h = module_hochschild(m, coefficients, nmax, dim_cap)
-    md = morita_data(m)
-    wd = coefficient_transport(m, coefficients)
-    ring_h = ring_hochschild(md.endo.to_endo, wd.w, nmax, dim_cap)
     comp = comparison_check(m, coefficients, nmax, dim_cap)
-    return MoritaReport(mod_h.dims(), ring_h.dims(),
-                        mod_h.dims() == ring_h.dims(), comp)
+    mod_dims, ring_dims = comp.module.dims(), comp.ring.dims()
+    return MoritaReport(mod_dims, ring_dims, mod_dims == ring_dims, comp)
 
 
 @dataclass(eq=False)

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatchError, ShapeError, SingularError
+from .errors import (
+    FieldMismatchError, ShapeError, SingularError, ValidationError,
+)
 
 try:
     from gmpy2 import mpq as _rational
@@ -181,11 +183,6 @@ class Matrix:
             self.cols = cols
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         z, o = field.zero, field.one
         data = [[z] * n for _ in range(n)]
@@ -267,10 +264,6 @@ class Matrix:
         return Matrix(self.field, [[-a for a in row] for row in self.data],
                       cols=self.cols)
 
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.field, [[c * a for a in row] for row in self.data],
-                      cols=self.cols)
-
     def kron(self, other: "Matrix") -> "Matrix":
         zero = self.field.zero
         out_rows = self.rows * other.rows
@@ -306,6 +299,19 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def lincomb(field: Field, rows: int, cols: int, coeffs, mats) -> Matrix:
+    """The rows x cols matrix sum of c * mat over paired coeffs and mats,
+    accumulated in place."""
+    out = [[field.zero] * cols for _ in range(rows)]
+    for c, mat in zip(coeffs, mats):
+        if c:
+            for orow, mrow in zip(out, mat.data):
+                for j, a in enumerate(mrow):
+                    if a:
+                        orow[j] = orow[j] + c * a
+    return Matrix(field, out, cols=cols)
+
+
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ShapeError("hstack row mismatch")
@@ -319,33 +325,37 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, a.data + b.data, cols=a.cols)
 
 
-def _echelon(rows: list[list], ncols: int) -> tuple[dict, list[int]]:
-    """Reduce rows into {pivot_col: normalized row}; returns insertion order.
+def _reduce_into(piv: dict, row: list, ncols: int) -> bool:
+    """Reduce row in place against the pivot rows; when an entry survives,
+    store the row normalized at its leftmost nonzero column.  True when
+    the row was new."""
+    c = 0
+    while c < ncols:
+        x = row[c]
+        if x:
+            pr = piv.get(c)
+            if pr is None:
+                inv = 1 / x
+                piv[c] = [v * inv if v else v for v in row]
+                return True
+            for j in range(c, ncols):
+                v = pr[j]
+                if v:
+                    row[j] = row[j] - x * v
+        c += 1
+    return False
+
+
+def _echelon(rows: list[list], ncols: int) -> dict:
+    """Reduce rows into {pivot_col: normalized row}.
 
     Incremental: each incoming row is reduced against the rows already
     kept, which is fast when the input is sparse.
     """
     piv: dict[int, list] = {}
-    order: list[int] = []
     for row in rows:
-        row = list(row)
-        c = 0
-        while c < ncols:
-            x = row[c]
-            if x:
-                pr = piv.get(c)
-                if pr is None:
-                    break
-                for j in range(c, ncols):
-                    v = pr[j]
-                    if v:
-                        row[j] = row[j] - x * v
-            c += 1
-        if c < ncols:
-            inv = 1 / row[c]
-            piv[c] = [v * inv if v else v for v in row]
-            order.append(c)
-    return piv, order
+        _reduce_into(piv, list(row), ncols)
+    return piv
 
 
 def _back_substitute(piv: dict) -> None:
@@ -371,7 +381,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     Returns (reduced matrix of the same shape, pivot column indices).
     Zero rows sink to the bottom.
     """
-    piv, _ = _echelon(m.data, m.cols)
+    piv = _echelon(m.data, m.cols)
     _back_substitute(piv)
     pivots = tuple(sorted(piv))
     out = [piv[c] for c in pivots]
@@ -382,7 +392,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    piv, _ = _echelon(m.data, m.cols)
+    piv = _echelon(m.data, m.cols)
     return len(piv)
 
 
@@ -396,25 +406,7 @@ class SpanTracker:
 
     def add(self, vec: list) -> bool:
         """Add a vector; True when it enlarged the span."""
-        row = list(vec)
-        n = self.ambient
-        c = 0
-        while c < n:
-            x = row[c]
-            if x:
-                pr = self.piv.get(c)
-                if pr is None:
-                    break
-                for j in range(c, n):
-                    v = pr[j]
-                    if v:
-                        row[j] = row[j] - x * v
-            c += 1
-        if c == n:
-            return False
-        inv = 1 / row[c]
-        self.piv[c] = [v * inv if v else v for v in row]
-        return True
+        return _reduce_into(self.piv, list(vec), self.ambient)
 
     @property
     def dim(self) -> int:
@@ -454,7 +446,7 @@ class Subspace:
     @classmethod
     def from_span(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
         rows = [list(v) for v in vectors if any(v)]
-        piv, _ = _echelon(rows, ambient_dim)
+        piv = _echelon(rows, ambient_dim)
         _back_substitute(piv)
         pivots = tuple(sorted(piv))
         return cls(ambient_dim, Matrix(field, [piv[c] for c in pivots],
@@ -465,23 +457,15 @@ class Subspace:
         if len(vec) != self.ambient_dim:
             raise ShapeError("vector has wrong ambient dimension")
         coords = [vec[p] for p in self.positions]
-        if verify:
-            zero = self.field.zero
-            recon = [zero] * self.ambient_dim
-            for c, row in zip(coords, self.basis.data):
-                if c:
-                    for j, b in enumerate(row):
-                        if b:
-                            recon[j] = recon[j] + c * b
-            if any(r != v for r, v in zip(recon, vec)):
-                raise ValueError("vector is not in the subspace")
+        if verify and any(r != v for r, v in zip(self.embed(coords), vec)):
+            raise ValidationError("vector is not in the subspace")
         return coords
 
     def contains(self, vec: list) -> bool:
         try:
             self.coords_of(vec, verify=True)
             return True
-        except ValueError:
+        except ValidationError:
             return False
 
     def embed(self, coords: list) -> list:
@@ -502,22 +486,28 @@ def kernel_basis(m: Matrix) -> Subspace:
     Each basis vector carries 1 at its own free column and 0 at the other
     free columns, so coordinates in this basis are read off by restriction.
     """
-    piv, _ = _echelon(m.data, m.cols)
+    piv = _echelon(m.data, m.cols)
     _back_substitute(piv)
+    return _free_column_basis(m.field, piv, m.cols)
+
+
+def _free_column_basis(field: Field, piv: dict, n: int) -> Subspace:
+    """The kernel of reduced pivot rows over their first n columns: one
+    vector per free column, 1 there and minus the pivot rows' entries at
+    the pivot columns."""
     pivots = sorted(piv)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    zero, one = m.field.zero, m.field.one
+    free = [c for c in range(n) if c not in piv]
+    zero, one = field.zero, field.one
     rows = []
     for fc in free:
-        v = [zero] * m.cols
+        v = [zero] * n
         v[fc] = one
         for pc in pivots:
             x = piv[pc][fc]
             if x:
                 v[pc] = -x
         rows.append(v)
-    return Subspace(m.cols, Matrix(m.field, rows, cols=m.cols), tuple(free))
+    return Subspace(n, Matrix(field, rows, cols=n), tuple(free))
 
 
 @dataclass(frozen=True)
@@ -535,28 +525,14 @@ def solve_affine(m: Matrix, rhs: list) -> AffineSolution | None:
         raise ShapeError(f"rhs length {len(rhs)} for {m.rows} rows")
     n = m.cols
     aug_rows = [row + [b] for row, b in zip(m.data, rhs)]
-    piv, _ = _echelon(aug_rows, n + 1)
+    piv = _echelon(aug_rows, n + 1)
     if n in piv:
         return None
     _back_substitute(piv)
-    zero, one = m.field.zero, m.field.one
-    particular = [zero] * n
-    pivots = sorted(piv)
-    for pc in pivots:
-        particular[pc] = piv[pc][n]
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    rows = []
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for pc in pivots:
-            x = piv[pc][fc]
-            if x:
-                v[pc] = -x
-        rows.append(v)
-    hom = Subspace(n, Matrix(m.field, rows, cols=n), tuple(free))
-    return AffineSolution(particular, hom)
+    particular = [m.field.zero] * n
+    for pc, row in piv.items():
+        particular[pc] = row[n]
+    return AffineSolution(particular, _free_column_basis(m.field, piv, n))
 
 
 def infeasibility_certificate(m: Matrix, rhs: list) -> list | None:
@@ -577,13 +553,25 @@ def infeasibility_certificate(m: Matrix, rhs: list) -> list | None:
     return None
 
 
+def solve_or_certify(m: Matrix, rhs: list) -> tuple[list | None, list | None]:
+    """(particular solution, None) when m x = rhs is solvable, else
+    (None, y) for a functional y certifying that it is not."""
+    sol = solve_affine(m, rhs)
+    if sol is not None:
+        return sol.particular, None
+    cert = infeasibility_certificate(m, rhs)
+    if cert is None:
+        raise ValidationError("infeasible system without a certificate")
+    return None, cert
+
+
 def right_inverse(m: Matrix) -> Matrix:
     """X with m X = identity; requires full row rank."""
     n = m.cols
     aug_rows = [list(row) + [m.field.zero] * m.rows for row in m.data]
     for i in range(m.rows):
         aug_rows[i][n + i] = m.field.one
-    piv, _ = _echelon(aug_rows, n + m.rows)
+    piv = _echelon(aug_rows, n + m.rows)
     if any(c >= n for c in piv):
         raise SingularError("matrix does not have full row rank")
     _back_substitute(piv)
@@ -625,25 +613,14 @@ def quotient_space(ambient_dim: int, relations: Subspace) -> Quotient:
     if relations.dim == 0:
         ident = Matrix.identity(field, ambient_dim)
         return Quotient(ambient_dim, ambient_dim, ident, ident)
-    piv, _ = _echelon(relations.basis.data, ambient_dim)
+    piv = _echelon(relations.basis.data, ambient_dim)
     _back_substitute(piv)
-    pivots = sorted(piv)
-    pivot_set = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
-    q = len(free)
-    zero, one = field.zero, field.one
-    proj = [[zero] * ambient_dim for _ in range(q)]
-    for i, fc in enumerate(free):
-        proj[i][fc] = one
-        for pc in pivots:
-            x = piv[pc][fc]
-            if x:
-                proj[i][pc] = -x
-    sect = [[zero] * q for _ in range(ambient_dim)]
-    for i, fc in enumerate(free):
-        sect[fc][i] = one
-    return Quotient(ambient_dim, q,
-                    Matrix(field, proj, cols=ambient_dim),
+    complement = _free_column_basis(field, piv, ambient_dim)
+    q = complement.dim
+    sect = [[field.zero] * q for _ in range(ambient_dim)]
+    for i, fc in enumerate(complement.positions):
+        sect[fc][i] = field.one
+    return Quotient(ambient_dim, q, complement.basis,
                     Matrix(field, sect, cols=q))
 
 

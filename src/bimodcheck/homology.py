@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .bimodule import (
     Bimodule, BimoduleMap, EquivariantBasis, HomSpace, TensorProduct,
-    centralizer, descend_plain_map, endomorphism_ring, hom_bimodule, hom_left,
+    basis_orbit, centralizer, composition_matrix, counit_map,
+    descend_plain_map, endomorphism_ring, hom_bimodule, hom_left,
     is_fg_projective_left, is_generator, regular_bimodule, restrict_left,
     restrict_right, sub_bimodule, tensor_over,
 )
@@ -29,7 +30,9 @@ from .exactlin import (
     Field, Matrix, SpanTracker, apply_slot, apply_slots, invert, kernel_basis,
     rank,
 )
-from .structures import Algebra, RingMap, ValidationResult, validate_ring_map
+from .structures import (
+    Algebra, RingMap, ValidationResult, memoized, validate_ring_map,
+)
 
 DEFAULT_DIM_CAP = 20000
 
@@ -119,30 +122,11 @@ def _cohomology(field: Field, space_dims: list, deltas: list,
 # The comonad and its bar complex
 
 
-def _counit_map(hom: HomSpace, tensor: TensorProduct, target: Bimodule,
-                name: str) -> BimoduleMap:
-    """Evaluation off M tensor Hom(M, Y) down to Y."""
-    field = target.field
-    plain_cols = []
-    for i in range(tensor.left_factor.dim):
-        for u in range(hom.dim):
-            plain_cols.append(hom.basis[u].column(i))
-    mat = descend_plain_map(field, plain_cols, target.dim, tensor)
-    return BimoduleMap(tensor.space, target, mat, name=name)
-
-
 def comonad_apply(m: Bimodule, y: Bimodule) -> tuple:
     """One application F(Y) = M tensor_A Hom(M, Y), with its counit."""
     hom = hom_left(m, y)
     tensor = tensor_over(m, hom.space, name=f"F({y.name})")
-    counit = _counit_map(hom, tensor, y, name="counit")
-    return tensor.space, counit
-
-
-def _hom_push(src_hom: HomSpace, tgt_hom: HomSpace, gmat: Matrix) -> Matrix:
-    """Hom(M, g) in solver coordinates: postcompose every basis map."""
-    cols = [tgt_hom.coords_of(gmat @ f) for f in src_hom.basis]
-    return Matrix.from_columns(gmat.field, cols, tgt_hom.dim)
+    return tensor.space, counit_map(hom, tensor, "counit")
 
 
 class _BarEngine:
@@ -160,7 +144,7 @@ class _BarEngine:
         self.diffs: list[BimoduleMap] = []
         self._sections: dict[int, Matrix] = {}
         self._hom_diffs: dict[int, Matrix] = {}
-        self._bb: dict[int, list] = {}
+        self._bb: dict[tuple, EquivariantBasis] = {}   # (n, coefficients)
 
     def hom_level(self, k: int, dim_cap: int | None = None) -> HomSpace:
         while len(self.homs) <= k:
@@ -185,12 +169,13 @@ class _BarEngine:
         tensor = tensor_over(self.m, hom.space, name=f"bar{n}")
         obj = tensor.space
         prev = self.b if n == 0 else self.objects[n - 1]
-        counit = _counit_map(hom, tensor, prev, name=f"counit{n}")
+        counit = counit_map(hom, tensor, f"counit{n}")
         if n == 0:
             d = BimoduleMap(obj, prev, counit.matrix, name="d0")
         else:
             # d_n = counit - F(d_{n-1}), assembled slotwise on lifted columns
-            push = _hom_push(hom, self.homs[n - 1], self.diffs[n - 1].matrix)
+            push = composition_matrix(hom.basis, self.diffs[n - 1].matrix,
+                                      False, self.homs[n - 1].solver)
             h = hom.dim
             cols = []
             for q in range(obj.dim):
@@ -239,26 +224,20 @@ class _BarEngine:
         """Hom(M, d_n): Hom(M,P_n) -> Hom(M,P_{n-1}) in solver coordinates."""
         if n not in self._hom_diffs:
             self.object(n)
-            self._hom_diffs[n] = _hom_push(self.hom_level(n + 1), self.homs[n],
-                                           self.diffs[n].matrix)
+            self._hom_diffs[n] = composition_matrix(
+                self.hom_level(n + 1).basis, self.diffs[n].matrix, False,
+                self.homs[n].solver)
         return self._hom_diffs[n]
 
     def bb_solver(self, n: int, coeff: Bimodule) -> EquivariantBasis:
-        bucket = self._bb.setdefault(n, [])
-        for c, solver in bucket:
-            if c is coeff:
-                return solver
-        solver = hom_bimodule(self.object(n), coeff)
-        bucket.append((coeff, solver))
-        return solver
+        if (n, coeff) not in self._bb:
+            self._bb[n, coeff] = hom_bimodule(self.object(n), coeff)
+        return self._bb[n, coeff]
 
 
+@memoized
 def _engine(m: Bimodule) -> _BarEngine:
-    eng = getattr(m, "_bar_engine", None)
-    if eng is None:
-        eng = _BarEngine(m)
-        m._bar_engine = eng
-    return eng
+    return _BarEngine(m)
 
 
 def _require_generator(m: Bimodule) -> None:
@@ -320,6 +299,14 @@ def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
     """Cohomology of two-sided maps off the bar objects into the
     coefficients, with the coboundary precomposing the next differential."""
     _require_generator(m)
+    solvers, deltas = _module_complex(m, coefficients, nmax, dim_cap)
+    return _cohomology(m.field, [s.dim for s in solvers], deltas, nmax)
+
+
+def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
+                    dim_cap: int | None):
+    """Cochain solvers of degrees 0..nmax+1 and the coboundaries out of
+    degrees 0..nmax for the module-relative side; m must be a generator."""
     if nmax < 0:
         raise PreconditionError("nmax must be nonnegative")
     if coefficients.left_algebra is not m.left_algebra \
@@ -328,15 +315,13 @@ def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
     eng = _engine(m)
     eng.object(nmax + 1, dim_cap)
     solvers = [eng.bb_solver(n, coefficients) for n in range(nmax + 2)]
-    deltas = []
-    for n in range(nmax + 1):
-        d_next = eng.diffs[n + 1].matrix
-        cols = [solvers[n + 1].coords_of(g @ d_next) for g in solvers[n].maps]
-        deltas.append(Matrix.from_columns(m.field, cols, solvers[n + 1].dim))
+    deltas = [composition_matrix(solvers[n].maps, eng.diffs[n + 1].matrix,
+                                 True, solvers[n + 1])
+              for n in range(nmax + 1)]
     for n in range(nmax):
         if not (deltas[n + 1] @ deltas[n]).is_zero():
             raise ValidationError(f"coboundary square nonzero at {n}")
-    return _cohomology(m.field, [s.dim for s in solvers], deltas, nmax)
+    return solvers, deltas
 
 
 # ---------------------------------------------------------------------------
@@ -547,40 +532,22 @@ class MoritaData:
     psi_unit: dict             # sparse image of the unit, slots (dual, M)
 
 
+@memoized
 def morita_data(m: Bimodule) -> MoritaData:
-    cached = getattr(m, "_morita_data", None)
-    if cached is not None:
-        return cached
     field = m.field
     endo = endomorphism_ring(m)
     eng = _engine(m)
     dual = eng.hom_level(0)
     s_alg = endo.algebra
-    left = []
-    for u in range(s_alg.dim):
-        hu = endo.hom.basis[u]
-        cols = [dual.coords_of(dual.basis[v] @ hu) for v in range(dual.dim)]
-        left.append(Matrix.from_columns(field, cols, dual.dim))
-    dual_endo = Bimodule(s_alg, m.left_algebra, dual.dim, tuple(left),
+    left = tuple(composition_matrix(dual.basis, hu, True, dual.solver)
+                 for hu in endo.hom.basis)
+    dual_endo = Bimodule(s_alg, m.left_algebra, dual.dim, left,
                          dual.space.right_action, name=f"*{m.name}")
     theta_tensor = tensor_over(dual_endo, endo.right_module)
-    dm = m.dim
-    plain_cols = []
-    for d in range(dual.dim):
-        fd = dual.basis[d]
-        for i in range(dm):
-            e = Matrix.zeros(field, dm, dm)
-            for k in range(m.left_algebra.dim):
-                lk_col = m.left_action[k].column(i)
-                if any(lk_col):
-                    frow = fd.data[k]
-                    add = Matrix(field,
-                                 [[lk_col[r] * frow[c]
-                                   if (lk_col[r] and frow[c]) else field.zero
-                                   for c in range(dm)] for r in range(dm)],
-                                 cols=dm)
-                    e = e + add
-            plain_cols.append(endo.hom.coords_of(e))
+    # f tensor e_i -> the endomorphism y -> ((y) f) . e_i
+    orbits = [basis_orbit(m, m.left_action, i) for i in range(m.dim)]
+    plain_cols = [endo.hom.coords_of(orbit @ fd)
+                  for fd in dual.basis for orbit in orbits]
     theta_mat = descend_plain_map(field, plain_cols, s_alg.dim, theta_tensor)
     theta = BimoduleMap(theta_tensor.space, regular_bimodule(s_alg), theta_mat,
                         name="theta")
@@ -596,10 +563,8 @@ def morita_data(m: Bimodule) -> MoritaData:
             "the module is not a progenerator") from None
     psi_plain = psi_q if theta_tensor.trivial else theta_tensor.section @ psi_q
     psi_unit = _Sparse.from_dense(psi_plain.apply(list(s_alg.unit)))
-    data = MoritaData(endo, dual, dual_endo, theta_tensor, theta, psi_plain,
+    return MoritaData(endo, dual, dual_endo, theta_tensor, theta, psi_plain,
                       psi_unit)
-    m._morita_data = data
-    return data
 
 
 @dataclass(eq=False)
@@ -609,21 +574,13 @@ class TransportedCoefficients:
     t2: TensorProduct
 
 
+@memoized
 def coefficient_transport(m: Bimodule, n: Bimodule) -> TransportedCoefficients:
     """The coefficient bimodule on the endomorphism-ring side."""
     md = morita_data(m)
-    bucket = getattr(m, "_transport_cache", None)
-    if bucket is None:
-        bucket = []
-        m._transport_cache = bucket
-    for c, data in bucket:
-        if c is n:
-            return data
     t1 = tensor_over(md.dual_endo, n)
     t2 = tensor_over(t1.space, md.endo.right_module)
-    data = TransportedCoefficients(t2.space, t1, t2)
-    bucket.append((n, data))
-    return data
+    return TransportedCoefficients(t2.space, t1, t2)
 
 
 @dataclass(frozen=True)
@@ -639,6 +596,8 @@ class ComparisonReport:
     degrees: tuple
     base_square: bool          # degree-0 edge square
     step_squares: tuple        # coboundary squares, degrees 1..nmax
+    module: CohomologyResult   # of the module-relative complex compared
+    ring: CohomologyResult     # of the ring-relative complex compared
 
     @property
     def ok(self) -> bool:
@@ -650,27 +609,17 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
                      dim_cap: int | None = None) -> ComparisonReport:
     """Rewrite module-relative cochains as ring-relative ones and verify
     the identification is a degreewise isomorphism commuting with both
-    coboundaries and the degree-0 edge maps."""
+    coboundaries and the degree-0 edge maps.  Each complex is built once,
+    and the report carries the cohomology of both."""
     if not is_generator(m).verdict or not is_fg_projective_left(m).verdict:
         raise PreconditionError("comparison requires a progenerator")
-    if nmax < 0:
-        raise PreconditionError("nmax must be nonnegative")
     field = m.field
+    k_solvers, mod_deltas = _module_complex(m, coefficients, nmax, dim_cap)
     md = morita_data(m)
     eng = _engine(m)
-    eng.object(nmax + 1, dim_cap)
     wd = coefficient_transport(m, coefficients)
-    extension = md.endo.to_endo
     rel_solvers, rel_deltas, chain, w_mid = _ring_complex(
-        extension, wd.w, nmax, dim_cap)
-    k_solvers = [eng.bb_solver(n, coefficients) for n in range(nmax + 2)]
-    mod_deltas = []
-    for n in range(nmax):
-        d_next = eng.diffs[n + 1].matrix
-        cols = [k_solvers[n + 1].coords_of(g @ d_next)
-                for g in k_solvers[n].maps]
-        mod_deltas.append(Matrix.from_columns(field, cols,
-                                              k_solvers[n + 1].dim))
+        md.endo.to_endo, wd.w, nmax, dim_cap)
     sp = _Sparse(field)
     dm, dd, dn = m.dim, md.dual.dim, coefficients.dim
     s = md.endo.algebra.dim
@@ -683,22 +632,10 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         if k not in iso_mats:
             prev = eng.objects[k - 1]
             hom = eng.homs[k]
-            cols = []
-            for d in range(dd):
-                fd = md.dual.basis[d]
-                for y in range(prev.dim):
-                    g_cols = []
-                    for c in range(dm):
-                        acc = [field.zero] * prev.dim
-                        for kk in range(m.left_algebra.dim):
-                            coef = fd.data[kk][c]
-                            if coef:
-                                lcol = prev.left_action[kk].column(y)
-                                acc = [x + coef * z
-                                       for x, z in zip(acc, lcol)]
-                        g_cols.append(acc)
-                    g = Matrix.from_columns(field, g_cols, prev.dim)
-                    cols.append(hom.coords_of(g))
+            orbits = [basis_orbit(prev, prev.left_action, y)
+                      for y in range(prev.dim)]
+            cols = [hom.coords_of(orbit @ fd)
+                    for fd in md.dual.basis for orbit in orbits]
             iso_mats[k] = Matrix.from_columns(field, cols, hom.dim)
         return iso_mats[k]
 
@@ -788,4 +725,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         rhs = rel_deltas[n - 1] @ phis[n - 1]
         step_ok.append(lhs == rhs)
 
-    return ComparisonReport(tuple(degrees), base_ok, tuple(step_ok))
+    return ComparisonReport(
+        tuple(degrees), base_ok, tuple(step_ok),
+        _cohomology(field, [k.dim for k in k_solvers], mod_deltas, nmax),
+        _cohomology(field, [r.dim for r in rel_solvers], rel_deltas, nmax))

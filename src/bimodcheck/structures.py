@@ -9,7 +9,7 @@ matrices between coordinate spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .errors import ShapeError
 from .exactlin import Field, Matrix
@@ -22,6 +22,7 @@ class Algebra:
     mult: tuple            # mult[i][j]: coordinate list of basis_i * basis_j
     unit: tuple            # coordinate list of 1
     name: str = "A"
+    cache: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.mult) != self.dim or any(len(r) != self.dim for r in self.mult):
@@ -64,20 +65,6 @@ class Algebra:
             mats.append(Matrix.from_columns(self.field, cols, self.dim))
         return tuple(mats)
 
-    def left_mult_by(self, coords: list) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, a in enumerate(coords):
-            if a:
-                out = out + self.left_mult[i].scale(a)
-        return out
-
-    def right_mult_by(self, coords: list) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for j, a in enumerate(coords):
-            if a:
-                out = out + self.right_mult[j].scale(a)
-        return out
-
     def basis_vector(self, i: int) -> list:
         v = [self.field.zero] * self.dim
         v[i] = self.field.one
@@ -85,6 +72,22 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.name}, dim={self.dim}, {self.field})"
+
+
+def memoized(fn):
+    """fn(owner, *args), computed once per owner and args and kept in
+    owner.cache, so it lives exactly as long as owner.  Algebras and
+    bimodules are eq=False, so as args they are told apart by identity."""
+
+    @wraps(fn)
+    def wrapper(owner, *args):
+        key = (fn, *args)
+        cache = owner.cache
+        if key not in cache:
+            cache[key] = fn(owner, *args)
+        return cache[key]
+
+    return wrapper
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ import pytest
 
 from bimodcheck.bimodule import (
     Bimodule, BimoduleMap, centralizer, dual_module, endomorphism_ring,
-    ev_over_endo, evaluation_data, hom_bimodule, hom_left, hom_right,
-    is_fg_projective_left, is_fg_projective_right, is_generator,
+    equivariant_maps, ev_over_endo, evaluation_data, hom_bimodule, hom_left,
+    hom_right, is_fg_projective_left, is_fg_projective_right, is_generator,
     regular_bimodule, restrict_left, restrict_right, static_check,
     sub_bimodule, tensor_over, trace_in, validate_bimodule,
 )
-from bimodcheck.errors import ValidationError
+from bimodcheck.errors import ShapeError, ValidationError
 from bimodcheck.exactlin import (
     Matrix, QQ, Subspace, invert, kernel_basis, rank,
 )
@@ -386,8 +386,14 @@ def test_sub_bimodule_requires_invariance():
     b_reg = regular_bimodule(algebra_dual_numbers(QQ))
     # the line through 1 is not an ideal: x . 1 = x escapes
     line = Subspace.from_span(QQ, 2, [[QQ.one, QQ.zero]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         sub_bimodule(b_reg, line)
+
+
+def test_equivariant_maps_rejects_unpaired_operator_lists():
+    ident = Matrix.identity(QQ, 2)
+    with pytest.raises(ShapeError):
+        equivariant_maps(QQ, 2, 2, [ident, ident], [ident])
 
 
 def test_bimodule_map_validation_catches_non_intertwiner():

@@ -6,8 +6,11 @@ validate witnesses by direct matrix arithmetic only, never by re-running
 the decision procedure that produced them.
 """
 
+from pathlib import Path
+
 import pytest
 
+from bimodcheck import cli, homology
 from bimodcheck.bimodule import (
     evaluation_data, regular_bimodule, restrict_left, restrict_right,
     sub_bimodule, tensor_over,
@@ -23,6 +26,8 @@ from bimodcheck.fixtures import (
     algebra_matrix2, corpus, fixture, ground_map,
 )
 from bimodcheck.structures import identity_map, multiplication_map
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def assert_casimir(t_space, target_mat, unit, element):
@@ -281,6 +286,28 @@ def test_morita_report_on_the_column_module():
     assert rep.ring_dims == (1, 0, 0)
     assert rep.dims_agree
     assert rep.ok
+
+
+def test_morita_builds_the_ring_complex_once(monkeypatch, capsys):
+    calls = []
+    ring_complex = homology._ring_complex
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ring_complex(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "_ring_complex", counted)
+    m = fixture("fx6").bimodule
+    rep = morita_check(m, regular_bimodule(m.left_algebra), 2)
+    assert rep.ok and rep.module_dims == rep.ring_dims == (1, 0, 0)
+    assert len(calls) == 1
+    # the fx6 document holds one morita task among its ten
+    calls.clear()
+    doc = FIXTURE_DIR / "fx6.json"
+    assert cli.main(["check", str(doc), "--format", "json"]) == 0
+    golden = (FIXTURE_DIR / "golden" / "fx6.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+    assert len(calls) == 1
 
 
 def test_morita_check_requires_a_progenerator():

@@ -15,7 +15,7 @@ from bimodcheck.errors import FieldMismatchError, ShapeError, SingularError
 from bimodcheck.exactlin import (
     Field, Matrix, ModInt, QQ, Subspace, hstack, infeasibility_certificate,
     invert, kernel_basis, kron_vec, quotient_space, rank, right_inverse, rref,
-    solve_affine, vstack,
+    solve_affine, solve_or_certify, vstack,
 )
 
 
@@ -128,6 +128,7 @@ def test_solve_affine_underdetermined():
     assert sol.particular == [QQ.one, QQ.zero]
     assert sol.homogeneous.dim == 1
     assert sol.homogeneous.contains([QQ.scalar(1), QQ.scalar(-1)])
+    assert not sol.homogeneous.contains([QQ.one, QQ.one])
 
 
 def test_solve_affine_infeasible_with_certificate():
@@ -139,6 +140,8 @@ def test_solve_affine_infeasible_with_certificate():
     # y m = 0 and y rhs = 1
     assert all(not x for x in m.transpose().apply(cert))
     assert sum((y * r for y, r in zip(cert, rhs)), QQ.zero) == QQ.one
+    assert solve_or_certify(m, rhs) == (None, cert)
+    assert solve_or_certify(m, [QQ.one, QQ.one]) == ([QQ.one], None)
 
 
 def test_quotient_by_zero_is_identity():
