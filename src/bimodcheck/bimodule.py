@@ -189,7 +189,11 @@ def sub_bimodule(parent: Bimodule, space: Subspace, name: str = "sub"
 @dataclass(eq=False)
 class EquivariantBasis:
     """All linear maps F with F src_ops[k] = tgt_ops[k] F, for operator
-    families with identical multiplication tables on both sides."""
+    families with identical multiplication tables on both sides.
+
+    Coordinates are read off the columns of a map at `generators` only
+    (coords_from), so a caller that needs nothing but coordinates
+    computes just those columns."""
 
     field: Field
     src_dim: int
@@ -202,15 +206,16 @@ class EquivariantBasis:
     def dim(self) -> int:
         return len(self.maps)
 
-    def value_vector(self, mat: Matrix) -> list:
-        out = []
+    def coords_from(self, column) -> list:
+        """Coordinates of the map whose column g is column(g); column is
+        called at the generators only."""
+        vals = []
         for g in self.generators:
-            out.extend(mat.column(g))
-        return out
+            vals.extend(column(g))
+        return [vals[p] for p in self.positions]
 
     def coords_of(self, mat: Matrix, verify: bool = False) -> list:
-        vals = self.value_vector(mat)
-        coords = [vals[p] for p in self.positions]
+        coords = self.coords_from(mat.column)
         if verify and self.matrix_of(coords) != mat:
             raise ValidationError("matrix is not in the equivariant span")
         return coords
@@ -224,7 +229,10 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
                      src_ops: list[Matrix], tgt_ops: list[Matrix]
                      ) -> EquivariantBasis:
     """Solve for all F with F src_ops[k] = ... = tgt_ops[k] F via a
-    presentation of the source by operator orbits of basis vectors."""
+    presentation of the source by operator orbits of basis vectors.
+
+    A source operator is read only through op.column(i), at the
+    generators found, so any object with that method will do."""
     if len(src_ops) != len(tgt_ops):
         raise ShapeError(f"{len(src_ops)} source operators for "
                          f"{len(tgt_ops)} target operators")
@@ -252,6 +260,10 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     g_mat = Matrix.from_columns(field, g_cols, src_dim)
     relations = kernel_basis(g_mat)
     lift = right_inverse(g_mat) if src_dim else Matrix(field, [], cols=0)
+    # lift is zero outside its pivot rows, so each map w @ lift needs
+    # only the columns of w at those rows
+    used = [k for k, row in enumerate(lift.data) if any(row)]
+    lift_used = Matrix(field, [lift.data[k] for k in used], cols=src_dim)
     # unknowns: values v_j in target for each generator, stacked
     unknowns = r * tgt_dim
     rows = []
@@ -278,12 +290,11 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     maps = []
     for sol in solutions.basis.data:
         w_cols = []
-        for j in range(r):
-            vj = sol[j * tgt_dim:(j + 1) * tgt_dim]
-            for k in range(n_ops):
-                w_cols.append(tgt_ops[k].apply(vj))
+        for c in used:
+            j, k = divmod(c, n_ops)
+            w_cols.append(tgt_ops[k].apply(sol[j * tgt_dim:(j + 1) * tgt_dim]))
         w = Matrix.from_columns(field, w_cols, tgt_dim)
-        maps.append(w @ lift)
+        maps.append(w @ lift_used)
     return EquivariantBasis(field, src_dim, tgt_dim, tuple(maps),
                             tuple(generators), solutions.positions)
 
@@ -322,8 +333,20 @@ class HomSpace:
 def composition_matrix(maps, op: Matrix, before: bool,
                        into: EquivariantBasis) -> Matrix:
     """f -> f @ op (before) or op @ f on the given maps, one column of
-    coordinates in the solver `into` per map."""
-    cols = [into.coords_of(f @ op if before else op @ f) for f in maps]
+    coordinates in the solver `into` per map.
+
+    Only the columns of each composite at into.generators are formed: f
+    applied to those columns of op (before), or op applied to those
+    columns of f."""
+    if before:
+        op_cols = {g: op.column(g) for g in into.generators}
+
+        def column(f):
+            return lambda g: f.apply(op_cols[g])
+    else:
+        def column(f):
+            return lambda g: op.apply(f.column(g))
+    cols = [into.coords_from(column(f)) for f in maps]
     return Matrix.from_columns(into.field, cols, into.dim)
 
 
@@ -372,18 +395,33 @@ def dual_module(m: Bimodule) -> HomSpace:
     return hom_left(m, regular_bimodule(m.left_algebra), name=f"*{m.name}")
 
 
+class _Product:
+    """The operator l @ r, formed one column at a time on request."""
+
+    __slots__ = ("l", "r")
+
+    def __init__(self, l: Matrix, r: Matrix):
+        self.l, self.r = l, r
+
+    def column(self, i: int) -> list:
+        return self.l.apply(self.r.column(i))
+
+
 def hom_bimodule(src: Bimodule, tgt: Bimodule) -> EquivariantBasis:
     """All maps intertwining both actions, for a shared algebra pair.
 
     The operator family handed to the solver is the full set of products
     (left basis action) . (right basis action); unlike the one-sided
-    families, neither side alone is closed under composition.
+    families, neither side alone is closed under composition.  The solver
+    reads the source products only at its generator columns, so those are
+    all that is formed of them.
     """
     if src.left_algebra is not tgt.left_algebra:
         raise ValidationError("hom_bimodule requires a common left algebra")
     if src.right_algebra is not tgt.right_algebra:
         raise ValidationError("hom_bimodule requires a common right algebra")
-    src_ops = [l @ r for l in src.left_action for r in src.right_action]
+    src_ops = [_Product(l, r) for l in src.left_action
+               for r in src.right_action]
     tgt_ops = [l @ r for l in tgt.left_action for r in tgt.right_action]
     return equivariant_maps(src.field, src.dim, tgt.dim, src_ops, tgt_ops)
 
@@ -415,6 +453,7 @@ class TensorProduct:
     relations: Subspace
     left_factor: Bimodule
     right_factor: Bimodule
+    positions: tuple          # section column q: unit vector at positions[q]
 
     @property
     def trivial(self) -> bool:
@@ -422,12 +461,10 @@ class TensorProduct:
 
     def lift_column(self, q: int) -> list:
         """Plain-tensor representative of the q-th quotient basis vector."""
-        if self.trivial:
-            field = self.space.field
-            v = [field.zero] * self.projection.cols
-            v[q] = field.one
-            return v
-        return self.section.column(q)
+        field = self.space.field
+        v = [field.zero] * self.projection.cols
+        v[self.positions[q]] = field.one
+        return v
 
     def project_vec(self, plain_vec: list) -> list:
         if self.trivial:
@@ -476,20 +513,32 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
                     rel_rows.append(row)
     relations = Subspace.from_span(field, plain, rel_rows)
     quot = quotient_space(plain, relations)
-    proj, sect = quot.projection, quot.section
-    trivial = relations.dim == 0
+    proj = quot.projection
 
     def induced(slot: int, mat: Matrix) -> Matrix:
-        k = mat.kron(ident_n) if slot == 0 else ident_m.kron(mat)
-        if trivial:
-            return k
-        return proj @ k @ sect
+        if relations.dim == 0:
+            return mat.kron(ident_n) if slot == 0 else ident_m.kron(mat)
+        # proj @ kron @ section: the section selects the kron columns at
+        # quot.positions, and column (i, j) of the kron is mat[:, i] (x) e_j
+        # (slot 0) or e_i (x) mat[:, j] (slot 1)
+        mat_cols = mat.columns()
+        cols = []
+        for p in quot.positions:
+            i, j = divmod(p, dn)
+            v = [field.zero] * plain
+            if slot == 0:
+                v[j::dn] = mat_cols[i]
+            else:
+                v[i * dn:(i + 1) * dn] = mat_cols[j]
+            cols.append(proj.apply(v))
+        return Matrix.from_columns(field, cols, quot.dim)
 
     left = tuple(induced(0, mat) for mat in m.left_action)
     right = tuple(induced(1, mat) for mat in n.right_action)
     space = Bimodule(m.left_algebra, n.right_algebra, quot.dim, left, right,
                      name=name or f"{m.name}(x){n.name}")
-    return TensorProduct(space, proj, sect, relations, m, n)
+    return TensorProduct(space, proj, quot.section, relations, m, n,
+                         quot.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +563,9 @@ def descend_plain_map(field: Field, plain_cols: list[list], out_dim: int,
         img = plain.apply(list(rel))
         if any(img):
             raise ValidationError("map does not descend through tensor relations")
-    return plain @ tensor.section
+    # plain @ section: the section selects the columns at tensor.positions
+    return Matrix.from_columns(field, [plain_cols[p] for p in tensor.positions],
+                               out_dim)
 
 
 def counit_map(hom: HomSpace, tensor: TensorProduct,
@@ -552,12 +603,10 @@ def endomorphism_ring(m: Bimodule) -> EndoData:
     field = m.field
     d = hom.dim
     mult = []
-    for u in range(d):
-        row = []
-        for v in range(d):
-            # u * v = apply u, then v
-            row.append(tuple(hom.coords_of(hom.basis[v] @ hom.basis[u])))
-        mult.append(tuple(row))
+    for hu in hom.basis:
+        # u * v = apply u, then v: column v of f -> f @ hu
+        comp = composition_matrix(hom.basis, hu, True, hom.solver)
+        mult.append(tuple(tuple(col) for col in comp.columns()))
     unit = tuple(hom.coords_of(Matrix.identity(field, m.dim)))
     s = Algebra(field, d, tuple(mult), unit, name=f"End({m.name})")
     a = m.right_algebra
@@ -575,6 +624,7 @@ class GeneratorResult:
     cokernel_functional: tuple | None   # functional on B vanishing on the image
 
 
+@memoized
 def is_generator(m: Bimodule) -> GeneratorResult:
     """M generates B-Mod iff ev: M tensor_A *M -> B is surjective.
 
@@ -596,6 +646,7 @@ class ProjectivityResult:
     certificate: tuple | None     # infeasibility functional on endomorphism space
 
 
+@memoized
 def _fg_projective(m: Bimodule, side: str) -> ProjectivityResult:
     field = m.field
     if side == "left":

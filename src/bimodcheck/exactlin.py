@@ -597,13 +597,15 @@ class Quotient:
     projection . section = identity on the quotient, and the kernel of
     the projection is exactly the relation subspace.  The section embeds
     quotient coordinates at the non-pivot coordinates of the relation
-    space's reduced row echelon form.
+    space's reduced row echelon form: column q of the section is the
+    unit vector at positions[q].
     """
 
     ambient_dim: int
     dim: int
     projection: Matrix
     section: Matrix
+    positions: tuple[int, ...]
 
 
 def quotient_space(ambient_dim: int, relations: Subspace) -> Quotient:
@@ -612,7 +614,8 @@ def quotient_space(ambient_dim: int, relations: Subspace) -> Quotient:
     field = relations.field
     if relations.dim == 0:
         ident = Matrix.identity(field, ambient_dim)
-        return Quotient(ambient_dim, ambient_dim, ident, ident)
+        return Quotient(ambient_dim, ambient_dim, ident, ident,
+                        tuple(range(ambient_dim)))
     piv = _echelon(relations.basis.data, ambient_dim)
     _back_substitute(piv)
     complement = _free_column_basis(field, piv, ambient_dim)
@@ -621,7 +624,7 @@ def quotient_space(ambient_dim: int, relations: Subspace) -> Quotient:
     for i, fc in enumerate(complement.positions):
         sect[fc][i] = field.one
     return Quotient(ambient_dim, q, complement.basis,
-                    Matrix(field, sect, cols=q))
+                    Matrix(field, sect, cols=q), complement.positions)
 
 
 def _prod(xs) -> int:

@@ -173,14 +173,18 @@ class _BarEngine:
         if n == 0:
             d = BimoduleMap(obj, prev, counit.matrix, name="d0")
         else:
-            # d_n = counit - F(d_{n-1}), assembled slotwise on lifted columns
+            # d_n = counit - F(d_{n-1}).  Basis vector q lifts to the unit
+            # vector e_i (x) e_u at plain index positions[q], which
+            # F(d_{n-1}) sends to e_i (x) push[:, u], projected.
             push = composition_matrix(hom.basis, self.diffs[n - 1].matrix,
                                       False, self.homs[n - 1].solver)
-            h = hom.dim
+            push_cols = push.columns()
+            h, ph = hom.dim, push.rows
             cols = []
-            for q in range(obj.dim):
-                v = tensor.lift_column(q)
-                w, _ = apply_slot(self.field, v, [self.m.dim, h], 1, push)
+            for p in tensor.positions:
+                i, u = divmod(p, h)
+                w = [self.field.zero] * (self.m.dim * ph)
+                w[i * ph:(i + 1) * ph] = push_cols[u]
                 cols.append(self.tensors[n - 1].project_vec(w))
             fmat = Matrix.from_columns(self.field, cols, prev.dim)
             d = BimoduleMap(obj, prev, counit.matrix - fmat, name=f"d{n}")
@@ -201,22 +205,12 @@ class _BarEngine:
             tgt = self.hom_level(n + 2)
             tensor = self.tensors[n + 1]
             h = src.dim
-            dm = self.m.dim
-            pdim = self.objects[n + 1].dim
-            zero, one = self.field.zero, self.field.one
-            cols = []
-            for u in range(h):
-                g_cols = []
-                for i in range(dm):
-                    idx = i * h + u
-                    if tensor.trivial:
-                        col = [zero] * pdim
-                        col[idx] = one
-                    else:
-                        col = tensor.projection.column(idx)
-                    g_cols.append(col)
-                g = Matrix.from_columns(self.field, g_cols, pdim)
-                cols.append(tgt.coords_of(g))
+            # x -> x (x) f_u sends basis vector i to the class of (i, u),
+            # column i * h + u of the projection (the identity when the
+            # tensor is trivial)
+            cols = [tgt.solver.coords_from(
+                        lambda i: tensor.projection.column(i * h + u))
+                    for u in range(h)]
             self._sections[n] = Matrix.from_columns(self.field, cols, tgt.dim)
         return self._sections[n]
 
@@ -389,44 +383,44 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
     solvers = [hom_bimodule(chain.spaces[k], w_mid) for k in range(nmax + 2)]
     mu = Matrix.from_columns(
         field, [list(s_alg.mult[j][k]) for j in range(s) for k in range(s)], s)
+
+    def coboundary_column(g: Matrix, n: int, q: int) -> list:
+        # column q of the coboundary of the degree-n cochain g
+        if n == 0:
+            w0 = g.apply(list(a.unit))
+            return (w.left_action[q] - w.right_action[q]).apply(w0)
+        pi_n = chain.from_plain[n]
+        v_plain = chain.to_plain[n + 1].column(q)
+        blk = s ** n
+        acc = [field.zero] * w.dim
+        for j in range(s):
+            chunk = v_plain[j * blk:(j + 1) * blk]
+            if any(chunk):
+                t = g.apply(pi_n.apply(chunk))
+                la = w.left_action[j].apply(t)
+                acc = [x + y for x, y in zip(acc, la)]
+        sign = field.one
+        dims = [s] * (n + 1)
+        for i in range(1, n + 1):
+            sign = -sign
+            v2, _ = apply_slots(field, v_plain, dims, i - 1, 2, mu)
+            t = g.apply(pi_n.apply(v2))
+            acc = [x + sign * y for x, y in zip(acc, t)]
+        sign = -sign
+        for l in range(s):
+            sub = v_plain[l::s]
+            if any(sub):
+                t = g.apply(pi_n.apply(sub))
+                ra = w.right_action[l].apply(t)
+                acc = [x + sign * y for x, y in zip(acc, ra)]
+        return acc
+
+    # the coordinates of a coboundary read only its generator columns
     deltas = []
     for n in range(nmax + 1):
-        cols = []
-        for g in solvers[n].maps:
-            if n == 0:
-                w0 = g.apply(list(a.unit))
-                bcols = [(w.left_action[j] - w.right_action[j]).apply(w0)
-                         for j in range(s)]
-            else:
-                pi_n = chain.from_plain[n]
-                bcols = []
-                for q in range(chain.spaces[n + 1].dim):
-                    v_plain = chain.to_plain[n + 1].column(q)
-                    blk = s ** n
-                    acc = [field.zero] * w.dim
-                    for j in range(s):
-                        chunk = v_plain[j * blk:(j + 1) * blk]
-                        if any(chunk):
-                            t = g.apply(pi_n.apply(chunk))
-                            la = w.left_action[j].apply(t)
-                            acc = [x + y for x, y in zip(acc, la)]
-                    sign = field.one
-                    dims = [s] * (n + 1)
-                    for i in range(1, n + 1):
-                        sign = -sign
-                        v2, _ = apply_slots(field, v_plain, dims, i - 1, 2, mu)
-                        t = g.apply(pi_n.apply(v2))
-                        acc = [x + sign * y for x, y in zip(acc, t)]
-                    sign = -sign
-                    for l in range(s):
-                        sub = v_plain[l::s]
-                        if any(sub):
-                            t = g.apply(pi_n.apply(sub))
-                            ra = w.right_action[l].apply(t)
-                            acc = [x + sign * y for x, y in zip(acc, ra)]
-                    bcols.append(acc)
-            bmat = Matrix.from_columns(field, bcols, w.dim)
-            cols.append(solvers[n + 1].coords_of(bmat))
+        cols = [solvers[n + 1].coords_from(
+                    lambda q: coboundary_column(g, n, q))
+                for g in solvers[n].maps]
         deltas.append(Matrix.from_columns(field, cols, solvers[n + 1].dim))
     for n in range(nmax):
         if not (deltas[n + 1] @ deltas[n]).is_zero():
@@ -546,7 +540,8 @@ def morita_data(m: Bimodule) -> MoritaData:
     theta_tensor = tensor_over(dual_endo, endo.right_module)
     # f tensor e_i -> the endomorphism y -> ((y) f) . e_i
     orbits = [basis_orbit(m, m.left_action, i) for i in range(m.dim)]
-    plain_cols = [endo.hom.coords_of(orbit @ fd)
+    plain_cols = [endo.hom.solver.coords_from(
+                      lambda g: orbit.apply(fd.column(g)))
                   for fd in dual.basis for orbit in orbits]
     theta_mat = descend_plain_map(field, plain_cols, s_alg.dim, theta_tensor)
     theta = BimoduleMap(theta_tensor.space, regular_bimodule(s_alg), theta_mat,
@@ -634,7 +629,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
             hom = eng.homs[k]
             orbits = [basis_orbit(prev, prev.left_action, y)
                       for y in range(prev.dim)]
-            cols = [hom.coords_of(orbit @ fd)
+            cols = [hom.solver.coords_from(lambda g: orbit.apply(fd.column(g)))
                     for fd in md.dual.basis for orbit in orbits]
             iso_mats[k] = Matrix.from_columns(field, cols, hom.dim)
         return iso_mats[k]

@@ -7,22 +7,26 @@ hold for every fixture regardless of basis.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bimodcheck.bimodule import (
-    Bimodule, BimoduleMap, centralizer, dual_module, endomorphism_ring,
-    equivariant_maps, ev_over_endo, evaluation_data, hom_bimodule, hom_left,
-    hom_right, is_fg_projective_left, is_fg_projective_right, is_generator,
-    regular_bimodule, restrict_left, restrict_right, static_check,
-    sub_bimodule, tensor_over, trace_in, validate_bimodule,
+    Bimodule, BimoduleMap, centralizer, composition_matrix, dual_module,
+    endomorphism_ring, equivariant_maps, ev_over_endo, evaluation_data,
+    hom_bimodule, hom_left, hom_right, is_fg_projective_left,
+    is_fg_projective_right, is_generator, regular_bimodule, restrict_left,
+    restrict_right, static_check, sub_bimodule, tensor_over, trace_in,
+    validate_bimodule,
 )
 from bimodcheck.errors import ShapeError, ValidationError
 from bimodcheck.exactlin import (
     Matrix, QQ, Subspace, invert, kernel_basis, rank,
 )
 from bimodcheck.fixtures import (
-    algebra_dual_numbers, algebra_ground, algebra_matrix2, corpus, fixture,
-    ground_map,
+    EXTRAS, STANDARD, algebra_dual_numbers, algebra_ground, algebra_matrix2,
+    conjugate, corpus, fixture, ground_map,
 )
+from bimodcheck.homology import bar_resolution
 from bimodcheck.structures import validate_algebra, validate_ring_map
 
 
@@ -403,3 +407,120 @@ def test_bimodule_map_validation_catches_non_intertwiner():
     v = bad.validate()
     assert not v.ok
     assert "intertwine" in v.message
+
+
+# ---------------------------------------------------------------------------
+# Generator columns, source columns and section columns against the full
+# products they stand for.  The solvers and tensor actions form only the
+# columns that are read; these oracles form the whole product.
+
+
+twisted_bimodules = st.builds(
+    lambda name, seed: conjugate(fixture(name).bimodule, seed),
+    st.sampled_from(STANDARD + EXTRAS), st.integers(0, 2 ** 16))
+
+
+def _hom_spaces(m):
+    """One-sided hom spaces out of m, each with the operators acting on
+    its maps by F -> F @ op (before) and by F -> op @ F (after)."""
+    dual = dual_module(m)
+    return [(hom_left(m, m), m.right_action, m.right_action),
+            (dual, m.right_action, dual.target.right_action),
+            (hom_right(m, m), m.left_action, m.left_action)]
+
+
+def _assert_composition_matches_products(hom, op, before):
+    into = hom.solver
+    oracle = [into.coords_of(f @ op if before else op @ f)
+              for f in hom.basis]
+    assert composition_matrix(hom.basis, op, before, into) \
+        == Matrix.from_columns(QQ, oracle, into.dim)
+
+
+def _assert_actions_match_products(m):
+    for hom, before_ops, after_ops in _hom_spaces(m):
+        for op in before_ops:
+            _assert_composition_matches_products(hom, op, True)
+        for op in after_ops:
+            _assert_composition_matches_products(hom, op, False)
+
+
+def _assert_hom_bimodule_matches_full_solve(src, tgt):
+    solver = hom_bimodule(src, tgt)
+    full = equivariant_maps(
+        src.field, src.dim, tgt.dim,
+        [l @ r for l in src.left_action for r in src.right_action],
+        [l @ r for l in tgt.left_action for r in tgt.right_action])
+    assert solver.maps == full.maps
+    assert solver.generators == full.generators
+    assert solver.positions == full.positions
+
+
+def _assert_tensor_actions_match_products(t):
+    m, n = t.left_factor, t.right_factor
+    ident_m = Matrix.identity(m.field, m.dim)
+    ident_n = Matrix.identity(m.field, n.dim)
+    for q in range(t.space.dim):
+        assert t.lift_column(q) == t.section.column(q)
+    pairs = ([(a.kron(ident_n), got) for a, got in
+              zip(m.left_action, t.space.left_action)]
+             + [(ident_m.kron(a), got) for a, got in
+                zip(n.right_action, t.space.right_action)])
+    for k, got in pairs:
+        assert got == t.projection @ k @ t.section
+
+
+def _tensors(m):
+    ev = evaluation_data(m)
+    out = [ev.tensor, tensor_over(ev.dual.space, m)]
+    m_bs = endomorphism_ring(m).right_module
+    hom = hom_left(m_bs, regular_bimodule(m.left_algebra))
+    out.append(tensor_over(m_bs, hom.space))
+    return out
+
+
+def test_composition_matrix_equals_full_products_across_corpus():
+    for fx in corpus():
+        _assert_actions_match_products(fx.bimodule)
+
+
+@given(twisted_bimodules, st.data())
+def test_composition_matrix_equals_full_products_on_twists(m, data):
+    _assert_actions_match_products(m)
+    # an operator outside the action families reads the same coordinates
+    entries = st.lists(st.integers(-4, 4), min_size=m.dim, max_size=m.dim)
+    raw = data.draw(st.lists(entries, min_size=m.dim, max_size=m.dim))
+    arbitrary = Matrix(QQ, [[QQ.scalar(x) for x in row] for row in raw],
+                       cols=m.dim)
+    for hom in (hom_left(m, m), hom_right(m, m)):
+        for before in (True, False):
+            _assert_composition_matches_products(hom, arbitrary, before)
+
+
+def test_hom_bimodule_equals_full_product_solve_across_corpus():
+    for fx in corpus():
+        m = fx.bimodule
+        _assert_hom_bimodule_matches_full_solve(m, m)
+        reg = regular_bimodule(m.left_algebra)
+        _assert_hom_bimodule_matches_full_solve(reg, reg)
+        if is_generator(m).verdict:
+            p0 = bar_resolution(m, 1).objects[0]
+            _assert_hom_bimodule_matches_full_solve(p0, reg)
+            _assert_hom_bimodule_matches_full_solve(p0, p0)
+
+
+@given(twisted_bimodules)
+def test_hom_bimodule_equals_full_product_solve_on_twists(m):
+    _assert_hom_bimodule_matches_full_solve(m, m)
+
+
+def test_tensor_actions_equal_full_products_across_corpus():
+    for fx in corpus():
+        for t in _tensors(fx.bimodule):
+            _assert_tensor_actions_match_products(t)
+
+
+@given(twisted_bimodules)
+def test_tensor_actions_equal_full_products_on_twists(m):
+    for t in _tensors(m):
+        _assert_tensor_actions_match_products(t)

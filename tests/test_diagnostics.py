@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from bimodcheck import cli, homology
+from bimodcheck import bimodule, cli, homology
 from bimodcheck.bimodule import (
-    evaluation_data, regular_bimodule, restrict_left, restrict_right,
+    evaluation_data, is_fg_projective_left, is_fg_projective_right,
+    is_generator, regular_bimodule, restrict_left, restrict_right,
     sub_bimodule, tensor_over,
 )
 from bimodcheck.diagnostics import (
@@ -308,6 +309,29 @@ def test_morita_builds_the_ring_complex_once(monkeypatch, capsys):
     golden = (FIXTURE_DIR / "golden" / "fx6.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
     assert len(calls) == 1
+
+
+def test_progenerator_checks_solve_once_per_bimodule(monkeypatch, capsys):
+    m = fixture("fx6").bimodule
+    assert is_generator(m) is is_generator(m)
+    assert is_fg_projective_left(m) is is_fg_projective_left(m)
+    assert is_fg_projective_right(m) is not is_fg_projective_left(m)
+    # evaluation_data is memoized, so a bimodule's evaluation solve always
+    # gets the same matrix object: no matrix may reach the solver twice
+    solved = []                 # kept alive, so ids are not reused
+    solve = bimodule.solve_or_certify
+
+    def counted(mat, rhs):
+        solved.append(mat)
+        return solve(mat, rhs)
+
+    monkeypatch.setattr(bimodule, "solve_or_certify", counted)
+    doc = FIXTURE_DIR / "fx6.json"
+    assert cli.main(["check", str(doc), "--format", "json"]) == 0
+    golden = (FIXTURE_DIR / "golden" / "fx6.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+    assert solved
+    assert len({id(mat) for mat in solved}) == len(solved)
 
 
 def test_morita_check_requires_a_progenerator():

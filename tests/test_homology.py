@@ -9,14 +9,16 @@ classical-complex oracle in tests/oracles.py before being inlined here.
 import pytest
 
 from bimodcheck.bimodule import (
-    centralizer, evaluation_data, regular_bimodule, restrict_left,
+    centralizer, composition_matrix, evaluation_data, regular_bimodule,
+    restrict_left,
 )
 from bimodcheck.errors import DimensionCapError, PreconditionError
-from bimodcheck.exactlin import Field, Matrix, QQ, kernel_basis
+from bimodcheck.exactlin import Field, Matrix, QQ, apply_slot, kernel_basis
 from bimodcheck.fixtures import fixture, ground_map
 from bimodcheck.homology import (
-    bar_resolution, comonad_apply, comparison_check, coefficient_transport,
-    homotopy_check, module_hochschild, morita_data, ring_hochschild, syzygy,
+    _engine, bar_resolution, comonad_apply, comparison_check,
+    coefficient_transport, homotopy_check, module_hochschild, morita_data,
+    ring_hochschild, syzygy,
 )
 from bimodcheck.structures import identity_map
 
@@ -48,6 +50,26 @@ def test_bar_differentials_compose_to_zero():
     assert v.ok, v.message
     assert chain.differentials[0].matrix \
         == evaluation_data(fixture("fx3").bimodule).map.matrix
+
+
+def test_bar_differentials_equal_slotwise_assembly():
+    # d_n = counit - F(d_{n-1}), with F(d_{n-1}) applied to slot 1 of every
+    # lifted basis vector and projected, as a full slot application
+    for name in ("fx3", "fx5", "fx6", "dual-self"):
+        m = fixture(name).bimodule
+        bar_resolution(m, 3)
+        eng = _engine(m)
+        for n in (1, 2):
+            hom, tensor = eng.homs[n], eng.tensors[n]
+            push = composition_matrix(hom.basis, eng.diffs[n - 1].matrix,
+                                      False, eng.homs[n - 1].solver)
+            cols = []
+            for q in range(eng.objects[n].dim):
+                w, _ = apply_slot(QQ, tensor.lift_column(q),
+                                  [m.dim, hom.dim], 1, push)
+                cols.append(eng.tensors[n - 1].project_vec(w))
+            fmat = Matrix.from_columns(QQ, cols, eng.objects[n - 1].dim)
+            assert eng.diffs[n].matrix == eng.counits[n].matrix - fmat, name
 
 
 def test_bar_resolution_requires_a_generator():
