@@ -170,9 +170,8 @@ def sub_bimodule(parent: Bimodule, space: Subspace, name: str = "sub"
     incl = space.basis.transpose()    # ambient x k
 
     def induce(mat: Matrix) -> Matrix:
-        cols = []
-        for row in space.basis.data:
-            cols.append(space.coords_of(mat.apply(list(row)), verify=True))
+        cols = [space.coords_of(mat.apply(space.basis.row(i)), verify=True)
+                for i in range(k)]
         return Matrix.from_columns(parent.field, cols, k)
 
     left = tuple(induce(mat) for mat in parent.left_action)
@@ -262,37 +261,41 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     lift = right_inverse(g_mat) if src_dim else Matrix(field, [], cols=0)
     # lift is zero outside its pivot rows, so each map w @ lift needs
     # only the columns of w at those rows
-    used = [k for k, row in enumerate(lift.data) if any(row)]
-    lift_used = Matrix(field, [lift.data[k] for k in used], cols=src_dim)
-    # unknowns: values v_j in target for each generator, stacked
+    used = [k for k, row in enumerate(lift.nz) if row]
+    lift_used = Matrix.from_sparse(field, [lift.nz[k] for k in used], src_dim)
+    # unknowns: values v_j in target for each generator, stacked; a
+    # relation says sum_{j,k} rel[j*n_ops+k] * tgt_ops[k] v_j = 0, and
+    # only its stored entries (j, k) contribute
     unknowns = r * tgt_dim
     rows = []
-    for rel in relations.basis.data:
-        # sum_{j,k} rel[j*n_ops+k] * tgt_ops[k] applied to v_j must vanish
-        blocks = []
-        for j in range(r):
-            coeffs = rel[j * n_ops:(j + 1) * n_ops]
-            blocks.append(lincomb(field, tgt_dim, tgt_dim, coeffs, tgt_ops)
-                          if any(coeffs) else None)
+    for rel in relations.basis.nz:
+        by_gen: dict[int, tuple] = {}
+        for c, x in rel.items():
+            j, k = divmod(c, n_ops)
+            coeffs, ops = by_gen.setdefault(j, ([], []))
+            coeffs.append(x)
+            ops.append(tgt_ops[k])
+        blocks = [(j * tgt_dim, lincomb(field, tgt_dim, tgt_dim, *co).nz)
+                  for j, co in by_gen.items()]
         for t in range(tgt_dim):
-            row = [field.zero] * unknowns
-            nonzero = False
-            for j, blk in enumerate(blocks):
-                if blk is not None:
-                    base = j * tgt_dim
-                    for s, x in enumerate(blk.data[t]):
-                        if x:
-                            row[base + s] = x
-                            nonzero = True
-            if nonzero:
+            row = {base + s: x for base, blk in blocks
+                   for s, x in blk[t].items()}
+            if row:
                 rows.append(row)
-    solutions = kernel_basis(Matrix(field, rows, cols=unknowns))
+    solutions = kernel_basis(Matrix.from_sparse(field, rows, unknowns))
+    zero_col = [field.zero] * tgt_dim
     maps = []
-    for sol in solutions.basis.data:
+    for sol in solutions.basis.nz:
+        # the value block of each generator; absent blocks are zero
+        vals: dict[int, list] = {}
+        for c, x in sol.items():
+            j, s = divmod(c, tgt_dim)
+            vals.setdefault(j, list(zero_col))[s] = x
         w_cols = []
         for c in used:
             j, k = divmod(c, n_ops)
-            w_cols.append(tgt_ops[k].apply(sol[j * tgt_dim:(j + 1) * tgt_dim]))
+            w_cols.append(tgt_ops[k].apply(vals[j]) if j in vals
+                          else zero_col)
         w = Matrix.from_columns(field, w_cols, tgt_dim)
         maps.append(w @ lift_used)
     return EquivariantBasis(field, src_dim, tgt_dim, tuple(maps),
@@ -432,13 +435,9 @@ def centralizer(m: Bimodule) -> Subspace:
     if m.left_algebra is not m.right_algebra:
         raise ValidationError("centralizer needs equal left and right algebras")
     field = m.field
-    rows = []
-    for l, r in zip(m.left_action, m.right_action):
-        diff = l - r
-        for row in diff.data:
-            if any(row):
-                rows.append(row)
-    return kernel_basis(Matrix(field, rows, cols=m.dim))
+    rows = [row for l, r in zip(m.left_action, m.right_action)
+            for row in (l - r).nz if row]
+    return kernel_basis(Matrix.from_sparse(field, rows, m.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +558,9 @@ def descend_plain_map(field: Field, plain_cols: list[list], out_dim: int,
     plain = Matrix.from_columns(field, plain_cols, out_dim)
     if tensor.trivial:
         return plain
-    for rel in tensor.relations.basis.data:
-        img = plain.apply(list(rel))
-        if any(img):
+    relations = tensor.relations
+    for i in range(relations.dim):
+        if any(plain.apply(relations.basis.row(i))):
             raise ValidationError("map does not descend through tensor relations")
     # plain @ section: the section selects the columns at tensor.positions
     return Matrix.from_columns(field, [plain_cols[p] for p in tensor.positions],
@@ -657,14 +656,20 @@ def _fg_projective(m: Bimodule, side: str) -> ProjectivityResult:
         acts = m.right_action
     d = m.dim
     hd = hom.dim
-    cols = []
+    # column c = i * hd + u of the system is the endomorphism
+    # y -> ((y) f_u) . m_i on the relevant side, flattened row-major
+    rows = [{} for _ in range(d * d)]
+    c = 0
     for i in range(d):
-        # endomorphisms y -> ((y) f_u) . m_i, on the relevant side
         orbit = basis_orbit(m, acts, i)
         for f in hom.basis:
-            cols.append([x for row in (orbit @ f).data for x in row])
-    system = Matrix.from_columns(field, cols, d * d)
-    rhs = [x for row in Matrix.identity(field, d).data for x in row]
+            for r, row in enumerate((orbit @ f).nz):
+                for j, x in row.items():
+                    rows[r * d + j][c] = x
+            c += 1
+    system = Matrix.from_sparse(field, rows, c)
+    rhs = [field.zero] * (d * d)
+    rhs[::d + 1] = [field.one] * d
     sol, cert = solve_or_certify(system, rhs)
     if sol is None:
         return ProjectivityResult(False, None, tuple(cert))

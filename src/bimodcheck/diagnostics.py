@@ -23,13 +23,6 @@ from .homology import comonad_apply, comparison_check, syzygy
 from .structures import RingMap, multiplication_map, validate_ring_map
 
 
-def _vec(mat: Matrix) -> list:
-    out = []
-    for j in range(mat.cols):
-        out.extend(mat.column(j))
-    return out
-
-
 def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: tuple):
     """Solve target_mat(s) = unit over the centralizer of t_space.
 
@@ -57,16 +50,29 @@ def _split(counit: BimoduleMap, dims: dict):
     as (section, None); else (None, infeasibility functional on the
     coordinates of End(P))."""
     p, fp = counit.target, counit.source
+    field, d = p.field, p.dim
     solver = hom_bimodule(p, fp)
     dims["map_space"] = solver.dim
-    cols = [_vec(counit.matrix @ g) for g in solver.maps]
-    ident = Matrix.identity(p.field, p.dim)
-    sol, cert = solve_or_certify(
-        Matrix.from_columns(p.field, cols, p.dim * p.dim), _vec(ident))
+    # one product counit @ [g_0 g_1 ...]; column u of the system is
+    # counit @ g_u flattened column-major, entry (i, j) at row j * d + i
+    maps = [{} for _ in range(fp.dim)]
+    for u, g in enumerate(solver.maps):
+        for row, grow in zip(maps, g.nz):
+            row.update((u * d + j, x) for j, x in grow.items())
+    prod = counit.matrix @ Matrix.from_sparse(field, maps, solver.dim * d)
+    rows = [{} for _ in range(d * d)]
+    for i, prow in enumerate(prod.nz):
+        for c, x in prow.items():
+            u, j = divmod(c, d)
+            rows[j * d + i][u] = x
+    rhs = [field.zero] * (d * d)
+    rhs[::d + 1] = [field.one] * d
+    sol, cert = solve_or_certify(Matrix.from_sparse(field, rows, solver.dim),
+                                 rhs)
     if sol is None:
         return None, tuple(cert)
     sec_mat = solver.matrix_of(sol)
-    if counit.matrix @ sec_mat != ident:
+    if counit.matrix @ sec_mat != Matrix.identity(field, d):
         raise ValidationError(f"section does not split {counit.name}")
     return BimoduleMap(p, fp, sec_mat, name="section"), None
 

@@ -1,11 +1,13 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact sparse linear algebra over the rationals and prime fields.
 
 Scalars are ordinary Python objects supporting field arithmetic through
 operators: rationals are gmpy2.mpq (fractions.Fraction when gmpy2 is
-missing), elements of F_p are ModInt instances.  Matrices are dense
-row-major lists; every elimination routine pivots on the leftmost
-nonzero column, so all echelon forms, kernel bases, particular
-solutions, and quotient splittings are reproducible bit for bit.
+missing), elements of F_p are ModInt instances.  A matrix stores each
+row as a {column: entry} dict of its nonzero entries, never a zero, and
+every kernel visits only the stored entries; vectors are dense lists.
+Every elimination routine pivots on the leftmost nonzero column, so all
+echelon forms, kernel bases, particular solutions, and quotient
+splittings are reproducible bit for bit.
 
 Zero-dimensional matrices and subspaces are legal everywhere.
 """
@@ -109,26 +111,23 @@ class ModInt:
 
 
 class Field:
-    """The ground field: Field() is Q, Field(p) is F_p for a prime p."""
+    """The ground field: Field() is Q, Field(p) is F_p for a prime p.
 
-    __slots__ = ("p",)
+    zero and one are built once and shared; every scalar type is
+    immutable, so sharing them is safe."""
+
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        self.zero = self.scalar(0)
+        self.one = self.scalar(1)
 
     @property
     def is_rational(self) -> bool:
         return self.p is None
-
-    @property
-    def zero(self):
-        return _rational(0) if self.p is None else ModInt(0, self.p)
-
-    @property
-    def one(self):
-        return _rational(1) if self.p is None else ModInt(1, self.p)
 
     def scalar(self, x):
         """Coerce an int, string, Fraction, or existing scalar."""
@@ -163,131 +162,185 @@ class Field:
 QQ = Field()
 
 
-class Matrix:
-    """Dense matrix with exact entries; treat instances as immutable."""
+def sparse_vec(field: Field, vec) -> dict:
+    """The nonzero entries of a dense vector, as {index: entry}.  Most
+    zeros are the shared field.zero, which an identity test skips."""
+    zero = field.zero
+    return {j: x for j, x in enumerate(vec) if x is not zero and x}
 
-    __slots__ = ("field", "rows", "cols", "data")
+
+def dense_vec(field: Field, entries, n: int) -> list:
+    """The length-n vector with the given (index, entry) pairs."""
+    out = [field.zero] * n
+    for j, x in entries:
+        out[j] = x
+    return out
+
+
+def _axpy(row: dict, c, other: dict) -> None:
+    """row += c * other in place; entries that cancel are deleted."""
+    for j, v in other.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = c * v
+        else:
+            y = y + c * v
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+
+
+class Matrix:
+    """Exact matrix stored as sparse rows; treat instances as immutable.
+
+    nz[i] is a dict {column: entry} holding the nonzero entries of row i
+    and nothing else.  No row ever stores a zero, so two matrices are
+    equal exactly when their rows are equal as dicts.  The dense view
+    `data` and the column lists `colnz()` are built on first use and kept.
+    """
+
+    __slots__ = ("field", "rows", "cols", "nz", "_dense", "_colnz")
 
     def __init__(self, field: Field, data, cols: int | None = None):
-        self.field = field
-        self.data = [list(row) for row in data]
-        self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-            for row in self.data:
-                if len(row) != self.cols:
-                    raise ShapeError("ragged rows")
-        else:
-            if cols is None:
-                cols = 0
-            self.cols = cols
+        """From dense rows; cols is read only when there are no rows."""
+        data = list(data)
+        if data:
+            cols = len(data[0])
+            if any(len(row) != cols for row in data):
+                raise ShapeError("ragged rows")
+        elif cols is None:
+            cols = 0
+        self._adopt(field, [sparse_vec(field, row) for row in data], cols)
+
+    def _adopt(self, field: Field, nz: list, cols: int) -> None:
+        self.field, self.nz, self.rows, self.cols = field, nz, len(nz), cols
+        self._dense = self._colnz = None
+
+    @classmethod
+    def from_sparse(cls, field: Field, nz: list, cols: int) -> "Matrix":
+        """Adopt (without copying) sparse rows that store no zeros."""
+        m = cls.__new__(cls)
+        m._adopt(field, nz, cols)
+        return m
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        data = [[z] * n for _ in range(n)]
-        for i in range(n):
-            data[i][i] = o
-        return cls(field, data, cols=n)
+        one = field.one
+        return cls.from_sparse(field, [{i: one} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field: Field, columns, rows: int) -> "Matrix":
         cols = list(columns)
-        data = [[field.zero] * len(cols) for _ in range(rows)]
+        zero = field.zero
+        nz = [{} for _ in range(rows)]
         for j, col in enumerate(cols):
             if len(col) != rows:
                 raise ShapeError("column length mismatch")
             for i, x in enumerate(col):
-                data[i][j] = x
-        return cls(field, data, cols=len(cols))
+                if x is not zero and x:
+                    nz[i][j] = x
+        return cls.from_sparse(field, nz, len(cols))
+
+    @property
+    def data(self) -> list:
+        """Dense row-major view, built once; read it, never write it."""
+        if self._dense is None:
+            self._dense = [self.row(i) for i in range(self.rows)]
+        return self._dense
+
+    def row(self, i: int) -> list:
+        return dense_vec(self.field, self.nz[i].items(), self.cols)
+
+    def colnz(self) -> list:
+        """colnz()[j] lists (i, entry) over the nonzero entries of column
+        j, by increasing i; built once."""
+        if self._colnz is None:
+            cols = [[] for _ in range(self.cols)]
+            for i, row in enumerate(self.nz):
+                for j, x in row.items():
+                    cols[j].append((i, x))
+            self._colnz = cols
+        return self._colnz
 
     def column(self, j: int) -> list:
-        return [row[j] for row in self.data]
+        return dense_vec(self.field, self.colnz()[j], self.rows)
 
     def columns(self) -> list[list]:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.cols)],
-                      cols=self.rows)
+        return Matrix.from_sparse(self.field, [dict(c) for c in self.colnz()],
+                                  self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.field.zero
-        odata = other.data
+        onz = other.nz
         out = []
-        for arow in self.data:
-            acc = [zero] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = odata[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Matrix(self.field, out, cols=other.cols)
+        for arow in self.nz:
+            acc = {}
+            summed = False          # only sums can cancel to zero
+            for k, a in arow.items():
+                for j, b in onz[k].items():
+                    y = acc.get(j)
+                    if y is None:
+                        acc[j] = a * b
+                    else:
+                        acc[j] = y + a * b
+                        summed = True
+            out.append({j: v for j, v in acc.items() if v} if summed else acc)
+        return Matrix.from_sparse(self.field, out, other.cols)
 
     def apply(self, vec: list) -> list:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ShapeError(f"{self.rows}x{self.cols} applied to length {len(vec)}")
         zero = self.field.zero
-        support = [(j, x) for j, x in enumerate(vec) if x]
-        out = []
-        for row in self.data:
-            acc = zero
-            for j, x in support:
-                a = row[j]
-                if a:
-                    acc = acc + a * x
-            out.append(acc)
+        out = [zero] * self.rows
+        colnz = self.colnz()
+        for j, x in enumerate(vec):
+            if x is not zero and x:
+                for i, a in colnz[j]:
+                    y = out[i]
+                    out[i] = a * x if y is zero else y + a * x
         return out
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", c, op: str) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in +")
-        return Matrix(self.field,
-                      [[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols)
+            raise ShapeError(f"shape mismatch in {op}")
+        out = []
+        for r1, r2 in zip(self.nz, other.nz):
+            row = dict(r1)
+            _axpy(row, c, r2)
+            out.append(row)
+        return Matrix.from_sparse(self.field, out, self.cols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, self.field.one, "+")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in -")
-        return Matrix(self.field,
-                      [[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols)
+        return self._combine(other, -self.field.one, "-")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in row] for row in self.data],
-                      cols=self.cols)
+        return Matrix.from_sparse(
+            self.field, [{j: -a for j, a in row.items()} for row in self.nz],
+            self.cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        zero = self.field.zero
-        out_rows = self.rows * other.rows
-        out_cols = self.cols * other.cols
-        out = [[zero] * out_cols for _ in range(out_rows)]
-        for i, arow in enumerate(self.data):
-            for j, a in enumerate(arow):
-                if a:
-                    for k, brow in enumerate(other.data):
-                        orow = out[i * other.rows + k]
-                        base = j * other.cols
-                        for l, b in enumerate(brow):
-                            if b:
-                                orow[base + l] = a * b
-        return Matrix(self.field, out, cols=out_cols)
+        oc = other.cols
+        out = [{j * oc + l: a * b for j, a in arow.items()
+                for l, b in brow.items()}
+               for arow in self.nz for brow in other.nz]
+        return Matrix.from_sparse(self.field, out, self.cols * oc)
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.data for a in row)
+        return not any(self.nz)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.field == other.field
-                and all(a == b for r1, r2 in zip(self.data, other.data)
-                        for a, b in zip(r1, r2)))
+                and self.nz == other.nz)
 
     def __hash__(self):
         return hash((self.rows, self.cols))
@@ -295,84 +348,74 @@ class Matrix:
     def __repr__(self):
         if self.rows * self.cols > 64:
             return f"Matrix({self.rows}x{self.cols} over {self.field})"
-        body = "; ".join(" ".join(str(a) for a in row) for row in self.data)
+        body = "; ".join(" ".join(str(a) for a in self.row(i))
+                         for i in range(self.rows))
         return f"Matrix[{body}]"
 
 
 def lincomb(field: Field, rows: int, cols: int, coeffs, mats) -> Matrix:
     """The rows x cols matrix sum of c * mat over paired coeffs and mats,
     accumulated in place."""
-    out = [[field.zero] * cols for _ in range(rows)]
+    out = [{} for _ in range(rows)]
     for c, mat in zip(coeffs, mats):
         if c:
-            for orow, mrow in zip(out, mat.data):
-                for j, a in enumerate(mrow):
-                    if a:
-                        orow[j] = orow[j] + c * a
-    return Matrix(field, out, cols=cols)
+            for orow, mrow in zip(out, mat.nz):
+                _axpy(orow, c, mrow)
+    return Matrix.from_sparse(field, out, cols)
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ShapeError("hstack row mismatch")
-    return Matrix(a.field, [r1 + r2 for r1, r2 in zip(a.data, b.data)],
-                  cols=a.cols + b.cols)
+    shift = a.cols
+    return Matrix.from_sparse(
+        a.field, [{**r1, **{j + shift: x for j, x in r2.items()}}
+                  for r1, r2 in zip(a.nz, b.nz)], a.cols + b.cols)
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise ShapeError("vstack col mismatch")
-    return Matrix(a.field, a.data + b.data, cols=a.cols)
+    return Matrix.from_sparse(a.field, a.nz + b.nz, a.cols)
 
 
-def _reduce_into(piv: dict, row: list, ncols: int) -> bool:
-    """Reduce row in place against the pivot rows; when an entry survives,
-    store the row normalized at its leftmost nonzero column.  True when
-    the row was new."""
-    c = 0
-    while c < ncols:
+def _reduce_into(piv: dict, row: dict) -> bool:
+    """Reduce the sparse row in place against the pivot rows; when an
+    entry survives, store the row normalized at its leftmost nonzero
+    column.  True when the row was new."""
+    while row:
+        c = min(row)
         x = row[c]
-        if x:
-            pr = piv.get(c)
-            if pr is None:
-                inv = 1 / x
-                piv[c] = [v * inv if v else v for v in row]
-                return True
-            for j in range(c, ncols):
-                v = pr[j]
-                if v:
-                    row[j] = row[j] - x * v
-        c += 1
+        pr = piv.get(c)
+        if pr is None:
+            inv = 1 / x
+            piv[c] = {j: v * inv for j, v in row.items()}
+            return True
+        _axpy(row, -x, pr)
     return False
 
 
-def _echelon(rows: list[list], ncols: int) -> dict:
-    """Reduce rows into {pivot_col: normalized row}.
+def _echelon(rows) -> dict:
+    """Reduce copies of sparse rows into {pivot_col: normalized row}.
 
     Incremental: each incoming row is reduced against the rows already
-    kept, which is fast when the input is sparse.
+    kept, touching only stored entries.
     """
-    piv: dict[int, list] = {}
+    piv: dict[int, dict] = {}
     for row in rows:
-        _reduce_into(piv, list(row), ncols)
+        _reduce_into(piv, dict(row))
     return piv
 
 
 def _back_substitute(piv: dict) -> None:
-    """Clear entries above pivots, turning an echelon dict into RREF rows."""
-    cols_sorted = sorted(piv)
-    n = len(cols_sorted)
-    for idx in range(n - 1, -1, -1):
-        c = cols_sorted[idx]
+    """Clear entries above pivots, turning an echelon dict into RREF rows.
+
+    Rows are cleared from the last pivot up, so every row subtracted is
+    already reduced and adds no entry at another pivot column."""
+    for c in sorted(piv, reverse=True):
         row = piv[c]
-        for c2 in cols_sorted[idx + 1:]:
-            x = row[c2]
-            if x:
-                pr = piv[c2]
-                for j in range(c2, len(row)):
-                    v = pr[j]
-                    if v:
-                        row[j] = row[j] - x * v
+        for c2 in [c2 for c2 in row if c2 != c and c2 in piv]:
+            _axpy(row, -row[c2], piv[c2])
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -381,19 +424,15 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     Returns (reduced matrix of the same shape, pivot column indices).
     Zero rows sink to the bottom.
     """
-    piv = _echelon(m.data, m.cols)
+    piv = _echelon(m.nz)
     _back_substitute(piv)
     pivots = tuple(sorted(piv))
-    out = [piv[c] for c in pivots]
-    zero_row = [m.field.zero] * m.cols
-    while len(out) < m.rows:
-        out.append(list(zero_row))
-    return Matrix(m.field, out, cols=m.cols), pivots
+    out = [piv[c] for c in pivots] + [{} for _ in range(m.rows - len(piv))]
+    return Matrix.from_sparse(m.field, out, m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
-    piv = _echelon(m.data, m.cols)
-    return len(piv)
+    return len(_echelon(m.nz))
 
 
 class SpanTracker:
@@ -402,11 +441,11 @@ class SpanTracker:
     def __init__(self, field: Field, ambient: int):
         self.field = field
         self.ambient = ambient
-        self.piv: dict[int, list] = {}
+        self.piv: dict[int, dict] = {}
 
     def add(self, vec: list) -> bool:
         """Add a vector; True when it enlarged the span."""
-        return _reduce_into(self.piv, list(vec), self.ambient)
+        return _reduce_into(self.piv, sparse_vec(self.field, vec))
 
     @property
     def dim(self) -> int:
@@ -445,12 +484,11 @@ class Subspace:
 
     @classmethod
     def from_span(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
-        rows = [list(v) for v in vectors if any(v)]
-        piv = _echelon(rows, ambient_dim)
+        piv = _echelon(sparse_vec(field, v) for v in vectors)
         _back_substitute(piv)
         pivots = tuple(sorted(piv))
-        return cls(ambient_dim, Matrix(field, [piv[c] for c in pivots],
-                                       cols=ambient_dim), pivots)
+        return cls(ambient_dim, Matrix.from_sparse(
+            field, [piv[c] for c in pivots], ambient_dim), pivots)
 
     def coords_of(self, vec: list, verify: bool = True) -> list:
         """Coordinates of vec in the basis; vec must lie in the subspace."""
@@ -472,11 +510,11 @@ class Subspace:
         """The ambient vector with the given basis coordinates."""
         zero = self.field.zero
         out = [zero] * self.ambient_dim
-        for c, row in zip(coords, self.basis.data):
+        for c, row in zip(coords, self.basis.nz):
             if c:
-                for j, b in enumerate(row):
-                    if b:
-                        out[j] = out[j] + c * b
+                for j, b in row.items():
+                    y = out[j]
+                    out[j] = c * b if y is zero else y + c * b
         return out
 
 
@@ -486,7 +524,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     Each basis vector carries 1 at its own free column and 0 at the other
     free columns, so coordinates in this basis are read off by restriction.
     """
-    piv = _echelon(m.data, m.cols)
+    piv = _echelon(m.nz)
     _back_substitute(piv)
     return _free_column_basis(m.field, piv, m.cols)
 
@@ -495,19 +533,16 @@ def _free_column_basis(field: Field, piv: dict, n: int) -> Subspace:
     """The kernel of reduced pivot rows over their first n columns: one
     vector per free column, 1 there and minus the pivot rows' entries at
     the pivot columns."""
-    pivots = sorted(piv)
     free = [c for c in range(n) if c not in piv]
-    zero, one = field.zero, field.one
-    rows = []
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for pc in pivots:
-            x = piv[pc][fc]
-            if x:
-                v[pc] = -x
-        rows.append(v)
-    return Subspace(n, Matrix(field, rows, cols=n), tuple(free))
+    one = field.one
+    rows = [{fc: one} for fc in free]
+    at = dict(zip(free, rows))
+    for pc, prow in piv.items():
+        for j, x in prow.items():
+            row = at.get(j)
+            if row is not None:
+                row[pc] = -x
+    return Subspace(n, Matrix.from_sparse(field, rows, n), tuple(free))
 
 
 @dataclass(frozen=True)
@@ -524,14 +559,14 @@ def solve_affine(m: Matrix, rhs: list) -> AffineSolution | None:
     if len(rhs) != m.rows:
         raise ShapeError(f"rhs length {len(rhs)} for {m.rows} rows")
     n = m.cols
-    aug_rows = [row + [b] for row, b in zip(m.data, rhs)]
-    piv = _echelon(aug_rows, n + 1)
+    piv = _echelon({**row, n: b} if b else row for row, b in zip(m.nz, rhs))
     if n in piv:
         return None
     _back_substitute(piv)
     particular = [m.field.zero] * n
     for pc, row in piv.items():
-        particular[pc] = row[n]
+        if n in row:
+            particular[pc] = row[n]
     return AffineSolution(particular, _free_column_basis(m.field, piv, n))
 
 
@@ -540,16 +575,20 @@ def infeasibility_certificate(m: Matrix, rhs: list) -> list | None:
 
     Such a y certifies that m x = rhs has no solution.
     """
-    mt = m.transpose()
-    left_null = kernel_basis(mt)
-    for row in left_null.basis.data:
-        acc = m.field.zero
-        for a, b in zip(row, rhs):
-            if a and b:
+    left_null = kernel_basis(m.transpose())
+    zero = m.field.zero
+    for row in left_null.basis.nz:
+        acc = zero
+        for j, a in row.items():
+            b = rhs[j]
+            if b:
                 acc = acc + a * b
         if acc:
             inv = 1 / acc
-            return [a * inv for a in row]
+            out = [zero] * m.rows
+            for j, a in row.items():
+                out[j] = a * inv
+            return out
     return None
 
 
@@ -568,26 +607,21 @@ def solve_or_certify(m: Matrix, rhs: list) -> tuple[list | None, list | None]:
 def right_inverse(m: Matrix) -> Matrix:
     """X with m X = identity; requires full row rank."""
     n = m.cols
-    aug_rows = [list(row) + [m.field.zero] * m.rows for row in m.data]
-    for i in range(m.rows):
-        aug_rows[i][n + i] = m.field.one
-    piv = _echelon(aug_rows, n + m.rows)
+    one = m.field.one
+    piv = _echelon({**row, n + i: one} for i, row in enumerate(m.nz))
     if any(c >= n for c in piv):
         raise SingularError("matrix does not have full row rank")
     _back_substitute(piv)
-    zero = m.field.zero
-    out = [[zero] * m.rows for _ in range(n)]
-    for pc in sorted(piv):
-        row = piv[pc]
-        out[pc] = row[n:]
-    return Matrix(m.field, out, cols=m.rows)
+    out = [{} for _ in range(n)]
+    for pc, row in piv.items():
+        out[pc] = {j - n: x for j, x in row.items() if j >= n}
+    return Matrix.from_sparse(m.field, out, m.rows)
 
 
 def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ShapeError("only square matrices can be inverted")
-    inv = right_inverse(m)
-    return inv
+    return right_inverse(m)
 
 
 @dataclass(frozen=True)
@@ -616,15 +650,15 @@ def quotient_space(ambient_dim: int, relations: Subspace) -> Quotient:
         ident = Matrix.identity(field, ambient_dim)
         return Quotient(ambient_dim, ambient_dim, ident, ident,
                         tuple(range(ambient_dim)))
-    piv = _echelon(relations.basis.data, ambient_dim)
+    piv = _echelon(relations.basis.nz)
     _back_substitute(piv)
     complement = _free_column_basis(field, piv, ambient_dim)
     q = complement.dim
-    sect = [[field.zero] * q for _ in range(ambient_dim)]
+    sect = [{} for _ in range(ambient_dim)]
     for i, fc in enumerate(complement.positions):
-        sect[fc][i] = field.one
+        sect[fc] = {i: field.one}
     return Quotient(ambient_dim, q, complement.basis,
-                    Matrix(field, sect, cols=q), complement.positions)
+                    Matrix.from_sparse(field, sect, q), complement.positions)
 
 
 def _prod(xs) -> int:
@@ -634,42 +668,37 @@ def _prod(xs) -> int:
     return out
 
 
-def apply_slot(field: Field, vec: list, dims: list[int], k: int,
-               mat: Matrix) -> tuple[list, list[int]]:
-    """Apply mat to slot k of a vector indexed by mixed-radix dims.
+def slot_apply(sv: dict, dims: list[int], k: int, mat: Matrix,
+               count: int = 1) -> tuple[dict, list[int]]:
+    """Apply mat to the merged adjacent slots dims[k:k+count] of a sparse
+    vector {index: entry} indexed by mixed-radix dims.
 
     The vector is laid out row-major (leftmost slot slowest), matching
-    Kronecker products.  Returns the new vector and the new dims list.
+    Kronecker products.  Returns the new sparse vector and dims list.
     """
+    dims = dims[:k] + [_prod(dims[k:k + count])] + dims[k + count:]
     if mat.cols != dims[k]:
         raise ShapeError(f"slot {k} has dim {dims[k]}, matrix expects {mat.cols}")
     right = _prod(dims[k + 1:])
-    mid = dims[k]
-    r = mat.rows
-    zero = field.zero
-    out = [zero] * (len(vec) // mid * r) if mid else [zero] * 0
-    if mid == 0 or not vec:
-        new_dims = dims[:k] + [r] + dims[k + 1:]
-        return [zero] * _prod(new_dims), new_dims
-    # column-nonzero lists of mat
-    colnz = [[] for _ in range(mat.cols)]
-    for i, row in enumerate(mat.data):
-        for j, a in enumerate(row):
-            if a:
-                colnz[j].append((i, a))
-    stride_in = mid * right
-    stride_out = r * right
-    for idx, x in enumerate(vec):
-        if x:
-            t = idx % right
-            rest = idx // right
-            j = rest % mid
-            l = rest // mid
-            base = l * stride_out + t
-            for i, a in colnz[j]:
-                pos = base + i * right
-                out[pos] = out[pos] + a * x
-    return out, dims[:k] + [r] + dims[k + 1:]
+    mid, r = dims[k], mat.rows
+    colnz = mat.colnz()
+    out: dict = {}
+    for idx, x in sv.items():
+        rest, t = divmod(idx, right)
+        l, j = divmod(rest, mid)
+        base = l * r * right + t
+        for i, a in colnz[j]:
+            pos = base + i * right
+            y = out.get(pos)
+            out[pos] = a * x if y is None else y + a * x
+    return {p: v for p, v in out.items() if v}, dims[:k] + [r] + dims[k + 1:]
+
+
+def apply_slot(field: Field, vec: list, dims: list[int], k: int,
+               mat: Matrix) -> tuple[list, list[int]]:
+    """slot_apply on a dense vector: returns the new vector and dims."""
+    sv, new_dims = slot_apply(sparse_vec(field, vec), dims, k, mat)
+    return dense_vec(field, sv.items(), _prod(new_dims)), new_dims
 
 
 def apply_slots(field: Field, vec: list, dims: list[int], start: int,

@@ -27,8 +27,8 @@ from .errors import (
     DimensionCapError, PreconditionError, SingularError, ValidationError,
 )
 from .exactlin import (
-    Field, Matrix, SpanTracker, apply_slot, apply_slots, invert, kernel_basis,
-    rank,
+    Field, Matrix, SpanTracker, apply_slot, apply_slots, dense_vec, invert,
+    kernel_basis, rank, slot_apply, sparse_vec,
 )
 from .structures import (
     Algebra, RingMap, ValidationResult, memoized, validate_ring_map,
@@ -107,8 +107,9 @@ def _cohomology(field: Field, space_dims: list, deltas: list,
                 if tracker.add(prev.column(j)):
                     cob_dim += 1
         reps = []
-        for row in ker.basis.data:
-            if tracker.add(list(row)):
+        for i in range(ker.dim):
+            row = ker.basis.row(i)
+            if tracker.add(row):
                 reps.append(tuple(row))
         hdim = ker.dim - cob_dim
         if hdim != len(reps):
@@ -443,73 +444,9 @@ def ring_hochschild(extension: RingMap, w: Bimodule, nmax: int,
 # Transport between the two theories (the endomorphism-ring comparison)
 
 
-def _colnz(mat: Matrix) -> list:
-    cols = [[] for _ in range(mat.cols)]
-    for i, row in enumerate(mat.data):
-        for j, a in enumerate(row):
-            if a:
-                cols[j].append((i, a))
-    return cols
-
-
-class _Sparse:
-    """Sparse vectors over mixed-radix slot dimensions, enough for the
-    transport pipeline: slot application, Kronecker, densify."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self._memo: dict[int, tuple] = {}
-
-    def colnz(self, mat: Matrix) -> list:
-        entry = self._memo.get(id(mat))
-        if entry is None or entry[0] is not mat:
-            entry = (mat, _colnz(mat))
-            self._memo[id(mat)] = entry
-        return entry[1]
-
-    def apply_slot(self, sv: dict, dims: list, k: int, mat: Matrix):
-        right = 1
-        for d in dims[k + 1:]:
-            right *= d
-        mid = dims[k]
-        cn = self.colnz(mat)
-        out: dict = {}
-        r = mat.rows
-        for idx, x in sv.items():
-            t = idx % right
-            rest = idx // right
-            j = rest % mid
-            l = rest // mid
-            base = l * r * right + t
-            for i, a in cn[j]:
-                pos = base + i * right
-                cur = out.get(pos)
-                out[pos] = a * x if cur is None else cur + a * x
-        out = {k2: v for k2, v in out.items() if v}
-        return out, dims[:k] + [r] + dims[k + 1:]
-
-    def apply_slots(self, sv: dict, dims: list, start: int, count: int,
-                    mat: Matrix):
-        merged = 1
-        for d in dims[start:start + count]:
-            merged *= d
-        dims2 = dims[:start] + [merged] + dims[start + count:]
-        return self.apply_slot(sv, dims2, start, mat)
-
-    @staticmethod
-    def kron(sv1: dict, sv2: dict, len2: int) -> dict:
-        return {i * len2 + j: a * b
-                for i, a in sv1.items() for j, b in sv2.items()}
-
-    def densify(self, sv: dict, length: int) -> list:
-        out = [self.field.zero] * length
-        for i, v in sv.items():
-            out[i] = v
-        return out
-
-    @staticmethod
-    def from_dense(vec: list) -> dict:
-        return {i: v for i, v in enumerate(vec) if v}
+def _kron(sv1: dict, sv2: dict, len2: int) -> dict:
+    """Kronecker product of sparse vectors; the second has length len2."""
+    return {i * len2 + j: a * b for i, a in sv1.items() for j, b in sv2.items()}
 
 
 @dataclass(eq=False)
@@ -557,7 +494,7 @@ def morita_data(m: Bimodule) -> MoritaData:
             "the tensor-to-endomorphisms map is singular; "
             "the module is not a progenerator") from None
     psi_plain = psi_q if theta_tensor.trivial else theta_tensor.section @ psi_q
-    psi_unit = _Sparse.from_dense(psi_plain.apply(list(s_alg.unit)))
+    psi_unit = sparse_vec(field, psi_plain.apply(list(s_alg.unit)))
     return MoritaData(endo, dual, dual_endo, theta_tensor, theta, psi_plain,
                       psi_unit)
 
@@ -615,7 +552,6 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     wd = coefficient_transport(m, coefficients)
     rel_solvers, rel_deltas, chain, w_mid = _ring_complex(
         md.endo.to_endo, wd.w, nmax, dim_cap)
-    sp = _Sparse(field)
     dm, dd, dn = m.dim, md.dual.dim, coefficients.dim
     s = md.endo.algebra.dim
     ddm = dd * dm
@@ -637,22 +573,22 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     def collapse(k: int, sv: dict, dims: list, lo: int):
         # dims[lo : lo + 2k + 2] = (M, dual) pairs; contract to bar object k
         if k == 0:
-            return sp.apply_slots(sv, dims, lo, 2, eng.tensors[0].projection)
+            return slot_apply(sv, dims, lo, eng.tensors[0].projection, 2)
         sv, dims = collapse(k - 1, sv, dims, lo + 2)
-        sv, dims = sp.apply_slots(sv, dims, lo + 1, 2, iso_mat(k))
-        return sp.apply_slots(sv, dims, lo, 2, eng.tensors[k].projection)
+        sv, dims = slot_apply(sv, dims, lo + 1, iso_mat(k), 2)
+        return slot_apply(sv, dims, lo, eng.tensors[k].projection, 2)
 
     def to_w(sv: dict, dims: list) -> list:
         # dims = [dd, dn, dm] down to coefficient coordinates on the ring side
-        sv, dims = sp.apply_slots(sv, dims, 0, 2, wd.t1.projection)
-        sv, dims = sp.apply_slots(sv, dims, 0, 2, wd.t2.projection)
-        return sp.densify(sv, wd.w.dim)
+        sv, dims = slot_apply(sv, dims, 0, wd.t1.projection, 2)
+        sv, dims = slot_apply(sv, dims, 0, wd.t2.projection, 2)
+        return dense_vec(field, sv.items(), wd.w.dim)
 
     def base_value(gmat: Matrix) -> list:
-        sv = sp.kron(md.psi_unit, md.psi_unit, ddm)
+        sv = _kron(md.psi_unit, md.psi_unit, ddm)
         dims = [dd, dm, dd, dm]
         sv, dims = collapse(0, sv, dims, 1)
-        sv, dims = sp.apply_slot(sv, dims, 1, gmat)
+        sv, dims = slot_apply(sv, dims, 1, gmat)
         return to_w(sv, dims)
 
     def image_cochain(gmat: Matrix, n: int) -> Matrix:
@@ -663,18 +599,18 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
             return Matrix.from_columns(field, cols, wd.w.dim)
         cols = []
         for q in range(chain.spaces[n].dim):
-            sv = _Sparse.from_dense(chain.to_plain[n].column(q))
+            sv = sparse_vec(field, chain.to_plain[n].column(q))
             dims = [s] * n
             for j in range(n):
-                sv, dims = sp.apply_slot(sv, dims, j, md.psi_plain)
+                sv, dims = slot_apply(sv, dims, j, md.psi_plain)
             mid_len = 1
             for d in dims:
                 mid_len *= d
-            sv = sp.kron(md.psi_unit, sp.kron(sv, md.psi_unit, ddm),
-                         mid_len * ddm)
+            sv = _kron(md.psi_unit, _kron(sv, md.psi_unit, ddm),
+                       mid_len * ddm)
             dims = [dd, dm] * (n + 2)
             sv, dims = collapse(n, sv, dims, 1)
-            sv, dims = sp.apply_slot(sv, dims, 1, gmat)
+            sv, dims = slot_apply(sv, dims, 1, gmat)
             cols.append(to_w(sv, dims))
         return Matrix.from_columns(field, cols, wd.w.dim)
 
@@ -693,8 +629,8 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     # degree-0 edge square: central coefficients map equally through both edges
     base_ok = True
     cz = centralizer(coefficients)
-    for row in cz.basis.data:
-        nc = list(row)
+    for k, row in enumerate(cz.basis.nz):
+        nc = cz.basis.row(k)
         g_cols = [coefficients.left_action[i].apply(nc)
                   for i in range(m.left_algebra.dim)]
         g_edge = Matrix.from_columns(field, g_cols, dn)
@@ -703,9 +639,8 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         ins: dict = {}
         for idx, val in psv.items():
             d, i = divmod(idx, dm)
-            for j, njv in enumerate(nc):
-                if njv:
-                    ins[(d * dn + j) * dm + i] = val * njv
+            for j, njv in row.items():
+                ins[(d * dn + j) * dm + i] = val * njv
         w_n = to_w(ins, [dd, dn, dm])
         rhs_cols = [w_mid.left_action[q].apply(w_n)
                     for q in range(chain.a.dim)]

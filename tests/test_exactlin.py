@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from bimodcheck.errors import FieldMismatchError, ShapeError, SingularError
 from bimodcheck.exactlin import (
     Field, Matrix, ModInt, QQ, Subspace, hstack, infeasibility_certificate,
-    invert, kernel_basis, kron_vec, quotient_space, rank, right_inverse, rref,
-    solve_affine, solve_or_certify, vstack,
+    invert, kernel_basis, kron_vec, lincomb, quotient_space, rank,
+    right_inverse, rref, solve_affine, solve_or_certify, vstack,
 )
 
 
@@ -38,6 +39,25 @@ def matrices(draw, max_dim=4):
     data = draw(st.lists(
         st.lists(entries_st, min_size=cols, max_size=cols),
         min_size=rows, max_size=rows))
+    return mat(field, data, cols=cols)
+
+
+@st.composite
+def sparse_matrices(draw, field=None, rows=None, cols=None, max_dim=10):
+    """Up to max_dim x max_dim, at most half of the entries nonzero;
+    field and shape are drawn unless given."""
+    field = draw(fields_st) if field is None else field
+    if rows is None:
+        rows = draw(st.integers(min_value=0, max_value=max_dim))
+    if cols is None:
+        cols = draw(st.integers(min_value=0, max_value=max_dim))
+    data = [[0] * cols for _ in range(rows)]
+    if rows and cols:
+        count = draw(st.integers(0, rows * cols // 2))
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                          entries_st)
+        for i, j, x in draw(st.lists(cells, min_size=count, max_size=count)):
+            data[i][j] = x
     return mat(field, data, cols=cols)
 
 
@@ -308,3 +328,131 @@ def test_fraction_arithmetic_survives_scaling():
     r, pivots = rref(m)
     assert pivots == (0, 1)
     assert invert(m) @ m == Matrix.identity(QQ, 2)
+
+
+# ---------------------------------------------------------------------------
+# Sparse kernels against dense references: plain loops over the dense
+# view, and the independent eliminations of tests/oracles.py
+
+
+def assert_stores_no_zero(m):
+    assert len(m.nz) == m.rows
+    for row in m.nz:
+        assert all(row.values())
+        assert all(0 <= j < m.cols for j in row)
+
+
+def _ops(field):
+    return oracles.RationalOps if field.is_rational else oracles.PrimeOps(field.p)
+
+
+def _to_oracle(field, rows):
+    if field.is_rational:
+        return [[Fraction(str(x)) for x in row] for row in rows]
+    return [[x.value for x in row] for row in rows]
+
+
+def _from_oracle(field, rows, cols):
+    return mat(field, [[str(x) if field.is_rational else x for x in row]
+                       for row in rows], cols=cols)
+
+
+def _dense_product(a, b):
+    zero = a.field.zero
+    return [[sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), zero)
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+@given(st.data())
+def test_sparse_arithmetic_matches_dense_loops(data):
+    a = data.draw(sparse_matrices())
+    field, r, c = a.field, a.rows, a.cols
+    b = data.draw(sparse_matrices(field, rows=r, cols=c))
+    inner = data.draw(sparse_matrices(field, rows=c, max_dim=6))
+    vec = [field.scalar(data.draw(entries_st)) for _ in range(c)]
+    coeffs = [field.scalar(data.draw(entries_st)) for _ in range(2)]
+    results = {
+        "@": (a @ inner, _dense_product(a, inner)),
+        "+": (a + b, [[x + y for x, y in zip(u, v)]
+                      for u, v in zip(a.data, b.data)]),
+        "-": (a - b, [[x - y for x, y in zip(u, v)]
+                      for u, v in zip(a.data, b.data)]),
+        "transpose": (a.transpose(), [list(col) for col in zip(*a.data)]
+                      if r else [[] for _ in range(c)]),
+        "kron": (a.kron(inner), [
+            [a.data[i][j] * inner.data[k][l] for j in range(c)
+             for l in range(inner.cols)]
+            for i in range(r) for k in range(inner.rows)]),
+        "lincomb": (lincomb(field, r, c, coeffs, [a, b]), [
+            [coeffs[0] * x + coeffs[1] * y for x, y in zip(u, v)]
+            for u, v in zip(a.data, b.data)]),
+    }
+    for name, (got, want) in results.items():
+        assert_stores_no_zero(got)
+        assert got.data == want, name
+        assert got == Matrix(field, want, cols=got.cols), name
+    want_apply = [sum((x * y for x, y in zip(row, vec)), field.zero)
+                  for row in a.data]
+    assert a.apply(vec) == want_apply
+    assert [a.column(j) for j in range(c)] == results["transpose"][1]
+    assert Matrix.from_columns(field, a.columns(), r) == a
+
+
+@given(sparse_matrices())
+def test_sparse_eliminations_match_the_oracles(m):
+    field, ops = m.field, _ops(m.field)
+    rows = _to_oracle(field, m.data)
+    red, pivots = oracles.echelon(rows, m.cols, ops)
+    r, got_pivots = rref(m)
+    assert_stores_no_zero(r)
+    assert got_pivots == tuple(pivots)
+    assert r.data[:len(pivots)] == _from_oracle(field, red, m.cols).data
+    assert rank(m) == len(pivots)
+
+    ker = kernel_basis(m)
+    assert_stores_no_zero(ker.basis)
+    assert ker.basis == _from_oracle(
+        field, oracles.kernel_of(rows, m.cols, ops), m.cols)
+
+    rel = Subspace.from_span(field, m.cols, m.data)
+    q = quotient_space(m.cols, rel)
+    assert_stores_no_zero(q.projection)
+    assert_stores_no_zero(q.section)
+    if rel.dim:
+        assert q.projection == _from_oracle(
+            field, oracles.kernel_of(red, m.cols, ops), m.cols)
+    assert q.section.columns() == [
+        [field.one if i == p else field.zero for i in range(m.cols)]
+        for p in q.positions]
+
+
+@given(sparse_matrices(), st.data())
+def test_sparse_solves_match_the_oracles(m, data):
+    field, ops, n = m.field, _ops(m.field), m.cols
+    rhs = [field.scalar(data.draw(entries_st)) for _ in range(m.rows)]
+    aug = _to_oracle(field, [row + [b] for row, b in zip(m.data, rhs)])
+    red, pivots = oracles.echelon(aug, n + 1, ops)
+    sol = solve_affine(m, rhs)
+    if n in pivots:
+        assert sol is None
+    else:
+        want = [0] * n
+        for row, pc in zip(red, pivots):
+            want[pc] = row[n]
+        assert sol.particular == _from_oracle(field, [want], n).data[0]
+        assert_stores_no_zero(sol.homogeneous.basis)
+
+    eye = oracles.identity(m.rows, ops)
+    aug = [row + e for row, e in zip(_to_oracle(field, m.data), eye)]
+    red, pivots = oracles.echelon(aug, n + m.rows, ops)
+    if any(pc >= n for pc in pivots):
+        with pytest.raises(SingularError):
+            right_inverse(m)
+        return
+    x = right_inverse(m)
+    assert_stores_no_zero(x)
+    want = [[ops.zero] * m.rows for _ in range(n)]
+    for row, pc in zip(red, pivots):
+        want[pc] = row[n:]
+    assert x == _from_oracle(field, want, m.rows)
+    assert m @ x == Matrix.identity(field, m.rows)

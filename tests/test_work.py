@@ -8,20 +8,36 @@ are read shows up as a jump in dense-product cells or in applies.
 import importlib
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
-from bimodcheck import cli
-from bimodcheck.exactlin import Matrix
+import pytest
+
+from bimodcheck import cli, exactlin
+from bimodcheck.exactlin import QQ, Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
 TRACER = ROOT / "bench" / "tracer.py"
 
 # Measured on fixtures/fx4.json: 17,402,130 cells in 605 products and
-# 29,961 applies.  Forming the full hom and tensor products again costs
-# 204,540,480 cells and 92,142 applies.
+# 7,346 applies.  Forming the full hom and tensor products again costs
+# 204,540,480 cells and 92,142 applies; applying the equivariant
+# solver's target operators to all-zero value blocks costs 29,961.
 FX4_MAX_MATMUL_CELLS = 20_000_000
-FX4_MAX_APPLIES = 33_000
+FX4_MAX_APPLIES = 8_100
+# Fraction zero tests (Fraction.__bool__ calls) on fixtures/fx4.json:
+# 14,140.  Testing the shared field.zero by value where an identity test
+# would do costs 1,390,065; walking dense rows in every kernel costs
+# 4,493,209.
+FX4_MAX_ZERO_TESTS = 15_600
+
+
+def _run_fx4(capsys):
+    doc = FIXTURE_DIR / "fx4.json"
+    assert cli.main(["check", str(doc), "--format", "json"]) == 0
+    golden = (FIXTURE_DIR / "golden" / "fx4.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def test_fx4_work_stays_under_its_gates(monkeypatch, capsys):
@@ -38,12 +54,24 @@ def test_fx4_work_stays_under_its_gates(monkeypatch, capsys):
 
     monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
     monkeypatch.setattr(Matrix, "apply", counted_apply)
-    doc = FIXTURE_DIR / "fx4.json"
-    assert cli.main(["check", str(doc), "--format", "json"]) == 0
-    golden = (FIXTURE_DIR / "golden" / "fx4.json").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == golden
+    _run_fx4(capsys)
     assert counts["cells"] <= FX4_MAX_MATMUL_CELLS, counts
     assert counts["applies"] <= FX4_MAX_APPLIES, counts
+
+
+def test_fx4_zero_tests_stay_under_their_gate(monkeypatch, capsys):
+    if exactlin._rational is not Fraction:
+        pytest.skip("the gate counts fractions.Fraction zero tests")
+    calls = [0]
+    is_nonzero = Fraction.__bool__
+
+    def counted(x):
+        calls[0] += 1
+        return is_nonzero(x)
+
+    monkeypatch.setattr(Fraction, "__bool__", counted)
+    _run_fx4(capsys)
+    assert calls[0] <= FX4_MAX_ZERO_TESTS, calls[0]
 
 
 def _tracer():
@@ -66,3 +94,16 @@ def test_every_traced_layer_exists():
     from bimodcheck.bimodule import equivariant_maps
     params = list(inspect.signature(equivariant_maps).parameters)
     assert params[2] == "tgt_dim"
+
+
+def test_tracer_matmul_counts_read_the_sparse_storage():
+    a = Matrix(QQ, [[QQ.scalar(x) for x in row]
+                    for row in [[1, 0, 2], [0, 0, 3], [0, 0, 0]]])
+    b = Matrix(QQ, [[QQ.scalar(x) for x in row]
+                    for row in [[0, 1], [4, 0], [5, 6]]])
+    useful = sum(1 for i in range(3) for k in range(3) for j in range(2)
+                 if a.data[i][k] and b.data[k][j])
+    assert useful == 5
+    fresh_a, fresh_b = Matrix(QQ, a.data), Matrix(QQ, b.data)
+    counts = _tracer()._matmul_counts((fresh_a, fresh_b), fresh_a @ fresh_b)
+    assert counts == {"cells": 3 * 3 * 2, "useful": useful}
