@@ -20,8 +20,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ShapeError, ValidationError
 from .exactlin import (
-    Field, Matrix, SpanTracker, Subspace, kernel_basis, lincomb,
-    quotient_space, rank, right_inverse, solve_or_certify,
+    Field, Matrix, SpanTracker, Subspace, axpy, check_vec, dense_vec,
+    kernel_basis, lincomb, quotient_space, rank, right_inverse,
+    solve_or_certify,
 )
 from .structures import Algebra, RingMap, ValidationResult, memoized
 
@@ -49,17 +50,12 @@ class Bimodule:
     def field(self) -> Field:
         return self.left_algebra.field
 
-    def left_act(self, coords: list) -> Matrix:
+    def left_act(self, coords: dict) -> Matrix:
         """Matrix of the left action of the algebra element with these coords."""
         return lincomb(self.field, self.dim, self.dim, coords, self.left_action)
 
-    def right_act(self, coords: list) -> Matrix:
+    def right_act(self, coords: dict) -> Matrix:
         return lincomb(self.field, self.dim, self.dim, coords, self.right_action)
-
-    def basis_vector(self, i: int) -> list:
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
 
     def __repr__(self):
         return (f"Bimodule({self.name}: dim {self.dim} over "
@@ -70,20 +66,20 @@ def validate_bimodule(m: Bimodule) -> ValidationResult:
     """Unitality, representation laws, and commutation of the two actions."""
     b, a = m.left_algebra, m.right_algebra
     ident = Matrix.identity(m.field, m.dim)
-    if m.left_act(list(b.unit)) != ident:
+    if m.left_act(b.unit) != ident:
         return ValidationResult(False, "left unit does not act as identity")
-    if m.right_act(list(a.unit)) != ident:
+    if m.right_act(a.unit) != ident:
         return ValidationResult(False, "right unit does not act as identity")
     for i in range(b.dim):
         for j in range(b.dim):
             # (b_i b_j) m = b_i (b_j m)
-            if m.left_act(list(b.mult[i][j])) != m.left_action[i] @ m.left_action[j]:
+            if m.left_act(b.mult[i][j]) != m.left_action[i] @ m.left_action[j]:
                 return ValidationResult(
                     False, f"left action is not multiplicative at pair ({i}, {j})")
     for i in range(a.dim):
         for j in range(a.dim):
             # m (a_i a_j) = (m a_i) a_j, i.e. apply a_i first
-            if m.right_act(list(a.mult[i][j])) != m.right_action[j] @ m.right_action[i]:
+            if m.right_act(a.mult[i][j]) != m.right_action[j] @ m.right_action[i]:
                 return ValidationResult(
                     False, f"right action is not multiplicative at pair ({i}, {j})")
     for i in range(b.dim):
@@ -145,8 +141,7 @@ def restrict_left(m: Bimodule, f: RingMap) -> Bimodule:
     """Pull the left action back along an algebra map into the left algebra."""
     if f.target is not m.left_algebra:
         raise ValidationError("ring map target must be the left algebra")
-    acts = tuple(m.left_act(f.apply(f.source.basis_vector(i)))
-                 for i in range(f.source.dim))
+    acts = tuple(m.left_act(image) for image in f.matrix.columns())
     return Bimodule(f.source, m.right_algebra, m.dim, acts, m.right_action,
                     name=m.name)
 
@@ -155,8 +150,7 @@ def restrict_right(m: Bimodule, f: RingMap) -> Bimodule:
     """Pull the right action back along an algebra map into the right algebra."""
     if f.target is not m.right_algebra:
         raise ValidationError("ring map target must be the right algebra")
-    acts = tuple(m.right_act(f.apply(f.source.basis_vector(j)))
-                 for j in range(f.source.dim))
+    acts = tuple(m.right_act(image) for image in f.matrix.columns())
     return Bimodule(m.left_algebra, f.source, m.dim, m.left_action, acts,
                     name=m.name)
 
@@ -170,8 +164,8 @@ def sub_bimodule(parent: Bimodule, space: Subspace, name: str = "sub"
     incl = space.basis.transpose()    # ambient x k
 
     def induce(mat: Matrix) -> Matrix:
-        cols = [space.coords_of(mat.apply(space.basis.row(i)), verify=True)
-                for i in range(k)]
+        cols = [space.coords_of(mat.apply(row), verify=True)
+                for row in space.basis.nz]
         return Matrix.from_columns(parent.field, cols, k)
 
     left = tuple(induce(mat) for mat in parent.left_action)
@@ -205,21 +199,23 @@ class EquivariantBasis:
     def dim(self) -> int:
         return len(self.maps)
 
-    def coords_from(self, column) -> list:
-        """Coordinates of the map whose column g is column(g); column is
-        called at the generators only."""
-        vals = []
-        for g in self.generators:
-            vals.extend(column(g))
-        return [vals[p] for p in self.positions]
+    def coords_from(self, column) -> dict:
+        """Coordinates of the map whose column g is column(g), a sparse
+        vector; column is called at the generators only."""
+        vals = {}
+        for r, g in enumerate(self.generators):
+            base = r * self.tgt_dim
+            for s, x in check_vec(column(g), self.tgt_dim).items():
+                vals[base + s] = x
+        return {k: vals[p] for k, p in enumerate(self.positions) if p in vals}
 
-    def coords_of(self, mat: Matrix, verify: bool = False) -> list:
+    def coords_of(self, mat: Matrix, verify: bool = False) -> dict:
         coords = self.coords_from(mat.column)
         if verify and self.matrix_of(coords) != mat:
             raise ValidationError("matrix is not in the equivariant span")
         return coords
 
-    def matrix_of(self, coords: list) -> Matrix:
+    def matrix_of(self, coords: dict) -> Matrix:
         return lincomb(self.field, self.tgt_dim, self.src_dim, coords,
                        self.maps)
 
@@ -236,16 +232,14 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
         raise ShapeError(f"{len(src_ops)} source operators for "
                          f"{len(tgt_ops)} target operators")
     n_ops = len(src_ops)
-    span = SpanTracker(field, src_dim)
+    span = SpanTracker(src_dim)
     generators: list[int] = []
-    g_cols: list[list] = []
+    g_cols: list[dict] = []
     for i in range(src_dim):
-        probe = [field.zero] * src_dim
-        probe[i] = field.one
         if span.dim == src_dim:
             break
         # membership test without committing
-        if not span.add(probe):
+        if not span.add({i: field.one}):
             continue
         # e_i was new; undo is not needed since e_i is in its own orbit
         generators.append(i)
@@ -269,33 +263,30 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     unknowns = r * tgt_dim
     rows = []
     for rel in relations.basis.nz:
-        by_gen: dict[int, tuple] = {}
+        by_gen: dict[int, dict] = {}
         for c, x in rel.items():
             j, k = divmod(c, n_ops)
-            coeffs, ops = by_gen.setdefault(j, ([], []))
-            coeffs.append(x)
-            ops.append(tgt_ops[k])
-        blocks = [(j * tgt_dim, lincomb(field, tgt_dim, tgt_dim, *co).nz)
-                  for j, co in by_gen.items()]
+            by_gen.setdefault(j, {})[k] = x
+        blocks = [(j * tgt_dim,
+                   lincomb(field, tgt_dim, tgt_dim, coeffs, tgt_ops).nz)
+                  for j, coeffs in by_gen.items()]
         for t in range(tgt_dim):
             row = {base + s: x for base, blk in blocks
                    for s, x in blk[t].items()}
             if row:
                 rows.append(row)
     solutions = kernel_basis(Matrix.from_sparse(field, rows, unknowns))
-    zero_col = [field.zero] * tgt_dim
     maps = []
     for sol in solutions.basis.nz:
         # the value block of each generator; absent blocks are zero
-        vals: dict[int, list] = {}
+        vals: dict[int, dict] = {}
         for c, x in sol.items():
             j, s = divmod(c, tgt_dim)
-            vals.setdefault(j, list(zero_col))[s] = x
+            vals.setdefault(j, {})[s] = x
         w_cols = []
         for c in used:
             j, k = divmod(c, n_ops)
-            w_cols.append(tgt_ops[k].apply(vals[j]) if j in vals
-                          else zero_col)
+            w_cols.append(tgt_ops[k].apply(vals[j]) if j in vals else {})
         w = Matrix.from_columns(field, w_cols, tgt_dim)
         maps.append(w @ lift_used)
     return EquivariantBasis(field, src_dim, tgt_dim, tuple(maps),
@@ -326,10 +317,10 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def matrix_of(self, coords: list) -> Matrix:
+    def matrix_of(self, coords: dict) -> Matrix:
         return self.solver.matrix_of(coords)
 
-    def coords_of(self, mat: Matrix, verify: bool = False) -> list:
+    def coords_of(self, mat: Matrix, verify: bool = False) -> dict:
         return self.solver.coords_of(mat, verify=verify)
 
 
@@ -406,7 +397,7 @@ class _Product:
     def __init__(self, l: Matrix, r: Matrix):
         self.l, self.r = l, r
 
-    def column(self, i: int) -> list:
+    def column(self, i: int) -> dict:
         return self.l.apply(self.r.column(i))
 
 
@@ -458,16 +449,13 @@ class TensorProduct:
     def trivial(self) -> bool:
         return self.relations.dim == 0
 
-    def lift_column(self, q: int) -> list:
+    def lift_column(self, q: int) -> dict:
         """Plain-tensor representative of the q-th quotient basis vector."""
-        field = self.space.field
-        v = [field.zero] * self.projection.cols
-        v[self.positions[q]] = field.one
-        return v
+        return {self.positions[q]: self.space.field.one}
 
-    def project_vec(self, plain_vec: list) -> list:
+    def project_vec(self, plain_vec: dict) -> dict:
         if self.trivial:
-            return plain_vec
+            return check_vec(plain_vec, self.projection.cols)
         return self.projection.apply(plain_vec)
 
 
@@ -487,28 +475,19 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
     plain = dm * dn
     ident_m = Matrix.identity(field, dm)
     ident_n = Matrix.identity(field, dn)
+    minus_one = -field.one
     rel_rows = []
     for t in range(a.dim):
         ra = m.right_action[t]
         la = n.left_action[t]
         if ra == ident_m and la == ident_n:
             continue
-        ra_cols = [ra.column(i) for i in range(dm)]
-        la_cols = [la.column(j) for j in range(dn)]
+        ra_cols, la_cols = ra.colnz(), la.colnz()
         for i in range(dm):
-            rci = ra_cols[i]
             for j in range(dn):
-                row = [field.zero] * plain
-                nonzero = False
-                for k, x in enumerate(rci):
-                    if x:
-                        row[k * dn + j] = row[k * dn + j] + x
-                        nonzero = True
-                for l, x in enumerate(la_cols[j]):
-                    if x:
-                        row[i * dn + l] = row[i * dn + l] - x
-                        nonzero = True
-                if nonzero and any(row):
+                row = {k * dn + j: x for k, x in ra_cols[i]}
+                axpy(row, minus_one, {i * dn + l: x for l, x in la_cols[j]})
+                if row:
                     rel_rows.append(row)
     relations = Subspace.from_span(field, plain, rel_rows)
     quot = quotient_space(plain, relations)
@@ -520,15 +499,14 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
         # proj @ kron @ section: the section selects the kron columns at
         # quot.positions, and column (i, j) of the kron is mat[:, i] (x) e_j
         # (slot 0) or e_i (x) mat[:, j] (slot 1)
-        mat_cols = mat.columns()
+        mat_cols = mat.colnz()
         cols = []
         for p in quot.positions:
             i, j = divmod(p, dn)
-            v = [field.zero] * plain
             if slot == 0:
-                v[j::dn] = mat_cols[i]
+                v = {k * dn + j: x for k, x in mat_cols[i]}
             else:
-                v[i * dn:(i + 1) * dn] = mat_cols[j]
+                v = {i * dn + l: x for l, x in mat_cols[j]}
             cols.append(proj.apply(v))
         return Matrix.from_columns(field, cols, quot.dim)
 
@@ -551,7 +529,7 @@ class EvaluationData:
     map: BimoduleMap
 
 
-def descend_plain_map(field: Field, plain_cols: list[list], out_dim: int,
+def descend_plain_map(field: Field, plain_cols: list[dict], out_dim: int,
                        tensor: TensorProduct) -> Matrix:
     """Turn a map off the plain tensor into one off the quotient, checking
     that it kills the tensor relations."""
@@ -559,8 +537,8 @@ def descend_plain_map(field: Field, plain_cols: list[list], out_dim: int,
     if tensor.trivial:
         return plain
     relations = tensor.relations
-    for i in range(relations.dim):
-        if any(plain.apply(relations.basis.row(i))):
+    for row in relations.basis.nz:
+        if plain.apply(row):
             raise ValidationError("map does not descend through tensor relations")
     # plain @ section: the section selects the columns at tensor.positions
     return Matrix.from_columns(field, [plain_cols[p] for p in tensor.positions],
@@ -605,8 +583,8 @@ def endomorphism_ring(m: Bimodule) -> EndoData:
     for hu in hom.basis:
         # u * v = apply u, then v: column v of f -> f @ hu
         comp = composition_matrix(hom.basis, hu, True, hom.solver)
-        mult.append(tuple(tuple(col) for col in comp.columns()))
-    unit = tuple(hom.coords_of(Matrix.identity(field, m.dim)))
+        mult.append(tuple(comp.columns()))
+    unit = hom.coords_of(Matrix.identity(field, m.dim))
     s = Algebra(field, d, tuple(mult), unit, name=f"End({m.name})")
     a = m.right_algebra
     cols = [hom.coords_of(m.right_action[j]) for j in range(a.dim)]
@@ -631,11 +609,12 @@ def is_generator(m: Bimodule) -> GeneratorResult:
     to hitting the unit; the witness is a preimage of 1, the obstruction
     a functional killing the image but not 1.
     """
-    sol, cert = solve_or_certify(evaluation_data(m).map.matrix,
-                                 list(m.left_algebra.unit))
+    ev = evaluation_data(m).map.matrix
+    sol, cert = solve_or_certify(ev, m.left_algebra.unit)
     if sol is None:
-        return GeneratorResult(False, None, tuple(cert))
-    return GeneratorResult(True, tuple(sol), None)
+        return GeneratorResult(False, None,
+                               tuple(dense_vec(m.field, cert, ev.rows)))
+    return GeneratorResult(True, tuple(dense_vec(m.field, sol, ev.cols)), None)
 
 
 @dataclass(frozen=True)
@@ -668,12 +647,14 @@ def _fg_projective(m: Bimodule, side: str) -> ProjectivityResult:
                     rows[r * d + j][c] = x
             c += 1
     system = Matrix.from_sparse(field, rows, c)
-    rhs = [field.zero] * (d * d)
-    rhs[::d + 1] = [field.one] * d
+    rhs = {i * (d + 1): field.one for i in range(d)}
     sol, cert = solve_or_certify(system, rhs)
     if sol is None:
-        return ProjectivityResult(False, None, tuple(cert))
-    pairs = tuple((tuple(m.basis_vector(i)), tuple(sol[i * hd:(i + 1) * hd]))
+        return ProjectivityResult(False, None,
+                                  tuple(dense_vec(field, cert, d * d)))
+    sol = dense_vec(field, sol, c)
+    pairs = tuple((tuple(dense_vec(field, {i: field.one}, d)),
+                   tuple(sol[i * hd:(i + 1) * hd]))
                   for i in range(d))
     return ProjectivityResult(True, pairs, None)
 

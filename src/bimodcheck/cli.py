@@ -41,7 +41,7 @@ from .diagnostics import (
     sugano_check,
 )
 from .errors import BimodcheckError, SchemaError, ValidationError
-from .exactlin import Field, Matrix, ModInt
+from .exactlin import Field, Matrix, ModInt, dense_vec, sparse_vec
 from .homology import bar_resolution, homotopy_check, module_hochschild
 from .structures import Algebra, RingMap, validate_algebra, validate_ring_map
 
@@ -148,12 +148,13 @@ def _parse_algebra(field: Field, name: str, obj, path: str) -> Algebra:
         for j, cell in enumerate(row):
             cell_path = f"{path}.mult[{i}][{j}]"
             cell = _as_list(cell, cell_path, dim)
-            out_row.append(tuple(parse_scalar(field, c, f"{cell_path}[{k}]")
-                                 for k, c in enumerate(cell)))
+            out_row.append(sparse_vec(field, [
+                parse_scalar(field, c, f"{cell_path}[{k}]")
+                for k, c in enumerate(cell)]))
         mult.append(tuple(out_row))
     unit_obj = _as_list(_get(obj, "unit", path), path + ".unit", dim)
-    unit = tuple(parse_scalar(field, c, f"{path}.unit[{k}]")
-                 for k, c in enumerate(unit_obj))
+    unit = sparse_vec(field, [parse_scalar(field, c, f"{path}.unit[{k}]")
+                              for k, c in enumerate(unit_obj)])
     return Algebra(field, dim, tuple(mult), unit, name=name)
 
 
@@ -307,9 +308,9 @@ def serialize_document(doc: InputDocument) -> dict:
     out["algebras"] = {
         name: {
             "dim": a.dim,
-            "mult": [[[render_scalar(f, c) for c in cell] for cell in row]
+            "mult": [[_coords(f, dense_vec(f, cell, a.dim)) for cell in row]
                      for row in a.mult],
-            "unit": [render_scalar(f, c) for c in a.unit],
+            "unit": _coords(f, dense_vec(f, a.unit, a.dim)),
         }
         for name, a in doc.algebras.items()
     }

@@ -18,31 +18,33 @@ from .bimodule import (
     restrict_right, static_check, sub_bimodule, tensor_over, trace_in,
 )
 from .errors import PreconditionError, ValidationError
-from .exactlin import Matrix, apply_slot, kernel_basis, rank, solve_or_certify
+from .exactlin import (
+    Matrix, apply_slot, dense_vec, kernel_basis, rank, solve_or_certify,
+)
 from .homology import comonad_apply, comparison_check, syzygy
 from .structures import RingMap, multiplication_map, validate_ring_map
 
 
-def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: tuple):
+def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: dict):
     """Solve target_mat(s) = unit over the centralizer of t_space.
 
     Returns (element coords in t_space, None, centralizer), the element
     re-checked by substitution, or (None, obstruction functional on the
-    target, centralizer).
+    target, centralizer); both as dense tuples.
     """
+    field = t_space.field
     cz = centralizer(t_space)
-    sol, cert = solve_or_certify(target_mat @ cz.basis.transpose(),
-                                 list(unit))
+    sol, cert = solve_or_certify(target_mat @ cz.basis.transpose(), unit)
     if sol is None:
-        return None, tuple(cert), cz
+        return None, tuple(dense_vec(field, cert, target_mat.rows)), cz
     element = cz.embed(sol)
     for i in range(t_space.left_algebra.dim):
         delta = t_space.left_action[i] - t_space.right_action[i]
-        if any(delta.apply(element)):
+        if delta.apply(element):
             raise ValidationError("witness is not central")
-    if target_mat.apply(element) != list(unit):
+    if target_mat.apply(element) != unit:
         raise ValidationError("witness does not evaluate to the unit")
-    return tuple(element), None, cz
+    return tuple(dense_vec(field, element, t_space.dim)), None, cz
 
 
 def _split(counit: BimoduleMap, dims: dict):
@@ -65,12 +67,11 @@ def _split(counit: BimoduleMap, dims: dict):
         for c, x in prow.items():
             u, j = divmod(c, d)
             rows[j * d + i][u] = x
-    rhs = [field.zero] * (d * d)
-    rhs[::d + 1] = [field.one] * d
+    rhs = {i * (d + 1): field.one for i in range(d)}
     sol, cert = solve_or_certify(Matrix.from_sparse(field, rows, solver.dim),
                                  rhs)
     if sol is None:
-        return None, tuple(cert)
+        return None, tuple(dense_vec(field, cert, d * d))
     sec_mat = solver.matrix_of(sol)
     if counit.matrix @ sec_mat != Matrix.identity(field, d):
         raise ValidationError(f"section does not split {counit.name}")
@@ -242,7 +243,7 @@ def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
     for q2 in range(t2.space.dim):
         v2 = t2.lift_column(q2)
         if not t1.trivial:
-            v2, _ = apply_slot(field, v2, [t1.space.dim, b.dim], 0, sec1)
+            v2, _ = apply_slot(v2, [t1.space.dim, b.dim], 0, sec1)
         cols.append(c3.apply(v2))
     counit = BimoduleMap(t2.space, l,
                          Matrix.from_columns(field, cols, l.dim),

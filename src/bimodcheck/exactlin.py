@@ -2,9 +2,15 @@
 
 Scalars are ordinary Python objects supporting field arithmetic through
 operators: rationals are gmpy2.mpq (fractions.Fraction when gmpy2 is
-missing), elements of F_p are ModInt instances.  A matrix stores each
-row as a {column: entry} dict of its nonzero entries, never a zero, and
-every kernel visits only the stored entries; vectors are dense lists.
+missing), elements of F_p are ModInt instances.
+
+A vector is a sparse {index: entry} dict that stores no zero, and a
+matrix stores each row as such a dict, so every kernel visits only the
+stored entries.  A vector does not carry its length; every entry point
+that takes one checks it against the length it expects (check_vec).
+Dense lists appear only at the boundary: sparse_vec reads one,
+dense_vec writes one.
+
 Every elimination routine pivots on the leftmost nonzero column, so all
 echelon forms, kernel bases, particular solutions, and quotient
 splittings are reproducible bit for bit.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     FieldMismatchError, ShapeError, SingularError, ValidationError,
@@ -27,16 +34,33 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     _rational = Fraction
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality
+# exactly below PRIME_LIMIT, the least odd composite that is a strong
+# pseudoprime to all of them (OEIS A014233).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < PRIME_LIMIT."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -119,8 +143,11 @@ class Field:
     __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None = None):
-        if p is not None and not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if p is not None:
+            if p >= PRIME_LIMIT:
+                raise ValueError(f"primes must be below {PRIME_LIMIT}")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
         self.p = p
         self.zero = self.scalar(0)
         self.one = self.scalar(1)
@@ -163,22 +190,34 @@ QQ = Field()
 
 
 def sparse_vec(field: Field, vec) -> dict:
-    """The nonzero entries of a dense vector, as {index: entry}.  Most
-    zeros are the shared field.zero, which an identity test skips."""
+    """The sparse vector of a dense one.  Most zeros are the shared
+    field.zero, which an identity test skips."""
     zero = field.zero
     return {j: x for j, x in enumerate(vec) if x is not zero and x}
 
 
-def dense_vec(field: Field, entries, n: int) -> list:
-    """The length-n vector with the given (index, entry) pairs."""
+def dense_vec(field: Field, vec: dict, n: int) -> list:
+    """The dense length-n list of a sparse vector."""
     out = [field.zero] * n
-    for j, x in entries:
+    for j, x in vec.items():
         out[j] = x
     return out
 
 
-def _axpy(row: dict, c, other: dict) -> None:
-    """row += c * other in place; entries that cancel are deleted."""
+def check_vec(vec, n: int) -> dict:
+    """vec when it is a sparse vector of length n; ShapeError otherwise."""
+    if not isinstance(vec, dict):
+        raise ShapeError(f"expected a sparse vector {{index: entry}} of "
+                         f"length {n}, got {type(vec).__name__}")
+    if vec and (min(vec) < 0 or max(vec) >= n):
+        raise ShapeError(f"vector index {max(vec)} out of range for "
+                         f"length {n}")
+    return vec
+
+
+def axpy(row: dict, c, other: dict) -> None:
+    """row += c * other in place, on sparse vectors; entries that cancel
+    are deleted."""
     for j, v in other.items():
         y = row.get(j)
         if y is None:
@@ -231,15 +270,12 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field: Field, columns, rows: int) -> "Matrix":
+        """From sparse column vectors of length rows."""
         cols = list(columns)
-        zero = field.zero
         nz = [{} for _ in range(rows)]
         for j, col in enumerate(cols):
-            if len(col) != rows:
-                raise ShapeError("column length mismatch")
-            for i, x in enumerate(col):
-                if x is not zero and x:
-                    nz[i][j] = x
+            for i, x in check_vec(col, rows).items():
+                nz[i][j] = x
         return cls.from_sparse(field, nz, len(cols))
 
     @property
@@ -250,7 +286,8 @@ class Matrix:
         return self._dense
 
     def row(self, i: int) -> list:
-        return dense_vec(self.field, self.nz[i].items(), self.cols)
+        """Row i as a dense list, for rendering."""
+        return dense_vec(self.field, self.nz[i], self.cols)
 
     def colnz(self) -> list:
         """colnz()[j] lists (i, entry) over the nonzero entries of column
@@ -263,11 +300,11 @@ class Matrix:
             self._colnz = cols
         return self._colnz
 
-    def column(self, j: int) -> list:
-        return dense_vec(self.field, self.colnz()[j], self.rows)
+    def column(self, j: int) -> dict:
+        return dict(self.colnz()[j])
 
-    def columns(self) -> list[list]:
-        return [self.column(j) for j in range(self.cols)]
+    def columns(self) -> list[dict]:
+        return [dict(c) for c in self.colnz()]
 
     def transpose(self) -> "Matrix":
         return Matrix.from_sparse(self.field, [dict(c) for c in self.colnz()],
@@ -292,19 +329,21 @@ class Matrix:
             out.append({j: v for j, v in acc.items() if v} if summed else acc)
         return Matrix.from_sparse(self.field, out, other.cols)
 
-    def apply(self, vec: list) -> list:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ShapeError(f"{self.rows}x{self.cols} applied to length {len(vec)}")
-        zero = self.field.zero
-        out = [zero] * self.rows
+    def apply(self, vec: dict) -> dict:
+        """Matrix times a sparse column vector."""
+        check_vec(vec, self.cols)
         colnz = self.colnz()
-        for j, x in enumerate(vec):
-            if x is not zero and x:
-                for i, a in colnz[j]:
-                    y = out[i]
-                    out[i] = a * x if y is zero else y + a * x
-        return out
+        out = {}
+        summed = False              # only sums can cancel to zero
+        for j, x in vec.items():
+            for i, a in colnz[j]:
+                y = out.get(i)
+                if y is None:
+                    out[i] = a * x
+                else:
+                    out[i] = y + a * x
+                    summed = True
+        return {i: v for i, v in out.items() if v} if summed else out
 
     def _combine(self, other: "Matrix", c, op: str) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -312,7 +351,7 @@ class Matrix:
         out = []
         for r1, r2 in zip(self.nz, other.nz):
             row = dict(r1)
-            _axpy(row, c, r2)
+            axpy(row, c, r2)
             out.append(row)
         return Matrix.from_sparse(self.field, out, self.cols)
 
@@ -353,14 +392,14 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def lincomb(field: Field, rows: int, cols: int, coeffs, mats) -> Matrix:
-    """The rows x cols matrix sum of c * mat over paired coeffs and mats,
-    accumulated in place."""
+def lincomb(field: Field, rows: int, cols: int, coeffs: dict,
+            mats) -> Matrix:
+    """The rows x cols matrix sum of c * mats[k] over the entries k: c of
+    the sparse vector coeffs, accumulated in place."""
     out = [{} for _ in range(rows)]
-    for c, mat in zip(coeffs, mats):
-        if c:
-            for orow, mrow in zip(out, mat.nz):
-                _axpy(orow, c, mrow)
+    for k, c in check_vec(coeffs, len(mats)).items():
+        for orow, mrow in zip(out, mats[k].nz):
+            axpy(orow, c, mrow)
     return Matrix.from_sparse(field, out, cols)
 
 
@@ -391,7 +430,7 @@ def _reduce_into(piv: dict, row: dict) -> bool:
             inv = 1 / x
             piv[c] = {j: v * inv for j, v in row.items()}
             return True
-        _axpy(row, -x, pr)
+        axpy(row, -x, pr)
     return False
 
 
@@ -415,7 +454,7 @@ def _back_substitute(piv: dict) -> None:
     for c in sorted(piv, reverse=True):
         row = piv[c]
         for c2 in [c2 for c2 in row if c2 != c and c2 in piv]:
-            _axpy(row, -row[c2], piv[c2])
+            axpy(row, -row[c2], piv[c2])
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -438,14 +477,13 @@ def rank(m: Matrix) -> int:
 class SpanTracker:
     """Incremental membership test for a growing span."""
 
-    def __init__(self, field: Field, ambient: int):
-        self.field = field
+    def __init__(self, ambient: int):
         self.ambient = ambient
         self.piv: dict[int, dict] = {}
 
-    def add(self, vec: list) -> bool:
-        """Add a vector; True when it enlarged the span."""
-        return _reduce_into(self.piv, sparse_vec(self.field, vec))
+    def add(self, vec: dict) -> bool:
+        """Add a sparse vector; True when it enlarged the span."""
+        return _reduce_into(self.piv, dict(check_vec(vec, self.ambient)))
 
     @property
     def dim(self) -> int:
@@ -484,37 +522,34 @@ class Subspace:
 
     @classmethod
     def from_span(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
-        piv = _echelon(sparse_vec(field, v) for v in vectors)
+        """The span of sparse vectors of length ambient_dim."""
+        piv = _echelon(check_vec(v, ambient_dim) for v in vectors)
         _back_substitute(piv)
         pivots = tuple(sorted(piv))
         return cls(ambient_dim, Matrix.from_sparse(
             field, [piv[c] for c in pivots], ambient_dim), pivots)
 
-    def coords_of(self, vec: list, verify: bool = True) -> list:
+    def coords_of(self, vec: dict, verify: bool = True) -> dict:
         """Coordinates of vec in the basis; vec must lie in the subspace."""
-        if len(vec) != self.ambient_dim:
-            raise ShapeError("vector has wrong ambient dimension")
-        coords = [vec[p] for p in self.positions]
-        if verify and any(r != v for r, v in zip(self.embed(coords), vec)):
+        check_vec(vec, self.ambient_dim)
+        coords = {k: vec[p] for k, p in enumerate(self.positions) if p in vec}
+        if verify and self.embed(coords) != vec:
             raise ValidationError("vector is not in the subspace")
         return coords
 
-    def contains(self, vec: list) -> bool:
+    def contains(self, vec: dict) -> bool:
         try:
             self.coords_of(vec, verify=True)
             return True
         except ValidationError:
             return False
 
-    def embed(self, coords: list) -> list:
+    def embed(self, coords: dict) -> dict:
         """The ambient vector with the given basis coordinates."""
-        zero = self.field.zero
-        out = [zero] * self.ambient_dim
-        for c, row in zip(coords, self.basis.nz):
-            if c:
-                for j, b in row.items():
-                    y = out[j]
-                    out[j] = c * b if y is zero else y + c * b
+        out: dict = {}
+        basis = self.basis.nz
+        for k, c in check_vec(coords, self.dim).items():
+            axpy(out, c, basis[k])
         return out
 
 
@@ -547,52 +582,45 @@ def _free_column_basis(field: Field, piv: dict, n: int) -> Subspace:
 
 @dataclass(frozen=True)
 class AffineSolution:
-    particular: list
+    particular: dict
     homogeneous: Subspace
 
 
-def solve_affine(m: Matrix, rhs: list) -> AffineSolution | None:
-    """Solve m x = rhs exactly; None when infeasible.
+def solve_affine(m: Matrix, rhs: dict) -> AffineSolution | None:
+    """Solve m x = rhs exactly for a sparse rhs; None when infeasible.
 
     The particular solution sets all free variables to zero.
     """
-    if len(rhs) != m.rows:
-        raise ShapeError(f"rhs length {len(rhs)} for {m.rows} rows")
+    check_vec(rhs, m.rows)
     n = m.cols
-    piv = _echelon({**row, n: b} if b else row for row, b in zip(m.nz, rhs))
+    piv = _echelon({**row, n: rhs[i]} if i in rhs else row
+                   for i, row in enumerate(m.nz))
     if n in piv:
         return None
     _back_substitute(piv)
-    particular = [m.field.zero] * n
-    for pc, row in piv.items():
-        if n in row:
-            particular[pc] = row[n]
+    particular = {pc: row[n] for pc, row in piv.items() if n in row}
     return AffineSolution(particular, _free_column_basis(m.field, piv, n))
 
 
-def infeasibility_certificate(m: Matrix, rhs: list) -> list | None:
+def infeasibility_certificate(m: Matrix, rhs: dict) -> dict | None:
     """A row functional y with y m = 0 and y . rhs = 1, if one exists.
 
     Such a y certifies that m x = rhs has no solution.
     """
+    check_vec(rhs, m.rows)
     left_null = kernel_basis(m.transpose())
-    zero = m.field.zero
     for row in left_null.basis.nz:
-        acc = zero
+        acc = m.field.zero
         for j, a in row.items():
-            b = rhs[j]
-            if b:
-                acc = acc + a * b
+            if j in rhs:
+                acc = acc + a * rhs[j]
         if acc:
             inv = 1 / acc
-            out = [zero] * m.rows
-            for j, a in row.items():
-                out[j] = a * inv
-            return out
+            return {j: a * inv for j, a in row.items()}
     return None
 
 
-def solve_or_certify(m: Matrix, rhs: list) -> tuple[list | None, list | None]:
+def solve_or_certify(m: Matrix, rhs: dict) -> tuple[dict | None, dict | None]:
     """(particular solution, None) when m x = rhs is solvable, else
     (None, y) for a functional y certifying that it is not."""
     sol = solve_affine(m, rhs)
@@ -661,25 +689,19 @@ def quotient_space(ambient_dim: int, relations: Subspace) -> Quotient:
                     Matrix.from_sparse(field, sect, q), complement.positions)
 
 
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
-def slot_apply(sv: dict, dims: list[int], k: int, mat: Matrix,
+def apply_slot(sv: dict, dims: list[int], k: int, mat: Matrix,
                count: int = 1) -> tuple[dict, list[int]]:
     """Apply mat to the merged adjacent slots dims[k:k+count] of a sparse
-    vector {index: entry} indexed by mixed-radix dims.
+    vector indexed by mixed-radix dims.
 
     The vector is laid out row-major (leftmost slot slowest), matching
     Kronecker products.  Returns the new sparse vector and dims list.
     """
-    dims = dims[:k] + [_prod(dims[k:k + count])] + dims[k + count:]
+    dims = dims[:k] + [prod(dims[k:k + count])] + dims[k + count:]
     if mat.cols != dims[k]:
         raise ShapeError(f"slot {k} has dim {dims[k]}, matrix expects {mat.cols}")
-    right = _prod(dims[k + 1:])
+    check_vec(sv, prod(dims))
+    right = prod(dims[k + 1:])
     mid, r = dims[k], mat.rows
     colnz = mat.colnz()
     out: dict = {}
@@ -694,29 +716,8 @@ def slot_apply(sv: dict, dims: list[int], k: int, mat: Matrix,
     return {p: v for p, v in out.items() if v}, dims[:k] + [r] + dims[k + 1:]
 
 
-def apply_slot(field: Field, vec: list, dims: list[int], k: int,
-               mat: Matrix) -> tuple[list, list[int]]:
-    """slot_apply on a dense vector: returns the new vector and dims."""
-    sv, new_dims = slot_apply(sparse_vec(field, vec), dims, k, mat)
-    return dense_vec(field, sv.items(), _prod(new_dims)), new_dims
-
-
-def apply_slots(field: Field, vec: list, dims: list[int], start: int,
-                count: int, mat: Matrix) -> tuple[list, list[int]]:
-    """Apply mat to the merged adjacent slots dims[start:start+count]."""
-    merged = _prod(dims[start:start + count])
-    new_dims = dims[:start] + [merged] + dims[start + count:]
-    return apply_slot(field, vec, new_dims, start, mat)
-
-
-def kron_vec(u: list, v: list, field: Field) -> list:
-    zero = field.zero
-    out = [zero] * (len(u) * len(v))
-    n = len(v)
-    for i, a in enumerate(u):
-        if a:
-            base = i * n
-            for j, b in enumerate(v):
-                if b:
-                    out[base + j] = a * b
-    return out
+def kron_vec(u: dict, v: dict, len_u: int, len_v: int) -> dict:
+    """The Kronecker product of sparse vectors of lengths len_u, len_v."""
+    check_vec(u, len_u)
+    check_vec(v, len_v)
+    return {i * len_v + j: a * b for i, a in u.items() for j, b in v.items()}

@@ -29,19 +29,11 @@ def _alg(field: Field, dim: int, pairs: dict, unit_terms: list,
     cached = _ALG_CACHE.get(key)
     if cached is not None:
         return cached
-    zero = field.zero
-    mult = [[tuple(zero for _ in range(dim)) for _ in range(dim)]
-            for _ in range(dim)]
+    mult = [[{} for _ in range(dim)] for _ in range(dim)]
     for (i, j), terms in pairs.items():
-        row = [zero] * dim
-        for k, c in terms:
-            row[k] = field.scalar(c)
-        mult[i][j] = tuple(row)
-    unit = [zero] * dim
-    for k, c in unit_terms:
-        unit[k] = field.scalar(c)
-    a = Algebra(field, dim, tuple(tuple(r) for r in mult), tuple(unit),
-                name=name)
+        mult[i][j] = {k: field.scalar(c) for k, c in terms}
+    unit = {k: field.scalar(c) for k, c in unit_terms}
+    a = Algebra(field, dim, tuple(tuple(r) for r in mult), unit, name=name)
     v = validate_algebra(a)
     if not v:
         raise ValidationError(f"{name}: {v.message}")
@@ -91,7 +83,7 @@ def algebra_diagonal(field: Field) -> Algebra:
 def ground_map(field: Field, b: Algebra) -> RingMap:
     """The unit embedding of the ground field into an algebra."""
     k = algebra_ground(field)
-    mat = Matrix(field, [[c] for c in b.unit], cols=1)
+    mat = Matrix.from_columns(field, [b.unit], b.dim)
     return RingMap(k, b, mat, name=f"k->{b.name}")
 
 

@@ -27,8 +27,8 @@ from .errors import (
     DimensionCapError, PreconditionError, SingularError, ValidationError,
 )
 from .exactlin import (
-    Field, Matrix, SpanTracker, apply_slot, apply_slots, dense_vec, invert,
-    kernel_basis, rank, slot_apply, sparse_vec,
+    Field, Matrix, SpanTracker, apply_slot, axpy, dense_vec, invert,
+    kernel_basis, kron_vec, rank,
 )
 from .structures import (
     Algebra, RingMap, ValidationResult, memoized, validate_ring_map,
@@ -100,17 +100,16 @@ def _cohomology(field: Field, space_dims: list, deltas: list,
     prev = None
     for n in range(nmax + 1):
         ker = kernel_basis(deltas[n])
-        tracker = SpanTracker(field, space_dims[n])
+        tracker = SpanTracker(space_dims[n])
         cob_dim = 0
         if prev is not None:
             for j in range(prev.cols):
                 if tracker.add(prev.column(j)):
                     cob_dim += 1
         reps = []
-        for i in range(ker.dim):
-            row = ker.basis.row(i)
+        for row in ker.basis.nz:
             if tracker.add(row):
-                reps.append(tuple(row))
+                reps.append(tuple(dense_vec(field, row, space_dims[n])))
         hdim = ker.dim - cob_dim
         if hdim != len(reps):
             raise ValidationError("coboundaries escape the cocycle space")
@@ -179,13 +178,12 @@ class _BarEngine:
             # F(d_{n-1}) sends to e_i (x) push[:, u], projected.
             push = composition_matrix(hom.basis, self.diffs[n - 1].matrix,
                                       False, self.homs[n - 1].solver)
-            push_cols = push.columns()
+            push_cols = push.colnz()
             h, ph = hom.dim, push.rows
             cols = []
             for p in tensor.positions:
                 i, u = divmod(p, h)
-                w = [self.field.zero] * (self.m.dim * ph)
-                w[i * ph:(i + 1) * ph] = push_cols[u]
+                w = {i * ph + r: x for r, x in push_cols[u]}
                 cols.append(self.tensors[n - 1].project_vec(w))
             fmat = Matrix.from_columns(self.field, cols, prev.dim)
             d = BimoduleMap(obj, prev, counit.matrix - fmat, name=f"d{n}")
@@ -351,11 +349,8 @@ def _ring_chain(extension: RingMap, upto: int,
         _check_cap(s ** k, dim_cap, f"tensor power {k} (flattened)")
         t = tensor_over(prev, s_mid, name=f"T{k}")
         sigma_prev = chain.to_plain[k - 1]
-        cols = []
-        for q in range(t.space.dim):
-            v = t.lift_column(q)
-            w, _ = apply_slot(field, v, [prev.dim, s], 0, sigma_prev)
-            cols.append(w)
+        cols = [apply_slot(t.lift_column(q), [prev.dim, s], 0, sigma_prev)[0]
+                for q in range(t.space.dim)]
         sigma = Matrix.from_columns(field, cols, s ** k)
         big = chain.from_plain[k - 1].kron(ident_s)
         pi = big if t.trivial else t.projection @ big
@@ -382,38 +377,37 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
                      name=f"{w.name} over {a.name}")
     chain = _ring_chain(extension, nmax + 1, dim_cap)
     solvers = [hom_bimodule(chain.spaces[k], w_mid) for k in range(nmax + 2)]
-    mu = Matrix.from_columns(
-        field, [list(s_alg.mult[j][k]) for j in range(s) for k in range(s)], s)
+    mu = Matrix.from_columns(field, [cell for row in s_alg.mult
+                                     for cell in row], s)
 
-    def coboundary_column(g: Matrix, n: int, q: int) -> list:
+    def coboundary_column(g: Matrix, n: int, q: int) -> dict:
         # column q of the coboundary of the degree-n cochain g
         if n == 0:
-            w0 = g.apply(list(a.unit))
+            w0 = g.apply(a.unit)
             return (w.left_action[q] - w.right_action[q]).apply(w0)
         pi_n = chain.from_plain[n]
         v_plain = chain.to_plain[n + 1].column(q)
+        # split v_plain by its first slot (heads) and by its last (tails)
         blk = s ** n
-        acc = [field.zero] * w.dim
-        for j in range(s):
-            chunk = v_plain[j * blk:(j + 1) * blk]
-            if any(chunk):
-                t = g.apply(pi_n.apply(chunk))
-                la = w.left_action[j].apply(t)
-                acc = [x + y for x, y in zip(acc, la)]
+        heads: dict[int, dict] = {}
+        tails: dict[int, dict] = {}
+        for idx, x in v_plain.items():
+            j, rest = divmod(idx, blk)
+            heads.setdefault(j, {})[rest] = x
+            rest, l = divmod(idx, s)
+            tails.setdefault(l, {})[rest] = x
+        acc: dict = {}
         sign = field.one
+        for j, chunk in heads.items():
+            axpy(acc, sign, w.left_action[j].apply(g.apply(pi_n.apply(chunk))))
         dims = [s] * (n + 1)
         for i in range(1, n + 1):
             sign = -sign
-            v2, _ = apply_slots(field, v_plain, dims, i - 1, 2, mu)
-            t = g.apply(pi_n.apply(v2))
-            acc = [x + sign * y for x, y in zip(acc, t)]
+            v2, _ = apply_slot(v_plain, dims, i - 1, mu, 2)
+            axpy(acc, sign, g.apply(pi_n.apply(v2)))
         sign = -sign
-        for l in range(s):
-            sub = v_plain[l::s]
-            if any(sub):
-                t = g.apply(pi_n.apply(sub))
-                ra = w.right_action[l].apply(t)
-                acc = [x + sign * y for x, y in zip(acc, ra)]
+        for l, sub in tails.items():
+            axpy(acc, sign, w.right_action[l].apply(g.apply(pi_n.apply(sub))))
         return acc
 
     # the coordinates of a coboundary read only its generator columns
@@ -442,11 +436,6 @@ def ring_hochschild(extension: RingMap, w: Bimodule, nmax: int,
 
 # ---------------------------------------------------------------------------
 # Transport between the two theories (the endomorphism-ring comparison)
-
-
-def _kron(sv1: dict, sv2: dict, len2: int) -> dict:
-    """Kronecker product of sparse vectors; the second has length len2."""
-    return {i * len2 + j: a * b for i, a in sv1.items() for j, b in sv2.items()}
 
 
 @dataclass(eq=False)
@@ -494,7 +483,7 @@ def morita_data(m: Bimodule) -> MoritaData:
             "the tensor-to-endomorphisms map is singular; "
             "the module is not a progenerator") from None
     psi_plain = psi_q if theta_tensor.trivial else theta_tensor.section @ psi_q
-    psi_unit = sparse_vec(field, psi_plain.apply(list(s_alg.unit)))
+    psi_unit = psi_plain.apply(s_alg.unit)
     return MoritaData(endo, dual, dual_endo, theta_tensor, theta, psi_plain,
                       psi_unit)
 
@@ -573,22 +562,22 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     def collapse(k: int, sv: dict, dims: list, lo: int):
         # dims[lo : lo + 2k + 2] = (M, dual) pairs; contract to bar object k
         if k == 0:
-            return slot_apply(sv, dims, lo, eng.tensors[0].projection, 2)
+            return apply_slot(sv, dims, lo, eng.tensors[0].projection, 2)
         sv, dims = collapse(k - 1, sv, dims, lo + 2)
-        sv, dims = slot_apply(sv, dims, lo + 1, iso_mat(k), 2)
-        return slot_apply(sv, dims, lo, eng.tensors[k].projection, 2)
+        sv, dims = apply_slot(sv, dims, lo + 1, iso_mat(k), 2)
+        return apply_slot(sv, dims, lo, eng.tensors[k].projection, 2)
 
-    def to_w(sv: dict, dims: list) -> list:
+    def to_w(sv: dict, dims: list) -> dict:
         # dims = [dd, dn, dm] down to coefficient coordinates on the ring side
-        sv, dims = slot_apply(sv, dims, 0, wd.t1.projection, 2)
-        sv, dims = slot_apply(sv, dims, 0, wd.t2.projection, 2)
-        return dense_vec(field, sv.items(), wd.w.dim)
+        sv, dims = apply_slot(sv, dims, 0, wd.t1.projection, 2)
+        sv, dims = apply_slot(sv, dims, 0, wd.t2.projection, 2)
+        return sv
 
-    def base_value(gmat: Matrix) -> list:
-        sv = _kron(md.psi_unit, md.psi_unit, ddm)
+    def base_value(gmat: Matrix) -> dict:
+        sv = kron_vec(md.psi_unit, md.psi_unit, ddm, ddm)
         dims = [dd, dm, dd, dm]
         sv, dims = collapse(0, sv, dims, 1)
-        sv, dims = slot_apply(sv, dims, 1, gmat)
+        sv, dims = apply_slot(sv, dims, 1, gmat)
         return to_w(sv, dims)
 
     def image_cochain(gmat: Matrix, n: int) -> Matrix:
@@ -599,18 +588,16 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
             return Matrix.from_columns(field, cols, wd.w.dim)
         cols = []
         for q in range(chain.spaces[n].dim):
-            sv = sparse_vec(field, chain.to_plain[n].column(q))
+            sv = chain.to_plain[n].column(q)
             dims = [s] * n
             for j in range(n):
-                sv, dims = slot_apply(sv, dims, j, md.psi_plain)
-            mid_len = 1
-            for d in dims:
-                mid_len *= d
-            sv = _kron(md.psi_unit, _kron(sv, md.psi_unit, ddm),
-                       mid_len * ddm)
+                sv, dims = apply_slot(sv, dims, j, md.psi_plain)
+            mid_len = ddm ** n
+            sv = kron_vec(md.psi_unit, kron_vec(sv, md.psi_unit, mid_len, ddm),
+                          ddm, mid_len * ddm)
             dims = [dd, dm] * (n + 2)
             sv, dims = collapse(n, sv, dims, 1)
-            sv, dims = slot_apply(sv, dims, 1, gmat)
+            sv, dims = apply_slot(sv, dims, 1, gmat)
             cols.append(to_w(sv, dims))
         return Matrix.from_columns(field, cols, wd.w.dim)
 
@@ -629,10 +616,8 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     # degree-0 edge square: central coefficients map equally through both edges
     base_ok = True
     cz = centralizer(coefficients)
-    for k, row in enumerate(cz.basis.nz):
-        nc = cz.basis.row(k)
-        g_cols = [coefficients.left_action[i].apply(nc)
-                  for i in range(m.left_algebra.dim)]
+    for row in cz.basis.nz:
+        g_cols = [act.apply(row) for act in coefficients.left_action]
         g_edge = Matrix.from_columns(field, g_cols, dn)
         lhs = image_cochain(g_edge @ eng.diffs[0].matrix, 0)
         psv = md.psi_unit

@@ -2,8 +2,8 @@
 
 An algebra of dimension d over the ground field is stored as the d*d
 table of coordinate vectors mult[i][j] = coordinates of basis_i * basis_j,
-together with the coordinate vector of the unit.  Algebra maps are plain
-matrices between coordinate spaces.
+together with the coordinate vector of the unit, all sparse vectors as
+in exactlin.  Algebra maps are plain matrices between coordinate spaces.
 """
 
 from __future__ import annotations
@@ -12,39 +12,32 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, wraps
 
 from .errors import ShapeError
-from .exactlin import Field, Matrix
+from .exactlin import Field, Matrix, axpy, check_vec
 
 
 @dataclass(eq=False)
 class Algebra:
     field: Field
     dim: int
-    mult: tuple            # mult[i][j]: coordinate list of basis_i * basis_j
-    unit: tuple            # coordinate list of 1
+    mult: tuple            # mult[i][j]: coordinates of basis_i * basis_j
+    unit: dict             # coordinates of 1
     name: str = "A"
     cache: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.mult) != self.dim or any(len(r) != self.dim for r in self.mult):
             raise ShapeError("structure constant table must be dim x dim")
-        if any(len(self.mult[i][j]) != self.dim
-               for i in range(self.dim) for j in range(self.dim)):
-            raise ShapeError("structure constant vectors must have length dim")
-        if len(self.unit) != self.dim:
-            raise ShapeError("unit vector must have length dim")
+        for row in self.mult:
+            for cell in row:
+                check_vec(cell, self.dim)
+        check_vec(self.unit, self.dim)
 
-    def multiply(self, u: list, v: list) -> list:
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for i, a in enumerate(u):
-            if a:
-                mi = self.mult[i]
-                for j, b in enumerate(v):
-                    if b:
-                        c = a * b
-                        for k, s in enumerate(mi[j]):
-                            if s:
-                                out[k] = out[k] + c * s
+    def multiply(self, u: dict, v: dict) -> dict:
+        check_vec(v, self.dim)
+        out = {}
+        for i, a in check_vec(u, self.dim).items():
+            for j, b in v.items():
+                axpy(out, a * b, self.mult[i][j])
         return out
 
     @cached_property
@@ -65,10 +58,8 @@ class Algebra:
             mats.append(Matrix.from_columns(self.field, cols, self.dim))
         return tuple(mats)
 
-    def basis_vector(self, i: int) -> list:
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
+    def basis_vector(self, i: int) -> dict:
+        return {i: self.field.one}
 
     def __repr__(self):
         return f"Algebra({self.name}, dim={self.dim}, {self.field})"
@@ -105,18 +96,17 @@ def validate_algebra(a: Algebra) -> ValidationResult:
         for j in range(a.dim):
             left = a.mult[i][j]
             for k in range(a.dim):
-                lhs = a.multiply(list(left), a.basis_vector(k))
-                rhs = a.multiply(a.basis_vector(i), list(a.mult[j][k]))
-                if any(x != y for x, y in zip(lhs, rhs)):
+                lhs = a.multiply(left, a.basis_vector(k))
+                rhs = a.multiply(a.basis_vector(i), a.mult[j][k])
+                if lhs != rhs:
                     return ValidationResult(
                         False,
                         f"associativity fails on basis triple ({i}, {j}, {k})")
-    unit = list(a.unit)
     for i in range(a.dim):
         e = a.basis_vector(i)
-        if a.multiply(unit, e) != e:
+        if a.multiply(a.unit, e) != e:
             return ValidationResult(False, f"unit fails on the left at basis {i}")
-        if a.multiply(e, unit) != e:
+        if a.multiply(e, a.unit) != e:
             return ValidationResult(False, f"unit fails on the right at basis {i}")
     return ValidationResult(True)
 
@@ -134,7 +124,7 @@ class RingMap:
         if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
             raise ShapeError("ring map matrix has wrong shape")
 
-    def apply(self, coords: list) -> list:
+    def apply(self, coords: dict) -> dict:
         return self.matrix.apply(coords)
 
     def __repr__(self):
@@ -147,15 +137,14 @@ def identity_map(a: Algebra) -> RingMap:
 
 def validate_ring_map(f: RingMap) -> ValidationResult:
     """Check unitality and multiplicativity on all basis pairs."""
-    img_unit = f.apply(list(f.source.unit))
-    if img_unit != list(f.target.unit):
+    if f.apply(f.source.unit) != f.target.unit:
         return ValidationResult(False, "map does not preserve the unit")
+    images = f.matrix.columns()
     for i in range(f.source.dim):
-        fi = f.apply(f.source.basis_vector(i))
         for j in range(f.source.dim):
-            lhs = f.apply(list(f.source.mult[i][j]))
-            rhs = f.target.multiply(fi, f.apply(f.source.basis_vector(j)))
-            if any(x != y for x, y in zip(lhs, rhs)):
+            lhs = f.apply(f.source.mult[i][j])
+            rhs = f.target.multiply(images[i], images[j])
+            if lhs != rhs:
                 return ValidationResult(
                     False, f"multiplicativity fails on basis pair ({i}, {j})")
     return ValidationResult(True)
@@ -177,10 +166,7 @@ def multiplication_map(b: Algebra, over: RingMap):
     right_copy = bm.restrict_left(reg, over)    # (A, B)
     square = bm.tensor_over(left_copy, right_copy)
     # multiplication descends: on the plain tensor, (x, y) -> x * y
-    plain_cols = []
-    for i in range(b.dim):
-        for j in range(b.dim):
-            plain_cols.append(list(b.mult[i][j]))
-    plain = Matrix.from_columns(b.field, plain_cols, b.dim)
+    plain = Matrix.from_columns(b.field, [cell for row in b.mult
+                                          for cell in row], b.dim)
     mat = plain @ square.section
     return bm.BimoduleMap(square.space, reg, mat, name="mult")

@@ -28,7 +28,9 @@ from bimodcheck.diagnostics import (
     morita_check,
 )
 from bimodcheck.errors import PreconditionError
-from bimodcheck.exactlin import Matrix, kernel_basis, rank
+from bimodcheck.exactlin import (
+    Matrix, dense_vec, kernel_basis, rank, sparse_vec,
+)
 from bimodcheck.fixtures import corpus, fixture
 from bimodcheck.homology import bar_resolution, homotopy_check, module_hochschild
 from bimodcheck.structures import multiplication_map
@@ -45,12 +47,14 @@ def finish(number: int, label: str, failures: list):
 
 
 def recheck_casimir(t_space, target_mat, unit, element) -> bool:
-    elt = list(element)
+    field, n = t_space.field, target_mat.rows
+    elt = sparse_vec(field, element)
     for i in range(t_space.left_algebra.dim):
         delta = t_space.left_action[i] - t_space.right_action[i]
-        if any(delta.apply(elt)):
+        if any(dense_vec(field, delta.apply(elt), t_space.dim)):
             return False
-    return target_mat.apply(elt) == list(unit)
+    return dense_vec(field, target_mat.apply(elt), n) \
+        == dense_vec(field, unit, n)
 
 
 def recheck_section(counit, section) -> bool:
@@ -237,9 +241,11 @@ def test_criterion_6_every_witness_revalidates():
         gen = is_generator(m)
         if gen.verdict:
             ev = evaluation_data(m)
-            img = ev.map.matrix.apply(list(gen.preimage_of_unit))
+            b, ev_mat = m.left_algebra, ev.map.matrix
+            img = dense_vec(m.field, ev_mat.apply(
+                sparse_vec(m.field, gen.preimage_of_unit)), ev_mat.rows)
             checked += 1
-            if img != list(m.left_algebra.unit):
+            if img != dense_vec(m.field, b.unit, b.dim):
                 failures.append(f"{fx.name}: unit preimage fails")
         sep = is_separable_bimodule(m)
         if sep.verdict:

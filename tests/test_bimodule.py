@@ -20,7 +20,7 @@ from bimodcheck.bimodule import (
 )
 from bimodcheck.errors import ShapeError, ValidationError
 from bimodcheck.exactlin import (
-    Matrix, QQ, Subspace, invert, kernel_basis, rank,
+    Matrix, QQ, Subspace, dense_vec, invert, kernel_basis, rank, sparse_vec,
 )
 from bimodcheck.fixtures import (
     EXTRAS, STANDARD, algebra_dual_numbers, algebra_ground, algebra_matrix2,
@@ -110,7 +110,7 @@ def test_hom_space_coordinate_roundtrip():
     for u in range(hom.dim):
         coords = hom.coords_of(hom.basis[u], verify=True)
         expected = [QQ.one if v == u else QQ.zero for v in range(hom.dim)]
-        assert coords == expected
+        assert dense_vec(QQ, coords, hom.dim) == expected
         assert hom.matrix_of(coords) == hom.basis[u]
 
 
@@ -183,7 +183,8 @@ def test_matrix_square_over_diagonal_has_dimension_eight():
     assert t.relations.dim == 8
     assert t.projection @ t.section == Matrix.identity(QQ, 8)
     for row in t.relations.basis.data:
-        assert not any(t.projection.apply(list(row)))
+        assert not any(dense_vec(QQ, t.projection.apply(sparse_vec(QQ, row)),
+                                 t.space.dim))
 
 
 def test_tensor_space_validates_as_bimodule():
@@ -278,8 +279,9 @@ def test_generator_witness_hits_the_unit():
     res = is_generator(m)
     ev = evaluation_data(m)
     assert res.preimage_of_unit is not None
-    img = ev.map.matrix.apply(list(res.preimage_of_unit))
-    assert img == list(m.left_algebra.unit)
+    img = dense_vec(QQ, ev.map.matrix.apply(sparse_vec(QQ, res.preimage_of_unit)),
+                    ev.map.matrix.rows)
+    assert img == dense_vec(QQ, m.left_algebra.unit, m.left_algebra.dim)
 
 
 def test_generator_obstruction_kills_the_image():
@@ -288,8 +290,10 @@ def test_generator_obstruction_kills_the_image():
     cert = res.cokernel_functional
     assert cert is not None
     ev = evaluation_data(m)
-    assert all(not x for x in ev.map.matrix.transpose().apply(list(cert)))
-    unit = list(m.left_algebra.unit)
+    assert all(not x for x in dense_vec(
+        QQ, ev.map.matrix.transpose().apply(sparse_vec(QQ, cert)),
+        ev.map.matrix.cols))
+    unit = dense_vec(QQ, m.left_algebra.unit, m.left_algebra.dim)
     pairing = sum((c * u for c, u in zip(cert, unit)), QQ.zero)
     assert pairing == QQ.one
 
@@ -306,7 +310,7 @@ def test_trace_of_simple_module_is_the_socle():
     m = fixture("simple-over-dual").bimodule
     tr = trace_in(m, regular_bimodule(m.left_algebra))
     assert tr.dim == 1
-    assert tr.contains([QQ.zero, QQ.one])
+    assert tr.contains(sparse_vec(QQ, [QQ.zero, QQ.one]))
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +336,13 @@ def test_dual_basis_reconstructs_identity():
     assert res.verdict
     hom = dual_module(m)
     for c in range(m.dim):
-        y = m.basis_vector(c)
+        y = [QQ.one if i == c else QQ.zero for i in range(m.dim)]
         acc = [QQ.zero] * m.dim
         for x_coords, f_coords in res.dual_basis:
-            f = hom.matrix_of(list(f_coords))
-            b_elt = f.apply(y)                      # (y) f in B
-            img = m.left_act(b_elt).apply(list(x_coords))
+            f = hom.matrix_of(sparse_vec(QQ, f_coords))
+            b_elt = f.apply(sparse_vec(QQ, y))      # (y) f in B
+            img = dense_vec(QQ, m.left_act(b_elt).apply(sparse_vec(QQ, x_coords)),
+                            m.dim)
             acc = [a + z for a, z in zip(acc, img)]
         assert acc == y
 
@@ -389,9 +394,31 @@ def test_static_check_against_whole_algebra_fails_for_simple():
 def test_sub_bimodule_requires_invariance():
     b_reg = regular_bimodule(algebra_dual_numbers(QQ))
     # the line through 1 is not an ideal: x . 1 = x escapes
-    line = Subspace.from_span(QQ, 2, [[QQ.one, QQ.zero]])
+    line = Subspace.from_span(QQ, 2, [sparse_vec(QQ, [QQ.one, QQ.zero])])
     with pytest.raises(ValidationError):
         sub_bimodule(b_reg, line)
+
+
+def test_dense_lists_and_long_indices_fail_loudly():
+    m = fixture("fx3").bimodule
+    hom = hom_left(m, regular_bimodule(m.left_algebra))
+    tensor = evaluation_data(m).tensor
+    entry_points = {
+        "left_act": (m.left_act, m.left_algebra.dim),
+        "right_act": (m.right_act, m.right_algebra.dim),
+        "matrix_of": (hom.matrix_of, hom.dim),
+        "solver matrix_of": (hom.solver.matrix_of, hom.dim),
+        "coords_from": (lambda v: hom.solver.coords_from(lambda g: v),
+                        hom.solver.tgt_dim),
+        "project_vec": (tensor.project_vec, tensor.projection.cols),
+    }
+    for name, (call, n) in entry_points.items():
+        with pytest.raises(ShapeError):
+            call([QQ.one] * n)
+            pytest.fail(f"{name} took a dense list")
+        with pytest.raises(ShapeError):
+            call({n: QQ.one})
+            pytest.fail(f"{name} took an index past its length")
 
 
 def test_equivariant_maps_rejects_unpaired_operator_lists():

@@ -17,7 +17,7 @@ from bimodcheck.cli import (
     serialize_document, validate_document,
 )
 from bimodcheck.errors import SchemaError
-from bimodcheck.exactlin import Field, QQ
+from bimodcheck.exactlin import PRIME_LIMIT, Field, QQ
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
@@ -70,6 +70,14 @@ def test_parse_field_rejections():
     assert exc.value.path == "$.field.prime"
     with pytest.raises(SchemaError):
         parse_field({"prime": True})
+
+
+def test_parse_field_names_the_prime_limit():
+    with pytest.raises(SchemaError) as exc:
+        parse_field({"prime": (2 ** 61 - 1) * (2 ** 31 - 1)})
+    assert exc.value.path == "$.field.prime"
+    assert str(PRIME_LIMIT) in str(exc.value)
+    assert parse_field({"prime": 2 ** 61 - 1}) == Field(2 ** 61 - 1)
 
 
 def test_parse_scalar_rational_forms():

@@ -22,7 +22,9 @@ from bimodcheck.diagnostics import (
     morita_check, smooth_product, static_criteria, sugano_check,
 )
 from bimodcheck.errors import PreconditionError
-from bimodcheck.exactlin import Field, Matrix, QQ, kernel_basis
+from bimodcheck.exactlin import (
+    Field, Matrix, QQ, dense_vec, kernel_basis, sparse_vec,
+)
 from bimodcheck.fixtures import (
     algebra_matrix2, corpus, fixture, ground_map,
 )
@@ -33,11 +35,13 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 def assert_casimir(t_space, target_mat, unit, element):
     """Centrality plus evaluation to the unit, by substitution."""
-    elt = list(element)
+    field, n = t_space.field, target_mat.rows
+    elt = sparse_vec(field, element)
     for i in range(t_space.left_algebra.dim):
         delta = t_space.left_action[i] - t_space.right_action[i]
-        assert not any(delta.apply(elt))
-    assert target_mat.apply(elt) == list(unit)
+        assert not any(dense_vec(field, delta.apply(elt), t_space.dim))
+    assert dense_vec(field, target_mat.apply(elt), n) \
+        == dense_vec(field, unit, n)
 
 
 def assert_section(counit, section):
@@ -196,17 +200,18 @@ def test_column_split_idempotent_is_a_valid_witness():
     plain = [QQ.zero] * 16
     plain[0 * 4 + 0] = QQ.one        # e11 (x) e11
     plain[2 * 4 + 1] = QQ.one        # e21 (x) e12
-    element = square.project_vec(plain)
+    element = dense_vec(QQ, square.project_vec(sparse_vec(QQ, plain)),
+                        square.space.dim)
     mult = multiplication_map(b, fx.base_map)
     assert_casimir(square.space, mult.matrix, b.unit, element)
 
     naive = [QQ.zero] * 16
     naive[0 * 4 + 0] = QQ.one        # e11 (x) e11
     naive[3 * 4 + 3] = QQ.one        # e22 (x) e22
-    bad = square.project_vec(naive)
+    bad = square.project_vec(sparse_vec(QQ, naive))
     e12 = 1
     delta = square.space.left_action[e12] - square.space.right_action[e12]
-    assert any(delta.apply(bad))
+    assert any(dense_vec(QQ, delta.apply(bad), square.space.dim))
 
 
 def test_extension_smoothness_verdicts_and_kernels():

@@ -5,6 +5,7 @@ the property tests generate random small matrices over Q and small prime
 fields and check the algebraic identities the rest of the package leans on.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from bimodcheck import exactlin
 from bimodcheck.errors import FieldMismatchError, ShapeError, SingularError
 from bimodcheck.exactlin import (
-    Field, Matrix, ModInt, QQ, Subspace, hstack, infeasibility_certificate,
-    invert, kernel_basis, kron_vec, lincomb, quotient_space, rank,
-    right_inverse, rref, solve_affine, solve_or_certify, vstack,
+    Field, Matrix, ModInt, QQ, SpanTracker, Subspace, apply_slot, dense_vec,
+    hstack, infeasibility_certificate, invert, kernel_basis, kron_vec,
+    lincomb, quotient_space, rank, right_inverse, rref, solve_affine,
+    solve_or_certify, sparse_vec, vstack,
 )
 
 
@@ -80,6 +83,30 @@ def test_nonprime_modulus_rejected():
         Field(1)
 
 
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if exactlin._is_prime(n)] \
+        == [n for n in range(3000) if trial(n)]
+
+
+def test_large_moduli_are_decided_quickly():
+    start = time.process_time()
+    mersenne = 2 ** 61 - 1
+    assert Field(mersenne).p == mersenne
+    with pytest.raises(ValueError):
+        Field(mersenne * (2 ** 31 - 1))
+    with pytest.raises(ValueError, match=str(exactlin.PRIME_LIMIT)):
+        Field(exactlin.PRIME_LIMIT + 2)
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases
+    for composite in (3215031751, 3825123056546413051,
+                      318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            Field(composite)
+    assert time.process_time() - start < 1.0
+
+
 def test_rational_scalar_parsing():
     half = QQ.scalar("1/2")
     assert half + half == QQ.one
@@ -129,7 +156,7 @@ def test_rref_normalizes_modular_pivot():
 def test_kernel_of_rank_one_square():
     ker = kernel_basis(mat(QQ, [[1, 1], [1, 1]]))
     assert ker.dim == 1
-    assert ker.contains([QQ.scalar(1), QQ.scalar(-1)])
+    assert ker.contains(sparse_vec(QQ, [QQ.scalar(1), QQ.scalar(-1)]))
 
 
 def test_kernel_of_identity_is_zero():
@@ -143,25 +170,29 @@ def test_kernel_of_dual_numbers_multiplication():
 
 
 def test_solve_affine_underdetermined():
-    sol = solve_affine(mat(QQ, [[1, 1]]), [QQ.one])
+    sol = solve_affine(mat(QQ, [[1, 1]]), sparse_vec(QQ, [QQ.one]))
     assert sol is not None
-    assert sol.particular == [QQ.one, QQ.zero]
+    assert dense_vec(QQ, sol.particular, 2) == [QQ.one, QQ.zero]
     assert sol.homogeneous.dim == 1
-    assert sol.homogeneous.contains([QQ.scalar(1), QQ.scalar(-1)])
-    assert not sol.homogeneous.contains([QQ.one, QQ.one])
+    assert sol.homogeneous.contains(
+        sparse_vec(QQ, [QQ.scalar(1), QQ.scalar(-1)]))
+    assert not sol.homogeneous.contains(sparse_vec(QQ, [QQ.one, QQ.one]))
 
 
 def test_solve_affine_infeasible_with_certificate():
     m = mat(QQ, [[1], [1]])
     rhs = [QQ.scalar(1), QQ.scalar(2)]
-    assert solve_affine(m, rhs) is None
-    cert = infeasibility_certificate(m, rhs)
-    assert cert is not None
+    assert solve_affine(m, sparse_vec(QQ, rhs)) is None
+    sparse_cert = infeasibility_certificate(m, sparse_vec(QQ, rhs))
+    assert sparse_cert is not None
+    cert = dense_vec(QQ, sparse_cert, 2)
     # y m = 0 and y rhs = 1
-    assert all(not x for x in m.transpose().apply(cert))
+    assert all(not x for x in dense_vec(
+        QQ, m.transpose().apply(sparse_vec(QQ, cert)), 1))
     assert sum((y * r for y, r in zip(cert, rhs)), QQ.zero) == QQ.one
-    assert solve_or_certify(m, rhs) == (None, cert)
-    assert solve_or_certify(m, [QQ.one, QQ.one]) == ([QQ.one], None)
+    assert solve_or_certify(m, sparse_vec(QQ, rhs)) == (None, sparse_cert)
+    assert solve_or_certify(m, sparse_vec(QQ, [QQ.one, QQ.one])) \
+        == (sparse_vec(QQ, [QQ.one]), None)
 
 
 def test_quotient_by_zero_is_identity():
@@ -172,7 +203,8 @@ def test_quotient_by_zero_is_identity():
 
 
 def test_quotient_by_diagonal_line():
-    rel = Subspace.from_span(QQ, 2, [[QQ.scalar(1), QQ.scalar(-1)]])
+    rel = Subspace.from_span(QQ, 2,
+                             [sparse_vec(QQ, [QQ.scalar(1), QQ.scalar(-1)])])
     q = quotient_space(2, rel)
     assert q.dim == 1
     # both standard basis vectors land on the same class
@@ -212,8 +244,37 @@ def test_stacking_shapes():
 def test_kron_vec_matches_matrix_kron():
     u = [QQ.scalar(1), QQ.scalar(2)]
     v = [QQ.scalar(3), QQ.scalar(5)]
-    got = kron_vec(u, v, QQ)
+    got = dense_vec(QQ, kron_vec(sparse_vec(QQ, u), sparse_vec(QQ, v), 2, 2),
+                    4)
     assert got == [QQ.scalar(3), QQ.scalar(5), QQ.scalar(6), QQ.scalar(10)]
+
+
+def test_dense_lists_and_long_indices_fail_loudly():
+    m = mat(QQ, [[1, 1], [1, 1]])
+    ker = kernel_basis(m)           # dimension 1
+    entry_points = {
+        "apply": m.apply,
+        "from_columns": lambda v: Matrix.from_columns(QQ, [v], 2),
+        "span_add": SpanTracker(2).add,
+        "from_span": lambda v: Subspace.from_span(QQ, 2, [v]),
+        "coords_of": ker.coords_of,
+        "contains": ker.contains,
+        "embed": lambda v: ker.embed(v),
+        "solve_affine": lambda v: solve_affine(m, v),
+        "infeasibility_certificate": lambda v: infeasibility_certificate(m, v),
+        "solve_or_certify": lambda v: solve_or_certify(m, v),
+        "lincomb": lambda v: lincomb(QQ, 2, 2, v, [m, m]),
+        "apply_slot": lambda v: apply_slot(v, [1, 2], 1, m),
+        "kron_vec left": lambda v: kron_vec(v, {}, 2, 2),
+        "kron_vec right": lambda v: kron_vec({}, v, 2, 2),
+    }
+    for name, call in entry_points.items():
+        with pytest.raises(ShapeError):
+            call([QQ.one, -QQ.one])
+            pytest.fail(f"{name} took a dense list")
+        with pytest.raises(ShapeError):
+            call({2: QQ.one})
+            pytest.fail(f"{name} took an index past its length")
 
 
 def test_ragged_rows_rejected():
@@ -249,7 +310,8 @@ def test_rref_is_idempotent(m):
 def test_kernel_vectors_annihilate(m):
     ker = kernel_basis(m)
     for row in ker.basis.data:
-        assert all(not x for x in m.apply(list(row)))
+        assert all(not x for x in dense_vec(
+            m.field, m.apply(sparse_vec(m.field, row)), m.rows))
 
 
 @st.composite
@@ -257,7 +319,7 @@ def systems(draw, max_dim=4):
     """A matrix together with a right-hand side known to be consistent."""
     m = draw(matrices(max_dim))
     x = [m.field.scalar(draw(entries_st)) for _ in range(m.cols)]
-    return m, m.apply(x)
+    return m, m.apply(sparse_vec(m.field, x))
 
 
 @given(systems())
@@ -267,18 +329,21 @@ def test_solve_affine_is_exact(m_rhs):
     assert sol is not None
     assert m.apply(sol.particular) == rhs
     for row in sol.homogeneous.basis.data:
-        assert all(not x for x in m.apply(list(row)))
+        assert all(not x for x in dense_vec(
+            m.field, m.apply(sparse_vec(m.field, row)), m.rows))
     assert sol.homogeneous.dim == kernel_basis(m).dim
 
 
 @given(matrices(), st.lists(entries_st, min_size=0, max_size=4))
 def test_infeasibility_certificates_are_complete(m, raw_rhs):
     rhs = [m.field.scalar(x) for x in (raw_rhs + [0] * m.rows)[:m.rows]]
-    sol = solve_affine(m, rhs)
-    cert = infeasibility_certificate(m, rhs)
+    sol = solve_affine(m, sparse_vec(m.field, rhs))
+    cert = infeasibility_certificate(m, sparse_vec(m.field, rhs))
     if sol is None:
         assert cert is not None
-        assert all(not x for x in m.transpose().apply(cert))
+        cert = dense_vec(m.field, cert, m.rows)
+        assert all(not x for x in dense_vec(
+            m.field, m.transpose().apply(sparse_vec(m.field, cert)), m.cols))
         total = m.field.zero
         for y, r in zip(cert, rhs):
             total = total + y * r
@@ -295,17 +360,20 @@ def test_quotient_section_splits_projection(m):
     if q.dim:
         assert q.projection @ q.section == Matrix.identity(m.field, q.dim)
     for row in rel.basis.data:
-        assert all(not x for x in q.projection.apply(list(row)))
+        assert all(not x for x in dense_vec(
+            m.field, q.projection.apply(sparse_vec(m.field, row)), q.dim))
 
 
 @given(matrices())
 def test_subspace_membership_roundtrip(m):
-    space = Subspace.from_span(m.field, m.cols, [list(r) for r in m.data])
+    field = m.field
+    space = Subspace.from_span(field, m.cols,
+                               [sparse_vec(field, r) for r in m.data])
     assert space.dim == rank(m)
     for row in m.data:
-        assert space.contains(list(row))
-        coords = space.coords_of(list(row))
-        assert space.embed(coords) == list(row)
+        assert space.contains(sparse_vec(field, row))
+        coords = space.coords_of(sparse_vec(field, row))
+        assert dense_vec(field, space.embed(coords), m.cols) == list(row)
 
 
 @given(fields_st, st.integers(min_value=1, max_value=4), st.data())
@@ -383,7 +451,7 @@ def test_sparse_arithmetic_matches_dense_loops(data):
             [a.data[i][j] * inner.data[k][l] for j in range(c)
              for l in range(inner.cols)]
             for i in range(r) for k in range(inner.rows)]),
-        "lincomb": (lincomb(field, r, c, coeffs, [a, b]), [
+        "lincomb": (lincomb(field, r, c, sparse_vec(field, coeffs), [a, b]), [
             [coeffs[0] * x + coeffs[1] * y for x, y in zip(u, v)]
             for u, v in zip(a.data, b.data)]),
     }
@@ -393,8 +461,9 @@ def test_sparse_arithmetic_matches_dense_loops(data):
         assert got == Matrix(field, want, cols=got.cols), name
     want_apply = [sum((x * y for x, y in zip(row, vec)), field.zero)
                   for row in a.data]
-    assert a.apply(vec) == want_apply
-    assert [a.column(j) for j in range(c)] == results["transpose"][1]
+    assert dense_vec(field, a.apply(sparse_vec(field, vec)), r) == want_apply
+    assert [dense_vec(field, a.column(j), r) for j in range(c)] \
+        == results["transpose"][1]
     assert Matrix.from_columns(field, a.columns(), r) == a
 
 
@@ -414,14 +483,15 @@ def test_sparse_eliminations_match_the_oracles(m):
     assert ker.basis == _from_oracle(
         field, oracles.kernel_of(rows, m.cols, ops), m.cols)
 
-    rel = Subspace.from_span(field, m.cols, m.data)
+    rel = Subspace.from_span(field, m.cols,
+                             [sparse_vec(field, row) for row in m.data])
     q = quotient_space(m.cols, rel)
     assert_stores_no_zero(q.projection)
     assert_stores_no_zero(q.section)
     if rel.dim:
         assert q.projection == _from_oracle(
             field, oracles.kernel_of(red, m.cols, ops), m.cols)
-    assert q.section.columns() == [
+    assert [dense_vec(field, col, m.cols) for col in q.section.columns()] == [
         [field.one if i == p else field.zero for i in range(m.cols)]
         for p in q.positions]
 
@@ -432,14 +502,15 @@ def test_sparse_solves_match_the_oracles(m, data):
     rhs = [field.scalar(data.draw(entries_st)) for _ in range(m.rows)]
     aug = _to_oracle(field, [row + [b] for row, b in zip(m.data, rhs)])
     red, pivots = oracles.echelon(aug, n + 1, ops)
-    sol = solve_affine(m, rhs)
+    sol = solve_affine(m, sparse_vec(field, rhs))
     if n in pivots:
         assert sol is None
     else:
         want = [0] * n
         for row, pc in zip(red, pivots):
             want[pc] = row[n]
-        assert sol.particular == _from_oracle(field, [want], n).data[0]
+        assert dense_vec(field, sol.particular, n) \
+            == _from_oracle(field, [want], n).data[0]
         assert_stores_no_zero(sol.homogeneous.basis)
 
     eye = oracles.identity(m.rows, ops)
@@ -456,3 +527,106 @@ def test_sparse_solves_match_the_oracles(m, data):
         want[pc] = row[n:]
     assert x == _from_oracle(field, want, m.rows)
     assert m @ x == Matrix.identity(field, m.rows)
+
+
+# ---------------------------------------------------------------------------
+# Sparse vectors against dense loops and the oracles
+
+
+def assert_vec_stores_no_zero(vec, n):
+    assert isinstance(vec, dict)
+    assert all(vec.values())
+    assert all(0 <= j < n for j in vec)
+
+
+@st.composite
+def sparse_vectors(draw, field, n):
+    """A sparse vector of length n with at most half its entries nonzero."""
+    dense = [0] * n
+    if n:
+        cells = st.tuples(st.integers(0, n - 1), entries_st)
+        for j, x in draw(st.lists(cells, max_size=(n + 1) // 2)):
+            dense[j] = x
+    return sparse_vec(field, [field.scalar(x) for x in dense])
+
+
+def _dot(field, u, v):
+    return sum((x * y for x, y in zip(u, v)), field.zero)
+
+
+@given(st.data())
+def test_sparse_vectors_match_dense_loops(data):
+    m = data.draw(sparse_matrices())
+    field, r, c = m.field, m.rows, m.cols
+    vec = data.draw(sparse_vectors(field, c))
+    dvec = dense_vec(field, vec, c)
+
+    got = m.apply(vec)
+    assert_vec_stores_no_zero(got, r)
+    assert dense_vec(field, got, r) == [_dot(field, row, dvec) for row in m.data]
+    for j in range(c):
+        col = m.column(j)
+        assert_vec_stores_no_zero(col, r)
+        assert dense_vec(field, col, r) == [row[j] for row in m.data]
+
+    space = Subspace.from_span(field, c, [sparse_vec(field, row)
+                                          for row in m.data])
+    coords = data.draw(sparse_vectors(field, space.dim))
+    member = space.embed(coords)
+    assert_vec_stores_no_zero(member, c)
+    dcoords = dense_vec(field, coords, space.dim)
+    assert dense_vec(field, member, c) == [
+        _dot(field, dcoords, [row[j] for row in space.basis.data])
+        for j in range(c)]
+    assert space.coords_of(member) == coords
+    assert space.contains(member)
+
+    u = data.draw(sparse_vectors(field, r))
+    du = dense_vec(field, u, r)
+    kv = kron_vec(u, vec, r, c)
+    assert_vec_stores_no_zero(kv, r * c)
+    assert dense_vec(field, kv, r * c) == [a * b for a in du for b in dvec]
+
+    left, right = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    w = data.draw(sparse_vectors(field, left * c * right))
+    dw = dense_vec(field, w, left * c * right)
+    got, dims = apply_slot(w, [left, c, right], 1, m)
+    assert dims == [left, r, right]
+    assert_vec_stores_no_zero(got, left * r * right)
+    assert dense_vec(field, got, left * r * right) == [
+        _dot(field, m.data[i], [dw[(l * c + j) * right + t] for j in range(c)])
+        for l in range(left) for i in range(r) for t in range(right)]
+    # two merged slots of sizes left and c act like one of size left * c
+    big = data.draw(sparse_matrices(field, cols=left * c, max_dim=6))
+    got, dims = apply_slot(w, [left, c, right], 0, big, 2)
+    assert dims == [big.rows, right]
+    assert_vec_stores_no_zero(got, big.rows * right)
+    assert dense_vec(field, got, big.rows * right) == [
+        _dot(field, big.data[i], dw[t::right])
+        for i in range(big.rows) for t in range(right)]
+
+
+@given(sparse_matrices(), st.data())
+def test_sparse_solutions_and_certificates_match_the_oracles(m, data):
+    field, ops = m.field, _ops(m.field)
+    rhs = data.draw(sparse_vectors(field, m.rows))
+    sol, cert = solve_or_certify(m, rhs)
+    if sol is not None:
+        assert cert is None
+        assert_vec_stores_no_zero(sol, m.cols)
+        assert m.apply(sol) == rhs
+        return
+    assert_vec_stores_no_zero(cert, m.rows)
+    # the first left-kernel vector that pairs nonzero with rhs, scaled
+    drhs = _to_oracle(field, [dense_vec(field, rhs, m.rows)])[0]
+    for y in oracles.kernel_of(_to_oracle(field, m.transpose().data),
+                               m.rows, ops):
+        pairing = ops.zero
+        for a, b in zip(y, drhs):
+            pairing = ops.add(pairing, ops.mul(a, b))
+        if pairing != ops.zero:
+            inv = ops.inv(pairing)
+            want = [ops.mul(a, inv) for a in y]
+            break
+    assert dense_vec(field, cert, m.rows) \
+        == _from_oracle(field, [want], m.rows).data[0]

@@ -65,7 +65,7 @@ def test_bar_differentials_equal_slotwise_assembly():
                                       False, eng.homs[n - 1].solver)
             cols = []
             for q in range(eng.objects[n].dim):
-                w, _ = apply_slot(QQ, tensor.lift_column(q),
+                w, _ = apply_slot(tensor.lift_column(q),
                                   [m.dim, hom.dim], 1, push)
                 cols.append(eng.tensors[n - 1].project_vec(w))
             fmat = Matrix.from_columns(QQ, cols, eng.objects[n - 1].dim)

@@ -3,7 +3,9 @@
 import pytest
 
 from bimodcheck.errors import ShapeError
-from bimodcheck.exactlin import Matrix, QQ, Field, kernel_basis, rank
+from bimodcheck.exactlin import (
+    Matrix, QQ, Field, dense_vec, kernel_basis, rank, sparse_vec,
+)
 from bimodcheck.fixtures import (
     algebra_diagonal, algebra_dual_numbers, algebra_ground, algebra_matrix2,
     algebra_product, algebra_upper_triangular, diagonal_inclusion, fixture,
@@ -32,18 +34,20 @@ def test_left_and_right_multiplication_agree_with_table():
     b = algebra_upper_triangular(QQ)
     for i in range(b.dim):
         for j in range(b.dim):
-            prod = b.multiply(b.basis_vector(i), b.basis_vector(j))
-            assert prod == list(b.mult[i][j])
-            assert b.left_mult[i].column(j) == prod
-            assert b.right_mult[j].column(i) == prod
+            prod = dense_vec(QQ, b.multiply(b.basis_vector(i),
+                                            b.basis_vector(j)), b.dim)
+            assert prod == dense_vec(QQ, b.mult[i][j], b.dim)
+            assert dense_vec(QQ, b.left_mult[i].column(j), b.dim) == prod
+            assert dense_vec(QQ, b.right_mult[j].column(i), b.dim) == prod
 
 
 def test_corrupted_unit_row_is_caught():
     b = algebra_dual_numbers(QQ)
     # make 1 * x = 0 while x * 1 = x stays
-    mult = [list(map(list, row)) for row in b.mult]
+    mult = [[dense_vec(QQ, c, 2) for c in row] for row in b.mult]
     mult[0][1] = [QQ.zero, QQ.zero]
-    bad = Algebra(QQ, 2, tuple(tuple(tuple(c) for c in row) for row in mult),
+    bad = Algebra(QQ, 2, tuple(tuple(sparse_vec(QQ, c) for c in row)
+                               for row in mult),
                   b.unit, name="corrupted")
     v = validate_algebra(bad)
     assert not v.ok
@@ -56,10 +60,11 @@ def test_nonassociative_table_is_caught():
     # set x * x = 1; then (x x) x = x while 1 * x stays x, but
     # (1 + x)-style triples still pass, so also break x * 1.
     b = algebra_dual_numbers(QQ)
-    mult = [list(map(list, row)) for row in b.mult]
+    mult = [[dense_vec(QQ, c, 2) for c in row] for row in b.mult]
     mult[1][1] = [QQ.one, QQ.zero]
     mult[1][0] = [QQ.zero, QQ.zero]
-    bad = Algebra(QQ, 2, tuple(tuple(tuple(c) for c in row) for row in mult),
+    bad = Algebra(QQ, 2, tuple(tuple(sparse_vec(QQ, c) for c in row)
+                               for row in mult),
                   b.unit, name="corrupted")
     v = validate_algebra(bad)
     assert not v.ok
@@ -67,10 +72,31 @@ def test_nonassociative_table_is_caught():
 
 def test_wrong_unit_vector_is_caught():
     b = algebra_dual_numbers(QQ)
-    bad = Algebra(QQ, 2, b.mult, (QQ.zero, QQ.one), name="x-as-unit")
+    bad = Algebra(QQ, 2, b.mult, sparse_vec(QQ, (QQ.zero, QQ.one)),
+                  name="x-as-unit")
     v = validate_algebra(bad)
     assert not v.ok
     assert "unit" in v.message
+
+
+def test_dense_lists_and_long_indices_fail_loudly():
+    b = algebra_dual_numbers(QQ)
+    f = ground_map(QQ, b)
+    for bad in ([QQ.one, QQ.zero], {2: QQ.one}):
+        with pytest.raises(ShapeError):
+            Algebra(QQ, 2, b.mult, bad)
+        mult = [list(row) for row in b.mult]
+        mult[1][1] = bad
+        with pytest.raises(ShapeError):
+            Algebra(QQ, 2, tuple(map(tuple, mult)), b.unit)
+        with pytest.raises(ShapeError):
+            b.multiply(bad, b.unit)
+        with pytest.raises(ShapeError):
+            b.multiply(b.unit, bad)
+    with pytest.raises(ShapeError):
+        f.apply([QQ.one])
+    with pytest.raises(ShapeError):
+        f.apply({1: QQ.one})
 
 
 def test_identity_map_validates():

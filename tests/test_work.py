@@ -21,16 +21,21 @@ FIXTURE_DIR = ROOT / "fixtures"
 TRACER = ROOT / "bench" / "tracer.py"
 
 # Measured on fixtures/fx4.json: 17,402,130 cells in 605 products and
-# 7,346 applies.  Forming the full hom and tensor products again costs
+# 7,336 applies.  Forming the full hom and tensor products again costs
 # 204,540,480 cells and 92,142 applies; applying the equivariant
 # solver's target operators to all-zero value blocks costs 29,961.
 FX4_MAX_MATMUL_CELLS = 20_000_000
 FX4_MAX_APPLIES = 8_100
 # Fraction zero tests (Fraction.__bool__ calls) on fixtures/fx4.json:
-# 14,140.  Testing the shared field.zero by value where an identity test
-# would do costs 1,390,065; walking dense rows in every kernel costs
-# 4,493,209.
-FX4_MAX_ZERO_TESTS = 15_600
+# 1,275, nearly all of them cancellations inside elimination.  Passing
+# dense vectors between the kernels costs 14,100; testing the shared
+# field.zero by value where an identity test would do costs 1,390,065;
+# walking dense rows in every kernel costs 4,493,209.
+FX4_MAX_ZERO_TESTS = 1_400
+# exactlin._echelon on fixtures/fx4.json: 104 eliminations of 2,403
+# input rows in total.
+FX4_MAX_ECHELONS = 114
+FX4_MAX_ECHELON_ROWS = 2_650
 
 
 def _run_fx4(capsys):
@@ -72,6 +77,22 @@ def test_fx4_zero_tests_stay_under_their_gate(monkeypatch, capsys):
     monkeypatch.setattr(Fraction, "__bool__", counted)
     _run_fx4(capsys)
     assert calls[0] <= FX4_MAX_ZERO_TESTS, calls[0]
+
+
+def test_fx4_eliminations_stay_under_their_gates(monkeypatch, capsys):
+    counts = {"calls": 0, "rows": 0}
+    echelon = exactlin._echelon
+
+    def counted(rows):
+        rows = list(rows)
+        counts["calls"] += 1
+        counts["rows"] += len(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(exactlin, "_echelon", counted)
+    _run_fx4(capsys)
+    assert counts["calls"] <= FX4_MAX_ECHELONS, counts
+    assert counts["rows"] <= FX4_MAX_ECHELON_ROWS, counts
 
 
 def _tracer():
