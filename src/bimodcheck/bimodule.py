@@ -179,25 +179,64 @@ def sub_bimodule(parent: Bimodule, space: Subspace, name: str = "sub"
 # Equivariant map solver
 
 
-@dataclass(eq=False)
 class EquivariantBasis:
     """All linear maps F with F src_ops[k] = tgt_ops[k] F, for operator
     families with identical multiplication tables on both sides.
 
-    Coordinates are read off the columns of a map at `generators` only
-    (coords_from), so a caller that needs nothing but coordinates
-    computes just those columns."""
+    A map is fixed by its values at `generators`.  The solve gives one
+    sparse row per basis map, `values[u]`, holding the value of map u at
+    generators[j] in block j (entries j * tgt_dim up to (j + 1) *
+    tgt_dim); only these rows are kept when the basis is built.
 
-    field: Field
-    src_dim: int
-    tgt_dim: int
-    maps: tuple               # basis, each a tgt_dim x src_dim Matrix
-    generators: tuple         # indices of source basis vectors generating it
-    positions: tuple          # coordinate positions in the stacked value vector
+    - `maps` forms the basis matrices on its first read and keeps them.
+      The target operators and the lift that forming needs are dropped
+      then, so they live no longer than that.
+    - `matrix_of` forms just the map it is asked for, from the combined
+      values, while `maps` is unread (forming is linear in the values);
+      after that it combines the formed maps.
+    - `coords_from` reads the columns of a map at the generators only,
+      so a caller that needs nothing but coordinates computes just those
+      columns.
+    """
+
+    def __init__(self, field: Field, src_dim: int, tgt_dim: int,
+                 generators: tuple, positions: tuple, values: list,
+                 form_with: tuple):
+        self.field, self.src_dim, self.tgt_dim = field, src_dim, tgt_dim
+        self.generators = generators    # source basis indices generating it
+        self.positions = positions      # coordinate positions in a value row
+        self.values = values
+        self._form_with = form_with     # (tgt_ops, n_ops, used, lift_used)
+        self._maps = None
 
     @property
     def dim(self) -> int:
-        return len(self.maps)
+        return len(self.values)
+
+    @property
+    def maps(self) -> tuple:
+        """The basis, each a tgt_dim x src_dim Matrix; formed on first read."""
+        if self._maps is None:
+            self._maps = tuple(self._form(row) for row in self.values)
+            self._form_with = None
+        return self._maps
+
+    def generator_values(self, u: int) -> dict:
+        """{j: value of basis map u at generators[j]} where it is nonzero."""
+        return _blocks(self.values[u], self.tgt_dim)
+
+    def _form(self, row: dict) -> Matrix:
+        # F = W @ lift, where column c = j * n_ops + k of W is the value
+        # of F at source column c of the presentation: tgt_ops[k] applied
+        # to the value at generator j
+        tgt_ops, n_ops, used, lift_used = self._form_with
+        blocks = _blocks(row, self.tgt_dim)
+        w_cols = []
+        for c in used:
+            j, k = divmod(c, n_ops)
+            w_cols.append(tgt_ops[k].apply(blocks[j]) if j in blocks else {})
+        w = Matrix.from_columns(self.field, w_cols, self.tgt_dim)
+        return w @ lift_used
 
     def coords_from(self, column) -> dict:
         """Coordinates of the map whose column g is column(g), a sparse
@@ -216,8 +255,24 @@ class EquivariantBasis:
         return coords
 
     def matrix_of(self, coords: dict) -> Matrix:
-        return lincomb(self.field, self.tgt_dim, self.src_dim, coords,
-                       self.maps)
+        check_vec(coords, self.dim)
+        if self._maps is not None:
+            return lincomb(self.field, self.tgt_dim, self.src_dim, coords,
+                           self._maps)
+        row: dict = {}
+        for u, c in coords.items():
+            axpy(row, c, self.values[u])
+        return self._form(row)
+
+
+def _blocks(row: dict, size: int) -> dict:
+    """Split a sparse vector into {j: block j} over consecutive blocks of
+    the given size, keeping only the nonzero blocks."""
+    blocks: dict[int, dict] = {}
+    for c, x in row.items():
+        j, s = divmod(c, size)
+        blocks.setdefault(j, {})[s] = x
+    return blocks
 
 
 def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
@@ -263,34 +318,18 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     unknowns = r * tgt_dim
     rows = []
     for rel in relations.basis.nz:
-        by_gen: dict[int, dict] = {}
-        for c, x in rel.items():
-            j, k = divmod(c, n_ops)
-            by_gen.setdefault(j, {})[k] = x
         blocks = [(j * tgt_dim,
                    lincomb(field, tgt_dim, tgt_dim, coeffs, tgt_ops).nz)
-                  for j, coeffs in by_gen.items()]
+                  for j, coeffs in _blocks(rel, n_ops).items()]
         for t in range(tgt_dim):
             row = {base + s: x for base, blk in blocks
                    for s, x in blk[t].items()}
             if row:
                 rows.append(row)
     solutions = kernel_basis(Matrix.from_sparse(field, rows, unknowns))
-    maps = []
-    for sol in solutions.basis.nz:
-        # the value block of each generator; absent blocks are zero
-        vals: dict[int, dict] = {}
-        for c, x in sol.items():
-            j, s = divmod(c, tgt_dim)
-            vals.setdefault(j, {})[s] = x
-        w_cols = []
-        for c in used:
-            j, k = divmod(c, n_ops)
-            w_cols.append(tgt_ops[k].apply(vals[j]) if j in vals else {})
-        w = Matrix.from_columns(field, w_cols, tgt_dim)
-        maps.append(w @ lift_used)
-    return EquivariantBasis(field, src_dim, tgt_dim, tuple(maps),
-                            tuple(generators), solutions.positions)
+    return EquivariantBasis(field, src_dim, tgt_dim, tuple(generators),
+                            solutions.positions, solutions.basis.nz,
+                            (tgt_ops, n_ops, used, lift_used))
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +349,15 @@ class HomSpace:
     source: Bimodule
     target: Bimodule
     space: Bimodule
-    basis: tuple
     solver: EquivariantBasis
 
     @property
+    def basis(self) -> tuple:
+        return self.solver.maps
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.solver.dim
 
     def matrix_of(self, coords: dict) -> Matrix:
         return self.solver.matrix_of(coords)
@@ -360,7 +402,7 @@ def _hom_space(m: Bimodule, n: Bimodule, src_ops, tgt_ops, left: tuple,
 
     space = Bimodule(left[0], right[0], solver.dim, acts(*left[1:]),
                      acts(*right[1:]), name=name)
-    return HomSpace(m, n, space, solver.maps, solver)
+    return HomSpace(m, n, space, solver)
 
 
 def hom_left(m: Bimodule, n: Bimodule, name: str = "Hom") -> HomSpace:

@@ -19,7 +19,8 @@ from .bimodule import (
 )
 from .errors import PreconditionError, ValidationError
 from .exactlin import (
-    Matrix, apply_slot, dense_vec, kernel_basis, rank, solve_or_certify,
+    Matrix, apply_slot, dense_vec, infeasibility_certificate, kernel_basis,
+    rank, solve_affine, solve_or_certify,
 )
 from .homology import comonad_apply, comparison_check, syzygy
 from .structures import RingMap, multiplication_map, validate_ring_map
@@ -49,33 +50,73 @@ def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: dict):
 
 def _split(counit: BimoduleMap, dims: dict):
     """A two-sided section of counit: F -> P, re-checked by substitution,
-    as (section, None); else (None, infeasibility functional on the
-    coordinates of End(P))."""
+    as (section, None); else (None, certify), where certify() returns an
+    infeasibility functional on the coordinates of End(P).
+
+    counit @ g is a two-sided map P -> P for every basis map g of the
+    solver, so it is fixed by its values at the solver's generators, and
+    those are counit applied to the generator values of g.  The system
+    is built on those r * d rows instead of d^2, with no basis map
+    formed.  It has the same solution set as the full system, hence the
+    same reduced form and the same section.  The certificate does depend
+    on the rows, so certify() builds the full d^2-row system; it runs
+    only when a report reads the obstruction (_Obstructed).
+    """
     p, fp = counit.target, counit.source
     field, d = p.field, p.dim
     solver = hom_bimodule(p, fp)
     dims["map_space"] = solver.dim
-    # one product counit @ [g_0 g_1 ...]; column u of the system is
-    # counit @ g_u flattened column-major, entry (i, j) at row j * d + i
-    maps = [{} for _ in range(fp.dim)]
-    for u, g in enumerate(solver.maps):
-        for row, grow in zip(maps, g.nz):
-            row.update((u * d + j, x) for j, x in grow.items())
-    prod = counit.matrix @ Matrix.from_sparse(field, maps, solver.dim * d)
-    rows = [{} for _ in range(d * d)]
-    for i, prow in enumerate(prod.nz):
-        for c, x in prow.items():
-            u, j = divmod(c, d)
-            rows[j * d + i][u] = x
-    rhs = {i * (d + 1): field.one for i in range(d)}
-    sol, cert = solve_or_certify(Matrix.from_sparse(field, rows, solver.dim),
-                                 rhs)
+    # row j * d + i, column u: entry i of (counit @ g_u) at generators[j]
+    rows = [{} for _ in range(len(solver.generators) * d)]
+    for u in range(solver.dim):
+        for j, val in solver.generator_values(u).items():
+            for i, x in counit.matrix.apply(val).items():
+                rows[j * d + i][u] = x
+    rhs = {j * d + g: field.one for j, g in enumerate(solver.generators)}
+    sol = solve_affine(Matrix.from_sparse(field, rows, solver.dim), rhs)
     if sol is None:
-        return None, tuple(dense_vec(field, cert, d * d))
-    sec_mat = solver.matrix_of(sol)
+        return None, lambda: _full_certificate(counit, solver)
+    sec_mat = solver.matrix_of(sol.particular)
     if counit.matrix @ sec_mat != Matrix.identity(field, d):
         raise ValidationError(f"section does not split {counit.name}")
     return BimoduleMap(p, fp, sec_mat, name="section"), None
+
+
+def _full_certificate(counit: BimoduleMap, solver) -> tuple:
+    """The infeasibility functional of counit @ sum_u c_u g_u = 1 on all
+    d^2 entries: column u is counit @ g_u flattened column-major, entry
+    (i, j) at row j * d + i.  Forms every basis map of the solver."""
+    field, d = counit.target.field, counit.target.dim
+    rows = [{} for _ in range(d * d)]
+    for u, g in enumerate(solver.maps):
+        for i, prow in enumerate((counit.matrix @ g).nz):
+            for j, x in prow.items():
+                rows[j * d + i][u] = x
+    rhs = {i * (d + 1): field.one for i in range(d)}
+    cert = infeasibility_certificate(
+        Matrix.from_sparse(field, rows, solver.dim), rhs)
+    if cert is None:
+        raise ValidationError(f"{counit.name} splits on all entries but "
+                              f"not at the generators")
+    return tuple(dense_vec(field, cert, d * d))
+
+
+class _Obstructed:
+    """A result that splits a counit; `certify` is None when it splits,
+    else what forms the obstruction (from _split)."""
+
+    _obstruction = None
+
+    @property
+    def obstruction(self) -> tuple | None:
+        """The infeasibility functional, None when the counit splits.
+
+        It is formed on the first read and kept: rel_projective and
+        smooth_extension reports render it; smooth and hdim verdicts
+        never read it, so they never form it."""
+        if self.certify is not None:
+            self._obstruction, self.certify = self.certify(), None
+        return self._obstruction
 
 
 @dataclass(eq=False)
@@ -100,11 +141,11 @@ def is_separable_bimodule(m: Bimodule) -> SeparabilityResult:
 
 
 @dataclass(eq=False)
-class RelProjectivityResult:
+class RelProjectivityResult(_Obstructed):
     verdict: bool
     section: BimoduleMap | None    # splits the counit F(P) -> P
     counit: BimoduleMap            # the map the section must split
-    obstruction: tuple | None      # functional on End-coordinates
+    certify: object                # forms the functional on End-coordinates
     dimensions: dict
 
     def __bool__(self) -> bool:
@@ -127,9 +168,9 @@ def is_rel_projective(p: Bimodule, m: Bimodule) -> RelProjectivityResult:
                                Matrix(m.field, [[] for _ in range(fp.dim)],
                                       cols=0), name="section")
         return RelProjectivityResult(True, zero_sec, counit, None, dims)
-    section, cert = _split(counit, dims)
-    return RelProjectivityResult(section is not None, section, counit, cert,
-                                 dims)
+    section, certify = _split(counit, dims)
+    return RelProjectivityResult(section is not None, section, counit,
+                                 certify, dims)
 
 
 @dataclass(eq=False)
@@ -196,12 +237,12 @@ def is_separable_extension(f: RingMap) -> ExtensionSeparabilityResult:
 
 
 @dataclass(eq=False)
-class ExtensionSmoothnessResult:
+class ExtensionSmoothnessResult(_Obstructed):
     verdict: bool
     kernel_dim: int
     section: BimoduleMap | None    # splits B (x) L (x) B -> L
     counit: BimoduleMap | None     # two-sided multiplication, None when L = 0
-    obstruction: tuple | None
+    certify: object                # forms the obstruction
     dimensions: dict
 
     def __bool__(self) -> bool:
@@ -248,9 +289,9 @@ def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
     counit = BimoduleMap(t2.space, l,
                          Matrix.from_columns(field, cols, l.dim),
                          name="two-sided-mult")
-    section, cert = _split(counit, dims)
+    section, certify = _split(counit, dims)
     return ExtensionSmoothnessResult(section is not None, l.dim, section,
-                                     counit, cert, dims)
+                                     counit, certify, dims)
 
 
 @dataclass(eq=False)

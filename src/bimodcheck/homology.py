@@ -380,11 +380,12 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
     mu = Matrix.from_columns(field, [cell for row in s_alg.mult
                                      for cell in row], s)
 
-    def coboundary_column(g: Matrix, n: int, q: int) -> dict:
-        # column q of the coboundary of the degree-n cochain g
+    def coboundary_terms(n: int, q: int) -> list:
+        # column q of the coboundary of a degree-n cochain g is the sum of
+        # op(g(vec)) over these pairs (op None is the identity); no pair
+        # depends on g, so each is built once per column, not per cochain
         if n == 0:
-            w0 = g.apply(a.unit)
-            return (w.left_action[q] - w.right_action[q]).apply(w0)
+            return [(w.left_action[q] - w.right_action[q], a.unit)]
         pi_n = chain.from_plain[n]
         v_plain = chain.to_plain[n + 1].column(q)
         # split v_plain by its first slot (heads) and by its last (tails)
@@ -396,25 +397,35 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
             heads.setdefault(j, {})[rest] = x
             rest, l = divmod(idx, s)
             tails.setdefault(l, {})[rest] = x
-        acc: dict = {}
+        # the inner faces, signed and summed before pi_n
+        inner: dict = {}
         sign = field.one
-        for j, chunk in heads.items():
-            axpy(acc, sign, w.left_action[j].apply(g.apply(pi_n.apply(chunk))))
         dims = [s] * (n + 1)
         for i in range(1, n + 1):
             sign = -sign
-            v2, _ = apply_slot(v_plain, dims, i - 1, mu, 2)
-            axpy(acc, sign, g.apply(pi_n.apply(v2)))
+            axpy(inner, sign, apply_slot(v_plain, dims, i - 1, mu, 2)[0])
         sign = -sign
-        for l, sub in tails.items():
-            axpy(acc, sign, w.right_action[l].apply(g.apply(pi_n.apply(sub))))
+        terms = [(w.left_action[j], pi_n.apply(chunk))
+                 for j, chunk in heads.items()]
+        terms.append((None, pi_n.apply(inner)))
+        terms += [(w.right_action[l],
+                   {k: sign * x for k, x in pi_n.apply(sub).items()})
+                  for l, sub in tails.items()]
+        return [(op, vec) for op, vec in terms if vec]
+
+    def coboundary_column(g: Matrix, terms: list) -> dict:
+        acc: dict = {}
+        for op, vec in terms:
+            y = g.apply(vec)
+            axpy(acc, field.one, y if op is None else op.apply(y))
         return acc
 
     # the coordinates of a coboundary read only its generator columns
     deltas = []
     for n in range(nmax + 1):
+        terms = {q: coboundary_terms(n, q) for q in solvers[n + 1].generators}
         cols = [solvers[n + 1].coords_from(
-                    lambda q: coboundary_column(g, n, q))
+                    lambda q: coboundary_column(g, terms[q]))
                 for g in solvers[n].maps]
         deltas.append(Matrix.from_columns(field, cols, solvers[n + 1].dim))
     for n in range(nmax):
@@ -519,6 +530,7 @@ class ComparisonReport:
     step_squares: tuple        # coboundary squares, degrees 1..nmax
     module: CohomologyResult   # of the module-relative complex compared
     ring: CohomologyResult     # of the ring-relative complex compared
+    phis: tuple                # the rewrite in each degree, in solver coords
 
     @property
     def ok(self) -> bool:
@@ -573,20 +585,14 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         sv, dims = apply_slot(sv, dims, 0, wd.t2.projection, 2)
         return sv
 
-    def base_value(gmat: Matrix) -> dict:
-        sv = kron_vec(md.psi_unit, md.psi_unit, ddm, ddm)
-        dims = [dd, dm, dd, dm]
-        sv, dims = collapse(0, sv, dims, 1)
-        sv, dims = apply_slot(sv, dims, 1, gmat)
-        return to_w(sv, dims)
-
-    def image_cochain(gmat: Matrix, n: int) -> Matrix:
+    def feeds(n: int) -> list:
+        # the vectors and slot dims that a degree-n cochain is applied to
+        # in slot 1, one per column of its image (degree 0: one, at the
+        # unit); none depends on the cochain
         if n == 0:
-            w0 = base_value(gmat)
-            cols = [w_mid.left_action[q].apply(w0)
-                    for q in range(chain.a.dim)]
-            return Matrix.from_columns(field, cols, wd.w.dim)
-        cols = []
+            sv = kron_vec(md.psi_unit, md.psi_unit, ddm, ddm)
+            return [collapse(0, sv, [dd, dm, dd, dm], 1)]
+        out = []
         for q in range(chain.spaces[n].dim):
             sv = chain.to_plain[n].column(q)
             dims = [s] * n
@@ -595,10 +601,16 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
             mid_len = ddm ** n
             sv = kron_vec(md.psi_unit, kron_vec(sv, md.psi_unit, mid_len, ddm),
                           ddm, mid_len * ddm)
-            dims = [dd, dm] * (n + 2)
-            sv, dims = collapse(n, sv, dims, 1)
-            sv, dims = apply_slot(sv, dims, 1, gmat)
-            cols.append(to_w(sv, dims))
+            out.append(collapse(n, sv, [dd, dm] * (n + 2), 1))
+        return out
+
+    fed = [feeds(n) for n in range(nmax + 1)]
+
+    def image_cochain(gmat: Matrix, n: int) -> Matrix:
+        cols = [to_w(*apply_slot(sv, dims, 1, gmat)) for sv, dims in fed[n]]
+        if n == 0:
+            cols = [w_mid.left_action[q].apply(cols[0])
+                    for q in range(chain.a.dim)]
         return Matrix.from_columns(field, cols, wd.w.dim)
 
     phis = []
@@ -643,4 +655,5 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     return ComparisonReport(
         tuple(degrees), base_ok, tuple(step_ok),
         _cohomology(field, [k.dim for k in k_solvers], mod_deltas, nmax),
-        _cohomology(field, [r.dim for r in rel_solvers], rel_deltas, nmax))
+        _cohomology(field, [r.dim for r in rel_solvers], rel_deltas, nmax),
+        tuple(phis))

@@ -69,11 +69,13 @@ def echelon(rows, ncols, ops):
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = ops.inv(mat[r][c])
         mat[r] = [ops.mul(x, inv) for x in mat[r]]
+        # only the pivot row's nonzero entries change another row
+        nonzero = [(j, y) for j, y in enumerate(mat[r]) if y != ops.zero]
         for i in range(len(mat)):
             if i != r and mat[i][c] != ops.zero:
-                f = mat[i][c]
-                mat[i] = [ops.sub(x, ops.mul(f, y))
-                          for x, y in zip(mat[i], mat[r])]
+                f, row = mat[i][c], mat[i]
+                for j, y in nonzero:
+                    row[j] = ops.sub(row[j], ops.mul(f, y))
         pivots.append(c)
         r += 1
         if r == len(mat):

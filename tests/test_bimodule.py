@@ -7,7 +7,7 @@ hold for every fixture regardless of basis.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimodcheck.bimodule import (
@@ -18,9 +18,11 @@ from bimodcheck.bimodule import (
     restrict_right, static_check, sub_bimodule, tensor_over, trace_in,
     validate_bimodule,
 )
+from bimodcheck import diagnostics
 from bimodcheck.errors import ShapeError, ValidationError
 from bimodcheck.exactlin import (
-    Matrix, QQ, Subspace, dense_vec, invert, kernel_basis, rank, sparse_vec,
+    Matrix, QQ, Subspace, dense_vec, invert, kernel_basis, lincomb, rank,
+    solve_or_certify, sparse_vec,
 )
 from bimodcheck.fixtures import (
     EXTRAS, STANDARD, algebra_dual_numbers, algebra_ground, algebra_matrix2,
@@ -551,3 +553,110 @@ def test_tensor_actions_equal_full_products_across_corpus():
 def test_tensor_actions_equal_full_products_on_twists(m):
     for t in _tensors(m):
         _assert_tensor_actions_match_products(t)
+
+
+# Counit splits against the full d^2-row system, and matrix_of against
+# the formed maps.  _split solves on the generator rows only and forms
+# its certificate on the full system when it is read.
+
+
+def _split_counits(m, fx=None, seed=0):
+    """(counit, section, certify) for every counit diagnostics splits
+    while deciding m: relative projectivity of B and of B in a twisted
+    basis, smoothness, hdim up to 2 for a generator, and smoothness of
+    the base map when there is one.  The twisted B gives obstructions
+    that are not symmetric in the two indices of End(B)."""
+    seen = []
+    split = diagnostics._split
+
+    def recorded(counit, dims):
+        section, certify = split(counit, dims)
+        seen.append((counit, section, certify))
+        return section, certify
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "_split", recorded)
+        b_reg = regular_bimodule(m.left_algebra)
+        diagnostics.is_rel_projective(b_reg, m)
+        diagnostics.is_rel_projective(conjugate(b_reg, seed), m)
+        diagnostics.is_formally_smooth_bimodule(m)
+        if is_generator(m).verdict:
+            diagnostics.hdim_upto(m, 2)
+        if fx is not None and fx.base_map is not None:
+            diagnostics.is_formally_smooth_extension(fx.base_map)
+    return seen
+
+
+def _assert_split_matches_full_system(counit, section, certify):
+    p, fp = counit.target, counit.source
+    field, d = p.field, p.dim
+    solver = hom_bimodule(p, fp)
+    # column u is counit @ g_u flattened column-major: (i, j) at j * d + i
+    cols = [{j * d + i: x for i, row in enumerate((counit.matrix @ g).nz)
+             for j, x in row.items()} for g in solver.maps]
+    full = Matrix.from_columns(field, cols, d * d)
+    rhs = {i * (d + 1): field.one for i in range(d)}
+    sol, cert = solve_or_certify(full, rhs)
+    if sol is not None:
+        assert certify is None
+        assert section.matrix == solver.matrix_of(sol)
+        return
+    assert section is None
+    y = certify()
+    assert y == tuple(dense_vec(field, cert, d * d))
+    # y . full = 0 and y . rhs = 1, by substitution
+    assert full.transpose().apply(sparse_vec(field, y)) == {}
+    assert sum((y[k] for k in rhs), field.zero) == field.one
+
+
+def test_split_equals_the_full_system_across_corpus():
+    splits = [s for fx in corpus() for s in _split_counits(fx.bimodule, fx)]
+    assert any(section is None for _, section, _ in splits)
+    assert any(section is not None for _, section, _ in splits)
+    for counit, section, certify in splits:
+        _assert_split_matches_full_system(counit, section, certify)
+
+
+@settings(max_examples=25)
+@given(twisted_bimodules, st.integers(0, 2 ** 16))
+def test_split_equals_the_full_system_on_twists(m, seed):
+    for counit, section, certify in _split_counits(m, seed=seed):
+        _assert_split_matches_full_system(counit, section, certify)
+
+
+def _assert_matrix_of_matches_formed_maps(solver, coords_list):
+    # matrix_of on a fresh solver forms from the combined values; after
+    # maps is read it combines the formed maps
+    before = [solver.matrix_of(c) for c in coords_list]
+    maps = solver.maps
+    for coords, got in zip(coords_list, before):
+        want = lincomb(QQ, solver.tgt_dim, solver.src_dim, coords, maps)
+        assert got == want
+        assert solver.matrix_of(coords) == want
+
+
+def _solver_pairs(m):
+    reg = regular_bimodule(m.left_algebra)
+    return [(m, m), (reg, reg), (reg, evaluation_data(m).tensor.space)]
+
+
+def _coords_list(dim, seed):
+    units = [{u: QQ.one} for u in range(dim)]
+    mixed = {u: QQ.scalar((u * 7 + seed) % 5 - 2) for u in range(dim)}
+    return units + [{u: x for u, x in mixed.items() if x}]
+
+
+def test_matrix_of_equals_lincomb_of_maps_across_corpus():
+    for fx in corpus():
+        for src, tgt in _solver_pairs(fx.bimodule):
+            solver = hom_bimodule(src, tgt)
+            _assert_matrix_of_matches_formed_maps(
+                solver, _coords_list(solver.dim, 1))
+
+
+@given(twisted_bimodules, st.integers(0, 4))
+def test_matrix_of_equals_lincomb_of_maps_on_twists(m, seed):
+    for src, tgt in _solver_pairs(m):
+        solver = hom_bimodule(src, tgt)
+        _assert_matrix_of_matches_formed_maps(
+            solver, _coords_list(solver.dim, seed))

@@ -6,11 +6,12 @@ validate witnesses by direct matrix arithmetic only, never by re-running
 the decision procedure that produced them.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from bimodcheck import bimodule, cli, homology
+from bimodcheck import bimodule, cli, diagnostics, homology
 from bimodcheck.bimodule import (
     evaluation_data, is_fg_projective_left, is_fg_projective_right,
     is_generator, regular_bimodule, restrict_left, restrict_right,
@@ -107,6 +108,39 @@ def test_regular_bimodule_fails_over_dual_numbers():
     assert not res.verdict
     assert res.section is None
     assert res.obstruction is not None
+
+
+def test_obstruction_read_after_the_verdicts_matches_rel_projective(
+        monkeypatch):
+    # hdim and smooth decide without forming an obstruction; reading one
+    # afterwards gives the bytes the rel_projective report renders
+    m = fixture("fx3").bimodule
+    b_reg = regular_bimodule(m.left_algebra)
+    made = []
+    rel_projective = diagnostics.is_rel_projective
+
+    def recorded(p, n):
+        made.append((p, rel_projective(p, n)))
+        return made[-1][1]
+
+    monkeypatch.setattr(diagnostics, "is_rel_projective", recorded)
+    assert hdim_upto(m, 2).render() == "> 2"
+    smooth = is_formally_smooth_bimodule(m)
+    assert smooth.route == "kernel-splitting" and not smooth.verdict
+    assert len(made) == 4
+    assert all(r.certify is not None for _, r in made)
+    golden = json.loads((FIXTURE_DIR / "golden" / "fx3.json").read_text(
+        encoding="utf-8"))
+    rendered = [r["obstruction"] for r in golden["reports"]
+                if r["op"] == "rel_projective"]
+    level0 = made[0][1].obstruction
+    assert made[0][0] is b_reg
+    assert cli._coords(QQ, level0) == rendered[0]
+    assert level0 == rel_projective(b_reg, m).obstruction
+    for p, r in made:
+        assert r.obstruction == rel_projective(p, m).obstruction
+        assert r.certify is None
+    assert smooth.detail is made[-1][1]
 
 
 def test_zero_module_is_rel_projective():

@@ -8,12 +8,15 @@ classical-complex oracle in tests/oracles.py before being inlined here.
 
 import pytest
 
+from bimodcheck import homology
 from bimodcheck.bimodule import (
-    centralizer, composition_matrix, evaluation_data, regular_bimodule,
-    restrict_left,
+    basis_orbit, centralizer, composition_matrix, evaluation_data,
+    regular_bimodule, restrict_left,
 )
 from bimodcheck.errors import DimensionCapError, PreconditionError
-from bimodcheck.exactlin import Field, Matrix, QQ, apply_slot, kernel_basis
+from bimodcheck.exactlin import (
+    Field, Matrix, QQ, apply_slot, axpy, kernel_basis, kron_vec,
+)
 from bimodcheck.fixtures import fixture, ground_map
 from bimodcheck.homology import (
     _engine, bar_resolution, comonad_apply, comparison_check,
@@ -268,3 +271,130 @@ def test_morita_data_rejects_non_progenerators():
     m = fixture("simple-over-dual").bimodule
     with pytest.raises(PreconditionError):
         morita_data(m)
+
+
+
+# ---------------------------------------------------------------------------
+# The ring-side coboundaries and the transport build what does not depend
+# on the cochain once per column.  The oracles below evaluate each
+# cochain anew, column by column, with every face and every slot applied
+# in turn, and must agree exactly.
+
+
+def _ring_coboundary_column(extension, w, chain, g, n, q):
+    """Column q of the coboundary of the degree-n cochain g."""
+    a, s_alg = extension.source, extension.target
+    field, s = a.field, s_alg.dim
+    if n == 0:
+        return (w.left_action[q] - w.right_action[q]).apply(g.apply(a.unit))
+    mu = Matrix.from_columns(field, [cell for row in s_alg.mult
+                                     for cell in row], s)
+    pi_n = chain.from_plain[n]
+    v_plain = chain.to_plain[n + 1].column(q)
+    acc = {}
+    for idx, x in v_plain.items():
+        j, rest = divmod(idx, s ** n)
+        axpy(acc, x, w.left_action[j].apply(g.apply(pi_n.apply(
+            {rest: field.one}))))
+    sign = field.one
+    for i in range(1, n + 1):
+        sign = -sign
+        v2, _ = apply_slot(v_plain, [s] * (n + 1), i - 1, mu, 2)
+        axpy(acc, sign, g.apply(pi_n.apply(v2)))
+    sign = -sign
+    for idx, x in v_plain.items():
+        rest, l = divmod(idx, s)
+        axpy(acc, sign * x, w.right_action[l].apply(g.apply(pi_n.apply(
+            {rest: field.one}))))
+    return acc
+
+
+def _assert_ring_deltas_match_per_cochain(extension, w, nmax):
+    solvers, deltas, chain, _ = homology._ring_complex(extension, w, nmax,
+                                                       None)
+    for n in range(nmax + 1):
+        cols = [solvers[n + 1].coords_from(
+                    lambda q: _ring_coboundary_column(extension, w, chain,
+                                                      g, n, q))
+                for g in solvers[n].maps]
+        assert deltas[n] == Matrix.from_columns(extension.source.field, cols,
+                                                solvers[n + 1].dim)
+
+
+def _transport_phis(m, coefficients, nmax):
+    """The rewrite of every module-relative basis cochain, transported
+    one column at a time."""
+    field = m.field
+    k_solvers, _ = homology._module_complex(m, coefficients, nmax, None)
+    md = morita_data(m)
+    eng = _engine(m)
+    wd = coefficient_transport(m, coefficients)
+    rel_solvers, _, chain, w_mid = homology._ring_complex(
+        md.endo.to_endo, wd.w, nmax, None)
+    dm, dd = m.dim, md.dual.dim
+    s, ddm = md.endo.algebra.dim, dd * dm
+
+    def iso_mat(k):
+        prev, hom = eng.objects[k - 1], eng.homs[k]
+        cols = []
+        for fd in md.dual.basis:
+            for y in range(prev.dim):
+                orbit = basis_orbit(prev, prev.left_action, y)
+                cols.append(hom.solver.coords_from(
+                    lambda g: orbit.apply(fd.column(g))))
+        return Matrix.from_columns(field, cols, hom.dim)
+
+    def collapse(k, sv, dims, lo):
+        if k == 0:
+            return apply_slot(sv, dims, lo, eng.tensors[0].projection, 2)
+        sv, dims = collapse(k - 1, sv, dims, lo + 2)
+        sv, dims = apply_slot(sv, dims, lo + 1, iso_mat(k), 2)
+        return apply_slot(sv, dims, lo, eng.tensors[k].projection, 2)
+
+    def to_w(sv, dims):
+        sv, dims = apply_slot(sv, dims, 0, wd.t1.projection, 2)
+        return apply_slot(sv, dims, 0, wd.t2.projection, 2)[0]
+
+    def image(gmat, n):
+        if n == 0:
+            sv, dims = collapse(0, kron_vec(md.psi_unit, md.psi_unit, ddm,
+                                            ddm), [dd, dm, dd, dm], 1)
+            w0 = to_w(*apply_slot(sv, dims, 1, gmat))
+            cols = [w_mid.left_action[q].apply(w0)
+                    for q in range(chain.a.dim)]
+            return Matrix.from_columns(field, cols, wd.w.dim)
+        cols = []
+        for q in range(chain.spaces[n].dim):
+            sv, dims = chain.to_plain[n].column(q), [s] * n
+            for j in range(n):
+                sv, dims = apply_slot(sv, dims, j, md.psi_plain)
+            mid = ddm ** n
+            sv = kron_vec(md.psi_unit, kron_vec(sv, md.psi_unit, mid, ddm),
+                          ddm, mid * ddm)
+            sv, dims = collapse(n, sv, [dd, dm] * (n + 2), 1)
+            cols.append(to_w(*apply_slot(sv, dims, 1, gmat)))
+        return Matrix.from_columns(field, cols, wd.w.dim)
+
+    return [Matrix.from_columns(
+                field, [rel_solvers[n].coords_of(image(g, n), verify=True)
+                        for g in k_solvers[n].maps], rel_solvers[n].dim)
+            for n in range(nmax + 1)]
+
+
+# the twisted basis makes bar object 3, which nmax 2 needs, cost seconds
+@pytest.mark.parametrize("name, nmax", [("fx6", 2), ("fx6-twisted", 1)])
+def test_ring_deltas_and_transport_match_per_cochain(name, nmax):
+    m = fixture(name).bimodule
+    b_reg = regular_bimodule(m.left_algebra)
+    rep = comparison_check(m, b_reg, nmax)
+    assert rep.ok
+    md = morita_data(m)
+    _assert_ring_deltas_match_per_cochain(
+        md.endo.to_endo, coefficient_transport(m, b_reg).w, nmax)
+    assert list(rep.phis) == _transport_phis(m, b_reg, nmax)
+
+
+def test_ring_deltas_over_the_diagonal_match_per_cochain():
+    fx = fixture("fx6")
+    _assert_ring_deltas_match_per_cochain(
+        fx.base_map, regular_bimodule(fx.bimodule.left_algebra), 2)

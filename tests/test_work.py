@@ -13,19 +13,34 @@ from pathlib import Path
 
 import pytest
 
-from bimodcheck import cli, exactlin
+from bimodcheck import bimodule, cli, diagnostics, exactlin, homology
 from bimodcheck.exactlin import QQ, Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
 TRACER = ROOT / "bench" / "tracer.py"
 
-# Measured on fixtures/fx4.json: 17,402,130 cells in 605 products and
-# 7,336 applies.  Forming the full hom and tensor products again costs
-# 204,540,480 cells and 92,142 applies; applying the equivariant
-# solver's target operators to all-zero value blocks costs 29,961.
-FX4_MAX_MATMUL_CELLS = 20_000_000
+# Measured on fixtures/fx4.json: 2,799,693 cells and 7,188 applies.
+# Forming every solved basis map and the counit @ [g_0 g_1 ...] product
+# in each counit split costs 17,402,130 cells; forming the full hom and
+# tensor products again costs 204,540,480 cells and 92,142 applies;
+# applying the equivariant solver's target operators to all-zero value
+# blocks costs 29,961 applies.
+FX4_MAX_MATMUL_CELLS = 3_100_000
 FX4_MAX_APPLIES = 8_100
+# Basis maps formed on fixtures/fx4.json: 192 of the 364 solved.  The
+# counit splits read only generator values (91 maps) and the top-degree
+# Hochschild cochains only coordinates (81 maps), so neither is formed;
+# forming every solved map forms all 364.
+FX4_MAX_MAPS_FORMED = 210
+# Rows of the counit-splitting systems on fixtures/fx4.json: 60 over 4
+# splits, r * d rows each for r generators of a d-dimensional object.
+# One row per entry of End(P), d^2 each, is 117.
+FX4_MAX_SPLIT_ROWS = 64
+# homology.apply_slot calls on fixtures/fx6.json: 388, nearly all in the
+# transport of its one morita task.  Collapsing each transport vector
+# once per basis cochain instead of once per column makes 1,078.
+FX6_MAX_APPLY_SLOTS = 430
 # Fraction zero tests (Fraction.__bool__ calls) on fixtures/fx4.json:
 # 1,275, nearly all of them cancellations inside elimination.  Passing
 # dense vectors between the kernels costs 14,100; testing the shared
@@ -38,11 +53,16 @@ FX4_MAX_ECHELONS = 114
 FX4_MAX_ECHELON_ROWS = 2_650
 
 
-def _run_fx4(capsys):
-    doc = FIXTURE_DIR / "fx4.json"
+def _run(capsys, name):
+    doc = FIXTURE_DIR / f"{name}.json"
     assert cli.main(["check", str(doc), "--format", "json"]) == 0
-    golden = (FIXTURE_DIR / "golden" / "fx4.json").read_text(encoding="utf-8")
+    golden = (FIXTURE_DIR / "golden" / f"{name}.json").read_text(
+        encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def _run_fx4(capsys):
+    _run(capsys, "fx4")
 
 
 def test_fx4_work_stays_under_its_gates(monkeypatch, capsys):
@@ -93,6 +113,73 @@ def test_fx4_eliminations_stay_under_their_gates(monkeypatch, capsys):
     _run_fx4(capsys)
     assert counts["calls"] <= FX4_MAX_ECHELONS, counts
     assert counts["rows"] <= FX4_MAX_ECHELON_ROWS, counts
+
+
+def test_fx4_forms_few_basis_maps(monkeypatch, capsys):
+    solvers = []
+    solve = bimodule.equivariant_maps
+
+    def recorded(*args):
+        solvers.append(solve(*args))
+        return solvers[-1]
+
+    monkeypatch.setattr(bimodule, "equivariant_maps", recorded)
+    _run_fx4(capsys)
+
+    def is_formed(solver):
+        # maps kept as a plain attribute were formed with the solve
+        attrs = vars(solver)
+        return attrs.get("_maps", attrs.get("maps")) is not None
+
+    solved = sum(s.dim for s in solvers)
+    formed = sum(s.dim for s in solvers if is_formed(s))
+    assert solved == 364, solved
+    assert formed <= FX4_MAX_MAPS_FORMED, (formed, solved)
+
+
+def test_fx4_split_systems_stay_under_their_gate(monkeypatch, capsys):
+    counts = {"calls": 0, "rows": 0}
+    inside = [False]
+    split = diagnostics._split
+
+    def counted_split(*args):
+        counts["calls"] += 1
+        inside[0] = True
+        try:
+            return split(*args)
+        finally:
+            inside[0] = False
+
+    def counted_solve(solve):
+        def wrapper(m, rhs):
+            if inside[0]:
+                counts["rows"] += m.rows
+            return solve(m, rhs)
+        return wrapper
+
+    monkeypatch.setattr(diagnostics, "_split", counted_split)
+    # a split solves through one of these names, whichever it imports
+    for mod in (exactlin, diagnostics):
+        if hasattr(mod, "solve_affine"):
+            monkeypatch.setattr(mod, "solve_affine",
+                                counted_solve(mod.solve_affine))
+    _run_fx4(capsys)
+    assert counts["calls"] == 4, counts
+    assert counts["rows"] <= FX4_MAX_SPLIT_ROWS, counts
+
+
+def test_fx6_transport_apply_slots_stay_under_their_gate(monkeypatch,
+                                                         capsys):
+    calls = [0]
+    apply_slot = homology.apply_slot
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return apply_slot(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "apply_slot", counted)
+    _run(capsys, "fx6")
+    assert calls[0] <= FX6_MAX_APPLY_SLOTS, calls[0]
 
 
 def _tracer():
