@@ -1,8 +1,10 @@
 """Exact sparse linear algebra over the rationals and prime fields.
 
 Scalars are ordinary Python objects supporting field arithmetic through
-operators: rationals are gmpy2.mpq (fractions.Fraction when gmpy2 is
-missing), elements of F_p are ModInt instances.
+operators.  A rational is a Python int when it is integral and a
+gmpy2.mpq (fractions.Fraction when gmpy2 is missing) when it has a
+denominator; ints and rationals mix through the operators, compare and
+hash alike and print alike.  Elements of F_p are ModInt instances.
 
 A vector is a sparse {index: entry} dict that stores no zero, and a
 matrix stores each row as such a dict, so every kernel visits only the
@@ -32,6 +34,9 @@ try:
     from gmpy2 import mpq as _rational
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     _rational = Fraction
+
+# the rational types Field.scalar accepts over Q, besides ints and strings
+_RATIONAL = (Fraction, type(_rational(1)))
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality
@@ -137,8 +142,10 @@ class ModInt:
 class Field:
     """The ground field: Field() is Q, Field(p) is F_p for a prime p.
 
-    zero and one are built once and shared; every scalar type is
-    immutable, so sharing them is safe."""
+    Over Q, scalar() returns an int for an integral value and a backend
+    rational only when a denominator remains, so integral inputs run on
+    int arithmetic.  zero and one are built once and shared; every
+    scalar type is immutable, so sharing them is safe."""
 
     __slots__ = ("p", "zero", "one")
 
@@ -157,7 +164,8 @@ class Field:
         return self.p is None
 
     def scalar(self, x):
-        """Coerce an int, string, Fraction, or existing scalar."""
+        """Coerce an int, string, Fraction, or existing scalar; a float
+        is a TypeError, since it is not exact."""
         if self.p is not None:
             if isinstance(x, ModInt):
                 if x.p != self.p:
@@ -168,9 +176,14 @@ class Field:
             if isinstance(x, int):
                 return ModInt(x, self.p)
             raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
+        if isinstance(x, int):
+            return int(x)
         if isinstance(x, str):
-            return _rational(x.strip())
-        return _rational(x)
+            x = x.strip()
+        elif not isinstance(x, _RATIONAL):
+            raise TypeError(f"cannot coerce {x!r} into Q exactly")
+        q = _rational(x)
+        return int(q) if q.denominator == 1 else q
 
     def to_str(self, x) -> str:
         """Render a scalar exactly; rationals come out in lowest terms."""
@@ -209,9 +222,11 @@ def check_vec(vec, n: int) -> dict:
     if not isinstance(vec, dict):
         raise ShapeError(f"expected a sparse vector {{index: entry}} of "
                          f"length {n}, got {type(vec).__name__}")
-    if vec and (min(vec) < 0 or max(vec) >= n):
-        raise ShapeError(f"vector index {max(vec)} out of range for "
-                         f"length {n}")
+    if vec:
+        lo, hi = min(vec), max(vec)
+        if lo < 0 or hi >= n:
+            raise ShapeError(f"vector index {lo if lo < 0 else hi} out of "
+                             f"range for length {n}")
     return vec
 
 
@@ -418,6 +433,18 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_sparse(a.field, a.nz + b.nz, a.cols)
 
 
+def _inverse(x):
+    """1 / x for a nonzero scalar, kept exact: over Q, 1 / int would be a
+    float, so an int is inverted as a rational and an integral inverse
+    comes back as an int."""
+    if isinstance(x, ModInt):
+        return 1 / x
+    if x == 1 or x == -1:
+        return int(x)
+    q = _rational(1, x) if isinstance(x, int) else 1 / x
+    return int(q) if q.denominator == 1 else q
+
+
 def _reduce_into(piv: dict, row: dict) -> bool:
     """Reduce the sparse row in place against the pivot rows; when an
     entry survives, store the row normalized at its leftmost nonzero
@@ -427,7 +454,7 @@ def _reduce_into(piv: dict, row: dict) -> bool:
         x = row[c]
         pr = piv.get(c)
         if pr is None:
-            inv = 1 / x
+            inv = _inverse(x)
             piv[c] = {j: v * inv for j, v in row.items()}
             return True
         axpy(row, -x, pr)
@@ -615,7 +642,7 @@ def infeasibility_certificate(m: Matrix, rhs: dict) -> dict | None:
             if j in rhs:
                 acc = acc + a * rhs[j]
         if acc:
-            inv = 1 / acc
+            inv = _inverse(acc)
             return {j: a * inv for j, a in row.items()}
     return None
 

@@ -99,9 +99,13 @@ def test_parse_scalar_modular_forms():
 
 
 def test_scalar_rendering_round_trips():
-    for text in ("0", "5", "-3/7", "22/7"):
+    for text, shown in (("0", "0"), ("5", "5"), ("-3/7", "-3/7"),
+                        ("22/7", "22/7"), ("3", "3"), ("6/3", "2"),
+                        ("-1/2", "-1/2")):
         val = parse_scalar(QQ, text, "$")
+        assert render_scalar(QQ, val) == shown
         assert parse_scalar(QQ, render_scalar(QQ, val), "$") == val
+    assert render_scalar(QQ, parse_scalar(QQ, 3, "$")) == "3"
     f5 = Field(5)
     assert render_scalar(f5, f5.scalar(9)) == 4
 

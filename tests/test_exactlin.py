@@ -16,10 +16,10 @@ import oracles
 from bimodcheck import exactlin
 from bimodcheck.errors import FieldMismatchError, ShapeError, SingularError
 from bimodcheck.exactlin import (
-    Field, Matrix, ModInt, QQ, SpanTracker, Subspace, apply_slot, dense_vec,
-    hstack, infeasibility_certificate, invert, kernel_basis, kron_vec,
-    lincomb, quotient_space, rank, right_inverse, rref, solve_affine,
-    solve_or_certify, sparse_vec, vstack,
+    Field, Matrix, ModInt, QQ, SpanTracker, Subspace, apply_slot, check_vec,
+    dense_vec, hstack, infeasibility_certificate, invert, kernel_basis,
+    kron_vec, lincomb, quotient_space, rank, right_inverse, rref,
+    solve_affine, solve_or_certify, sparse_vec, vstack,
 )
 
 
@@ -112,6 +112,37 @@ def test_rational_scalar_parsing():
     assert half + half == QQ.one
     assert QQ.scalar("-3") == QQ.scalar(-3)
     assert QQ.to_str(QQ.scalar("2/4")) == "1/2"
+
+
+RATIONAL = type(QQ.scalar("1/2"))     # the backend's rational type
+
+
+def test_integral_rationals_are_ints():
+    for x in (4, " -6/3 ", Fraction(4, 2), exactlin._rational(4)):
+        assert type(QQ.scalar(x)) is int, x
+    assert QQ.scalar(" -6/3 ") == -2
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for x in ("1/2", " -6/4 ", Fraction(-3, 4), exactlin._rational(5, 3)):
+        assert type(QQ.scalar(x)) is RATIONAL, x
+    assert QQ.scalar(" -6/4 ") == Fraction(-3, 2)
+
+
+def test_inverses_stay_exact():
+    for x, want in ((1, 1), (-1, -1), (Fraction(1, 3), 3),
+                    (Fraction(-1, 1), -1), (2, Fraction(1, 2)),
+                    (Fraction(-2, 3), Fraction(-3, 2))):
+        got = exactlin._inverse(QQ.scalar(x))
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else RATIONAL)
+    assert exactlin._inverse(Field(5).scalar(2)) == Field(5).scalar(3)
+
+
+def test_floats_are_rejected_over_q():
+    for x in (0.1, 2.0, float("nan")):
+        with pytest.raises(TypeError):
+            QQ.scalar(x)
+        with pytest.raises(TypeError):
+            Field(3).scalar(x)
 
 
 def test_modular_scalar_normalization():
@@ -275,6 +306,15 @@ def test_dense_lists_and_long_indices_fail_loudly():
         with pytest.raises(ShapeError):
             call({2: QQ.one})
             pytest.fail(f"{name} took an index past its length")
+
+
+def test_out_of_range_errors_name_the_bad_index():
+    for vec, bad in (({-1: 1, 1: 1}, -1), ({0: 1, 3: 1}, 3),
+                     ({-2: 1, 5: 1}, -2)):
+        with pytest.raises(ShapeError,
+                           match=f"index {bad} out of range for length 2"):
+            check_vec(vec, 2)
+    assert check_vec({0: 1, 1: 1}, 2) == {0: 1, 1: 1}
 
 
 def test_ragged_rows_rejected():
@@ -469,6 +509,12 @@ def test_sparse_arithmetic_matches_dense_loops(data):
 
 @given(sparse_matrices())
 def test_sparse_eliminations_match_the_oracles(m):
+    _eliminations_match_the_oracles(m)
+
+
+def _eliminations_match_the_oracles(m) -> list:
+    """rref, kernel_basis and quotient_space against the oracles; returns
+    the matrices they built."""
     field, ops = m.field, _ops(m.field)
     rows = _to_oracle(field, m.data)
     red, pivots = oracles.echelon(rows, m.cols, ops)
@@ -494,12 +540,20 @@ def test_sparse_eliminations_match_the_oracles(m):
     assert [dense_vec(field, col, m.cols) for col in q.section.columns()] == [
         [field.one if i == p else field.zero for i in range(m.cols)]
         for p in q.positions]
+    return [r, ker.basis, q.projection, q.section]
 
 
 @given(sparse_matrices(), st.data())
 def test_sparse_solves_match_the_oracles(m, data):
+    rhs = [m.field.scalar(data.draw(entries_st)) for _ in range(m.rows)]
+    _solves_match_the_oracles(m, rhs)
+
+
+def _solves_match_the_oracles(m, rhs: list) -> list:
+    """solve_affine against the dense rhs and right_inverse against the
+    oracles; returns what they built."""
     field, ops, n = m.field, _ops(m.field), m.cols
-    rhs = [field.scalar(data.draw(entries_st)) for _ in range(m.rows)]
+    out = []
     aug = _to_oracle(field, [row + [b] for row, b in zip(m.data, rhs)])
     red, pivots = oracles.echelon(aug, n + 1, ops)
     sol = solve_affine(m, sparse_vec(field, rhs))
@@ -512,6 +566,7 @@ def test_sparse_solves_match_the_oracles(m, data):
         assert dense_vec(field, sol.particular, n) \
             == _from_oracle(field, [want], n).data[0]
         assert_stores_no_zero(sol.homogeneous.basis)
+        out += [sol.particular, sol.homogeneous.basis]
 
     eye = oracles.identity(m.rows, ops)
     aug = [row + e for row, e in zip(_to_oracle(field, m.data), eye)]
@@ -519,7 +574,7 @@ def test_sparse_solves_match_the_oracles(m, data):
     if any(pc >= n for pc in pivots):
         with pytest.raises(SingularError):
             right_inverse(m)
-        return
+        return out
     x = right_inverse(m)
     assert_stores_no_zero(x)
     want = [[ops.zero] * m.rows for _ in range(n)]
@@ -527,6 +582,7 @@ def test_sparse_solves_match_the_oracles(m, data):
         want[pc] = row[n:]
     assert x == _from_oracle(field, want, m.rows)
     assert m @ x == Matrix.identity(field, m.rows)
+    return out + [x]
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +672,11 @@ def test_sparse_solutions_and_certificates_match_the_oracles(m, data):
         assert_vec_stores_no_zero(sol, m.cols)
         assert m.apply(sol) == rhs
         return
+    _certificate_matches_the_oracle(m, rhs, cert)
+
+
+def _certificate_matches_the_oracle(m, rhs: dict, cert: dict) -> None:
+    field, ops = m.field, _ops(m.field)
     assert_vec_stores_no_zero(cert, m.rows)
     # the first left-kernel vector that pairs nonzero with rhs, scaled
     drhs = _to_oracle(field, [dense_vec(field, rhs, m.rows)])[0]
@@ -630,3 +691,51 @@ def test_sparse_solutions_and_certificates_match_the_oracles(m, data):
             break
     assert dense_vec(field, cert, m.rows) \
         == _from_oracle(field, [want], m.rows).data[0]
+
+
+# ---------------------------------------------------------------------------
+# Exactness over Q: integral rationals are ints, and 1 / int is a float,
+# so every pivot other than +-1 must be inverted exactly
+
+
+@st.composite
+def nonunit_systems(draw, max_dim=5):
+    """An int-entry matrix over Q and a right-hand side, each nonzero
+    entry 2, 3 or -4, so that no pivot starts out as +-1."""
+    entry = st.sampled_from([0, 0, 2, 3, -4])
+    rows = draw(st.integers(min_value=1, max_value=max_dim))
+    cols = draw(st.integers(min_value=1, max_value=max_dim))
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    rhs = draw(st.lists(entry, min_size=rows, max_size=rows))
+    return mat(QQ, data), [QQ.scalar(x) for x in rhs]
+
+
+def _scalars(obj):
+    """Every scalar stored in matrices and sparse vectors, or lists of
+    them."""
+    if isinstance(obj, Matrix):
+        for row in obj.nz:
+            yield from row.values()
+    elif isinstance(obj, dict):
+        yield from obj.values()
+    else:
+        for x in obj:
+            yield from _scalars(x)
+
+
+@given(nonunit_systems())
+def test_nonunit_pivots_over_q_stay_exact(system):
+    m, rhs = system
+    out = _eliminations_match_the_oracles(m) + _solves_match_the_oracles(m, rhs)
+    cert = infeasibility_certificate(m, sparse_vec(QQ, rhs))
+    if cert is not None:
+        _certificate_matches_the_oracle(m, sparse_vec(QQ, rhs), cert)
+        out.append(cert)
+    if m.rows == m.cols and rank(m) == m.rows:
+        inv = invert(m)
+        assert inv == right_inverse(m)      # which matched the oracle above
+        assert inv @ m == Matrix.identity(QQ, m.rows)
+        out.append(inv)
+    for x in _scalars(out):
+        assert type(x) in (int, RATIONAL), x

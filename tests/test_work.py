@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from bimodcheck import bimodule, cli, diagnostics, exactlin, homology
+from bimodcheck import (
+    bimodule, cli, diagnostics, exactlin, fixtures, homology,
+)
 from bimodcheck.exactlin import QQ, Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,11 +44,21 @@ FX4_MAX_SPLIT_ROWS = 64
 # once per basis cochain instead of once per column makes 1,078.
 FX6_MAX_APPLY_SLOTS = 430
 # Fraction zero tests (Fraction.__bool__ calls) on fixtures/fx4.json:
-# 1,275, nearly all of them cancellations inside elimination.  Passing
-# dense vectors between the kernels costs 14,100; testing the shared
+# 0, since its integral rationals are ints.  Storing them as Fractions
+# costs 1,255 (cancellations inside elimination); passing dense vectors
+# between the kernels as well costs 14,100; testing the shared
 # field.zero by value where an identity test would do costs 1,390,065;
 # walking dense rows in every kernel costs 4,493,209.
-FX4_MAX_ZERO_TESTS = 1_400
+FX4_MAX_ZERO_TESTS = 50
+# Fractions built (Fraction.__new__ calls) on fixtures/fx4.json: 125, one
+# per scalar string the parser reads; the engine builds none, because
+# every value it computes is integral.  Storing integral rationals as
+# Fractions costs 13,297.
+FX4_MAX_FRACTIONS = 200
+# Fractions built by bar_resolution(fx6-twisted, 3), fixture included:
+# 100,858.  The twisted basis has real denominators, so most of them
+# stay; storing integral rationals as Fractions costs 101,210.
+FX6_TWISTED_BAR_MAX_FRACTIONS = 101_210
 # exactlin._echelon on fixtures/fx4.json: 104 eliminations of 2,403
 # input rows in total.
 FX4_MAX_ECHELONS = 114
@@ -84,19 +96,39 @@ def test_fx4_work_stays_under_its_gates(monkeypatch, capsys):
     assert counts["applies"] <= FX4_MAX_APPLIES, counts
 
 
-def test_fx4_zero_tests_stay_under_their_gate(monkeypatch, capsys):
+def _count_fraction_calls(monkeypatch, name):
+    """A one-item list that counts calls of fractions.Fraction.<name>."""
     if exactlin._rational is not Fraction:
-        pytest.skip("the gate counts fractions.Fraction zero tests")
+        pytest.skip("the gate counts fractions.Fraction calls")
     calls = [0]
-    is_nonzero = Fraction.__bool__
+    method = getattr(Fraction, name)
 
-    def counted(x):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return is_nonzero(x)
+        return method(*args, **kwargs)
 
-    monkeypatch.setattr(Fraction, "__bool__", counted)
+    monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+def test_fx4_zero_tests_stay_under_their_gate(monkeypatch, capsys):
+    calls = _count_fraction_calls(monkeypatch, "__bool__")
     _run_fx4(capsys)
     assert calls[0] <= FX4_MAX_ZERO_TESTS, calls[0]
+
+
+def test_fx4_builds_few_fractions(monkeypatch, capsys):
+    calls = _count_fraction_calls(monkeypatch, "__new__")
+    _run_fx4(capsys)
+    assert calls[0] <= FX4_MAX_FRACTIONS, calls[0]
+
+
+def test_twisted_bar_growth_builds_no_more_fractions(monkeypatch):
+    calls = _count_fraction_calls(monkeypatch, "__new__")
+    # built afresh: fixture() shares instances, whose resolutions are cached
+    m = fixtures._build("fx6-twisted", QQ).bimodule
+    homology.bar_resolution(m, 3)
+    assert calls[0] <= FX6_TWISTED_BAR_MAX_FRACTIONS, calls[0]
 
 
 def test_fx4_eliminations_stay_under_their_gates(monkeypatch, capsys):
