@@ -275,35 +275,44 @@ def _blocks(row: dict, size: int) -> dict:
     return blocks
 
 
-def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
-                     src_ops: list[Matrix], tgt_ops: list[Matrix]
-                     ) -> EquivariantBasis:
-    """Solve for all F with F src_ops[k] = ... = tgt_ops[k] F via a
-    presentation of the source by operator orbits of basis vectors.
+def orbit_generators(field: Field, dim: int, ops) -> tuple[tuple, list]:
+    """Basis indices whose orbits under a unital operator family span the
+    space, taken greedily in index order, with the orbit columns
+    (op.column(i) for each generator i, then each op in order).
 
-    A source operator is read only through op.column(i), at the
-    generators found, so any object with that method will do."""
-    if len(src_ops) != len(tgt_ops):
-        raise ShapeError(f"{len(src_ops)} source operators for "
-                         f"{len(tgt_ops)} target operators")
-    n_ops = len(src_ops)
-    span = SpanTracker(src_dim)
+    An operator is read only through op.column(i), at the generators
+    found, so any object with that method will do."""
+    span = SpanTracker(dim)
     generators: list[int] = []
     g_cols: list[dict] = []
-    for i in range(src_dim):
-        if span.dim == src_dim:
+    for i in range(dim):
+        if span.dim == dim:
             break
         # membership test without committing
         if not span.add({i: field.one}):
             continue
         # e_i was new; undo is not needed since e_i is in its own orbit
         generators.append(i)
-        for op in src_ops:
+        for op in ops:
             col = op.column(i)
             g_cols.append(col)
             span.add(col)
-    if span.dim != src_dim and src_dim > 0:
+    if span.dim != dim and dim > 0:
         raise ValidationError("operator family does not span a unital action")
+    return tuple(generators), g_cols
+
+
+def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
+                     src_ops: list, tgt_ops: list[Matrix]
+                     ) -> EquivariantBasis:
+    """Solve for all F with F src_ops[k] = ... = tgt_ops[k] F via a
+    presentation of the source by operator orbits of basis vectors
+    (orbit_generators, which reads the source operators)."""
+    if len(src_ops) != len(tgt_ops):
+        raise ShapeError(f"{len(src_ops)} source operators for "
+                         f"{len(tgt_ops)} target operators")
+    n_ops = len(src_ops)
+    generators, g_cols = orbit_generators(field, src_dim, src_ops)
     r = len(generators)
     g_mat = Matrix.from_columns(field, g_cols, src_dim)
     relations = kernel_basis(g_mat)
@@ -327,7 +336,7 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
             if row:
                 rows.append(row)
     solutions = kernel_basis(Matrix.from_sparse(field, rows, unknowns))
-    return EquivariantBasis(field, src_dim, tgt_dim, tuple(generators),
+    return EquivariantBasis(field, src_dim, tgt_dim, generators,
                             solutions.positions, solutions.basis.nz,
                             (tgt_ops, n_ops, used, lift_used))
 
@@ -336,7 +345,16 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
 # Hom spaces
 
 
-@dataclass(eq=False)
+class _Columns:
+    """An operator formed one column at a time by column(i), for readers
+    that need only a few of its columns."""
+
+    __slots__ = ("column",)
+
+    def __init__(self, column):
+        self.column = column
+
+
 class HomSpace:
     """Left-linear maps source -> target as a bimodule over
     (right algebra of source, right algebra of target).
@@ -344,12 +362,41 @@ class HomSpace:
     a . f sends m to (m a) f, and f . t sends m to ((m) f) t.  The
     embedding realizing abstract coordinates as concrete matrices is
     matrix_of / coords_of.
+
+    `space`, with both action families, is formed on its first read.
+    The solver and `right_generators` need no space, and an action of
+    the form f -> op @ f reads only generator values, so a hom space read
+    through them forms no basis map.
     """
 
-    source: Bimodule
-    target: Bimodule
-    space: Bimodule
-    solver: EquivariantBasis
+    def __init__(self, source: Bimodule, target: Bimodule,
+                 solver: EquivariantBasis, left: tuple, right: tuple,
+                 name: str):
+        # left and right are (algebra, operators, before): each operator
+        # acts on the maps by F -> F @ op when before is set, by
+        # F -> op @ F otherwise
+        self.source, self.target, self.solver = source, target, solver
+        self._sides, self._name = (left, right), name
+        self._space = None
+
+    @property
+    def space(self) -> Bimodule:
+        if self._space is None:
+            left, right = [
+                tuple(composition_matrix(self.solver, op, before, self.solver)
+                      for op in ops) for _, ops, before in self._sides]
+            self._space = Bimodule(self._sides[0][0], self._sides[1][0],
+                                   self.dim, left, right, name=self._name)
+        return self._space
+
+    def right_generators(self) -> tuple:
+        """Maps whose orbits under the right action span the space, found
+        one action column at a time (orbit_generators)."""
+        _, ops, before = self._sides[1]
+        actions = [_Columns(composite_columns(self.solver, op, before,
+                                              self.solver))
+                   for op in ops]
+        return orbit_generators(self.solver.field, self.dim, actions)[0]
 
     @property
     def basis(self) -> tuple:
@@ -366,43 +413,50 @@ class HomSpace:
         return self.solver.coords_of(mat, verify=verify)
 
 
-def composition_matrix(maps, op: Matrix, before: bool,
-                       into: EquivariantBasis) -> Matrix:
-    """f -> f @ op (before) or op @ f on the given maps, one column of
-    coordinates in the solver `into` per map.
+def composite_columns(maps, op: Matrix, before: bool, into: EquivariantBasis):
+    """u -> the coordinates in the solver `into` of f_u @ op (before) or
+    op @ f_u, for f_u the u-th of the given maps.
 
-    Only the columns of each composite at into.generators are formed: f
+    Only the columns of the composite at into.generators are formed: f_u
     applied to those columns of op (before), or op applied to those
-    columns of f."""
+    columns of f_u.  maps is a tuple of matrices or a solver, meaning its
+    basis maps.  For op @ f_u and a solver whose generators include
+    into's (every hom space out of one source has the same), those
+    columns of f_u are its generator values, so no map is formed."""
+    if isinstance(maps, EquivariantBasis):
+        where = {g: j for j, g in enumerate(maps.generators)}
+        if not before and all(g in where for g in into.generators):
+            def column(u: int) -> dict:
+                vals = maps.generator_values(u)
+                return into.coords_from(
+                    lambda g: op.apply(vals[where[g]])
+                    if where[g] in vals else {})
+            return column
+        maps = maps.maps
     if before:
         op_cols = {g: op.column(g) for g in into.generators}
+        return lambda u: into.coords_from(lambda g: maps[u].apply(op_cols[g]))
+    return lambda u: into.coords_from(lambda g: op.apply(maps[u].column(g)))
 
-        def column(f):
-            return lambda g: f.apply(op_cols[g])
-    else:
-        def column(f):
-            return lambda g: op.apply(f.column(g))
-    cols = [into.coords_from(column(f)) for f in maps]
-    return Matrix.from_columns(into.field, cols, into.dim)
+
+def composition_matrix(maps, op: Matrix, before: bool,
+                       into: EquivariantBasis) -> Matrix:
+    """f -> f @ op (before) or op @ f on the given maps (a tuple, or a
+    solver meaning its basis), one column of coordinates in the solver
+    `into` per map; see composite_columns for what is formed."""
+    count = maps.dim if isinstance(maps, EquivariantBasis) else len(maps)
+    column = composite_columns(maps, op, before, into)
+    return Matrix.from_columns(into.field, [column(u) for u in range(count)],
+                               into.dim)
 
 
 def _hom_space(m: Bimodule, n: Bimodule, src_ops, tgt_ops, left: tuple,
                right: tuple, name: str) -> HomSpace:
-    """All maps F: m -> n with F src_ops[k] = tgt_ops[k] F, as a bimodule.
-
-    left and right are (algebra, operators, before): each operator acts on
-    the maps by F -> F @ op when before is set, by F -> op @ F otherwise.
-    """
+    """All maps F: m -> n with F src_ops[k] = tgt_ops[k] F, as a bimodule
+    (see HomSpace for left and right)."""
     solver = equivariant_maps(m.field, m.dim, n.dim, list(src_ops),
                               list(tgt_ops))
-
-    def acts(ops, before):
-        return tuple(composition_matrix(solver.maps, op, before, solver)
-                     for op in ops)
-
-    space = Bimodule(left[0], right[0], solver.dim, acts(*left[1:]),
-                     acts(*right[1:]), name=name)
-    return HomSpace(m, n, space, solver)
+    return HomSpace(m, n, solver, left, right, name)
 
 
 def hom_left(m: Bimodule, n: Bimodule, name: str = "Hom") -> HomSpace:
@@ -431,18 +485,6 @@ def dual_module(m: Bimodule) -> HomSpace:
     return hom_left(m, regular_bimodule(m.left_algebra), name=f"*{m.name}")
 
 
-class _Product:
-    """The operator l @ r, formed one column at a time on request."""
-
-    __slots__ = ("l", "r")
-
-    def __init__(self, l: Matrix, r: Matrix):
-        self.l, self.r = l, r
-
-    def column(self, i: int) -> dict:
-        return self.l.apply(self.r.column(i))
-
-
 def hom_bimodule(src: Bimodule, tgt: Bimodule) -> EquivariantBasis:
     """All maps intertwining both actions, for a shared algebra pair.
 
@@ -456,10 +498,22 @@ def hom_bimodule(src: Bimodule, tgt: Bimodule) -> EquivariantBasis:
         raise ValidationError("hom_bimodule requires a common left algebra")
     if src.right_algebra is not tgt.right_algebra:
         raise ValidationError("hom_bimodule requires a common right algebra")
-    src_ops = [_Product(l, r) for l in src.left_action
-               for r in src.right_action]
     tgt_ops = [l @ r for l in tgt.left_action for r in tgt.right_action]
-    return equivariant_maps(src.field, src.dim, tgt.dim, src_ops, tgt_ops)
+    return equivariant_maps(src.field, src.dim, tgt.dim,
+                            _two_sided_operators(src), tgt_ops)
+
+
+def _two_sided_operators(m: Bimodule) -> list:
+    # (left basis action) . (right basis action), formed column by column
+    return [_Columns(lambda i, l=l, r=r: l.apply(r.column(i)))
+            for l in m.left_action for r in m.right_action]
+
+
+def two_sided_generators(m: Bimodule) -> tuple:
+    """Basis indices generating m as a bimodule: the generators at which
+    hom_bimodule(m, -) reads its maps, so a two-sided map off m is fixed
+    by its values there."""
+    return orbit_generators(m.field, m.dim, _two_sided_operators(m))[0]
 
 
 def centralizer(m: Bimodule) -> Subspace:

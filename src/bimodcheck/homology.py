@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 from .bimodule import (
     Bimodule, BimoduleMap, EquivariantBasis, HomSpace, TensorProduct,
-    basis_orbit, centralizer, composition_matrix, counit_map,
-    descend_plain_map, endomorphism_ring, hom_bimodule, hom_left,
-    is_fg_projective_left, is_generator, regular_bimodule, restrict_left,
-    restrict_right, sub_bimodule, tensor_over,
+    basis_orbit, centralizer, composite_columns, composition_matrix,
+    counit_map, descend_plain_map, endomorphism_ring, hom_bimodule,
+    hom_left, is_fg_projective_left, is_generator, regular_bimodule,
+    restrict_left, restrict_right, sub_bimodule, tensor_over,
+    two_sided_generators,
 )
 from .errors import (
     DimensionCapError, PreconditionError, SingularError, ValidationError,
@@ -42,6 +43,8 @@ def _cap(dim_cap: int | None) -> int:
 
 
 def _check_cap(requested: int, dim_cap: int | None, what: str) -> None:
+    """Raise DimensionCapError when requested exceeds the cap; what names
+    the layer and the sizes."""
     cap = _cap(dim_cap)
     if requested > cap:
         raise DimensionCapError(
@@ -165,7 +168,8 @@ class _BarEngine:
     def _extend(self, dim_cap: int | None) -> None:
         n = len(self.objects)
         hom = self.hom_level(n, dim_cap)
-        _check_cap(self.m.dim * hom.dim, dim_cap, f"bar object {n}")
+        _check_cap(self.m.dim * hom.dim, dim_cap,
+                   f"bar growth: bar object {n} ({self.m.dim} x {hom.dim})")
         tensor = tensor_over(self.m, hom.space, name=f"bar{n}")
         obj = tensor.space
         prev = self.b if n == 0 else self.objects[n - 1]
@@ -176,8 +180,7 @@ class _BarEngine:
             # d_n = counit - F(d_{n-1}).  Basis vector q lifts to the unit
             # vector e_i (x) e_u at plain index positions[q], which
             # F(d_{n-1}) sends to e_i (x) push[:, u], projected.
-            push = composition_matrix(hom.basis, self.diffs[n - 1].matrix,
-                                      False, self.homs[n - 1].solver)
+            push = self.hom_diff(n - 1)
             push_cols = push.colnz()
             h, ph = hom.dim, push.rows
             cols = []
@@ -214,13 +217,49 @@ class _BarEngine:
         return self._sections[n]
 
     def hom_diff(self, n: int) -> Matrix:
-        """Hom(M, d_n): Hom(M,P_n) -> Hom(M,P_{n-1}) in solver coordinates."""
+        """Hom(M, d_n): Hom(M,P_n) -> Hom(M,P_{n-1}) in solver coordinates,
+        read off generator values."""
         if n not in self._hom_diffs:
             self.object(n)
             self._hom_diffs[n] = composition_matrix(
-                self.hom_level(n + 1).basis, self.diffs[n].matrix, False,
+                self.hom_level(n + 1).solver, self.diffs[n].matrix, False,
                 self.homs[n].solver)
         return self._hom_diffs[n]
+
+    def top_values(self, n: int, width: int, dim_cap: int | None) -> list:
+        """d_{n+1}(e_i (x) f_u) in P_n, without building P_{n+1}: i over
+        the left generators of M and u over the right generators of
+        H = Hom(M, P_n), which generate P_{n+1} = M (x) H as a bimodule.
+
+        A two-sided map phi off P_{n+1} is fixed by the phi(e_i (x) f_u),
+        so reading them embeds the degree-(n+1) cochains; for the
+        coboundary phi = g d_{n+1} they are g applied to these values.
+        Each value is f_u(e_i) - proj_n(e_i (x) d_n f_u): the first term
+        is a generator value of f_u, and d_n f_u is read off generator
+        values too.  Zero values are dropped.  The cap is checked on the rows of
+        the embedding, pairs times width (the coefficients' dim), before
+        any value is evaluated."""
+        hom = self.hom_level(n + 1, dim_cap)
+        lefts = hom.solver.generators
+        rights = hom.right_generators()
+        _check_cap(len(lefts) * len(rights) * width, dim_cap,
+                   f"bar growth: top coboundary embedding at degree {n} "
+                   f"({len(lefts)} x {len(rights)} generator pairs x {width})")
+        push = composite_columns(hom.solver, self.diffs[n].matrix, False,
+                                 self.homs[n].solver)
+        ph = self.homs[n].dim
+        minus_one = -self.field.one
+        values = []
+        for u in rights:
+            at = hom.solver.generator_values(u)
+            pushed = push(u)
+            for j, i in enumerate(lefts):
+                v = dict(at.get(j, {}))
+                axpy(v, minus_one, self.tensors[n].project_vec(
+                    {i * ph + r: x for r, x in pushed.items()}))
+                if v:
+                    values.append(v)
+        return values
 
     def bb_solver(self, n: int, coeff: Bimodule) -> EquivariantBasis:
         if (n, coeff) not in self._bb:
@@ -261,7 +300,6 @@ def homotopy_check(m: Bimodule, depth: int,
         raise PreconditionError("depth must be nonnegative")
     eng = _engine(m)
     eng.object(depth, dim_cap)
-    eng.hom_level(depth + 1, dim_cap)
     ident0 = Matrix.identity(eng.field, eng.homs[0].dim)
     if eng.hom_diff(0) @ eng.unit_section(-1) != ident0:
         return ValidationResult(False, "base contraction identity fails")
@@ -296,21 +334,39 @@ def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
     return _cohomology(m.field, [s.dim for s in solvers], deltas, nmax)
 
 
+def _stacked(field: Field, columns: list, width: int, blocks: int) -> Matrix:
+    """The matrix whose column c concatenates the sparse vectors
+    columns[c] (each of length width), block k at rows k * width on."""
+    return Matrix.from_columns(
+        field, [{k * width + s: x for k, v in enumerate(col)
+                 for s, x in v.items()} for col in columns], blocks * width)
+
+
 def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
                     dim_cap: int | None):
-    """Cochain solvers of degrees 0..nmax+1 and the coboundaries out of
-    degrees 0..nmax for the module-relative side; m must be a generator."""
+    """Cochain solvers of degrees 0..nmax and the coboundaries out of
+    them for the module-relative side; m must be a generator.
+
+    deltas[n] is in solver coordinates of degree n + 1 for n < nmax.  The
+    top one, deltas[nmax], lands in the embedding of _BarEngine.top_values
+    instead, so neither P_{nmax+1} nor its cochains are built.  An
+    injective map after it keeps its row space, hence its RREF and
+    kernel, which is all that _cohomology reads of it."""
     if nmax < 0:
         raise PreconditionError("nmax must be nonnegative")
     if coefficients.left_algebra is not m.left_algebra \
             or coefficients.right_algebra is not m.left_algebra:
         raise PreconditionError("coefficients must be two-sided over B")
     eng = _engine(m)
-    eng.object(nmax + 1, dim_cap)
-    solvers = [eng.bb_solver(n, coefficients) for n in range(nmax + 2)]
+    eng.object(nmax, dim_cap)
+    top = eng.top_values(nmax, coefficients.dim, dim_cap)
+    solvers = [eng.bb_solver(n, coefficients) for n in range(nmax + 1)]
     deltas = [composition_matrix(solvers[n].maps, eng.diffs[n + 1].matrix,
                                  True, solvers[n + 1])
-              for n in range(nmax + 1)]
+              for n in range(nmax)]
+    deltas.append(_stacked(m.field, [[g.apply(v) for v in top]
+                                     for g in solvers[nmax].maps],
+                           coefficients.dim, len(top)))
     for n in range(nmax):
         if not (deltas[n + 1] @ deltas[n]).is_zero():
             raise ValidationError(f"coboundary square nonzero at {n}")
@@ -345,8 +401,10 @@ def _ring_chain(extension: RingMap, upto: int,
     s = s_alg.dim
     for k in range(2, upto + 1):
         prev = chain.spaces[k - 1]
-        _check_cap(prev.dim * s, dim_cap, f"tensor power {k}")
-        _check_cap(s ** k, dim_cap, f"tensor power {k} (flattened)")
+        _check_cap(prev.dim * s, dim_cap,
+                   f"ring complex: tensor power {k} ({prev.dim} x {s})")
+        _check_cap(s ** k, dim_cap,
+                   f"ring complex: tensor power {k} (flattened, {s}^{k})")
         t = tensor_over(prev, s_mid, name=f"T{k}")
         sigma_prev = chain.to_plain[k - 1]
         cols = [apply_slot(t.lift_column(q), [prev.dim, s], 0, sigma_prev)[0]
@@ -362,7 +420,13 @@ def _ring_chain(extension: RingMap, upto: int,
 
 def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
                   dim_cap: int | None):
-    """Cochain solvers and coboundary matrices for the ring-relative side."""
+    """Cochain solvers of degrees 0..nmax and the coboundaries out of them
+    for the ring-relative side.
+
+    As on the module side, deltas[nmax] is not in solver coordinates: it
+    stacks the coboundary's columns at the bimodule generators of
+    S^{tensor_A (nmax+1)}, which fix a two-sided map off it, so the top
+    cochain space is never solved for."""
     v = validate_ring_map(extension)
     if not v:
         raise ValidationError(f"invalid ring map: {v.message}")
@@ -376,7 +440,11 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
     w_mid = Bimodule(a, a, w.dim, w_mid.left_action, w_mid.right_action,
                      name=f"{w.name} over {a.name}")
     chain = _ring_chain(extension, nmax + 1, dim_cap)
-    solvers = [hom_bimodule(chain.spaces[k], w_mid) for k in range(nmax + 2)]
+    top_gens = two_sided_generators(chain.spaces[nmax + 1])
+    _check_cap(len(top_gens) * w.dim, dim_cap,
+               f"ring complex: top coboundary embedding at degree {nmax} "
+               f"({len(top_gens)} generators x {w.dim})")
+    solvers = [hom_bimodule(chain.spaces[k], w_mid) for k in range(nmax + 1)]
     mu = Matrix.from_columns(field, [cell for row in s_alg.mult
                                      for cell in row], s)
 
@@ -422,12 +490,16 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
 
     # the coordinates of a coboundary read only its generator columns
     deltas = []
-    for n in range(nmax + 1):
+    for n in range(nmax):
         terms = {q: coboundary_terms(n, q) for q in solvers[n + 1].generators}
         cols = [solvers[n + 1].coords_from(
                     lambda q: coboundary_column(g, terms[q]))
                 for g in solvers[n].maps]
         deltas.append(Matrix.from_columns(field, cols, solvers[n + 1].dim))
+    terms = [coboundary_terms(nmax, q) for q in top_gens]
+    deltas.append(_stacked(field, [[coboundary_column(g, t) for t in terms]
+                                   for g in solvers[nmax].maps],
+                           w.dim, len(terms)))
     for n in range(nmax):
         if not (deltas[n + 1] @ deltas[n]).is_zero():
             raise ValidationError(f"ring coboundary square nonzero at {n}")

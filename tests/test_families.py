@@ -1,0 +1,106 @@
+"""Closed-form families through the CLI, and a Morita metamorphic check.
+
+The documents come from the benchmark's generators in bench/docs.py,
+imported rather than copied, so tier-1 and the `families` workload check
+the same instances.  Each answer is a closed form, never a recorded
+output:
+
+* Maschke: F_p[C_3] has HH^0 of dim 3; for p = 3 every HH^i has dim 3,
+  and for p = 2 every HH^i with i > 0 vanishes.
+* Loday: Q[x]/(x^n) has Hochschild dims (n, n - 1, n - 1, ...).
+* Morita: M_2(Q) over its diagonal has dims (1, 0, 0, ...) on both
+  sides.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from bimodcheck import cli
+from bimodcheck.bimodule import Bimodule, regular_bimodule
+from bimodcheck.exactlin import Matrix
+from bimodcheck.fixtures import fixture
+from bimodcheck.homology import _engine, module_hochschild
+
+DOCS = Path(__file__).resolve().parent.parent / "bench" / "docs.py"
+
+
+def _docs():
+    spec = importlib.util.spec_from_file_location("bench_docs", DOCS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+docs = _docs()
+
+
+def _loday_hochschild(n: int, nmax: int):
+    tasks = [f"hochschild M BB nmax={nmax}"]
+
+    def build(twist):
+        return docs.over_ground_document(None, docs.truncated_polynomials(n),
+                                         tasks, twist)
+
+    dims = [n] + [n - 1] * nmax
+    return (f"Q[x]/(x^{n})", build,
+            {"hochschild": {"nmax": nmax, "dims": dims}})
+
+
+FAMILIES = [
+    docs._maschke(3, 3, 3),
+    docs._maschke(2, 3, 3),
+    _loday_hochschild(3, 2),
+    docs._morita(3),
+]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=[f[0] for f in FAMILIES])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_family_meets_its_closed_form(family, seed, tmp_path, capsys):
+    _, build, oracle = family
+    doc = build(docs.Twist(seed))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["check", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert docs.check_report(oracle, payload, doc["field"]) == []
+
+
+def test_family_closed_forms_are_the_expected_ones():
+    oracles = {name: oracle for name, _, oracle in FAMILIES}
+    assert oracles["F3[C3]"]["hochschild"]["dims"] == [3, 3, 3, 3]
+    assert oracles["F2[C3]"]["hochschild"]["dims"] == [3, 0, 0, 0]
+    assert oracles["Q[x]/(x^3)"]["hochschild"]["dims"] == [3, 2, 2]
+    assert oracles["M2(Q)/diag"]["morita"]["module_dims"] == [1, 0, 0, 0]
+    assert oracles["M2(Q)/diag"]["morita"]["ring_dims"] == [1, 0, 0, 0]
+
+
+def _doubled(m: Bimodule) -> Bimodule:
+    """M (+) M, with block-diagonal actions."""
+    n = m.dim
+
+    def twice(a: Matrix) -> Matrix:
+        shifted = [{c + n: x for c, x in row.items()} for row in a.nz]
+        return Matrix.from_sparse(m.field, list(a.nz) + shifted, 2 * n)
+
+    return Bimodule(m.left_algebra, m.right_algebra, 2 * n,
+                    tuple(twice(a) for a in m.left_action),
+                    tuple(twice(a) for a in m.right_action),
+                    name=f"{m.name}+{m.name}")
+
+
+@pytest.mark.parametrize("name, nmax", [("fx3", 1), ("fx5", 2), ("fx6", 1)])
+def test_doubling_the_module_keeps_the_hochschild_dims(name, nmax):
+    # M and M (+) M generate the same subcategory, so the relative
+    # cohomology agrees; M (+) M has twice as many left generators, so
+    # the top coboundary reads more generator pairs
+    m = fixture(name).bimodule
+    mm = _doubled(m)
+    b_reg = regular_bimodule(m.left_algebra)
+    gens = len(_engine(m).hom_level(0).solver.generators)
+    assert len(_engine(mm).hom_level(0).solver.generators) == 2 * gens
+    assert module_hochschild(mm, b_reg, nmax).dims() \
+        == module_hochschild(m, b_reg, nmax).dims()

@@ -6,18 +6,22 @@ dims), and the cohomology values were derived from the independent
 classical-complex oracle in tests/oracles.py before being inlined here.
 """
 
-import pytest
+from pathlib import Path
 
-from bimodcheck import homology
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bimodcheck import cli, homology
 from bimodcheck.bimodule import (
     basis_orbit, centralizer, composition_matrix, evaluation_data,
-    regular_bimodule, restrict_left,
+    hom_bimodule, regular_bimodule, restrict_left, two_sided_generators,
 )
 from bimodcheck.errors import DimensionCapError, PreconditionError
 from bimodcheck.exactlin import (
     Field, Matrix, QQ, apply_slot, axpy, kernel_basis, kron_vec,
 )
-from bimodcheck.fixtures import fixture, ground_map
+from bimodcheck.fixtures import STANDARD, conjugate, fixture, ground_map
 from bimodcheck.homology import (
     _engine, bar_resolution, comonad_apply, comparison_check,
     coefficient_transport, homotopy_check, module_hochschild, morita_data,
@@ -172,6 +176,37 @@ def test_module_cohomology_rejects_non_generators():
         module_hochschild(m, regular_bimodule(m.left_algebra), 1)
 
 
+def _forbid(monkeypatch, module, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran after the cap was exceeded")
+    monkeypatch.setattr(module, name, refuse)
+
+
+def test_dimension_cap_guards_the_top_coboundary_embedding(monkeypatch):
+    # fx4 at nmax 1: P_1 has dim 27, within the cap; the embedding reads
+    # 2 left x 18 right generator pairs into coefficients of dim 3
+    m = fixture("fx4", Field(5)).bimodule
+    _forbid(monkeypatch, homology, "hom_bimodule")
+    with pytest.raises(DimensionCapError) as exc:
+        module_hochschild(m, regular_bimodule(m.left_algebra), 1, dim_cap=50)
+    assert "bar growth: top coboundary embedding" in str(exc.value)
+    assert exc.value.requested == 108
+    assert exc.value.cap == 50
+    assert len(_engine(m).objects) == 2
+
+
+def test_ring_cap_guards_the_top_coboundary_embedding(monkeypatch):
+    # the top tensor power of fx3 over F_5 at nmax 2 has dim 8, within the
+    # cap; its 8 generators read coefficients of dim 2
+    fx = fixture("fx3", Field(5))
+    b = fx.bimodule.left_algebra
+    _forbid(monkeypatch, homology, "hom_bimodule")
+    with pytest.raises(DimensionCapError) as exc:
+        ring_hochschild(fx.base_map, regular_bimodule(b), 2, dim_cap=8)
+    assert "ring complex: top coboundary embedding" in str(exc.value)
+    assert exc.value.requested == 16
+
+
 def test_dimension_cap_names_the_offending_level():
     m = fixture("fx3", Field(5)).bimodule
     with pytest.raises(DimensionCapError) as exc:
@@ -312,13 +347,24 @@ def _ring_coboundary_column(extension, w, chain, g, n, q):
 def _assert_ring_deltas_match_per_cochain(extension, w, nmax):
     solvers, deltas, chain, _ = homology._ring_complex(extension, w, nmax,
                                                        None)
-    for n in range(nmax + 1):
+    field = extension.source.field
+    for n in range(nmax):
         cols = [solvers[n + 1].coords_from(
                     lambda q: _ring_coboundary_column(extension, w, chain,
                                                       g, n, q))
                 for g in solvers[n].maps]
-        assert deltas[n] == Matrix.from_columns(extension.source.field, cols,
+        assert deltas[n] == Matrix.from_columns(field, cols,
                                                 solvers[n + 1].dim)
+    # the top coboundary stacks its columns at the top generators
+    gens = two_sided_generators(chain.spaces[nmax + 1])
+    cols = []
+    for g in solvers[nmax].maps:
+        col = {}
+        for k, q in enumerate(gens):
+            value = _ring_coboundary_column(extension, w, chain, g, nmax, q)
+            col.update({k * w.dim + t: x for t, x in value.items()})
+        cols.append(col)
+    assert deltas[nmax] == Matrix.from_columns(field, cols, len(gens) * w.dim)
 
 
 def _transport_phis(m, coefficients, nmax):
@@ -398,3 +444,100 @@ def test_ring_deltas_over_the_diagonal_match_per_cochain():
     fx = fixture("fx6")
     _assert_ring_deltas_match_per_cochain(
         fx.base_map, regular_bimodule(fx.bimodule.left_algebra), 2)
+
+
+# ---------------------------------------------------------------------------
+# The top coboundary of each complex lands in an embedding of the next
+# cochain space instead of its solver.  The old path, kept here, grows the
+# next bar object (or takes the next tensor power), solves for its
+# cochains, and forms the top coboundary in solver coordinates.  Both
+# paths must give the same cohomology, field by field.
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _old_module_cohomology(m, coefficients, nmax):
+    eng = _engine(m)
+    solvers = [hom_bimodule(eng.object(n), coefficients)
+               for n in range(nmax + 2)]
+    deltas = [composition_matrix(solvers[n].maps, eng.diffs[n + 1].matrix,
+                                 True, solvers[n + 1])
+              for n in range(nmax + 1)]
+    return homology._cohomology(m.field, [s.dim for s in solvers], deltas,
+                                nmax)
+
+
+def _old_ring_cohomology(extension, w, nmax):
+    _, _, chain, w_mid = homology._ring_complex(extension, w, nmax, None)
+    solvers = [hom_bimodule(chain.spaces[k], w_mid) for k in range(nmax + 2)]
+    field = extension.source.field
+    deltas = [Matrix.from_columns(
+                  field, [solvers[n + 1].coords_from(
+                              lambda q: _ring_coboundary_column(
+                                  extension, w, chain, g, n, q))
+                          for g in solvers[n].maps], solvers[n + 1].dim)
+              for n in range(nmax + 1)]
+    return homology._cohomology(field, [s.dim for s in solvers], deltas,
+                                nmax)
+
+
+def _assert_same_cohomology(new, old):
+    assert len(new.degrees) == len(old.degrees)
+    for got, want in zip(new.degrees, old.degrees):
+        assert got.degree == want.degree
+        assert got.dim == want.dim
+        assert got.cocycle_dim == want.cocycle_dim
+        assert got.coboundary_dim == want.coboundary_dim
+        assert got.representatives == want.representatives
+        assert [[str(x) for x in rep] for rep in got.representatives] \
+            == [[str(x) for x in rep] for rep in want.representatives]
+
+
+def _assert_both_paths_agree(m, coefficients, nmax, ring_side):
+    # the new path runs first, on an engine that has not grown P_{nmax+1}
+    _assert_same_cohomology(module_hochschild(m, coefficients, nmax),
+                            _old_module_cohomology(m, coefficients, nmax))
+    if ring_side:
+        extension = morita_data(m).endo.to_endo
+        w = coefficient_transport(m, coefficients).w
+        _assert_same_cohomology(ring_hochschild(extension, w, nmax),
+                                _old_ring_cohomology(extension, w, nmax))
+
+
+def _corpus_cases():
+    """(document, task) for every hochschild and morita task of the
+    CLI corpus."""
+    out = []
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        doc = cli.load_document(str(path))
+        out += [(path.stem, doc, task) for task in doc.tasks
+                if task.op in ("hochschild", "morita")]
+    return out
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2])
+def test_top_embedding_matches_the_old_path_on_the_corpus(nmax):
+    cases = _corpus_cases()
+    assert {name for name, _, _ in cases} \
+        == {"fp5", "fx1", "fx2", "fx3", "fx4", "fx5", "fx6"}
+    for _, doc, task in cases:
+        m, n = (doc.bimodules[a] for a in task.args)
+        _assert_both_paths_agree(m, n, nmax, task.op == "morita")
+
+
+@pytest.mark.parametrize("name", ["fx2", "fx3", "fx4", "fx6"])
+def test_top_embedding_matches_the_old_path_over_the_ground(name):
+    fx = fixture(name)
+    b_reg = regular_bimodule(fx.bimodule.left_algebra)
+    for nmax in range(3):
+        _assert_same_cohomology(
+            ring_hochschild(fx.base_map, b_reg, nmax),
+            _old_ring_cohomology(fx.base_map, b_reg, nmax))
+
+
+@settings(max_examples=10)
+@given(st.sampled_from(STANDARD), st.integers(0, 2 ** 16), st.integers(0, 2))
+def test_top_embedding_matches_the_old_path_on_twists(name, seed, nmax):
+    m = conjugate(fixture(name).bimodule, seed)
+    _assert_both_paths_agree(m, regular_bimodule(m.left_algebra), nmax,
+                             name in ("fx5", "fx6"))
