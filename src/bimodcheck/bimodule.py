@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ShapeError, ValidationError
 from .exactlin import (
-    Field, Matrix, SpanTracker, Subspace, axpy, check_vec, dense_vec,
-    kernel_basis, lincomb, quotient_space, rank, right_inverse,
+    Field, Matrix, SpanTracker, Subspace, _lincomb, axpy, check_vec,
+    dense_vec, kernel_basis, lincomb, quotient_space, rank, right_inverse,
     solve_or_certify,
 )
 from .structures import Algebra, RingMap, ValidationResult, memoized
@@ -134,7 +134,7 @@ def basis_orbit(m: Bimodule, acts: tuple, i: int) -> Matrix:
     for acts one of m's action families.  For f a map into the acting
     algebra, basis_orbit(m, acts, i) @ f is the endomorphism
     y -> ((y) f) . e_i."""
-    return Matrix.from_columns(m.field, [a.column(i) for a in acts], m.dim)
+    return Matrix._from_columns(m.field, [a.column(i) for a in acts], m.dim)
 
 
 def restrict_left(m: Bimodule, f: RingMap) -> Bimodule:
@@ -166,7 +166,7 @@ def sub_bimodule(parent: Bimodule, space: Subspace, name: str = "sub"
     def induce(mat: Matrix) -> Matrix:
         cols = [space.coords_of(mat.apply(row), verify=True)
                 for row in space.basis.nz]
-        return Matrix.from_columns(parent.field, cols, k)
+        return Matrix._from_columns(parent.field, cols, k)
 
     left = tuple(induce(mat) for mat in parent.left_action)
     right = tuple(induce(mat) for mat in parent.right_action)
@@ -235,21 +235,28 @@ class EquivariantBasis:
         for c in used:
             j, k = divmod(c, n_ops)
             w_cols.append(tgt_ops[k].apply(blocks[j]) if j in blocks else {})
-        w = Matrix.from_columns(self.field, w_cols, self.tgt_dim)
+        w = Matrix._from_columns(self.field, w_cols, self.tgt_dim)
         return w @ lift_used
 
     def coords_from(self, column) -> dict:
         """Coordinates of the map whose column g is column(g), a sparse
         vector; column is called at the generators only."""
+        return self._coords_from(lambda g: check_vec(column(g), self.tgt_dim))
+
+    def _coords_from(self, column) -> dict:
+        """coords_from without the check, for columns the package built."""
         vals = {}
         for r, g in enumerate(self.generators):
             base = r * self.tgt_dim
-            for s, x in check_vec(column(g), self.tgt_dim).items():
+            for s, x in column(g).items():
                 vals[base + s] = x
         return {k: vals[p] for k, p in enumerate(self.positions) if p in vals}
 
     def coords_of(self, mat: Matrix, verify: bool = False) -> dict:
-        coords = self.coords_from(mat.column)
+        if (mat.rows, mat.cols) != (self.tgt_dim, self.src_dim):
+            raise ShapeError(f"{mat.rows}x{mat.cols} matrix for maps "
+                             f"{self.src_dim} -> {self.tgt_dim}")
+        coords = self._coords_from(mat.column)
         if verify and self.matrix_of(coords) != mat:
             raise ValidationError("matrix is not in the equivariant span")
         return coords
@@ -257,8 +264,8 @@ class EquivariantBasis:
     def matrix_of(self, coords: dict) -> Matrix:
         check_vec(coords, self.dim)
         if self._maps is not None:
-            return lincomb(self.field, self.tgt_dim, self.src_dim, coords,
-                           self._maps)
+            return _lincomb(self.field, self.tgt_dim, self.src_dim, coords,
+                            self._maps)
         row: dict = {}
         for u, c in coords.items():
             axpy(row, c, self.values[u])
@@ -314,7 +321,7 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     n_ops = len(src_ops)
     generators, g_cols = orbit_generators(field, src_dim, src_ops)
     r = len(generators)
-    g_mat = Matrix.from_columns(field, g_cols, src_dim)
+    g_mat = Matrix._from_columns(field, g_cols, src_dim)
     relations = kernel_basis(g_mat)
     lift = right_inverse(g_mat) if src_dim else Matrix(field, [], cols=0)
     # lift is zero outside its pivot rows, so each map w @ lift needs
@@ -328,7 +335,7 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     rows = []
     for rel in relations.basis.nz:
         blocks = [(j * tgt_dim,
-                   lincomb(field, tgt_dim, tgt_dim, coeffs, tgt_ops).nz)
+                   _lincomb(field, tgt_dim, tgt_dim, coeffs, tgt_ops).nz)
                   for j, coeffs in _blocks(rel, n_ops).items()]
         for t in range(tgt_dim):
             row = {base + s: x for base, blk in blocks
@@ -428,15 +435,15 @@ def composite_columns(maps, op: Matrix, before: bool, into: EquivariantBasis):
         if not before and all(g in where for g in into.generators):
             def column(u: int) -> dict:
                 vals = maps.generator_values(u)
-                return into.coords_from(
+                return into._coords_from(
                     lambda g: op.apply(vals[where[g]])
                     if where[g] in vals else {})
             return column
         maps = maps.maps
     if before:
         op_cols = {g: op.column(g) for g in into.generators}
-        return lambda u: into.coords_from(lambda g: maps[u].apply(op_cols[g]))
-    return lambda u: into.coords_from(lambda g: op.apply(maps[u].column(g)))
+        return lambda u: into._coords_from(lambda g: maps[u].apply(op_cols[g]))
+    return lambda u: into._coords_from(lambda g: op.apply(maps[u].column(g)))
 
 
 def composition_matrix(maps, op: Matrix, before: bool,
@@ -446,8 +453,8 @@ def composition_matrix(maps, op: Matrix, before: bool,
     `into` per map; see composite_columns for what is formed."""
     count = maps.dim if isinstance(maps, EquivariantBasis) else len(maps)
     column = composite_columns(maps, op, before, into)
-    return Matrix.from_columns(into.field, [column(u) for u in range(count)],
-                               into.dim)
+    return Matrix._from_columns(into.field, [column(u) for u in range(count)],
+                                into.dim)
 
 
 def _hom_space(m: Bimodule, n: Bimodule, src_ops, tgt_ops, left: tuple,
@@ -480,8 +487,11 @@ def hom_right(m: Bimodule, n: Bimodule, name: str = "Hom_r") -> HomSpace:
                       (m.left_algebra, m.left_action, True), name)
 
 
+@memoized
 def dual_module(m: Bimodule) -> HomSpace:
-    """Left-linear maps into the regular bimodule; an (A, B) bimodule."""
+    """Left-linear maps into the regular bimodule; an (A, B) bimodule.
+    Solved once per module: the evaluation, the bar complex and the
+    dual basis test all read it."""
     return hom_left(m, regular_bimodule(m.left_algebra), name=f"*{m.name}")
 
 
@@ -550,9 +560,12 @@ class TensorProduct:
         return {self.positions[q]: self.space.field.one}
 
     def project_vec(self, plain_vec: dict) -> dict:
-        if self.trivial:
-            return check_vec(plain_vec, self.projection.cols)
-        return self.projection.apply(plain_vec)
+        """The class of a plain-tensor vector in the quotient."""
+        return self._project_vec(check_vec(plain_vec, self.projection.cols))
+
+    def _project_vec(self, plain_vec: dict) -> dict:
+        """project_vec without the check, for vectors the package built."""
+        return plain_vec if self.trivial else self.projection.apply(plain_vec)
 
 
 def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
@@ -604,7 +617,7 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
             else:
                 v = {i * dn + l: x for l, x in mat_cols[j]}
             cols.append(proj.apply(v))
-        return Matrix.from_columns(field, cols, quot.dim)
+        return Matrix._from_columns(field, cols, quot.dim)
 
     left = tuple(induced(0, mat) for mat in m.left_action)
     right = tuple(induced(1, mat) for mat in n.right_action)
@@ -629,7 +642,7 @@ def descend_plain_map(field: Field, plain_cols: list[dict], out_dim: int,
                        tensor: TensorProduct) -> Matrix:
     """Turn a map off the plain tensor into one off the quotient, checking
     that it kills the tensor relations."""
-    plain = Matrix.from_columns(field, plain_cols, out_dim)
+    plain = Matrix._from_columns(field, plain_cols, out_dim)
     if tensor.trivial:
         return plain
     relations = tensor.relations
@@ -637,8 +650,8 @@ def descend_plain_map(field: Field, plain_cols: list[dict], out_dim: int,
         if plain.apply(row):
             raise ValidationError("map does not descend through tensor relations")
     # plain @ section: the section selects the columns at tensor.positions
-    return Matrix.from_columns(field, [plain_cols[p] for p in tensor.positions],
-                               out_dim)
+    return Matrix._from_columns(
+        field, [plain_cols[p] for p in tensor.positions], out_dim)
 
 
 def counit_map(hom: HomSpace, tensor: TensorProduct,
@@ -684,7 +697,8 @@ def endomorphism_ring(m: Bimodule) -> EndoData:
     s = Algebra(field, d, tuple(mult), unit, name=f"End({m.name})")
     a = m.right_algebra
     cols = [hom.coords_of(m.right_action[j]) for j in range(a.dim)]
-    to_endo = RingMap(a, s, Matrix.from_columns(field, cols, d), name="to_endo")
+    to_endo = RingMap(a, s, Matrix._from_columns(field, cols, d),
+                      name="to_endo")
     right_module = Bimodule(m.left_algebra, s, m.dim, m.left_action,
                             tuple(hom.basis), name=m.name)
     return EndoData(s, to_endo, hom, right_module)

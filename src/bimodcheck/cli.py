@@ -281,7 +281,12 @@ def load_document(path: str) -> InputDocument:
             obj = json.load(fh)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e.msg}",
-                          f"{path}:{e.lineno}:{e.colno}")
+                          f"{path}:{e.lineno}:{e.colno}") from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"not UTF-8 text: byte {e.start} cannot be "
+                          f"decoded", path) from None
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply to read", path) from None
     return parse_document(obj)
 
 
@@ -403,7 +408,7 @@ def _task_separable(doc, task, opts, path):
 
 def _task_smooth(doc, task, opts, path):
     m = _one_bimodule(doc, task, path)
-    r = is_formally_smooth_bimodule(m)
+    r = is_formally_smooth_bimodule(m, dim_cap=opts.dim_cap)
     return {"verdict": r.verdict, "route": r.route,
             "kernel_dim": r.kernel_dim, "dimensions": dict(r.dimensions)}
 

@@ -22,8 +22,10 @@ from .exactlin import (
     Matrix, apply_slot, dense_vec, infeasibility_certificate, kernel_basis,
     rank, solve_affine, solve_or_certify,
 )
-from .homology import comonad_apply, comparison_check, syzygy
-from .structures import RingMap, multiplication_map, validate_ring_map
+from .homology import _engine, comonad_apply, comparison_check, syzygy
+from .structures import (
+    RingMap, memoized, multiplication_map, validate_ring_map,
+)
 
 
 def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: dict):
@@ -38,7 +40,7 @@ def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: dict):
     sol, cert = solve_or_certify(target_mat @ cz.basis.transpose(), unit)
     if sol is None:
         return None, tuple(dense_vec(field, cert, target_mat.rows)), cz
-    element = cz.embed(sol)
+    element = cz._embed(sol)
     for i in range(t_space.left_algebra.dim):
         delta = t_space.left_action[i] - t_space.right_action[i]
         if delta.apply(element):
@@ -156,8 +158,16 @@ def is_rel_projective(p: Bimodule, m: Bimodule) -> RelProjectivityResult:
     """Does the counit M tensor_A Hom(M, P) -> P split as two-sided maps?
 
     Splitting the counit is equivalent to relative projectivity for the
-    class of maps that split after Hom(M, -).
+    class of maps that split after Hom(M, -).  Decided once per (P, M):
+    hdim level 1 and smoothness ask it of the same Omega^1.
     """
+    return _rel_projective(m, p)
+
+
+@memoized
+def _rel_projective(m: Bimodule, p: Bimodule) -> RelProjectivityResult:
+    # kept in m.cache, so a split lives as long as M, even when P is the
+    # regular bimodule that the algebra keeps
     if p.left_algebra is not m.left_algebra \
             or p.right_algebra is not m.left_algebra:
         raise PreconditionError("p must be two-sided over M's left algebra")
@@ -185,12 +195,15 @@ class SmoothnessResult:
         return self.verdict
 
 
-def is_formally_smooth_bimodule(m: Bimodule) -> SmoothnessResult:
+def is_formally_smooth_bimodule(
+        m: Bimodule, dim_cap: int | None = None) -> SmoothnessResult:
     """Is the kernel of the evaluation map relatively projective?
 
     Short-circuits: an injective evaluation has zero kernel, and a
     separable bimodule splits the whole evaluation, which restricts to
-    the kernel.
+    the kernel.  The kernel is Omega^1 of the bar engine, ker d_0 with
+    d_0 = ev, so hdim level 1 reads the same object and split; dim_cap
+    bounds its bar object P_0 = M tensor_A *M.
     """
     ev = evaluation_data(m)
     t_dim = ev.tensor.space.dim
@@ -200,8 +213,7 @@ def is_formally_smooth_bimodule(m: Bimodule) -> SmoothnessResult:
     sep = is_separable_bimodule(m)
     if sep.verdict:
         return SmoothnessResult(True, "separable", None, sep, dims)
-    ker = kernel_basis(ev.map.matrix)
-    l, _ = sub_bimodule(ev.tensor.space, ker, name="ker-ev")
+    l = _engine(m).syzygy(1, dim_cap)
     dims["kernel"] = l.dim
     rp = is_rel_projective(l, m)
     return SmoothnessResult(rp.verdict, "kernel-splitting", l.dim, rp, dims)
@@ -278,7 +290,7 @@ def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
         for q in range(l.dim):
             for j in range(b.dim):
                 plain3.append(prods[i][j].column(q))
-    c3 = Matrix.from_columns(field, plain3, l.dim)
+    c3 = Matrix._from_columns(field, plain3, l.dim)
     sec1 = t1.section
     cols = []
     for q2 in range(t2.space.dim):
@@ -287,7 +299,7 @@ def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
             v2, _ = apply_slot(v2, [t1.space.dim, b.dim], 0, sec1)
         cols.append(c3.apply(v2))
     counit = BimoduleMap(t2.space, l,
-                         Matrix.from_columns(field, cols, l.dim),
+                         Matrix._from_columns(field, cols, l.dim),
                          name="two-sided-mult")
     section, certify = _split(counit, dims)
     return ExtensionSmoothnessResult(section is not None, l.dim, section,

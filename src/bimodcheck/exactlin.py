@@ -8,10 +8,19 @@ hash alike and print alike.  Elements of F_p are ModInt instances.
 
 A vector is a sparse {index: entry} dict that stores no zero, and a
 matrix stores each row as such a dict, so every kernel visits only the
-stored entries.  A vector does not carry its length; every entry point
-that takes one checks it against the length it expects (check_vec).
-Dense lists appear only at the boundary: sparse_vec reads one,
-dense_vec writes one.
+stored entries.  Dense lists appear only at the boundary: sparse_vec
+reads one, dense_vec writes one.
+
+A vector does not carry its length, so its shape is checked where it
+enters.  Every public function or method that takes a vector checks it
+against the length it expects (check_vec) and raises ShapeError on a
+dense list or an index out of range.  The package's own hops between
+layers pass vectors they built themselves and call the unchecked
+private twins instead: Matrix._from_columns, _lincomb, Subspace._embed
+and _kron_vec here, and EquivariantBasis._coords_from,
+Algebra._multiply and TensorProduct._project_vec elsewhere.
+Matrix.apply, SpanTracker.add, apply_slot, Subspace.from_span and the
+eliminations always check.
 
 Every elimination routine pivots on the leftmost nonzero column, so all
 echelon forms, kernel bases, particular solutions, and quotient
@@ -285,11 +294,17 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field: Field, columns, rows: int) -> "Matrix":
-        """From sparse column vectors of length rows."""
+        """From sparse column vectors of length rows, each checked."""
+        return cls._from_columns(
+            field, [check_vec(col, rows) for col in columns], rows)
+
+    @classmethod
+    def _from_columns(cls, field: Field, columns, rows: int) -> "Matrix":
+        """from_columns without the check, for columns the package built."""
         cols = list(columns)
         nz = [{} for _ in range(rows)]
         for j, col in enumerate(cols):
-            for i, x in check_vec(col, rows).items():
+            for i, x in col.items():
                 nz[i][j] = x
         return cls.from_sparse(field, nz, len(cols))
 
@@ -411,8 +426,14 @@ def lincomb(field: Field, rows: int, cols: int, coeffs: dict,
             mats) -> Matrix:
     """The rows x cols matrix sum of c * mats[k] over the entries k: c of
     the sparse vector coeffs, accumulated in place."""
+    return _lincomb(field, rows, cols, check_vec(coeffs, len(mats)), mats)
+
+
+def _lincomb(field: Field, rows: int, cols: int, coeffs: dict,
+             mats) -> Matrix:
+    """lincomb without the check, for coefficients the package built."""
     out = [{} for _ in range(rows)]
-    for k, c in check_vec(coeffs, len(mats)).items():
+    for k, c in coeffs.items():
         for orow, mrow in zip(out, mats[k].nz):
             axpy(orow, c, mrow)
     return Matrix.from_sparse(field, out, cols)
@@ -560,7 +581,7 @@ class Subspace:
         """Coordinates of vec in the basis; vec must lie in the subspace."""
         check_vec(vec, self.ambient_dim)
         coords = {k: vec[p] for k, p in enumerate(self.positions) if p in vec}
-        if verify and self.embed(coords) != vec:
+        if verify and self._embed(coords) != vec:
             raise ValidationError("vector is not in the subspace")
         return coords
 
@@ -573,9 +594,13 @@ class Subspace:
 
     def embed(self, coords: dict) -> dict:
         """The ambient vector with the given basis coordinates."""
+        return self._embed(check_vec(coords, self.dim))
+
+    def _embed(self, coords: dict) -> dict:
+        """embed without the check, for coordinates the package built."""
         out: dict = {}
         basis = self.basis.nz
-        for k, c in check_vec(coords, self.dim).items():
+        for k, c in coords.items():
             axpy(out, c, basis[k])
         return out
 
@@ -745,6 +770,9 @@ def apply_slot(sv: dict, dims: list[int], k: int, mat: Matrix,
 
 def kron_vec(u: dict, v: dict, len_u: int, len_v: int) -> dict:
     """The Kronecker product of sparse vectors of lengths len_u, len_v."""
-    check_vec(u, len_u)
-    check_vec(v, len_v)
+    return _kron_vec(check_vec(u, len_u), check_vec(v, len_v), len_v)
+
+
+def _kron_vec(u: dict, v: dict, len_v: int) -> dict:
+    """kron_vec without the checks, for vectors the package built."""
     return {i * len_v + j: a * b for i, a in u.items() for j, b in v.items()}

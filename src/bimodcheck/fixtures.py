@@ -83,7 +83,7 @@ def algebra_diagonal(field: Field) -> Algebra:
 def ground_map(field: Field, b: Algebra) -> RingMap:
     """The unit embedding of the ground field into an algebra."""
     k = algebra_ground(field)
-    mat = Matrix.from_columns(field, [b.unit], b.dim)
+    mat = Matrix._from_columns(field, [b.unit], b.dim)
     return RingMap(k, b, mat, name=f"k->{b.name}")
 
 

@@ -19,17 +19,17 @@ from dataclasses import dataclass
 from .bimodule import (
     Bimodule, BimoduleMap, EquivariantBasis, HomSpace, TensorProduct,
     basis_orbit, centralizer, composite_columns, composition_matrix,
-    counit_map, descend_plain_map, endomorphism_ring, hom_bimodule,
-    hom_left, is_fg_projective_left, is_generator, regular_bimodule,
-    restrict_left, restrict_right, sub_bimodule, tensor_over,
-    two_sided_generators,
+    counit_map, descend_plain_map, dual_module, endomorphism_ring,
+    evaluation_data, hom_bimodule, hom_left, is_fg_projective_left,
+    is_generator, regular_bimodule, restrict_left, restrict_right,
+    sub_bimodule, tensor_over, two_sided_generators,
 )
 from .errors import (
     DimensionCapError, PreconditionError, SingularError, ValidationError,
 )
 from .exactlin import (
     Field, Matrix, SpanTracker, apply_slot, axpy, dense_vec, invert,
-    kernel_basis, kron_vec, rank,
+    _kron_vec, kernel_basis, rank,
 )
 from .structures import (
     Algebra, RingMap, ValidationResult, memoized, validate_ring_map,
@@ -126,7 +126,12 @@ def _cohomology(field: Field, space_dims: list, deltas: list,
 
 
 def comonad_apply(m: Bimodule, y: Bimodule) -> tuple:
-    """One application F(Y) = M tensor_A Hom(M, Y), with its counit."""
+    """One application F(Y) = M tensor_A Hom(M, Y), with its counit.
+    F(B) is M tensor_A *M with the evaluation, which evaluation_data
+    keeps."""
+    if y is regular_bimodule(m.left_algebra):
+        ev = evaluation_data(m)
+        return ev.tensor.space, ev.map
     hom = hom_left(m, y)
     tensor = tensor_over(m, hom.space, name=f"F({y.name})")
     return tensor.space, counit_map(hom, tensor, "counit")
@@ -134,7 +139,13 @@ def comonad_apply(m: Bimodule, y: Bimodule) -> tuple:
 
 class _BarEngine:
     """Grow-on-demand bar data for one module: objects, differentials,
-    hom levels, unit sections, and cached two-sided hom solvers."""
+    hom levels, syzygies, unit sections, and cached two-sided hom solvers.
+
+    Level 0 is the evaluation: Hom(M, B) = *M (dual_module), P_0 =
+    M tensor_A *M and d_0 = ev are read from evaluation_data(m), so the
+    generator check,
+    separability, smoothness, F(B) (comonad_apply) and the bar complex
+    share one solve, one tensor square and one counit."""
 
     def __init__(self, m: Bimodule):
         self.m = m
@@ -145,6 +156,7 @@ class _BarEngine:
         self.objects: list[Bimodule] = []
         self.counits: list[BimoduleMap] = []
         self.diffs: list[BimoduleMap] = []
+        self._syzygies: dict[int, Bimodule] = {}
         self._sections: dict[int, Matrix] = {}
         self._hom_diffs: dict[int, Matrix] = {}
         self._bb: dict[tuple, EquivariantBasis] = {}   # (n, coefficients)
@@ -152,8 +164,10 @@ class _BarEngine:
     def hom_level(self, k: int, dim_cap: int | None = None) -> HomSpace:
         while len(self.homs) <= k:
             idx = len(self.homs)
-            prev = self.b if idx == 0 else self.object(idx - 1, dim_cap)
-            self.homs.append(hom_left(self.m, prev, name=f"hom{idx}"))
+            self.homs.append(
+                dual_module(self.m) if idx == 0 else
+                hom_left(self.m, self.object(idx - 1, dim_cap),
+                         name=f"hom{idx}"))
         return self.homs[k]
 
     def object(self, n: int, dim_cap: int | None = None) -> Bimodule:
@@ -170,13 +184,14 @@ class _BarEngine:
         hom = self.hom_level(n, dim_cap)
         _check_cap(self.m.dim * hom.dim, dim_cap,
                    f"bar growth: bar object {n} ({self.m.dim} x {hom.dim})")
-        tensor = tensor_over(self.m, hom.space, name=f"bar{n}")
-        obj = tensor.space
-        prev = self.b if n == 0 else self.objects[n - 1]
-        counit = counit_map(hom, tensor, f"counit{n}")
         if n == 0:
-            d = BimoduleMap(obj, prev, counit.matrix, name="d0")
+            ev = evaluation_data(self.m)
+            tensor, counit = ev.tensor, ev.map
+            d = BimoduleMap(tensor.space, self.b, counit.matrix, name="d0")
         else:
+            tensor = tensor_over(self.m, hom.space, name=f"bar{n}")
+            counit = counit_map(hom, tensor, f"counit{n}")
+            obj, prev = tensor.space, self.objects[n - 1]
             # d_n = counit - F(d_{n-1}).  Basis vector q lifts to the unit
             # vector e_i (x) e_u at plain index positions[q], which
             # F(d_{n-1}) sends to e_i (x) push[:, u], projected.
@@ -187,16 +202,26 @@ class _BarEngine:
             for p in tensor.positions:
                 i, u = divmod(p, h)
                 w = {i * ph + r: x for r, x in push_cols[u]}
-                cols.append(self.tensors[n - 1].project_vec(w))
-            fmat = Matrix.from_columns(self.field, cols, prev.dim)
+                cols.append(self.tensors[n - 1]._project_vec(w))
+            fmat = Matrix._from_columns(self.field, cols, prev.dim)
             d = BimoduleMap(obj, prev, counit.matrix - fmat, name=f"d{n}")
             comp = self.diffs[n - 1].matrix @ d.matrix
             if not comp.is_zero():
                 raise ValidationError(f"differential square nonzero at {n}")
         self.tensors.append(tensor)
-        self.objects.append(obj)
+        self.objects.append(tensor.space)
         self.counits.append(counit)
         self.diffs.append(d)
+
+    def syzygy(self, n: int, dim_cap: int | None = None) -> Bimodule:
+        """Omega^n = ker d_{n-1} as a two-sided submodule of P_{n-1}, for
+        n >= 1; formed once.  Omega^1 = ker ev needs no generator."""
+        if n not in self._syzygies:
+            d = self.diff(n - 1, dim_cap)
+            self._syzygies[n], _ = sub_bimodule(
+                self.objects[n - 1], kernel_basis(d.matrix),
+                name=f"syz{n}({self.m.name})")
+        return self._syzygies[n]
 
     def unit_section(self, n: int) -> Matrix:
         """s_n: Hom(M,P_n) -> Hom(M,P_{n+1}), f -> (x -> x tensor f).
@@ -210,10 +235,10 @@ class _BarEngine:
             # x -> x (x) f_u sends basis vector i to the class of (i, u),
             # column i * h + u of the projection (the identity when the
             # tensor is trivial)
-            cols = [tgt.solver.coords_from(
+            cols = [tgt.solver._coords_from(
                         lambda i: tensor.projection.column(i * h + u))
                     for u in range(h)]
-            self._sections[n] = Matrix.from_columns(self.field, cols, tgt.dim)
+            self._sections[n] = Matrix._from_columns(self.field, cols, tgt.dim)
         return self._sections[n]
 
     def hom_diff(self, n: int) -> Matrix:
@@ -255,7 +280,7 @@ class _BarEngine:
             pushed = push(u)
             for j, i in enumerate(lefts):
                 v = dict(at.get(j, {}))
-                axpy(v, minus_one, self.tensors[n].project_vec(
+                axpy(v, minus_one, self.tensors[n]._project_vec(
                     {i * ph + r: x for r, x in pushed.items()}))
                 if v:
                     values.append(v)
@@ -312,17 +337,14 @@ def homotopy_check(m: Bimodule, depth: int,
 
 
 def syzygy(m: Bimodule, n: int, dim_cap: int | None = None) -> Bimodule:
-    """Kernel of d_{n-1} as a two-sided submodule; degree 0 gives B back."""
+    """Kernel of d_{n-1} as a two-sided submodule; degree 0 gives B back.
+    The same object on every call (the bar engine keeps it)."""
     _require_generator(m)
     if n < 0:
         raise PreconditionError("syzygy index must be nonnegative")
     if n == 0:
         return regular_bimodule(m.left_algebra)
-    eng = _engine(m)
-    d = eng.diff(n - 1, dim_cap)
-    ker = kernel_basis(d.matrix)
-    sub, _ = sub_bimodule(eng.objects[n - 1], ker, name=f"syz{n}({m.name})")
-    return sub
+    return _engine(m).syzygy(n, dim_cap)
 
 
 def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
@@ -337,7 +359,7 @@ def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
 def _stacked(field: Field, columns: list, width: int, blocks: int) -> Matrix:
     """The matrix whose column c concatenates the sparse vectors
     columns[c] (each of length width), block k at rows k * width on."""
-    return Matrix.from_columns(
+    return Matrix._from_columns(
         field, [{k * width + s: x for k, v in enumerate(col)
                  for s, x in v.items()} for col in columns], blocks * width)
 
@@ -409,7 +431,7 @@ def _ring_chain(extension: RingMap, upto: int,
         sigma_prev = chain.to_plain[k - 1]
         cols = [apply_slot(t.lift_column(q), [prev.dim, s], 0, sigma_prev)[0]
                 for q in range(t.space.dim)]
-        sigma = Matrix.from_columns(field, cols, s ** k)
+        sigma = Matrix._from_columns(field, cols, s ** k)
         big = chain.from_plain[k - 1].kron(ident_s)
         pi = big if t.trivial else t.projection @ big
         chain.spaces.append(t.space)
@@ -445,8 +467,8 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
                f"ring complex: top coboundary embedding at degree {nmax} "
                f"({len(top_gens)} generators x {w.dim})")
     solvers = [hom_bimodule(chain.spaces[k], w_mid) for k in range(nmax + 1)]
-    mu = Matrix.from_columns(field, [cell for row in s_alg.mult
-                                     for cell in row], s)
+    mu = Matrix._from_columns(field, [cell for row in s_alg.mult
+                                      for cell in row], s)
 
     def coboundary_terms(n: int, q: int) -> list:
         # column q of the coboundary of a degree-n cochain g is the sum of
@@ -492,10 +514,10 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
     deltas = []
     for n in range(nmax):
         terms = {q: coboundary_terms(n, q) for q in solvers[n + 1].generators}
-        cols = [solvers[n + 1].coords_from(
+        cols = [solvers[n + 1]._coords_from(
                     lambda q: coboundary_column(g, terms[q]))
                 for g in solvers[n].maps]
-        deltas.append(Matrix.from_columns(field, cols, solvers[n + 1].dim))
+        deltas.append(Matrix._from_columns(field, cols, solvers[n + 1].dim))
     terms = [coboundary_terms(nmax, q) for q in top_gens]
     deltas.append(_stacked(field, [[coboundary_column(g, t) for t in terms]
                                    for g in solvers[nmax].maps],
@@ -549,7 +571,7 @@ def morita_data(m: Bimodule) -> MoritaData:
     theta_tensor = tensor_over(dual_endo, endo.right_module)
     # f tensor e_i -> the endomorphism y -> ((y) f) . e_i
     orbits = [basis_orbit(m, m.left_action, i) for i in range(m.dim)]
-    plain_cols = [endo.hom.solver.coords_from(
+    plain_cols = [endo.hom.solver._coords_from(
                       lambda g: orbit.apply(fd.column(g)))
                   for fd in dual.basis for orbit in orbits]
     theta_mat = descend_plain_map(field, plain_cols, s_alg.dim, theta_tensor)
@@ -638,9 +660,10 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
             hom = eng.homs[k]
             orbits = [basis_orbit(prev, prev.left_action, y)
                       for y in range(prev.dim)]
-            cols = [hom.solver.coords_from(lambda g: orbit.apply(fd.column(g)))
+            cols = [hom.solver._coords_from(
+                        lambda g: orbit.apply(fd.column(g)))
                     for fd in md.dual.basis for orbit in orbits]
-            iso_mats[k] = Matrix.from_columns(field, cols, hom.dim)
+            iso_mats[k] = Matrix._from_columns(field, cols, hom.dim)
         return iso_mats[k]
 
     def collapse(k: int, sv: dict, dims: list, lo: int):
@@ -662,7 +685,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         # in slot 1, one per column of its image (degree 0: one, at the
         # unit); none depends on the cochain
         if n == 0:
-            sv = kron_vec(md.psi_unit, md.psi_unit, ddm, ddm)
+            sv = _kron_vec(md.psi_unit, md.psi_unit, ddm)
             return [collapse(0, sv, [dd, dm, dd, dm], 1)]
         out = []
         for q in range(chain.spaces[n].dim):
@@ -671,8 +694,8 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
             for j in range(n):
                 sv, dims = apply_slot(sv, dims, j, md.psi_plain)
             mid_len = ddm ** n
-            sv = kron_vec(md.psi_unit, kron_vec(sv, md.psi_unit, mid_len, ddm),
-                          ddm, mid_len * ddm)
+            sv = _kron_vec(md.psi_unit, _kron_vec(sv, md.psi_unit, ddm),
+                           mid_len * ddm)
             out.append(collapse(n, sv, [dd, dm] * (n + 2), 1))
         return out
 
@@ -683,14 +706,14 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         if n == 0:
             cols = [w_mid.left_action[q].apply(cols[0])
                     for q in range(chain.a.dim)]
-        return Matrix.from_columns(field, cols, wd.w.dim)
+        return Matrix._from_columns(field, cols, wd.w.dim)
 
     phis = []
     degrees = []
     for n in range(nmax + 1):
         cols = [rel_solvers[n].coords_of(image_cochain(g, n), verify=True)
                 for g in k_solvers[n].maps]
-        phi = Matrix.from_columns(field, cols, rel_solvers[n].dim)
+        phi = Matrix._from_columns(field, cols, rel_solvers[n].dim)
         phis.append(phi)
         iso = (k_solvers[n].dim == rel_solvers[n].dim
                and rank(phi) == phi.cols)
@@ -702,7 +725,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     cz = centralizer(coefficients)
     for row in cz.basis.nz:
         g_cols = [act.apply(row) for act in coefficients.left_action]
-        g_edge = Matrix.from_columns(field, g_cols, dn)
+        g_edge = Matrix._from_columns(field, g_cols, dn)
         lhs = image_cochain(g_edge @ eng.diffs[0].matrix, 0)
         psv = md.psi_unit
         ins: dict = {}
@@ -713,7 +736,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         w_n = to_w(ins, [dd, dn, dm])
         rhs_cols = [w_mid.left_action[q].apply(w_n)
                     for q in range(chain.a.dim)]
-        rhs = Matrix.from_columns(field, rhs_cols, wd.w.dim)
+        rhs = Matrix._from_columns(field, rhs_cols, wd.w.dim)
         if lhs != rhs:
             base_ok = False
             break

@@ -33,9 +33,12 @@ class Algebra:
         check_vec(self.unit, self.dim)
 
     def multiply(self, u: dict, v: dict) -> dict:
-        check_vec(v, self.dim)
+        return self._multiply(check_vec(u, self.dim), check_vec(v, self.dim))
+
+    def _multiply(self, u: dict, v: dict) -> dict:
+        """multiply without the checks, for vectors the package built."""
         out = {}
-        for i, a in check_vec(u, self.dim).items():
+        for i, a in u.items():
             for j, b in v.items():
                 axpy(out, a * b, self.mult[i][j])
         return out
@@ -46,7 +49,7 @@ class Algebra:
         mats = []
         for i in range(self.dim):
             cols = [self.mult[i][j] for j in range(self.dim)]
-            mats.append(Matrix.from_columns(self.field, cols, self.dim))
+            mats.append(Matrix._from_columns(self.field, cols, self.dim))
         return tuple(mats)
 
     @cached_property
@@ -55,7 +58,7 @@ class Algebra:
         mats = []
         for j in range(self.dim):
             cols = [self.mult[i][j] for i in range(self.dim)]
-            mats.append(Matrix.from_columns(self.field, cols, self.dim))
+            mats.append(Matrix._from_columns(self.field, cols, self.dim))
         return tuple(mats)
 
     def basis_vector(self, i: int) -> dict:
@@ -96,17 +99,17 @@ def validate_algebra(a: Algebra) -> ValidationResult:
         for j in range(a.dim):
             left = a.mult[i][j]
             for k in range(a.dim):
-                lhs = a.multiply(left, a.basis_vector(k))
-                rhs = a.multiply(a.basis_vector(i), a.mult[j][k])
+                lhs = a._multiply(left, a.basis_vector(k))
+                rhs = a._multiply(a.basis_vector(i), a.mult[j][k])
                 if lhs != rhs:
                     return ValidationResult(
                         False,
                         f"associativity fails on basis triple ({i}, {j}, {k})")
     for i in range(a.dim):
         e = a.basis_vector(i)
-        if a.multiply(a.unit, e) != e:
+        if a._multiply(a.unit, e) != e:
             return ValidationResult(False, f"unit fails on the left at basis {i}")
-        if a.multiply(e, a.unit) != e:
+        if a._multiply(e, a.unit) != e:
             return ValidationResult(False, f"unit fails on the right at basis {i}")
     return ValidationResult(True)
 
@@ -143,7 +146,7 @@ def validate_ring_map(f: RingMap) -> ValidationResult:
     for i in range(f.source.dim):
         for j in range(f.source.dim):
             lhs = f.apply(f.source.mult[i][j])
-            rhs = f.target.multiply(images[i], images[j])
+            rhs = f.target._multiply(images[i], images[j])
             if lhs != rhs:
                 return ValidationResult(
                     False, f"multiplicativity fails on basis pair ({i}, {j})")
@@ -166,7 +169,7 @@ def multiplication_map(b: Algebra, over: RingMap):
     right_copy = bm.restrict_left(reg, over)    # (A, B)
     square = bm.tensor_over(left_copy, right_copy)
     # multiplication descends: on the plain tensor, (x, y) -> x * y
-    plain = Matrix.from_columns(b.field, [cell for row in b.mult
-                                          for cell in row], b.dim)
+    plain = Matrix._from_columns(b.field, [cell for row in b.mult
+                                           for cell in row], b.dim)
     mat = plain @ square.section
     return bm.BimoduleMap(square.space, reg, mat, name="mult")

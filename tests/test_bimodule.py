@@ -18,7 +18,7 @@ from bimodcheck.bimodule import (
     restrict_right, static_check, sub_bimodule, tensor_over, trace_in,
     validate_bimodule,
 )
-from bimodcheck import diagnostics
+from bimodcheck import diagnostics, fixtures
 from bimodcheck.errors import ShapeError, ValidationError
 from bimodcheck.exactlin import (
     Matrix, QQ, Subspace, dense_vec, invert, kernel_basis, lincomb, rank,
@@ -423,6 +423,18 @@ def test_dense_lists_and_long_indices_fail_loudly():
             pytest.fail(f"{name} took an index past its length")
 
 
+def test_coords_of_rejects_a_matrix_of_another_shape():
+    # coords_of reads the columns at the generators unchecked, so the
+    # matrix's shape is checked first
+    m = fixture("fx3").bimodule
+    hom = hom_left(m, regular_bimodule(m.left_algebra))
+    tgt, src = hom.solver.tgt_dim, hom.solver.src_dim
+    assert hom.coords_of(hom.basis[0]) == {0: QQ.one}
+    for rows, cols in ((tgt + 1, src), (tgt, src + 1), (tgt - 1, src)):
+        with pytest.raises(ShapeError):
+            hom.coords_of(Matrix.from_sparse(QQ, [{}] * rows, cols))
+
+
 def test_equivariant_maps_rejects_unpaired_operator_lists():
     ident = Matrix.identity(QQ, 2)
     with pytest.raises(ShapeError):
@@ -565,7 +577,11 @@ def _split_counits(m, fx=None, seed=0):
     while deciding m: relative projectivity of B and of B in a twisted
     basis, smoothness, hdim up to 2 for a generator, and smoothness of
     the base map when there is one.  The twisted B gives obstructions
-    that are not symmetric in the two indices of End(B)."""
+    that are not symmetric in the two indices of End(B).
+
+    Relative projectivity is decided afresh on every request, as if not
+    memoized, so a split made earlier on a shared instance (the dual-self
+    module is its algebra's regular bimodule) is not hidden."""
     seen = []
     split = diagnostics._split
 
@@ -574,8 +590,12 @@ def _split_counits(m, fx=None, seed=0):
         seen.append((counit, section, certify))
         return section, certify
 
+    def afresh(p, n):
+        return diagnostics._rel_projective.__wrapped__(n, p)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diagnostics, "_split", recorded)
+        mp.setattr(diagnostics, "is_rel_projective", afresh)
         b_reg = regular_bimodule(m.left_algebra)
         diagnostics.is_rel_projective(b_reg, m)
         diagnostics.is_rel_projective(conjugate(b_reg, seed), m)
@@ -610,7 +630,9 @@ def _assert_split_matches_full_system(counit, section, certify):
 
 
 def test_split_equals_the_full_system_across_corpus():
-    splits = [s for fx in corpus() for s in _split_counits(fx.bimodule, fx)]
+    # built afresh: fixture() shares instances, whose splits are memoized
+    fresh = [fixtures._build(fx.name, QQ) for fx in corpus()]
+    splits = [s for fx in fresh for s in _split_counits(fx.bimodule, fx)]
     assert any(section is None for _, section, _ in splits)
     assert any(section is not None for _, section, _ in splits)
     for counit, section, certify in splits:

@@ -200,6 +200,22 @@ def test_invalid_json_is_position_annotated(tmp_path):
     assert ":2:" in exc.value.path
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"field": "Q", "name": "\xff\xfe"}', "not UTF-8"),
+    (b"[" * 5000 + b"]" * 5000, "nested too deeply"),
+], ids=["non-utf8", "deep-nesting"])
+def test_unreadable_documents_are_schema_errors(tmp_path, capsys, content,
+                                                message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(SchemaError, match=message) as exc:
+        load_document(str(bad))
+    assert str(bad) in exc.value.path
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+
+
 # ---------------------------------------------------------------------------
 # Serialization round trips
 

@@ -10,8 +10,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bimodcheck import bimodule, cli, diagnostics, homology
+from bimodcheck import bimodule, cli, diagnostics, fixtures, homology
 from bimodcheck.bimodule import (
     evaluation_data, is_fg_projective_left, is_fg_projective_right,
     is_generator, regular_bimodule, restrict_left, restrict_right,
@@ -24,10 +26,11 @@ from bimodcheck.diagnostics import (
 )
 from bimodcheck.errors import PreconditionError
 from bimodcheck.exactlin import (
-    Field, Matrix, QQ, dense_vec, kernel_basis, sparse_vec,
+    Field, Matrix, QQ, dense_vec, kernel_basis, rank, sparse_vec,
 )
 from bimodcheck.fixtures import (
-    algebra_matrix2, corpus, fixture, ground_map,
+    EXTRAS, STANDARD, algebra_matrix2, conjugate, corpus, fixture,
+    ground_map,
 )
 from bimodcheck.structures import identity_map, multiplication_map
 
@@ -113,8 +116,9 @@ def test_regular_bimodule_fails_over_dual_numbers():
 def test_obstruction_read_after_the_verdicts_matches_rel_projective(
         monkeypatch):
     # hdim and smooth decide without forming an obstruction; reading one
-    # afterwards gives the bytes the rel_projective report renders
-    m = fixture("fx3").bimodule
+    # afterwards gives the bytes the rel_projective report renders.  Built
+    # afresh: fixture() shares instances, whose splits are memoized
+    m = fixtures._build("fx3", QQ).bimodule
     b_reg = regular_bimodule(m.left_algebra)
     made = []
     rel_projective = diagnostics.is_rel_projective
@@ -123,11 +127,16 @@ def test_obstruction_read_after_the_verdicts_matches_rel_projective(
         made.append((p, rel_projective(p, n)))
         return made[-1][1]
 
+    def split_afresh(p):
+        return diagnostics._rel_projective.__wrapped__(m, p)
+
     monkeypatch.setattr(diagnostics, "is_rel_projective", recorded)
     assert hdim_upto(m, 2).render() == "> 2"
     smooth = is_formally_smooth_bimodule(m)
     assert smooth.route == "kernel-splitting" and not smooth.verdict
+    # smooth asks for the split of Omega^1 that hdim level 1 made
     assert len(made) == 4
+    assert made[3][0] is made[1][0] and made[3][1] is made[1][1]
     assert all(r.certify is not None for _, r in made)
     golden = json.loads((FIXTURE_DIR / "golden" / "fx3.json").read_text(
         encoding="utf-8"))
@@ -136,11 +145,15 @@ def test_obstruction_read_after_the_verdicts_matches_rel_projective(
     level0 = made[0][1].obstruction
     assert made[0][0] is b_reg
     assert cli._coords(QQ, level0) == rendered[0]
-    assert level0 == rel_projective(b_reg, m).obstruction
+    assert level0 == split_afresh(b_reg).obstruction
     for p, r in made:
-        assert r.obstruction == rel_projective(p, m).obstruction
+        assert r.obstruction == split_afresh(p).obstruction
         assert r.certify is None
     assert smooth.detail is made[-1][1]
+    # the kernel of ev built apart from the bar engine splits the same way
+    ev = evaluation_data(m)
+    ker_ev, _ = sub_bimodule(ev.tensor.space, kernel_basis(ev.map.matrix))
+    assert smooth.detail.obstruction == split_afresh(ker_ev).obstruction
 
 
 def test_zero_module_is_rel_projective():
@@ -201,6 +214,76 @@ def test_smoothness_failure_carries_the_kernel_obstruction():
     res = is_formally_smooth_bimodule(fixture("fx3").bimodule)
     assert not res.verdict
     assert res.detail.obstruction is not None
+
+
+# Smoothness reads Omega^1 = ker d_0 off the bar engine, whose d_0 is
+# the evaluation, and the split that hdim level 1 makes.  The oracle
+# keeps the path that built them apart: its own kernel of ev, its own
+# sub-bimodule and a split that no memo answers.
+
+
+def _smooth_apart(m):
+    """(verdict, route, kernel_dim, dimensions, split) built apart from
+    the bar engine; split is None unless the kernel is split."""
+    ev = evaluation_data(m)
+    t_dim = ev.tensor.space.dim
+    dims = {"tensor_square": t_dim, "evaluation_rank": rank(ev.map.matrix)}
+    if dims["evaluation_rank"] == t_dim:
+        return True, "ev-injective", 0, dims, None
+    if is_separable_bimodule(m).verdict:
+        return True, "separable", None, dims, None
+    ker, _ = sub_bimodule(ev.tensor.space, kernel_basis(ev.map.matrix),
+                          name="ker-ev")
+    dims["kernel"] = ker.dim
+    rp = diagnostics._rel_projective.__wrapped__(m, ker)
+    return rp.verdict, "kernel-splitting", ker.dim, dims, rp
+
+
+def _assert_smooth_matches_the_apart_path(m) -> str:
+    """The route, after comparing both paths."""
+    res = is_formally_smooth_bimodule(m)
+    verdict, route, kernel_dim, dims, rp = _smooth_apart(m)
+    assert (res.verdict, res.route, res.kernel_dim, res.dimensions) \
+        == (verdict, route, kernel_dim, dims)
+    if rp is not None:
+        assert res.detail.dimensions == rp.dimensions
+        assert (res.detail.section is None) == (rp.section is None)
+        assert res.detail.obstruction == rp.obstruction
+    return route
+
+
+def test_smoothness_matches_the_apart_path_across_corpus():
+    routes = {_assert_smooth_matches_the_apart_path(fx.bimodule)
+              for fx in corpus()}
+    assert routes == {"ev-injective", "separable", "kernel-splitting"}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(STANDARD + EXTRAS), st.integers(0, 2 ** 16))
+def test_smoothness_matches_the_apart_path_on_twists(name, seed):
+    _assert_smooth_matches_the_apart_path(
+        conjugate(fixture(name).bimodule, seed))
+
+
+def test_smoothness_kernel_is_the_first_syzygy(monkeypatch):
+    # built afresh, so neither is cached when smoothness asks first
+    m = fixtures._build("fx3", QQ).bimodule
+    made = []
+    rel_projective = diagnostics.is_rel_projective
+
+    def recorded(p, n):
+        made.append(rel_projective(p, n))
+        return made[-1]
+
+    monkeypatch.setattr(diagnostics, "is_rel_projective", recorded)
+    res = is_formally_smooth_bimodule(m)
+    assert res.route == "kernel-splitting"
+    omega1 = homology.syzygy(m, 1)
+    assert res.detail.counit.target is omega1
+    assert res.kernel_dim == omega1.dim
+    # hdim level 1 gets smoothness's split back, not a new one
+    hdim_upto(m, 1)
+    assert made[-1] is res.detail
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ from pathlib import Path
 import pytest
 
 from bimodcheck import cli
-from bimodcheck.bimodule import Bimodule, regular_bimodule
+from bimodcheck.bimodule import Bimodule, is_generator, regular_bimodule
+from bimodcheck.diagnostics import (
+    hdim_upto, is_formally_smooth_bimodule, is_separable_bimodule,
+)
 from bimodcheck.exactlin import Matrix
 from bimodcheck.fixtures import fixture
 from bimodcheck.homology import _engine, module_hochschild
@@ -104,3 +107,22 @@ def test_doubling_the_module_keeps_the_hochschild_dims(name, nmax):
     assert len(_engine(mm).hom_level(0).solver.generators) == 2 * gens
     assert module_hochschild(mm, b_reg, nmax).dims() \
         == module_hochschild(m, b_reg, nmax).dims()
+
+
+@pytest.mark.parametrize("name", ["fx1", "fx2", "fx3", "fx4", "fx5", "fx6",
+                                  "dual-self"])
+def test_doubling_the_module_keeps_the_verdicts_and_hdim(name):
+    # add(M) = add(M (+) M): the same modules are relatively projective
+    # and the evaluations differ by a sum of copies, so every verdict and
+    # the M-Hochschild dimension agree
+    m = fixture(name).bimodule
+    mm = _doubled(m)
+    generator = is_generator(m).verdict
+    assert is_generator(mm).verdict == generator
+    assert is_separable_bimodule(mm).verdict \
+        == is_separable_bimodule(m).verdict
+    assert is_formally_smooth_bimodule(mm).verdict \
+        == is_formally_smooth_bimodule(m).verdict
+    assert generator
+    one, two = hdim_upto(m, 2), hdim_upto(mm, 2)
+    assert (two.value, two.shift_inferred) == (one.value, one.shift_inferred)

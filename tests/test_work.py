@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from bimodcheck import (
-    bimodule, cli, diagnostics, exactlin, fixtures, homology,
+    bimodule, cli, diagnostics, exactlin, fixtures, homology, structures,
 )
 from bimodcheck.exactlin import QQ, Matrix
 
@@ -32,20 +32,32 @@ TRACER = ROOT / "bench" / "tracer.py"
 # operators to all-zero value blocks costs 29,961 applies.
 FX4_MAX_MATMUL_CELLS = 2_500_000
 FX4_MAX_APPLIES = 4_900
-# Basis maps formed on fixtures/fx4.json: 111 of the 283 solved.  The
-# counit splits read only generator values (91 maps) and the top hom
-# level Hom(M, P_2) only generator values (81 maps), so neither is
-# formed.  Growing P_3 forms that hom level (192 of 364); forming every
-# solved map forms all 283.
-FX4_MAX_MAPS_FORMED = 125
+# Basis maps formed on fixtures/fx4.json: 99 of the 253 solved.  The
+# counit splits read only generator values and the top hom level
+# Hom(M, P_2) only generator values (81 maps), so neither is formed.
+# Bar level 0 and F(B) are the evaluation, so *M = Hom(M, B) is solved
+# once, and Omega^1 = ker ev is split once for smooth and hdim together;
+# building them apart solves 283 maps and forms 111.  Growing P_3 forms
+# that top hom level (192 of 364); forming every solved map forms all
+# 253.
+FX4_SOLVED_MAPS = 253
+FX4_MAX_MAPS_FORMED = 99
 # Bar objects grown on fixtures/fx4.json, whose tasks reach degree 2: 3.
 # The top coboundary is read at generator pairs, so P_3 is not grown;
 # growing it makes 4.
 FX4_MAX_BAR_OBJECTS = 3
-# Rows of the counit-splitting systems on fixtures/fx4.json: 60 over 4
+# Rows of the counit-splitting systems on fixtures/fx4.json: 42 over 3
 # splits, r * d rows each for r generators of a d-dimensional object.
-# One row per entry of End(P), d^2 each, is 117.
-FX4_MAX_SPLIT_ROWS = 64
+# Splitting ker ev for smooth apart from Omega^1 for hdim makes 4 splits
+# of 60 rows; one row per entry of End(P), d^2 each, is 117.
+FX4_SPLITS = 3
+FX4_MAX_SPLIT_ROWS = 42
+# Vector shape checks (exactlin.check_vec calls) on fixtures/fx4.json:
+# 5,444, at the entry points that take a vector from outside (apply,
+# span_add, coords_of, lincomb for the actions, the eliminations).
+# Checking every internal hop as well (from_columns, coords_from,
+# lincomb, multiply, embed, project_vec, kron_vec) makes 12,789.
+FX4_MAX_CHECK_VECS = 6_000
 # homology.apply_slot calls on fixtures/fx6.json: 388, nearly all in the
 # transport of its one morita task.  Collapsing each transport vector
 # once per basis cochain instead of once per column makes 1,078.
@@ -173,7 +185,7 @@ def test_fx4_forms_few_basis_maps(monkeypatch, capsys):
 
     solved = sum(s.dim for s in solvers)
     formed = sum(s.dim for s in solvers if is_formed(s))
-    assert solved == 283, solved
+    assert solved == FX4_SOLVED_MAPS, solved
     assert formed <= FX4_MAX_MAPS_FORMED, (formed, solved)
 
 
@@ -217,8 +229,23 @@ def test_fx4_split_systems_stay_under_their_gate(monkeypatch, capsys):
             monkeypatch.setattr(mod, "solve_affine",
                                 counted_solve(mod.solve_affine))
     _run_fx4(capsys)
-    assert counts["calls"] == 4, counts
+    assert counts["calls"] == FX4_SPLITS, counts
     assert counts["rows"] <= FX4_MAX_SPLIT_ROWS, counts
+
+
+def test_fx4_checks_few_vector_shapes(monkeypatch, capsys):
+    calls = [0]
+    check_vec = exactlin.check_vec
+
+    def counted(vec, n):
+        calls[0] += 1
+        return check_vec(vec, n)
+
+    # every module that imported check_vec holds its own name for it
+    for mod in (exactlin, bimodule, structures):
+        monkeypatch.setattr(mod, "check_vec", counted)
+    _run_fx4(capsys)
+    assert calls[0] <= FX4_MAX_CHECK_VECS, calls[0]
 
 
 def test_fx6_transport_apply_slots_stay_under_their_gate(monkeypatch,
