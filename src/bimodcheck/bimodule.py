@@ -188,12 +188,20 @@ class EquivariantBasis:
     generators[j] in block j (entries j * tgt_dim up to (j + 1) *
     tgt_dim); only these rows are kept when the basis is built.
 
-    - `maps` forms the basis matrices on its first read and keeps them.
-      The target operators and the lift that forming needs are dropped
-      then, so they live no longer than that.
-    - `matrix_of` forms just the map it is asked for, from the combined
-      values, while `maps` is unread (forming is linear in the values);
-      after that it combines the formed maps.
+    Every map is F = W_F @ lift_used.  lift_used takes a source vector
+    to its coordinates on the presentation columns that matter (`used`,
+    column c = j * n_ops + k being tgt_ops[k] applied to generator j),
+    and W_F holds F's values there: entry s of tgt_ops[k] applied to the
+    value of F at generators[j].  W stacks those blocks for the whole
+    basis, map u at rows u * tgt_dim up to (u + 1) * tgt_dim, and is
+    built on first need; the target operators are dropped then.
+
+    - `images(v)` gives f_u(v) for every u at once from W, by two
+      applies, and forms no map.
+    - `maps` forms the basis matrices on its first read, as the one
+      product W @ lift_used cut into tgt_dim-row blocks, and keeps them.
+    - `matrix_of` combines W's blocks (or the formed maps); before W
+      exists it builds just the block of the combined values.
     - `coords_from` reads the columns of a map at the generators only,
       so a caller that needs nothing but coordinates computes just those
       columns.
@@ -201,42 +209,63 @@ class EquivariantBasis:
 
     def __init__(self, field: Field, src_dim: int, tgt_dim: int,
                  generators: tuple, positions: tuple, values: list,
-                 form_with: tuple):
+                 tgt_ops: list, n_ops: int, used: list, lift_used: Matrix):
         self.field, self.src_dim, self.tgt_dim = field, src_dim, tgt_dim
         self.generators = generators    # source basis indices generating it
         self.positions = positions      # coordinate positions in a value row
         self.values = values
-        self._form_with = form_with     # (tgt_ops, n_ops, used, lift_used)
+        self._tgt_ops, self._n_ops, self._used = tgt_ops, n_ops, used
+        self._lift_used = lift_used
+        self._stack = None              # W
         self._maps = None
 
     @property
     def dim(self) -> int:
         return len(self.values)
 
-    @property
-    def maps(self) -> tuple:
-        """The basis, each a tgt_dim x src_dim Matrix; formed on first read."""
-        if self._maps is None:
-            self._maps = tuple(self._form(row) for row in self.values)
-            self._form_with = None
-        return self._maps
-
     def generator_values(self, u: int) -> dict:
         """{j: value of basis map u at generators[j]} where it is nonzero."""
         return _blocks(self.values[u], self.tgt_dim)
 
-    def _form(self, row: dict) -> Matrix:
-        # F = W @ lift, where column c = j * n_ops + k of W is the value
-        # of F at source column c of the presentation: tgt_ops[k] applied
-        # to the value at generator j
-        tgt_ops, n_ops, used, lift_used = self._form_with
+    def _w_block(self, row: dict) -> list:
+        """The tgt_dim rows of W for the map whose values are row."""
+        out = [{} for _ in range(self.tgt_dim)]
         blocks = _blocks(row, self.tgt_dim)
-        w_cols = []
-        for c in used:
-            j, k = divmod(c, n_ops)
-            w_cols.append(tgt_ops[k].apply(blocks[j]) if j in blocks else {})
-        w = Matrix._from_columns(self.field, w_cols, self.tgt_dim)
-        return w @ lift_used
+        for idx, c in enumerate(self._used):
+            j, k = divmod(c, self._n_ops)
+            if j in blocks:
+                for s, x in self._tgt_ops[k].apply(blocks[j]).items():
+                    out[s][idx] = x
+        return out
+
+    def _w(self) -> Matrix:
+        if self._stack is None:
+            self._stack = Matrix.from_sparse(
+                self.field, [r for row in self.values
+                             for r in self._w_block(row)], len(self._used))
+            self._tgt_ops = None
+        return self._stack
+
+    def images(self, vec: dict) -> list:
+        """[f_u(vec) for every basis map u], each a sparse vector, read
+        from W without forming a map."""
+        stacked = self._w().apply(self._lift_used.apply(vec))
+        out = [{} for _ in range(self.dim)]
+        for c, x in stacked.items():
+            u, s = divmod(c, self.tgt_dim)
+            out[u][s] = x
+        return out
+
+    @property
+    def maps(self) -> tuple:
+        """The basis, each a tgt_dim x src_dim Matrix; formed on first read."""
+        if self._maps is None:
+            formed = (self._w() @ self._lift_used).nz
+            t = self.tgt_dim
+            self._maps = tuple(
+                Matrix.from_sparse(self.field, formed[u * t:(u + 1) * t],
+                                   self.src_dim) for u in range(self.dim))
+        return self._maps
 
     def coords_from(self, column) -> dict:
         """Coordinates of the map whose column g is column(g), a sparse
@@ -263,13 +292,22 @@ class EquivariantBasis:
 
     def matrix_of(self, coords: dict) -> Matrix:
         check_vec(coords, self.dim)
+        field, t = self.field, self.tgt_dim
         if self._maps is not None:
-            return _lincomb(self.field, self.tgt_dim, self.src_dim, coords,
-                            self._maps)
-        row: dict = {}
-        for u, c in coords.items():
-            axpy(row, c, self.values[u])
-        return self._form(row)
+            return _lincomb(field, t, self.src_dim, coords, self._maps)
+        if self._stack is None:         # forming is linear in the values
+            row: dict = {}
+            for u, c in coords.items():
+                axpy(row, c, self.values[u], field.p)
+            block = self._w_block(row)
+        else:
+            block = [{} for _ in range(t)]
+            stack = self._stack.nz
+            for u, c in coords.items():
+                for s in range(t):
+                    axpy(block[s], c, stack[u * t + s], field.p)
+        return Matrix.from_sparse(field, block, len(self._used)) \
+            @ self._lift_used
 
 
 def _blocks(row: dict, size: int) -> dict:
@@ -289,7 +327,7 @@ def orbit_generators(field: Field, dim: int, ops) -> tuple[tuple, list]:
 
     An operator is read only through op.column(i), at the generators
     found, so any object with that method will do."""
-    span = SpanTracker(dim)
+    span = SpanTracker(dim, field.p)
     generators: list[int] = []
     g_cols: list[dict] = []
     for i in range(dim):
@@ -324,8 +362,8 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     g_mat = Matrix._from_columns(field, g_cols, src_dim)
     relations = kernel_basis(g_mat)
     lift = right_inverse(g_mat) if src_dim else Matrix(field, [], cols=0)
-    # lift is zero outside its pivot rows, so each map w @ lift needs
-    # only the columns of w at those rows
+    # lift is zero outside its pivot rows, so each map W_F @ lift needs
+    # only the columns of W_F at those rows
     used = [k for k, row in enumerate(lift.nz) if row]
     lift_used = Matrix.from_sparse(field, [lift.nz[k] for k in used], src_dim)
     # unknowns: values v_j in target for each generator, stacked; a
@@ -345,7 +383,7 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     solutions = kernel_basis(Matrix.from_sparse(field, rows, unknowns))
     return EquivariantBasis(field, src_dim, tgt_dim, generators,
                             solutions.positions, solutions.basis.nz,
-                            (tgt_ops, n_ops, used, lift_used))
+                            tgt_ops, n_ops, used, lift_used)
 
 
 # ---------------------------------------------------------------------------
@@ -420,40 +458,42 @@ class HomSpace:
         return self.solver.coords_of(mat, verify=verify)
 
 
-def composite_columns(maps, op: Matrix, before: bool, into: EquivariantBasis):
+def composite_columns(solver: EquivariantBasis, op: Matrix, before: bool,
+                      into: EquivariantBasis):
     """u -> the coordinates in the solver `into` of f_u @ op (before) or
-    op @ f_u, for f_u the u-th of the given maps.
+    op @ f_u, for f_u the u-th basis map of solver.
 
-    Only the columns of the composite at into.generators are formed: f_u
-    applied to those columns of op (before), or op applied to those
-    columns of f_u.  maps is a tuple of matrices or a solver, meaning its
-    basis maps.  For op @ f_u and a solver whose generators include
-    into's (every hom space out of one source has the same), those
-    columns of f_u are its generator values, so no map is formed."""
-    if isinstance(maps, EquivariantBasis):
-        where = {g: j for j, g in enumerate(maps.generators)}
-        if not before and all(g in where for g in into.generators):
+    Only the columns of the composite at into.generators are computed,
+    and no map is formed.  Column g of f_u @ op is f_u applied to column
+    g of op, which solver.images gives for every u at once.  Column g of
+    op @ f_u is op applied to column g of f_u: a generator value of f_u
+    when g is one of solver's generators (every hom space out of one
+    source has the same), an image of e_g otherwise."""
+    if not before:
+        where = {g: j for j, g in enumerate(solver.generators)}
+        if all(g in where for g in into.generators):
             def column(u: int) -> dict:
-                vals = maps.generator_values(u)
+                vals = solver.generator_values(u)
                 return into._coords_from(
                     lambda g: op.apply(vals[where[g]])
                     if where[g] in vals else {})
             return column
-        maps = maps.maps
-    if before:
-        op_cols = {g: op.column(g) for g in into.generators}
-        return lambda u: into._coords_from(lambda g: maps[u].apply(op_cols[g]))
-    return lambda u: into._coords_from(lambda g: op.apply(maps[u].column(g)))
+        one = solver.field.one
+        images = {g: [op.apply(y) for y in solver.images({g: one})]
+                  for g in into.generators}
+    else:
+        images = {g: solver.images(op.column(g)) for g in into.generators}
+    return lambda u: into._coords_from(lambda g: images[g][u])
 
 
-def composition_matrix(maps, op: Matrix, before: bool,
+def composition_matrix(solver: EquivariantBasis, op: Matrix, before: bool,
                        into: EquivariantBasis) -> Matrix:
-    """f -> f @ op (before) or op @ f on the given maps (a tuple, or a
-    solver meaning its basis), one column of coordinates in the solver
-    `into` per map; see composite_columns for what is formed."""
-    count = maps.dim if isinstance(maps, EquivariantBasis) else len(maps)
-    column = composite_columns(maps, op, before, into)
-    return Matrix._from_columns(into.field, [column(u) for u in range(count)],
+    """f -> f @ op (before) or op @ f on the basis maps of solver, one
+    column of coordinates in the solver `into` per map; see
+    composite_columns for what is computed."""
+    column = composite_columns(solver, op, before, into)
+    return Matrix._from_columns(into.field,
+                                [column(u) for u in range(solver.dim)],
                                 into.dim)
 
 
@@ -468,11 +508,26 @@ def _hom_space(m: Bimodule, n: Bimodule, src_ops, tgt_ops, left: tuple,
 
 def hom_left(m: Bimodule, n: Bimodule, name: str = "Hom") -> HomSpace:
     """All maps intertwining the left actions, with its (A, T) structure."""
-    if m.left_algebra is not n.left_algebra:
+    b = m.left_algebra
+    if b is not n.left_algebra:
         raise ValidationError("hom_left requires a common left algebra")
-    return _hom_space(m, n, m.left_action, n.left_action,
-                      (m.right_algebra, m.right_action, True),
-                      (n.right_algebra, n.right_action, False), name)
+    left = (m.right_algebra, m.right_action, True)
+    right = (n.right_algebra, n.right_action, False)
+    if n is regular_bimodule(b):
+        return HomSpace(m, n, _maps_into_regular(b, m.left_action, m.dim),
+                        left, right, name)
+    return _hom_space(m, n, m.left_action, n.left_action, left, right, name)
+
+
+@memoized
+def _maps_into_regular(b: Algebra, left_action: tuple,
+                       dim: int) -> EquivariantBasis:
+    """The left-linear maps into B off a module with these left actions.
+    Solved once per action family and kept with B: *M, the trace of M in
+    B, evaluation over End(M), and M as a (B, End(M))-bimodule all share
+    M's left actions, so they share this solve."""
+    return equivariant_maps(b.field, dim, b.dim, list(left_action),
+                            list(b.left_mult))
 
 
 def hom_right(m: Bimodule, n: Bimodule, name: str = "Hom_r") -> HomSpace:
@@ -595,7 +650,8 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
         for i in range(dm):
             for j in range(dn):
                 row = {k * dn + j: x for k, x in ra_cols[i]}
-                axpy(row, minus_one, {i * dn + l: x for l, x in la_cols[j]})
+                axpy(row, minus_one, {i * dn + l: x for l, x in la_cols[j]},
+                     field.p)
                 if row:
                     rel_rows.append(row)
     relations = Subspace.from_span(field, plain, rel_rows)
@@ -659,10 +715,10 @@ def counit_map(hom: HomSpace, tensor: TensorProduct,
     """The counit m tensor f -> (m) f off M tensor Hom(M, Y) down to Y,
     where hom = Hom(M, Y) and tensor is M tensored with its space."""
     target = hom.target
-    plain_cols = []
-    for i in range(tensor.left_factor.dim):
-        for u in range(hom.dim):
-            plain_cols.append(hom.basis[u].column(i))
+    one = target.field.one
+    # plain column i * hom.dim + u is f_u(e_i)
+    plain_cols = [y for i in range(tensor.left_factor.dim)
+                  for y in hom.solver.images({i: one})]
     mat = descend_plain_map(target.field, plain_cols, target.dim, tensor)
     return BimoduleMap(tensor.space, target, mat, name=name)
 
@@ -691,7 +747,7 @@ def endomorphism_ring(m: Bimodule) -> EndoData:
     mult = []
     for hu in hom.basis:
         # u * v = apply u, then v: column v of f -> f @ hu
-        comp = composition_matrix(hom.basis, hu, True, hom.solver)
+        comp = composition_matrix(hom.solver, hu, True, hom.solver)
         mult.append(tuple(comp.columns()))
     unit = hom.coords_of(Matrix.identity(field, m.dim))
     s = Algebra(field, d, tuple(mult), unit, name=f"End({m.name})")
@@ -781,9 +837,8 @@ def is_fg_projective_right(m: Bimodule) -> ProjectivityResult:
 def trace_in(m: Bimodule, n: Bimodule) -> Subspace:
     """The trace ideal-like subspace: images of all left-linear maps M -> N."""
     hom = hom_left(m, n, name="tr")
-    vectors = []
-    for f in hom.basis:
-        vectors.extend(f.column(i) for i in range(m.dim))
+    one = m.field.one
+    vectors = [y for i in range(m.dim) for y in hom.solver.images({i: one})]
     return Subspace.from_span(m.field, n.dim, vectors)
 
 

@@ -41,7 +41,7 @@ from .diagnostics import (
     sugano_check,
 )
 from .errors import BimodcheckError, SchemaError, ValidationError
-from .exactlin import Field, Matrix, ModInt, dense_vec, sparse_vec
+from .exactlin import Field, Matrix, dense_vec, sparse_vec
 from .homology import bar_resolution, homotopy_check, module_hochschild
 from .structures import Algebra, RingMap, validate_algebra, validate_ring_map
 
@@ -120,7 +120,7 @@ def render_scalar(field: Field, value):
     """Exactly invertible text form: strings over Q, residues over F_p."""
     if field.is_rational:
         return str(value)
-    return value.value if isinstance(value, ModInt) else int(value)
+    return int(value)
 
 
 def parse_matrix(field: Field, obj, rows: int, cols: int, path: str) -> Matrix:

@@ -22,7 +22,9 @@ from .exactlin import (
     Matrix, apply_slot, dense_vec, infeasibility_certificate, kernel_basis,
     rank, solve_affine, solve_or_certify,
 )
-from .homology import _engine, comonad_apply, comparison_check, syzygy
+from .homology import (
+    _engine, check_bar_level0, comonad_apply, comparison_check, syzygy,
+)
 from .structures import (
     RingMap, memoized, multiplication_map, validate_ring_map,
 )
@@ -203,8 +205,9 @@ def is_formally_smooth_bimodule(
     separable bimodule splits the whole evaluation, which restricts to
     the kernel.  The kernel is Omega^1 of the bar engine, ker d_0 with
     d_0 = ev, so hdim level 1 reads the same object and split; dim_cap
-    bounds its bar object P_0 = M tensor_A *M.
+    bounds its bar object P_0 = M tensor_A *M, checked before it is built.
     """
+    check_bar_level0(m, dim_cap)
     ev = evaluation_data(m)
     t_dim = ev.tensor.space.dim
     dims = {"tensor_square": t_dim, "evaluation_rank": rank(ev.map.matrix)}
@@ -330,6 +333,7 @@ def hdim_upto(m: Bimodule, nmax: int,
     standard argument but goes past the two characterized degrees, so the
     result is flagged.
     """
+    check_bar_level0(m, dim_cap)
     if not is_generator(m).verdict:
         raise PreconditionError("homological dimension needs a generator")
     if nmax < 0:
@@ -358,6 +362,7 @@ def morita_check(m: Bimodule, coefficients: Bimodule, nmax: int,
                  dim_cap: int | None = None) -> MoritaReport:
     """Both cohomology theories on a progenerator, with the degreewise
     rewrite between them."""
+    check_bar_level0(m, dim_cap)
     if not (is_generator(m).verdict and is_fg_projective_left(m).verdict):
         raise PreconditionError("the comparison requires a progenerator")
     comp = comparison_check(m, coefficients, nmax, dim_cap)

@@ -1,10 +1,23 @@
 """Exact sparse linear algebra over the rationals and prime fields.
 
-Scalars are ordinary Python objects supporting field arithmetic through
-operators.  A rational is a Python int when it is integral and a
-gmpy2.mpq (fractions.Fraction when gmpy2 is missing) when it has a
-denominator; ints and rationals mix through the operators, compare and
-hash alike and print alike.  Elements of F_p are ModInt instances.
+Scalars are plain Python objects, and what they mean depends on the
+field, which they do not carry:
+
+- Over Q a scalar is an int when it is integral and a gmpy2.mpq
+  (fractions.Fraction when gmpy2 is missing) when it has a denominator;
+  ints and rationals mix through the operators, compare and hash alike
+  and print alike.
+- Over F_p a scalar is an int in [0, p), and a stored entry is never 0.
+  Python's operators do not reduce, so every kernel reduces modulo p
+  itself: it reads p once per call, from its matrix's field or from
+  the p argument of SpanTracker and the free functions (axpy,
+  _kron_vec, the elimination helpers; p=None means Q), and picks its
+  Q loop or its F_p loop then, never per entry.  Field.scalar and
+  sparse_vec reduce what comes in from outside.
+
+Because a scalar does not know its field, fields are checked where
+matrices meet: @, +, -, kron, lincomb, hstack and vstack raise
+FieldMismatchError on operands over different fields.
 
 A vector is a sparse {index: entry} dict that stores no zero, and a
 matrix stores each row as such a dict, so every kernel visits only the
@@ -78,83 +91,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class ModInt:
-    """An element of F_p.  Arithmetic normalizes into [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, ModInt):
-            if other.p != self.p:
-                raise FieldMismatchError(f"F_{self.p} vs F_{other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._lift(other)
-        return NotImplemented if v is NotImplemented else ModInt(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._lift(other)
-        return NotImplemented if v is NotImplemented else ModInt(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._lift(other)
-        return NotImplemented if v is NotImplemented else ModInt(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._lift(other)
-        return NotImplemented if v is NotImplemented else ModInt(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value * pow(v, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ModInt(v * pow(self.value, -1, self.p), self.p)
-
-    def __neg__(self):
-        return ModInt(-self.value, self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, ModInt):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
 class Field:
     """The ground field: Field() is Q, Field(p) is F_p for a prime p.
 
     Over Q, scalar() returns an int for an integral value and a backend
     rational only when a denominator remains, so integral inputs run on
-    int arithmetic.  zero and one are built once and shared; every
-    scalar type is immutable, so sharing them is safe."""
+    int arithmetic.  Over F_p it returns an int in [0, p).  zero and
+    one are built once and shared; every scalar type is immutable, so
+    sharing them is safe."""
 
     __slots__ = ("p", "zero", "one")
 
@@ -174,21 +118,25 @@ class Field:
 
     def scalar(self, x):
         """Coerce an int, string, Fraction, or existing scalar; a float
-        is a TypeError, since it is not exact."""
+        is a TypeError, since it is not exact.  Over F_p the result is
+        the residue in [0, p)."""
         if self.p is not None:
-            if isinstance(x, ModInt):
-                if x.p != self.p:
-                    raise FieldMismatchError(f"F_{x.p} element in F_{self.p}")
-                return x
             if isinstance(x, str):
                 x = int(x)
             if isinstance(x, int):
-                return ModInt(x, self.p)
+                return int(x) % self.p
             raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
         if isinstance(x, int):
             return int(x)
         if isinstance(x, str):
             x = x.strip()
+            # an ASCII integer, -?[0-9]+, skips the rational parser.
+            # int() alone would also take "1_0" and non-ASCII digits,
+            # and "+" is left to the parser, whose reading of it is the
+            # backend's
+            digits = x[1:] if x[:1] == "-" else x
+            if digits.isascii() and digits.isdigit():
+                return int(x)
         elif not isinstance(x, _RATIONAL):
             raise TypeError(f"cannot coerce {x!r} into Q exactly")
         q = _rational(x)
@@ -212,9 +160,12 @@ QQ = Field()
 
 
 def sparse_vec(field: Field, vec) -> dict:
-    """The sparse vector of a dense one.  Most zeros are the shared
-    field.zero, which an identity test skips."""
-    zero = field.zero
+    """The sparse vector of a dense one, over F_p reduced into [0, p).
+    Most zeros are the shared field.zero, which an identity test skips."""
+    zero, p = field.zero, field.p
+    if p is not None:
+        return {j: r for j, x in enumerate(vec) if x is not zero
+                and (r := x % p)}
     return {j: x for j, x in enumerate(vec) if x is not zero and x}
 
 
@@ -239,19 +190,40 @@ def check_vec(vec, n: int) -> dict:
     return vec
 
 
-def axpy(row: dict, c, other: dict) -> None:
-    """row += c * other in place, on sparse vectors; entries that cancel
-    are deleted."""
+def axpy(row: dict, c, other: dict, p: int | None = None) -> None:
+    """row += c * other in place, on sparse vectors over Q (p None) or
+    F_p; entries that cancel are deleted.  Over F_p, c may be any int."""
+    if p is None:
+        for j, v in other.items():
+            y = row.get(j)
+            if y is None:
+                row[j] = c * v
+            else:
+                y = y + c * v
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+        return
+    c %= p
+    if not c:
+        return
     for j, v in other.items():
         y = row.get(j)
         if y is None:
-            row[j] = c * v
+            row[j] = c * v % p       # nonzero: p is prime
         else:
-            y = y + c * v
+            y = (y + c * v) % p
             if y:
                 row[j] = y
             else:
                 del row[j]
+
+
+def _same_field(f: Field, g: Field, op: str) -> None:
+    """Scalars do not carry their field, so operands are checked here."""
+    if f is not g and f != g:
+        raise FieldMismatchError(f"{f} {op} {g}")
 
 
 class Matrix:
@@ -343,7 +315,8 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        onz = other.nz
+        _same_field(self.field, other.field, "@")
+        onz, p = other.nz, self.field.p
         out = []
         for arow in self.nz:
             acc = {}
@@ -356,7 +329,11 @@ class Matrix:
                     else:
                         acc[j] = y + a * b
                         summed = True
-            out.append({j: v for j, v in acc.items() if v} if summed else acc)
+            if p is not None:       # reduce each sum once, at the end
+                out.append({j: r for j, v in acc.items() if (r := v % p)})
+            else:
+                out.append({j: v for j, v in acc.items() if v}
+                           if summed else acc)
         return Matrix.from_sparse(self.field, out, other.cols)
 
     def apply(self, vec: dict) -> dict:
@@ -373,15 +350,20 @@ class Matrix:
                 else:
                     out[i] = y + a * x
                     summed = True
+        p = self.field.p
+        if p is not None:           # reduce each sum once, at the end
+            return {i: r for i, v in out.items() if (r := v % p)}
         return {i: v for i, v in out.items() if v} if summed else out
 
     def _combine(self, other: "Matrix", c, op: str) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"shape mismatch in {op}")
+        _same_field(self.field, other.field, op)
+        p = self.field.p
         out = []
         for r1, r2 in zip(self.nz, other.nz):
             row = dict(r1)
-            axpy(row, c, r2)
+            axpy(row, c, r2, p)
             out.append(row)
         return Matrix.from_sparse(self.field, out, self.cols)
 
@@ -392,14 +374,15 @@ class Matrix:
         return self._combine(other, -self.field.one, "-")
 
     def __neg__(self) -> "Matrix":
-        return Matrix.from_sparse(
-            self.field, [{j: -a for j, a in row.items()} for row in self.nz],
-            self.cols)
+        p = self.field.p
+        neg = [{j: -a for j, a in row.items()} if p is None
+               else {j: p - a for j, a in row.items()} for row in self.nz]
+        return Matrix.from_sparse(self.field, neg, self.cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
+        _same_field(self.field, other.field, "kron")
         oc = other.cols
-        out = [{j * oc + l: a * b for j, a in arow.items()
-                for l, b in brow.items()}
+        out = [_kron_vec(arow, brow, oc, self.field.p)
                for arow in self.nz for brow in other.nz]
         return Matrix.from_sparse(self.field, out, self.cols * oc)
 
@@ -433,15 +416,18 @@ def _lincomb(field: Field, rows: int, cols: int, coeffs: dict,
              mats) -> Matrix:
     """lincomb without the check, for coefficients the package built."""
     out = [{} for _ in range(rows)]
+    p = field.p
     for k, c in coeffs.items():
+        _same_field(field, mats[k].field, "lincomb")
         for orow, mrow in zip(out, mats[k].nz):
-            axpy(orow, c, mrow)
+            axpy(orow, c, mrow, p)
     return Matrix.from_sparse(field, out, cols)
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ShapeError("hstack row mismatch")
+    _same_field(a.field, b.field, "hstack")
     shift = a.cols
     return Matrix.from_sparse(
         a.field, [{**r1, **{j + shift: x for j, x in r2.items()}}
@@ -451,22 +437,23 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise ShapeError("vstack col mismatch")
+    _same_field(a.field, b.field, "vstack")
     return Matrix.from_sparse(a.field, a.nz + b.nz, a.cols)
 
 
-def _inverse(x):
-    """1 / x for a nonzero scalar, kept exact: over Q, 1 / int would be a
-    float, so an int is inverted as a rational and an integral inverse
-    comes back as an int."""
-    if isinstance(x, ModInt):
-        return 1 / x
+def _inverse(x, p: int | None = None):
+    """1 / x for a nonzero scalar, kept exact: over F_p (p given) the
+    residue; over Q, 1 / int would be a float, so an int is inverted as a
+    rational and an integral inverse comes back as an int."""
+    if p is not None:
+        return pow(x, -1, p)
     if x == 1 or x == -1:
         return int(x)
     q = _rational(1, x) if isinstance(x, int) else 1 / x
     return int(q) if q.denominator == 1 else q
 
 
-def _reduce_into(piv: dict, row: dict) -> bool:
+def _reduce_into(piv: dict, row: dict, p: int | None) -> bool:
     """Reduce the sparse row in place against the pivot rows; when an
     entry survives, store the row normalized at its leftmost nonzero
     column.  True when the row was new."""
@@ -475,14 +462,15 @@ def _reduce_into(piv: dict, row: dict) -> bool:
         x = row[c]
         pr = piv.get(c)
         if pr is None:
-            inv = _inverse(x)
-            piv[c] = {j: v * inv for j, v in row.items()}
+            inv = _inverse(x, p)
+            piv[c] = ({j: v * inv for j, v in row.items()} if p is None
+                      else {j: v * inv % p for j, v in row.items()})
             return True
-        axpy(row, -x, pr)
+        axpy(row, -x, pr, p)
     return False
 
 
-def _echelon(rows) -> dict:
+def _echelon(rows, p: int | None) -> dict:
     """Reduce copies of sparse rows into {pivot_col: normalized row}.
 
     Incremental: each incoming row is reduced against the rows already
@@ -490,11 +478,11 @@ def _echelon(rows) -> dict:
     """
     piv: dict[int, dict] = {}
     for row in rows:
-        _reduce_into(piv, dict(row))
+        _reduce_into(piv, dict(row), p)
     return piv
 
 
-def _back_substitute(piv: dict) -> None:
+def _back_substitute(piv: dict, p: int | None) -> None:
     """Clear entries above pivots, turning an echelon dict into RREF rows.
 
     Rows are cleared from the last pivot up, so every row subtracted is
@@ -502,7 +490,7 @@ def _back_substitute(piv: dict) -> None:
     for c in sorted(piv, reverse=True):
         row = piv[c]
         for c2 in [c2 for c2 in row if c2 != c and c2 in piv]:
-            axpy(row, -row[c2], piv[c2])
+            axpy(row, -row[c2], piv[c2], p)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -511,27 +499,30 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     Returns (reduced matrix of the same shape, pivot column indices).
     Zero rows sink to the bottom.
     """
-    piv = _echelon(m.nz)
-    _back_substitute(piv)
+    p = m.field.p
+    piv = _echelon(m.nz, p)
+    _back_substitute(piv, p)
     pivots = tuple(sorted(piv))
     out = [piv[c] for c in pivots] + [{} for _ in range(m.rows - len(piv))]
     return Matrix.from_sparse(m.field, out, m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m.nz))
+    return len(_echelon(m.nz, m.field.p))
 
 
 class SpanTracker:
-    """Incremental membership test for a growing span."""
+    """Incremental membership test for a growing span of sparse vectors
+    of length ambient, over F_p when p is given and over Q otherwise."""
 
-    def __init__(self, ambient: int):
-        self.ambient = ambient
+    def __init__(self, ambient: int, p: int | None = None):
+        self.ambient, self.p = ambient, p
         self.piv: dict[int, dict] = {}
 
     def add(self, vec: dict) -> bool:
         """Add a sparse vector; True when it enlarged the span."""
-        return _reduce_into(self.piv, dict(check_vec(vec, self.ambient)))
+        return _reduce_into(self.piv, dict(check_vec(vec, self.ambient)),
+                            self.p)
 
     @property
     def dim(self) -> int:
@@ -571,8 +562,8 @@ class Subspace:
     @classmethod
     def from_span(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
         """The span of sparse vectors of length ambient_dim."""
-        piv = _echelon(check_vec(v, ambient_dim) for v in vectors)
-        _back_substitute(piv)
+        piv = _echelon((check_vec(v, ambient_dim) for v in vectors), field.p)
+        _back_substitute(piv, field.p)
         pivots = tuple(sorted(piv))
         return cls(ambient_dim, Matrix.from_sparse(
             field, [piv[c] for c in pivots], ambient_dim), pivots)
@@ -599,9 +590,9 @@ class Subspace:
     def _embed(self, coords: dict) -> dict:
         """embed without the check, for coordinates the package built."""
         out: dict = {}
-        basis = self.basis.nz
+        basis, p = self.basis.nz, self.basis.field.p
         for k, c in coords.items():
-            axpy(out, c, basis[k])
+            axpy(out, c, basis[k], p)
         return out
 
 
@@ -611,8 +602,9 @@ def kernel_basis(m: Matrix) -> Subspace:
     Each basis vector carries 1 at its own free column and 0 at the other
     free columns, so coordinates in this basis are read off by restriction.
     """
-    piv = _echelon(m.nz)
-    _back_substitute(piv)
+    p = m.field.p
+    piv = _echelon(m.nz, p)
+    _back_substitute(piv, p)
     return _free_column_basis(m.field, piv, m.cols)
 
 
@@ -621,14 +613,14 @@ def _free_column_basis(field: Field, piv: dict, n: int) -> Subspace:
     vector per free column, 1 there and minus the pivot rows' entries at
     the pivot columns."""
     free = [c for c in range(n) if c not in piv]
-    one = field.one
+    one, p = field.one, field.p
     rows = [{fc: one} for fc in free]
     at = dict(zip(free, rows))
     for pc, prow in piv.items():
         for j, x in prow.items():
             row = at.get(j)
             if row is not None:
-                row[pc] = -x
+                row[pc] = -x if p is None else p - x
     return Subspace(n, Matrix.from_sparse(field, rows, n), tuple(free))
 
 
@@ -644,12 +636,12 @@ def solve_affine(m: Matrix, rhs: dict) -> AffineSolution | None:
     The particular solution sets all free variables to zero.
     """
     check_vec(rhs, m.rows)
-    n = m.cols
-    piv = _echelon({**row, n: rhs[i]} if i in rhs else row
-                   for i, row in enumerate(m.nz))
+    n, p = m.cols, m.field.p
+    piv = _echelon(({**row, n: rhs[i]} if i in rhs else row
+                    for i, row in enumerate(m.nz)), p)
     if n in piv:
         return None
-    _back_substitute(piv)
+    _back_substitute(piv, p)
     particular = {pc: row[n] for pc, row in piv.items() if n in row}
     return AffineSolution(particular, _free_column_basis(m.field, piv, n))
 
@@ -661,14 +653,18 @@ def infeasibility_certificate(m: Matrix, rhs: dict) -> dict | None:
     """
     check_vec(rhs, m.rows)
     left_null = kernel_basis(m.transpose())
+    p = m.field.p
     for row in left_null.basis.nz:
         acc = m.field.zero
         for j, a in row.items():
             if j in rhs:
                 acc = acc + a * rhs[j]
+        if p is not None:
+            acc %= p
         if acc:
-            inv = _inverse(acc)
-            return {j: a * inv for j, a in row.items()}
+            inv = _inverse(acc, p)
+            return ({j: a * inv for j, a in row.items()} if p is None
+                    else {j: a * inv % p for j, a in row.items()})
     return None
 
 
@@ -686,12 +682,12 @@ def solve_or_certify(m: Matrix, rhs: dict) -> tuple[dict | None, dict | None]:
 
 def right_inverse(m: Matrix) -> Matrix:
     """X with m X = identity; requires full row rank."""
-    n = m.cols
+    n, p = m.cols, m.field.p
     one = m.field.one
-    piv = _echelon({**row, n + i: one} for i, row in enumerate(m.nz))
+    piv = _echelon(({**row, n + i: one} for i, row in enumerate(m.nz)), p)
     if any(c >= n for c in piv):
         raise SingularError("matrix does not have full row rank")
-    _back_substitute(piv)
+    _back_substitute(piv, p)
     out = [{} for _ in range(n)]
     for pc, row in piv.items():
         out[pc] = {j - n: x for j, x in row.items() if j >= n}
@@ -730,8 +726,8 @@ def quotient_space(ambient_dim: int, relations: Subspace) -> Quotient:
         ident = Matrix.identity(field, ambient_dim)
         return Quotient(ambient_dim, ambient_dim, ident, ident,
                         tuple(range(ambient_dim)))
-    piv = _echelon(relations.basis.nz)
-    _back_substitute(piv)
+    piv = _echelon(relations.basis.nz, field.p)
+    _back_substitute(piv, field.p)
     complement = _free_column_basis(field, piv, ambient_dim)
     q = complement.dim
     sect = [{} for _ in range(ambient_dim)]
@@ -765,14 +761,23 @@ def apply_slot(sv: dict, dims: list[int], k: int, mat: Matrix,
             pos = base + i * right
             y = out.get(pos)
             out[pos] = a * x if y is None else y + a * x
-    return {p: v for p, v in out.items() if v}, dims[:k] + [r] + dims[k + 1:]
+    dims = dims[:k] + [r] + dims[k + 1:]
+    p = mat.field.p
+    if p is not None:
+        return {pos: y for pos, v in out.items() if (y := v % p)}, dims
+    return {pos: v for pos, v in out.items() if v}, dims
 
 
-def kron_vec(u: dict, v: dict, len_u: int, len_v: int) -> dict:
-    """The Kronecker product of sparse vectors of lengths len_u, len_v."""
-    return _kron_vec(check_vec(u, len_u), check_vec(v, len_v), len_v)
+def kron_vec(u: dict, v: dict, len_u: int, len_v: int,
+             p: int | None = None) -> dict:
+    """The Kronecker product of sparse vectors of lengths len_u, len_v,
+    over F_p when p is given and over Q otherwise."""
+    return _kron_vec(check_vec(u, len_u), check_vec(v, len_v), len_v, p)
 
 
-def _kron_vec(u: dict, v: dict, len_v: int) -> dict:
+def _kron_vec(u: dict, v: dict, len_v: int, p: int | None = None) -> dict:
     """kron_vec without the checks, for vectors the package built."""
+    if p is not None:           # a product of nonzero residues is nonzero
+        return {i * len_v + j: a * b % p
+                for i, a in u.items() for j, b in v.items()}
     return {i * len_v + j: a * b for i, a in u.items() for j, b in v.items()}

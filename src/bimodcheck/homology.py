@@ -52,6 +52,22 @@ def _check_cap(requested: int, dim_cap: int | None, what: str) -> None:
             requested, cap)
 
 
+def _check_bar_object(m: Bimodule, n: int, hom: HomSpace,
+                      dim_cap: int | None) -> None:
+    """The cap on bar object n = M tensor_A Hom(M, P_{n-1}), whose plain
+    dim is m.dim x hom.dim."""
+    _check_cap(m.dim * hom.dim, dim_cap,
+               f"bar growth: bar object {n} ({m.dim} x {hom.dim})")
+
+
+def check_bar_level0(m: Bimodule, dim_cap: int | None) -> None:
+    """The cap on bar object 0, checked from *M alone: every task that
+    takes a cap calls this before evaluation_data(m) builds
+    M tensor_A *M, so the cap stops the tensor square instead of only
+    refusing to hand it on."""
+    _check_bar_object(m, 0, dual_module(m), dim_cap)
+
+
 # ---------------------------------------------------------------------------
 # Result containers
 
@@ -103,7 +119,7 @@ def _cohomology(field: Field, space_dims: list, deltas: list,
     prev = None
     for n in range(nmax + 1):
         ker = kernel_basis(deltas[n])
-        tracker = SpanTracker(space_dims[n])
+        tracker = SpanTracker(space_dims[n], field.p)
         cob_dim = 0
         if prev is not None:
             for j in range(prev.cols):
@@ -182,8 +198,7 @@ class _BarEngine:
     def _extend(self, dim_cap: int | None) -> None:
         n = len(self.objects)
         hom = self.hom_level(n, dim_cap)
-        _check_cap(self.m.dim * hom.dim, dim_cap,
-                   f"bar growth: bar object {n} ({self.m.dim} x {hom.dim})")
+        _check_bar_object(self.m, n, hom, dim_cap)
         if n == 0:
             ev = evaluation_data(self.m)
             tensor, counit = ev.tensor, ev.map
@@ -273,7 +288,7 @@ class _BarEngine:
         push = composite_columns(hom.solver, self.diffs[n].matrix, False,
                                  self.homs[n].solver)
         ph = self.homs[n].dim
-        minus_one = -self.field.one
+        minus_one, p = -self.field.one, self.field.p
         values = []
         for u in rights:
             at = hom.solver.generator_values(u)
@@ -281,7 +296,7 @@ class _BarEngine:
             for j, i in enumerate(lefts):
                 v = dict(at.get(j, {}))
                 axpy(v, minus_one, self.tensors[n]._project_vec(
-                    {i * ph + r: x for r, x in pushed.items()}))
+                    {i * ph + r: x for r, x in pushed.items()}), p)
                 if v:
                     values.append(v)
         return values
@@ -306,6 +321,7 @@ def _require_generator(m: Bimodule) -> None:
 def bar_resolution(m: Bimodule, depth: int,
                    dim_cap: int | None = None) -> ChainComplex:
     """The augmented complex P_0 .. P_{depth-1} with d_0 the evaluation."""
+    check_bar_level0(m, dim_cap)
     _require_generator(m)
     if depth < 1:
         raise PreconditionError("depth must be at least 1")
@@ -320,6 +336,7 @@ def homotopy_check(m: Bimodule, depth: int,
     """Exactness certificate: after Hom(M,-), the unit sections contract
     the augmented complex. Checks the base identity and degrees below
     `depth`."""
+    check_bar_level0(m, dim_cap)
     _require_generator(m)
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
@@ -339,6 +356,7 @@ def homotopy_check(m: Bimodule, depth: int,
 def syzygy(m: Bimodule, n: int, dim_cap: int | None = None) -> Bimodule:
     """Kernel of d_{n-1} as a two-sided submodule; degree 0 gives B back.
     The same object on every call (the bar engine keeps it)."""
+    check_bar_level0(m, dim_cap)
     _require_generator(m)
     if n < 0:
         raise PreconditionError("syzygy index must be nonnegative")
@@ -351,6 +369,7 @@ def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
                       dim_cap: int | None = None) -> CohomologyResult:
     """Cohomology of two-sided maps off the bar objects into the
     coefficients, with the coboundary precomposing the next differential."""
+    check_bar_level0(m, dim_cap)
     _require_generator(m)
     solvers, deltas = _module_complex(m, coefficients, nmax, dim_cap)
     return _cohomology(m.field, [s.dim for s in solvers], deltas, nmax)
@@ -383,11 +402,13 @@ def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
     eng.object(nmax, dim_cap)
     top = eng.top_values(nmax, coefficients.dim, dim_cap)
     solvers = [eng.bb_solver(n, coefficients) for n in range(nmax + 1)]
-    deltas = [composition_matrix(solvers[n].maps, eng.diffs[n + 1].matrix,
+    deltas = [composition_matrix(solvers[n], eng.diffs[n + 1].matrix,
                                  True, solvers[n + 1])
               for n in range(nmax)]
-    deltas.append(_stacked(m.field, [[g.apply(v) for v in top]
-                                     for g in solvers[nmax].maps],
+    # the top cochain g_u at the values: images, so no cochain is formed
+    images = [solvers[nmax].images(v) for v in top]
+    deltas.append(_stacked(m.field, [[y[u] for y in images]
+                                     for u in range(solvers[nmax].dim)],
                            coefficients.dim, len(top)))
     for n in range(nmax):
         if not (deltas[n + 1] @ deltas[n]).is_zero():
@@ -457,6 +478,7 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
         raise ValidationError("coefficients must be two-sided over the target")
     a, s_alg = extension.source, extension.target
     field = a.field
+    p = field.p
     s = s_alg.dim
     w_mid = restrict_right(restrict_left(w, extension), extension)
     w_mid = Bimodule(a, a, w.dim, w_mid.left_action, w_mid.right_action,
@@ -493,35 +515,40 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
         dims = [s] * (n + 1)
         for i in range(1, n + 1):
             sign = -sign
-            axpy(inner, sign, apply_slot(v_plain, dims, i - 1, mu, 2)[0])
+            axpy(inner, sign, apply_slot(v_plain, dims, i - 1, mu, 2)[0], p)
         sign = -sign
         terms = [(w.left_action[j], pi_n.apply(chunk))
                  for j, chunk in heads.items()]
         terms.append((None, pi_n.apply(inner)))
-        terms += [(w.right_action[l],
-                   {k: sign * x for k, x in pi_n.apply(sub).items()})
-                  for l, sub in tails.items()]
+        for l, sub in tails.items():
+            tail: dict = {}
+            axpy(tail, sign, pi_n.apply(sub), p)
+            terms.append((w.right_action[l], tail))
         return [(op, vec) for op, vec in terms if vec]
 
-    def coboundary_column(g: Matrix, terms: list) -> dict:
-        acc: dict = {}
-        for op, vec in terms:
-            y = g.apply(vec)
-            axpy(acc, field.one, y if op is None else op.apply(y))
+    def coboundary_columns(n: int, q: int) -> list:
+        # column q of the coboundary of every degree-n basis cochain g_u:
+        # each term's vector goes through all g_u at once (images), so no
+        # cochain is formed
+        acc = [{} for _ in range(solvers[n].dim)]
+        for op, vec in coboundary_terms(n, q):
+            for col, y in zip(acc, solvers[n].images(vec)):
+                if y:
+                    axpy(col, field.one, y if op is None else op.apply(y), p)
         return acc
 
     # the coordinates of a coboundary read only its generator columns
     deltas = []
     for n in range(nmax):
-        terms = {q: coboundary_terms(n, q) for q in solvers[n + 1].generators}
-        cols = [solvers[n + 1]._coords_from(
-                    lambda q: coboundary_column(g, terms[q]))
-                for g in solvers[n].maps]
-        deltas.append(Matrix._from_columns(field, cols, solvers[n + 1].dim))
-    terms = [coboundary_terms(nmax, q) for q in top_gens]
-    deltas.append(_stacked(field, [[coboundary_column(g, t) for t in terms]
-                                   for g in solvers[nmax].maps],
-                           w.dim, len(terms)))
+        into = solvers[n + 1]
+        at = {q: coboundary_columns(n, q) for q in into.generators}
+        cols = [into._coords_from(lambda q: at[q][u])
+                for u in range(solvers[n].dim)]
+        deltas.append(Matrix._from_columns(field, cols, into.dim))
+    tops = [coboundary_columns(nmax, q) for q in top_gens]
+    deltas.append(_stacked(field, [[t[u] for t in tops]
+                                   for u in range(solvers[nmax].dim)],
+                           w.dim, len(tops)))
     for n in range(nmax):
         if not (deltas[n + 1] @ deltas[n]).is_zero():
             raise ValidationError(f"ring coboundary square nonzero at {n}")
@@ -564,7 +591,7 @@ def morita_data(m: Bimodule) -> MoritaData:
     eng = _engine(m)
     dual = eng.hom_level(0)
     s_alg = endo.algebra
-    left = tuple(composition_matrix(dual.basis, hu, True, dual.solver)
+    left = tuple(composition_matrix(dual.solver, hu, True, dual.solver)
                  for hu in endo.hom.basis)
     dual_endo = Bimodule(s_alg, m.left_algebra, dual.dim, left,
                          dual.space.right_action, name=f"*{m.name}")
@@ -638,9 +665,11 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     the identification is a degreewise isomorphism commuting with both
     coboundaries and the degree-0 edge maps.  Each complex is built once,
     and the report carries the cohomology of both."""
+    check_bar_level0(m, dim_cap)
     if not is_generator(m).verdict or not is_fg_projective_left(m).verdict:
         raise PreconditionError("comparison requires a progenerator")
     field = m.field
+    p = field.p
     k_solvers, mod_deltas = _module_complex(m, coefficients, nmax, dim_cap)
     md = morita_data(m)
     eng = _engine(m)
@@ -685,7 +714,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         # in slot 1, one per column of its image (degree 0: one, at the
         # unit); none depends on the cochain
         if n == 0:
-            sv = _kron_vec(md.psi_unit, md.psi_unit, ddm)
+            sv = _kron_vec(md.psi_unit, md.psi_unit, ddm, p)
             return [collapse(0, sv, [dd, dm, dd, dm], 1)]
         out = []
         for q in range(chain.spaces[n].dim):
@@ -694,8 +723,8 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
             for j in range(n):
                 sv, dims = apply_slot(sv, dims, j, md.psi_plain)
             mid_len = ddm ** n
-            sv = _kron_vec(md.psi_unit, _kron_vec(sv, md.psi_unit, ddm),
-                           mid_len * ddm)
+            sv = _kron_vec(md.psi_unit, _kron_vec(sv, md.psi_unit, ddm, p),
+                           mid_len * ddm, p)
             out.append(collapse(n, sv, [dd, dm] * (n + 2), 1))
         return out
 
@@ -732,7 +761,8 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         for idx, val in psv.items():
             d, i = divmod(idx, dm)
             for j, njv in row.items():
-                ins[(d * dn + j) * dm + i] = val * njv
+                ins[(d * dn + j) * dm + i] = \
+                    val * njv if p is None else val * njv % p
         w_n = to_w(ins, [dd, dn, dm])
         rhs_cols = [w_mid.left_action[q].apply(w_n)
                     for q in range(chain.a.dim)]

@@ -37,10 +37,10 @@ class Algebra:
 
     def _multiply(self, u: dict, v: dict) -> dict:
         """multiply without the checks, for vectors the package built."""
-        out = {}
+        out, p = {}, self.field.p
         for i, a in u.items():
             for j, b in v.items():
-                axpy(out, a * b, self.mult[i][j])
+                axpy(out, a * b, self.mult[i][j], p)
         return out
 
     @cached_property

@@ -6,6 +6,8 @@ fixtures; the loops over the corpus assert the structural invariants that
 hold for every fixture regardless of basis.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,15 +16,16 @@ from bimodcheck.bimodule import (
     Bimodule, BimoduleMap, centralizer, composition_matrix, dual_module,
     endomorphism_ring, equivariant_maps, ev_over_endo, evaluation_data,
     hom_bimodule, hom_left, hom_right, is_fg_projective_left,
-    is_fg_projective_right, is_generator, regular_bimodule, restrict_left,
+    is_fg_projective_right, is_generator, orbit_generators,
+    regular_bimodule, restrict_left,
     restrict_right, static_check, sub_bimodule, tensor_over, trace_in,
     validate_bimodule,
 )
-from bimodcheck import diagnostics, fixtures
+from bimodcheck import bimodule, cli, diagnostics, fixtures
 from bimodcheck.errors import ShapeError, ValidationError
 from bimodcheck.exactlin import (
-    Matrix, QQ, Subspace, dense_vec, invert, kernel_basis, lincomb, rank,
-    solve_or_certify, sparse_vec,
+    Matrix, QQ, Subspace, axpy, dense_vec, invert, kernel_basis, lincomb,
+    rank, right_inverse, solve_or_certify, sparse_vec,
 )
 from bimodcheck.fixtures import (
     EXTRAS, STANDARD, algebra_dual_numbers, algebra_ground, algebra_matrix2,
@@ -474,7 +477,7 @@ def _assert_composition_matches_products(hom, op, before):
     into = hom.solver
     oracle = [into.coords_of(f @ op if before else op @ f)
               for f in hom.basis]
-    assert composition_matrix(hom.basis, op, before, into) \
+    assert composition_matrix(hom.solver, op, before, into) \
         == Matrix.from_columns(QQ, oracle, into.dim)
 
 
@@ -682,3 +685,104 @@ def test_matrix_of_equals_lincomb_of_maps_on_twists(m, seed):
         solver = hom_bimodule(src, tgt)
         _assert_matrix_of_matches_formed_maps(
             solver, _coords_list(solver.dim, seed))
+
+
+# ---------------------------------------------------------------------------
+# The stacked value matrix W against forming one map at a time.  The
+# oracle keeps the solver's old loop: for each basis map, a matrix W_F
+# whose columns are the target operators applied to the map's generator
+# values, times the lift of the presentation.
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _old_forming(field, src_dim, tgt_dim, src_ops, tgt_ops):
+    """values row -> the map with those generator values, formed alone."""
+    n_ops = len(src_ops)
+    _, g_cols = orbit_generators(field, src_dim, src_ops)
+    g_mat = Matrix.from_columns(field, g_cols, src_dim)
+    lift = right_inverse(g_mat) if src_dim else Matrix(field, [], cols=0)
+    used = [k for k, row in enumerate(lift.nz) if row]
+    lift_used = Matrix.from_sparse(field, [lift.nz[k] for k in used],
+                                   src_dim)
+
+    def form(row):
+        blocks = {}
+        for c, x in row.items():
+            j, s = divmod(c, tgt_dim)
+            blocks.setdefault(j, {})[s] = x
+        w_cols = []
+        for c in used:
+            j, k = divmod(c, n_ops)
+            w_cols.append(tgt_ops[k].apply(blocks[j]) if j in blocks else {})
+        return Matrix.from_columns(field, w_cols, tgt_dim) @ lift_used
+
+    return form
+
+
+def _assert_solver_matches_old_forming(args):
+    field, src_dim = args[0], args[1]
+    form = _old_forming(*args)
+    solver = equivariant_maps(*args)      # fresh: nothing built yet
+    coords = {u: c for u in range(solver.dim)
+              if (c := field.scalar(3 * u + 1))}
+    combined = {}
+    for u, c in coords.items():
+        axpy(combined, c, solver.values[u], field.p)
+    want_combined = form(combined)
+    want = [form(row) for row in solver.values]
+    # matrix_of before W exists, from W, then from the formed maps
+    assert solver.matrix_of(coords) == want_combined
+    vectors = [{i: field.one} for i in range(src_dim)] + [
+        {i: c for i in range(src_dim) if (c := field.scalar(i - 2))}]
+    for vec in vectors:
+        assert solver.images(vec) == [f.apply(vec) for f in want]
+    assert solver.matrix_of(coords) == want_combined
+    assert solver.maps == tuple(want)
+    assert solver.matrix_of(coords) == want_combined
+
+
+def _recording_solves(monkeypatch):
+    calls = []
+    solve = bimodule.equivariant_maps
+
+    def recorded(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(bimodule, "equivariant_maps", recorded)
+    return calls
+
+
+def test_stacked_values_match_forming_each_map_across_corpus(monkeypatch,
+                                                              capsys):
+    calls = _recording_solves(monkeypatch)
+    for doc in sorted(CORPUS_DIR.glob("*.json")):
+        cli.main(["check", str(doc), "--format", "json"])
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(calls) > 50 and any(not args[0].is_rational for args in calls)
+    for args in calls:
+        _assert_solver_matches_old_forming(args)
+
+
+@settings(max_examples=15)
+@given(twisted_bimodules)
+def test_stacked_values_match_forming_each_map_on_twists(m):
+    calls = []
+    solve = bimodule.equivariant_maps
+
+    def recorded(*args):
+        calls.append(args)
+        return solve(*args)
+
+    bimodule.equivariant_maps = recorded
+    try:
+        dual_module(m)
+        hom_left(m, m)
+        hom_right(m, m)
+        hom_bimodule(m, m)
+    finally:
+        bimodule.equivariant_maps = solve
+    for args in calls:
+        _assert_solver_matches_old_forming(args)

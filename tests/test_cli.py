@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from bimodcheck import exactlin
 from bimodcheck.cli import (
     InputDocument, RunOptions, load_document, main, parse_document,
     parse_field, parse_scalar, render_scalar, run_document,
@@ -394,3 +395,42 @@ def test_module_invocation_round_trips():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN_DIR / "fx1.json").read_text()
+
+
+# Strings at the edge of "an integer": the ASCII -?[0-9]+ ones skip the
+# rational parser, every other one still goes through it.
+EDGE_SCALAR_STRINGS = (" 1 ", "+1", "-0", "01", "1_0", "1.0", "1/1",
+                       "٣", "１", "+-1", "", "-", " -12/4 ", "1e3",
+                       "007", "-5", "10\n")
+
+
+def _through_the_rational_parser(text: str):
+    """What every scalar string gave before the integer fast path: the
+    backend rational of the stripped text, an int when integral."""
+    q = exactlin._rational(text.strip())
+    return int(q) if q.denominator == 1 else q
+
+
+def test_integer_strings_parse_as_the_rational_parser_does():
+    for text in EDGE_SCALAR_STRINGS:
+        try:
+            want = _through_the_rational_parser(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(SchemaError, match="bad rational"):
+                parse_scalar(QQ, text, "$.x")
+            continue
+        got = parse_scalar(QQ, text, "$.x")
+        assert got == want and type(got) is type(want), text
+
+
+def test_only_ascii_integer_strings_skip_the_rational_parser(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reached the rational parser")
+
+    monkeypatch.setattr(exactlin, "_rational", refuse)
+    for text, want in (("0", 0), ("1", 1), (" -7 ", -7), ("0003", 3)):
+        got = parse_scalar(QQ, text, "$.x")
+        assert got == want and type(got) is int
+    for text in ("٣", "１", "1_0", "1.0", "1/1", "+-1", "", "+12"):
+        with pytest.raises(AssertionError, match="rational parser"):
+            parse_scalar(QQ, text, "$.x")

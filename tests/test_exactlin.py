@@ -16,7 +16,7 @@ import oracles
 from bimodcheck import exactlin
 from bimodcheck.errors import FieldMismatchError, ShapeError, SingularError
 from bimodcheck.exactlin import (
-    Field, Matrix, ModInt, QQ, SpanTracker, Subspace, apply_slot, check_vec,
+    Field, Matrix, QQ, SpanTracker, Subspace, apply_slot, check_vec,
     dense_vec, hstack, infeasibility_certificate, invert, kernel_basis,
     kron_vec, lincomb, quotient_space, rank, right_inverse, rref,
     solve_affine, solve_or_certify, sparse_vec, vstack,
@@ -28,7 +28,8 @@ def mat(field, rows, cols=None):
                   cols=cols)
 
 
-FIELDS = [QQ, Field(2), Field(3), Field(5), Field(7)]
+# 2^61 - 1: a modulus whose products do not fit a machine word
+FIELDS = [QQ, Field(2), Field(3), Field(5), Field(7), Field(2 ** 61 - 1)]
 
 fields_st = st.sampled_from(FIELDS)
 entries_st = st.integers(min_value=-4, max_value=4)
@@ -134,7 +135,8 @@ def test_inverses_stay_exact():
         got = exactlin._inverse(QQ.scalar(x))
         assert got == want
         assert type(got) is (int if want.denominator == 1 else RATIONAL)
-    assert exactlin._inverse(Field(5).scalar(2)) == Field(5).scalar(3)
+    # over F_p the modulus comes with the call
+    assert exactlin._inverse(Field(5).scalar(2), 5) == Field(5).scalar(3)
 
 
 def test_floats_are_rejected_over_q():
@@ -149,14 +151,34 @@ def test_modular_scalar_normalization():
     f3 = Field(3)
     assert f3.scalar(5) == f3.scalar(2)
     assert f3.scalar(-1) == f3.scalar(2)
+    assert f3.scalar("-4") == 2
+    assert type(f3.scalar(5)) is int and type(f3.one) is int
     two = f3.scalar(2)
-    assert two * two == f3.one
-    assert f3.one / two == two
+    # scalars do not carry p, so the facts are stated through the kernels
+    assert mat(f3, [[two]]) @ mat(f3, [[two]]) == Matrix.identity(f3, 1)
+    assert exactlin._inverse(f3.one, 3) * two % 3 == two
+    assert invert(mat(f3, [[two]])) == mat(f3, [[two]])
 
 
 def test_modulus_mixing_rejected():
-    with pytest.raises(FieldMismatchError):
-        Field(3).scalar(ModInt(1, 5))
+    a, b = mat(Field(3), [[1, 2]]), mat(Field(5), [[1, 2]])
+    square3, square5 = mat(Field(3), [[1]]), mat(Field(5), [[1]])
+    mixed = {
+        "@": lambda: square3 @ b,
+        "+": lambda: a + b,
+        "-": lambda: a - b,
+        "kron": lambda: a.kron(b),
+        "lincomb": lambda: lincomb(Field(3), 1, 2, {0: 1, 1: 1}, [a, b]),
+        "hstack": lambda: hstack(a, b),
+        "vstack": lambda: vstack(a, b),
+        "@ over Q": lambda: mat(QQ, [[1]]) @ square5,
+    }
+    for name, call in mixed.items():
+        with pytest.raises(FieldMismatchError):
+            call()
+            pytest.fail(f"{name} mixed F_3 and F_5")
+    assert square3 @ a == a        # equal fields built apart still meet
+    assert mat(Field(3), [[1]]) @ mat(Field(3), [[2]]) == mat(Field(3), [[2]])
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +406,11 @@ def test_infeasibility_certificates_are_complete(m, raw_rhs):
         cert = dense_vec(m.field, cert, m.rows)
         assert all(not x for x in dense_vec(
             m.field, m.transpose().apply(sparse_vec(m.field, cert)), m.cols))
-        total = m.field.zero
+        ops = _ops(m.field)
+        total = ops.zero
         for y, r in zip(cert, rhs):
-            total = total + y * r
-        assert total == m.field.one
+            total = ops.add(total, ops.mul(y, r))
+        assert total == ops.one
     else:
         assert cert is None
 
@@ -457,7 +480,7 @@ def _ops(field):
 def _to_oracle(field, rows):
     if field.is_rational:
         return [[Fraction(str(x)) for x in row] for row in rows]
-    return [[x.value for x in row] for row in rows]
+    return [list(row) for row in rows]
 
 
 def _from_oracle(field, rows, cols):
@@ -465,9 +488,18 @@ def _from_oracle(field, rows, cols):
                        for row in rows], cols=cols)
 
 
+def _dot(field, u, v):
+    """sum u_k v_k, by the oracles' ops: Python's operators would not
+    reduce modulo p."""
+    ops = _ops(field)
+    total = ops.zero
+    for x, y in zip(u, v):
+        total = ops.add(total, ops.mul(x, y))
+    return total
+
+
 def _dense_product(a, b):
-    zero = a.field.zero
-    return [[sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), zero)
+    return [[_dot(a.field, a.data[i], [row[j] for row in b.data])
              for j in range(b.cols)] for i in range(a.rows)]
 
 
@@ -479,28 +511,29 @@ def test_sparse_arithmetic_matches_dense_loops(data):
     inner = data.draw(sparse_matrices(field, rows=c, max_dim=6))
     vec = [field.scalar(data.draw(entries_st)) for _ in range(c)]
     coeffs = [field.scalar(data.draw(entries_st)) for _ in range(2)]
+    ops = _ops(field)
     results = {
         "@": (a @ inner, _dense_product(a, inner)),
-        "+": (a + b, [[x + y for x, y in zip(u, v)]
+        "+": (a + b, [[ops.add(x, y) for x, y in zip(u, v)]
                       for u, v in zip(a.data, b.data)]),
-        "-": (a - b, [[x - y for x, y in zip(u, v)]
+        "-": (a - b, [[ops.sub(x, y) for x, y in zip(u, v)]
                       for u, v in zip(a.data, b.data)]),
+        "neg": (-a, [[ops.sub(ops.zero, x) for x in u] for u in a.data]),
         "transpose": (a.transpose(), [list(col) for col in zip(*a.data)]
                       if r else [[] for _ in range(c)]),
         "kron": (a.kron(inner), [
-            [a.data[i][j] * inner.data[k][l] for j in range(c)
+            [ops.mul(a.data[i][j], inner.data[k][l]) for j in range(c)
              for l in range(inner.cols)]
             for i in range(r) for k in range(inner.rows)]),
         "lincomb": (lincomb(field, r, c, sparse_vec(field, coeffs), [a, b]), [
-            [coeffs[0] * x + coeffs[1] * y for x, y in zip(u, v)]
+            [_dot(field, coeffs, [x, y]) for x, y in zip(u, v)]
             for u, v in zip(a.data, b.data)]),
     }
     for name, (got, want) in results.items():
         assert_stores_no_zero(got)
         assert got.data == want, name
         assert got == Matrix(field, want, cols=got.cols), name
-    want_apply = [sum((x * y for x, y in zip(row, vec)), field.zero)
-                  for row in a.data]
+    want_apply = [_dot(field, row, vec) for row in a.data]
     assert dense_vec(field, a.apply(sparse_vec(field, vec)), r) == want_apply
     assert [dense_vec(field, a.column(j), r) for j in range(c)] \
         == results["transpose"][1]
@@ -606,10 +639,6 @@ def sparse_vectors(draw, field, n):
     return sparse_vec(field, [field.scalar(x) for x in dense])
 
 
-def _dot(field, u, v):
-    return sum((x * y for x, y in zip(u, v)), field.zero)
-
-
 @given(st.data())
 def test_sparse_vectors_match_dense_loops(data):
     m = data.draw(sparse_matrices())
@@ -639,9 +668,11 @@ def test_sparse_vectors_match_dense_loops(data):
 
     u = data.draw(sparse_vectors(field, r))
     du = dense_vec(field, u, r)
-    kv = kron_vec(u, vec, r, c)
+    kv = kron_vec(u, vec, r, c, field.p)
     assert_vec_stores_no_zero(kv, r * c)
-    assert dense_vec(field, kv, r * c) == [a * b for a in du for b in dvec]
+    ops = _ops(field)
+    assert dense_vec(field, kv, r * c) == [ops.mul(a, b) for a in du
+                                           for b in dvec]
 
     left, right = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     w = data.draw(sparse_vectors(field, left * c * right))

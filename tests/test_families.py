@@ -18,12 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from bimodcheck import cli
+from bimodcheck import cli, fixtures
 from bimodcheck.bimodule import Bimodule, is_generator, regular_bimodule
 from bimodcheck.diagnostics import (
     hdim_upto, is_formally_smooth_bimodule, is_separable_bimodule,
 )
-from bimodcheck.exactlin import Matrix
+from bimodcheck.exactlin import QQ, Field, Matrix
 from bimodcheck.fixtures import fixture
 from bimodcheck.homology import _engine, module_hochschild
 
@@ -126,3 +126,30 @@ def test_doubling_the_module_keeps_the_verdicts_and_hdim(name):
     assert generator
     one, two = hdim_upto(m, 2), hdim_upto(mm, 2)
     assert (two.value, two.shift_inferred) == (one.value, one.shift_inferred)
+
+
+# A prime far above every structure constant and every entry the
+# computation reaches: reduction modulo it keeps each rank, so Q and F_p
+# must give the same answers on these integral fixtures.
+LARGE_PRIME = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("name", ["fx1", "fx2", "fx3", "fx4", "fx5", "fx6",
+                                  "dual-self"])
+def test_reduction_modulo_a_large_prime_keeps_the_answers(name):
+    answers = {}
+    for field in (QQ, Field(LARGE_PRIME)):
+        m = fixtures._build(name, field).bimodule
+        b_reg = regular_bimodule(m.left_algebra)
+        answers[field] = (module_hochschild(m, b_reg, 2).dims(),
+                          is_formally_smooth_bimodule(m).verdict,
+                          hdim_upto(m, 2).render())
+    assert answers[QQ] == answers[Field(LARGE_PRIME)], answers
+    # and every F_p entry the bar complex stores is a reduced residue
+    eng = _engine(m)
+    mats = [d.matrix for d in eng.diffs] + [
+        a for obj in eng.objects for a in obj.left_action + obj.right_action]
+    for mat in mats:
+        for row in mat.nz:
+            assert all(type(x) is int and 0 < x < LARGE_PRIME
+                       for x in row.values())

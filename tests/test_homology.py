@@ -6,15 +6,16 @@ dims), and the cohomology values were derived from the independent
 classical-complex oracle in tests/oracles.py before being inlined here.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimodcheck import cli, homology
+from bimodcheck import bimodule, cli, diagnostics, fixtures, homology
 from bimodcheck.bimodule import (
-    basis_orbit, centralizer, composition_matrix, evaluation_data,
+    basis_orbit, centralizer, evaluation_data,
     hom_bimodule, regular_bimodule, restrict_left, two_sided_generators,
 )
 from bimodcheck.errors import DimensionCapError, PreconditionError
@@ -68,8 +69,10 @@ def test_bar_differentials_equal_slotwise_assembly():
         eng = _engine(m)
         for n in (1, 2):
             hom, tensor = eng.homs[n], eng.tensors[n]
-            push = composition_matrix(hom.basis, eng.diffs[n - 1].matrix,
-                                      False, eng.homs[n - 1].solver)
+            below = eng.homs[n - 1].solver
+            push = Matrix.from_columns(
+                QQ, [below.coords_of(eng.diffs[n - 1].matrix @ f)
+                     for f in hom.basis], below.dim)
             cols = []
             for q in range(eng.objects[n].dim):
                 w, _ = apply_slot(tensor.lift_column(q),
@@ -207,6 +210,49 @@ def test_ring_cap_guards_the_top_coboundary_embedding(monkeypatch):
     assert exc.value.requested == 16
 
 
+LEVEL0_TASKS = {
+    "smooth": lambda m, b, cap: diagnostics.is_formally_smooth_bimodule(
+        m, dim_cap=cap),
+    "hdim": lambda m, b, cap: diagnostics.hdim_upto(m, 2, dim_cap=cap),
+    "hochschild": lambda m, b, cap: module_hochschild(m, b, 1, dim_cap=cap),
+    "bar": lambda m, b, cap: bar_resolution(m, 2, dim_cap=cap),
+    "homotopy": lambda m, b, cap: homotopy_check(m, 1, dim_cap=cap),
+    "morita": lambda m, b, cap: diagnostics.morita_check(m, b, 1,
+                                                          dim_cap=cap),
+}
+
+
+@pytest.mark.parametrize("task", sorted(LEVEL0_TASKS))
+def test_level0_cap_fires_before_the_tensor_square(monkeypatch, task):
+    # fx3: bar object 0 = M tensor_A *M has dim 2 x 2; with the cap at 3
+    # every task that takes a cap refuses before any tensor is built
+    m = fixtures._build("fx3", QQ).bimodule
+    b = regular_bimodule(m.left_algebra)
+    for mod in (bimodule, homology, diagnostics):
+        _forbid(monkeypatch, mod, "tensor_over")
+    with pytest.raises(DimensionCapError) as exc:
+        LEVEL0_TASKS[task](m, b, 3)
+    assert str(exc.value) == ("bar growth: bar object 0 (2 x 2) needs "
+                              "dimension 4, above the cap 3")
+    assert (exc.value.requested, exc.value.cap) == (4, 3)
+
+
+def test_smooth_task_with_a_tiny_cap_builds_no_tensor(monkeypatch, tmp_path,
+                                                      capsys):
+    doc = json.loads((CORPUS_DIR / "fx3.json").read_text(encoding="utf-8"))
+    doc["tasks"] = ["smooth M"]
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for mod in (bimodule, homology, diagnostics):
+        _forbid(monkeypatch, mod, "tensor_over")
+    assert cli.main(["check", str(path), "--format", "json",
+                     "--dim-cap", "3"]) == 2
+    error = json.loads(capsys.readouterr().out)["reports"][0]["error"]
+    assert error == {"kind": "DimensionCapError",
+                     "message": "bar growth: bar object 0 (2 x 2) needs "
+                                "dimension 4, above the cap 3"}
+
+
 def test_dimension_cap_names_the_offending_level():
     m = fixture("fx3", Field(5)).bimodule
     with pytest.raises(DimensionCapError) as exc:
@@ -330,17 +376,17 @@ def _ring_coboundary_column(extension, w, chain, g, n, q):
     for idx, x in v_plain.items():
         j, rest = divmod(idx, s ** n)
         axpy(acc, x, w.left_action[j].apply(g.apply(pi_n.apply(
-            {rest: field.one}))))
+            {rest: field.one}))), field.p)
     sign = field.one
     for i in range(1, n + 1):
         sign = -sign
         v2, _ = apply_slot(v_plain, [s] * (n + 1), i - 1, mu, 2)
-        axpy(acc, sign, g.apply(pi_n.apply(v2)))
+        axpy(acc, sign, g.apply(pi_n.apply(v2)), field.p)
     sign = -sign
     for idx, x in v_plain.items():
         rest, l = divmod(idx, s)
         axpy(acc, sign * x, w.right_action[l].apply(g.apply(pi_n.apply(
-            {rest: field.one}))))
+            {rest: field.one}))), field.p)
     return acc
 
 
@@ -403,8 +449,9 @@ def _transport_phis(m, coefficients, nmax):
 
     def image(gmat, n):
         if n == 0:
-            sv, dims = collapse(0, kron_vec(md.psi_unit, md.psi_unit, ddm,
-                                            ddm), [dd, dm, dd, dm], 1)
+            sv, dims = collapse(
+                0, kron_vec(md.psi_unit, md.psi_unit, ddm, ddm, field.p),
+                [dd, dm, dd, dm], 1)
             w0 = to_w(*apply_slot(sv, dims, 1, gmat))
             cols = [w_mid.left_action[q].apply(w0)
                     for q in range(chain.a.dim)]
@@ -415,8 +462,9 @@ def _transport_phis(m, coefficients, nmax):
             for j in range(n):
                 sv, dims = apply_slot(sv, dims, j, md.psi_plain)
             mid = ddm ** n
-            sv = kron_vec(md.psi_unit, kron_vec(sv, md.psi_unit, mid, ddm),
-                          ddm, mid * ddm)
+            sv = kron_vec(md.psi_unit,
+                          kron_vec(sv, md.psi_unit, mid, ddm, field.p),
+                          ddm, mid * ddm, field.p)
             sv, dims = collapse(n, sv, [dd, dm] * (n + 2), 1)
             cols.append(to_w(*apply_slot(sv, dims, 1, gmat)))
         return Matrix.from_columns(field, cols, wd.w.dim)
@@ -460,9 +508,12 @@ def _old_module_cohomology(m, coefficients, nmax):
     eng = _engine(m)
     solvers = [hom_bimodule(eng.object(n), coefficients)
                for n in range(nmax + 2)]
-    deltas = [composition_matrix(solvers[n].maps, eng.diffs[n + 1].matrix,
-                                 True, solvers[n + 1])
-              for n in range(nmax + 1)]
+    deltas = []
+    for n in range(nmax + 1):
+        into, d = solvers[n + 1], eng.diffs[n + 1].matrix
+        deltas.append(Matrix.from_columns(
+            m.field, [into.coords_of(g @ d) for g in solvers[n].maps],
+            into.dim))
     return homology._cohomology(m.field, [s.dim for s in solvers], deltas,
                                 nmax)
 

@@ -22,26 +22,37 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
 TRACER = ROOT / "bench" / "tracer.py"
 
-# Measured on fixtures/fx4.json: 2,249,784 cells and 4,416 applies.
-# Growing bar object P_3 and solving for its two-sided cochains, which
-# only give the top coboundary a target basis, costs 2,799,693 cells and
-# 7,188 applies.  Forming every solved basis map and the
-# counit @ [g_0 g_1 ...] product in each counit split costs 17,402,130
-# cells; forming the full hom and tensor products again costs 204,540,480
-# cells and 92,142 applies; applying the equivariant solver's target
-# operators to all-zero value blocks costs 29,961 applies.
-FX4_MAX_MATMUL_CELLS = 2_500_000
-FX4_MAX_APPLIES = 4_900
-# Basis maps formed on fixtures/fx4.json: 99 of the 253 solved.  The
-# counit splits read only generator values and the top hom level
-# Hom(M, P_2) only generator values (81 maps), so neither is formed.
-# Bar level 0 and F(B) are the evaluation, so *M = Hom(M, B) is solved
-# once, and Omega^1 = ker ev is split once for smooth and hdim together;
-# building them apart solves 283 maps and forms 111.  Growing P_3 forms
-# that top hom level (192 of 364); forming every solved map forms all
-# 253.
-FX4_SOLVED_MAPS = 253
-FX4_MAX_MAPS_FORMED = 99
+# Measured on fixtures/fx4.json: 1,635,642 cells and 1,852 applies.
+# Forming each basis map that a counit, a hom-space action or a
+# coboundary reads, one map at a time, instead of reading f_u(v) for
+# all u from the stacked value matrix W (EquivariantBasis.images) costs
+# 2,195,514 cells and 4,253 applies.  Growing bar object P_3 and solving
+# for its two-sided cochains, which only give the top coboundary a
+# target basis, costs 2,799,693 cells and 7,188 applies.  Forming every
+# solved basis map and the counit @ [g_0 g_1 ...] product in each
+# counit split costs 17,402,130 cells; forming the full hom and tensor
+# products again costs 204,540,480 cells and 92,142 applies; applying
+# the equivariant solver's target operators to all-zero value blocks
+# costs 29,961 applies.
+FX4_MAX_MATMUL_CELLS = 1_635_642
+FX4_MAX_APPLIES = 1_852
+# Basis maps formed on fixtures/fx4.json: 3 of the 244 solved, the
+# endomorphisms of M that End(M)'s multiplication and M as a
+# (B, End(M))-bimodule are made of.  Counits, hom-space actions,
+# coboundaries and the trace read images from W instead, and the counit
+# splits and the top hom level Hom(M, P_2) read only generator values.
+# Hom(M, B) is solved once for *M, the trace, evaluation over End(M)
+# and M as a (B, End(M))-bimodule; solving it for each solves 253 maps.
+# Forming each map that is read forms 99; building smooth's kernel apart
+# from Omega^1 solves 283 and forms 111; growing P_3 forms 192 of 364;
+# forming every solved map forms all 244.
+FX4_SOLVED_MAPS = 244
+FX4_MAX_MAPS_FORMED = 3
+# equivariant_maps calls on fixtures/fx4.json and fx5.json: 13 each, no
+# two with the same operator objects.  Solving Hom(M, B) apart for the
+# evaluation, the trace, evaluation over End(M) and M as a
+# (B, End(M))-bimodule makes 16, the (3, 3) and (2, 4) solves 4 times.
+EQUIVARIANT_SOLVES = {"fx4": 13, "fx5": 13}
 # Bar objects grown on fixtures/fx4.json, whose tasks reach degree 2: 3.
 # The top coboundary is read at generator pairs, so P_3 is not grown;
 # growing it makes 4.
@@ -53,11 +64,12 @@ FX4_MAX_BAR_OBJECTS = 3
 FX4_SPLITS = 3
 FX4_MAX_SPLIT_ROWS = 42
 # Vector shape checks (exactlin.check_vec calls) on fixtures/fx4.json:
-# 5,444, at the entry points that take a vector from outside (apply,
+# 3,019, at the entry points that take a vector from outside (apply,
 # span_add, coords_of, lincomb for the actions, the eliminations).
-# Checking every internal hop as well (from_columns, coords_from,
-# lincomb, multiply, embed, project_vec, kron_vec) makes 12,789.
-FX4_MAX_CHECK_VECS = 6_000
+# Applying each formed map where W's images do makes 5,444; checking
+# every internal hop as well (from_columns, coords_from, lincomb,
+# multiply, embed, project_vec, kron_vec) makes 12,789.
+FX4_MAX_CHECK_VECS = 3_019
 # homology.apply_slot calls on fixtures/fx6.json: 388, nearly all in the
 # transport of its one morita task.  Collapsing each transport vector
 # once per basis cochain instead of once per column makes 1,078.
@@ -69,20 +81,21 @@ FX6_MAX_APPLY_SLOTS = 430
 # field.zero by value where an identity test would do costs 1,390,065;
 # walking dense rows in every kernel costs 4,493,209.
 FX4_MAX_ZERO_TESTS = 50
-# Fractions built (Fraction.__new__ calls) on fixtures/fx4.json: 125, one
-# per scalar string the parser reads; the engine builds none, because
-# every value it computes is integral.  Storing integral rationals as
-# Fractions costs 13,297.
-FX4_MAX_FRACTIONS = 200
+# Fractions built (Fraction.__new__ calls) on fixtures/fx4.json: 0.  Its
+# scalar strings are integers, which the parser reads with int(), and
+# every value the engine computes is integral.  Sending every scalar
+# string through the rational parser costs 125; storing integral
+# rationals as Fractions costs 13,297.
+FX4_MAX_FRACTIONS = 0
 # Fractions built by bar_resolution(fx6-twisted, 3), fixture included:
 # 100,858.  The twisted basis has real denominators, so most of them
 # stay; storing integral rationals as Fractions costs 101,210.
 FX6_TWISTED_BAR_MAX_FRACTIONS = 101_210
-# exactlin._echelon on fixtures/fx4.json: 99 eliminations of 1,622 input
-# rows in total.  Growing P_3 and solving for its cochains makes 103 of
-# 2,345 rows.
-FX4_MAX_ECHELONS = 114
-FX4_MAX_ECHELON_ROWS = 1_900
+# exactlin._echelon on fixtures/fx4.json: 73 eliminations of 1,453 input
+# rows in total.  Solving Hom(M, B) once per use makes 82 of 1,483;
+# growing P_3 and solving for its cochains makes 103 of 2,345 rows.
+FX4_MAX_ECHELONS = 73
+FX4_MAX_ECHELON_ROWS = 1_453
 
 
 def _run(capsys, name):
@@ -155,11 +168,11 @@ def test_fx4_eliminations_stay_under_their_gates(monkeypatch, capsys):
     counts = {"calls": 0, "rows": 0}
     echelon = exactlin._echelon
 
-    def counted(rows):
+    def counted(rows, p=None):
         rows = list(rows)
         counts["calls"] += 1
         counts["rows"] += len(rows)
-        return echelon(rows)
+        return echelon(rows, p)
 
     monkeypatch.setattr(exactlin, "_echelon", counted)
     _run_fx4(capsys)
@@ -187,6 +200,25 @@ def test_fx4_forms_few_basis_maps(monkeypatch, capsys):
     formed = sum(s.dim for s in solvers if is_formed(s))
     assert solved == FX4_SOLVED_MAPS, solved
     assert formed <= FX4_MAX_MAPS_FORMED, (formed, solved)
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVARIANT_SOLVES))
+def test_no_hom_solve_repeats(monkeypatch, capsys, name):
+    calls = []
+    solve = bimodule.equivariant_maps
+
+    def recorded(field, src_dim, tgt_dim, src_ops, tgt_ops):
+        # the operator objects themselves, so equal values built apart
+        # would count as two solves
+        calls.append((src_dim, tgt_dim, tuple(map(id, src_ops)),
+                      tuple(map(id, tgt_ops))))
+        return solve(field, src_dim, tgt_dim, src_ops, tgt_ops)
+
+    monkeypatch.setattr(bimodule, "equivariant_maps", recorded)
+    _run(capsys, name)
+    assert len(calls) == EQUIVARIANT_SOLVES[name], len(calls)
+    repeated = [c[:2] for c in set(calls) if calls.count(c) > 1]
+    assert not repeated, repeated
 
 
 def test_fx4_grows_few_bar_objects(monkeypatch, capsys):
