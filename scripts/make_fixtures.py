@@ -2,7 +2,8 @@
 
 Documents are assembled from the package's own fixture constructors and
 serialized through the CLI's canonical form, so schema drift shows up
-here first.  Golden reports are the CLI's own JSON output; rerunning
+here first.  Golden reports are the CLI's own JSON output, and
+tests/text_golden/ holds its text output of the same documents; rerunning
 this script must be a no-op unless behavior changed.
 """
 
@@ -24,6 +25,7 @@ from bimodcheck.fixtures import fixture
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
 GOLDEN_DIR = FIXTURE_DIR / "golden"
+TEXT_GOLDEN_DIR = ROOT / "tests" / "text_golden"
 
 
 def task(op, *args, expect=None, **options):
@@ -165,10 +167,10 @@ def build_documents() -> dict:
     return docs
 
 
-def golden_report(path: pathlib.Path) -> str:
+def golden_report(path: pathlib.Path, fmt: str = "json") -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        status = cli.main(["check", str(path), "--format", "json",
+        status = cli.main(["check", str(path), "--format", fmt,
                            "--assert"])
     if status != 0:
         raise SystemExit(f"{path.name}: exit {status}; expectations inside "
@@ -179,13 +181,16 @@ def golden_report(path: pathlib.Path) -> str:
 def main() -> None:
     FIXTURE_DIR.mkdir(exist_ok=True)
     GOLDEN_DIR.mkdir(exist_ok=True)
+    TEXT_GOLDEN_DIR.mkdir(exist_ok=True)
     for name, obj in build_documents().items():
         doc_path = FIXTURE_DIR / f"{name}.json"
         doc_path.write_text(json.dumps(obj, indent=2) + "\n",
                             encoding="utf-8")
         (GOLDEN_DIR / f"{name}.json").write_text(golden_report(doc_path),
                                                  encoding="utf-8")
-        print(f"wrote {doc_path.relative_to(ROOT)} and its golden")
+        (TEXT_GOLDEN_DIR / f"{name}.txt").write_text(
+            golden_report(doc_path, "text"), encoding="utf-8")
+        print(f"wrote {doc_path.relative_to(ROOT)} and its goldens")
 
 
 if __name__ == "__main__":

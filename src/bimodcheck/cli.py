@@ -28,7 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .bimodule import Bimodule, is_generator, validate_bimodule
+from .bimodule import Bimodule, BimoduleMap, is_generator, validate_bimodule
 from .diagnostics import (
     hdim_upto,
     is_formally_smooth_bimodule,
@@ -77,6 +77,12 @@ def _as_list(obj, path: str, length: int | None = None) -> list:
         _require(len(obj) == length,
                  f"expected length {length}, got {len(obj)}", path)
     return obj
+
+
+def _resolve(kind: str, table: dict, name, path: str):
+    _require(isinstance(name, str), f"{kind} names are strings", path)
+    _require(name in table, f"unknown {kind} {name!r}", path)
+    return table[name]
 
 
 def _as_nonneg_int(obj, path: str) -> int:
@@ -161,13 +167,10 @@ def _parse_algebra(field: Field, name: str, obj, path: str) -> Algebra:
 def _parse_bimodule(field: Field, name: str, obj, algebras: dict,
                     path: str) -> Bimodule:
     obj = _as_dict(obj, path)
-    left_name = _get(obj, "left", path)
-    right_name = _get(obj, "right", path)
-    _require(left_name in algebras, f"unknown algebra {left_name!r}",
-             path + ".left")
-    _require(right_name in algebras, f"unknown algebra {right_name!r}",
-             path + ".right")
-    left, right = algebras[left_name], algebras[right_name]
+    left = _resolve("algebra", algebras, _get(obj, "left", path),
+                    path + ".left")
+    right = _resolve("algebra", algebras, _get(obj, "right", path),
+                     path + ".right")
     dim = _as_nonneg_int(_get(obj, "dim", path), path + ".dim")
 
     def actions(key: str, count: int) -> tuple:
@@ -182,13 +185,10 @@ def _parse_bimodule(field: Field, name: str, obj, algebras: dict,
 def _parse_map(field: Field, name: str, obj, algebras: dict,
                path: str) -> RingMap:
     obj = _as_dict(obj, path)
-    src_name = _get(obj, "source", path)
-    tgt_name = _get(obj, "target", path)
-    _require(src_name in algebras, f"unknown algebra {src_name!r}",
-             path + ".source")
-    _require(tgt_name in algebras, f"unknown algebra {tgt_name!r}",
-             path + ".target")
-    src, tgt = algebras[src_name], algebras[tgt_name]
+    src = _resolve("algebra", algebras, _get(obj, "source", path),
+                   path + ".source")
+    tgt = _resolve("algebra", algebras, _get(obj, "target", path),
+                   path + ".target")
     mat = parse_matrix(field, _get(obj, "matrix", path), tgt.dim, src.dim,
                        path + ".matrix")
     return RingMap(src, tgt, mat, name=name)
@@ -202,9 +202,6 @@ class Task:
     expect: dict | None = None
 
 
-_INT_OPTIONS = ("nmax", "depth")
-
-
 def _parse_task(obj, path: str) -> Task:
     if isinstance(obj, str):
         tokens = obj.split()
@@ -213,12 +210,14 @@ def _parse_task(obj, path: str) -> Task:
         for tok in tokens[1:]:
             if "=" in tok:
                 key, _, val = tok.partition("=")
-                _require(key in _INT_OPTIONS, f"unknown option {key!r}", path)
-                try:
-                    options[key] = int(val)
-                except ValueError:
-                    raise SchemaError(f"option {key}: bad integer {val!r}",
-                                      path)
+                _require(key in _OPTION_NAMES, f"unknown option {key!r}",
+                         path)
+                # an optional sign, then ASCII digits: int() alone would
+                # also take "1_0" and non-ASCII digits
+                digits = val[1:] if val[:1] in ("+", "-") else val
+                _require(digits.isascii() and digits.isdigit(),
+                         f"option {key}: bad integer {val!r}", path)
+                options[key] = int(val)
             else:
                 args.append(tok)
         return Task(tokens[0], tuple(args), options)
@@ -233,7 +232,7 @@ def _parse_task(obj, path: str) -> Task:
                  f"{path}.args[{i}]")
     options = _as_dict(_get(obj, "options", path, {}), path + ".options")
     for key, val in options.items():
-        _require(key in _INT_OPTIONS, f"unknown option {key!r}",
+        _require(key in _OPTION_NAMES, f"unknown option {key!r}",
                  f"{path}.options")
         _require(isinstance(val, int) and not isinstance(val, bool),
                  "option values are integers", f"{path}.options.{key}")
@@ -358,177 +357,136 @@ class RunOptions:
     timings: bool = False
 
 
-def _resolve(kind: str, table: dict, name: str, task_path: str):
-    _require(name in table, f"unknown {kind} {name!r}", task_path)
-    return table[name]
-
-
 def _coords(field: Field, vec) -> list:
     return [render_scalar(field, x) for x in vec]
 
 
-def _argc(task: Task, count: int, path: str) -> None:
-    _require(len(task.args) == count,
-             f"{task.op} takes {count} argument(s), got {len(task.args)}",
-             path)
+def _witness(field: Field, value):
+    """A certificate as reported: a map by its matrix, a vector by its
+    coordinates, a message as it is."""
+    if isinstance(value, BimoduleMap):
+        return render_matrix(field, value.matrix)
+    return _coords(field, value) if isinstance(value, tuple) else value
 
 
-def _one_bimodule(doc, task, path) -> Bimodule:
-    _argc(task, 1, path)
-    return _resolve("bimodule", doc.bimodules, task.args[0], path)
+def _fmt(template: str):
+    """A text summary filled in from the report's fields, booleans in
+    lower case and lists joined by commas."""
+    def text(value) -> str:
+        if isinstance(value, list):
+            return ",".join(str(x) for x in value)
+        return str(value).lower() if isinstance(value, bool) else str(value)
+    return lambda report: template.format_map(
+        {key: text(value) for key, value in report.items()})
 
 
-def _one_map(doc, task, path) -> RingMap:
-    _argc(task, 1, path)
-    return _resolve("map", doc.maps, task.args[0], path)
+@dataclass(frozen=True)
+class _Op:
+    """What one task op takes, runs and reports.
+
+    `call(dim_cap, *objects)` gets the resolved arguments, then the
+    option's value when the op reads one; it looks its function up by
+    name when it runs, so a rebound module name reaches it.  A field is
+    a result attribute or a (key, read) pair; a key ending in "?" is a
+    certificate, left out when None and rendered by `_witness`.
+    """
+    args: tuple            # "bimodule" or "map", one per argument
+    option: str | None     # the one option read: "nmax" or "depth"
+    call: object
+    fields: tuple          # report keys after the option, in order
+    summary: object        # report -> its text summary
 
 
-def _task_generator(doc, task, opts, path):
-    m = _one_bimodule(doc, task, path)
-    r = is_generator(m)
-    out = {"verdict": r.verdict}
-    if r.preimage_of_unit is not None:
-        out["preimage_of_unit"] = _coords(doc.field, r.preimage_of_unit)
-    if r.cokernel_functional is not None:
-        out["cokernel_functional"] = _coords(doc.field, r.cokernel_functional)
-    return out
+_M, _MN, _F = ("bimodule",), ("bimodule", "bimodule"), ("map",)
+_verdict = _fmt("{verdict}")
+_dims = _fmt("dims={dims}")
 
-
-def _task_separable(doc, task, opts, path):
-    m = _one_bimodule(doc, task, path)
-    r = is_separable_bimodule(m)
-    out = {"verdict": r.verdict}
-    if r.casimir is not None:
-        out["casimir"] = _coords(doc.field, r.casimir)
-    if r.obstruction is not None:
-        out["obstruction"] = _coords(doc.field, r.obstruction)
-    out["dimensions"] = dict(r.dimensions)
-    return out
-
-
-def _task_smooth(doc, task, opts, path):
-    m = _one_bimodule(doc, task, path)
-    r = is_formally_smooth_bimodule(m, dim_cap=opts.dim_cap)
-    return {"verdict": r.verdict, "route": r.route,
-            "kernel_dim": r.kernel_dim, "dimensions": dict(r.dimensions)}
-
-
-def _task_rel_projective(doc, task, opts, path):
-    _argc(task, 2, path)
-    p = _resolve("bimodule", doc.bimodules, task.args[0], path)
-    m = _resolve("bimodule", doc.bimodules, task.args[1], path)
-    r = is_rel_projective(p, m)
-    out = {"verdict": r.verdict}
-    if r.section is not None:
-        out["section"] = render_matrix(doc.field, r.section.matrix)
-    if r.obstruction is not None:
-        out["obstruction"] = _coords(doc.field, r.obstruction)
-    out["dimensions"] = dict(r.dimensions)
-    return out
-
-
-def _task_hdim(doc, task, opts, path):
-    m = _one_bimodule(doc, task, path)
-    nmax = task.options.get("nmax", opts.nmax)
-    r = hdim_upto(m, nmax, dim_cap=opts.dim_cap)
-    return {"nmax": nmax, "hdim": r.render(),
-            "shift_inferred": r.shift_inferred}
-
-
-def _task_hochschild(doc, task, opts, path):
-    _argc(task, 2, path)
-    m = _resolve("bimodule", doc.bimodules, task.args[0], path)
-    w = _resolve("bimodule", doc.bimodules, task.args[1], path)
-    nmax = task.options.get("nmax", opts.nmax)
-    r = module_hochschild(m, w, nmax, dim_cap=opts.dim_cap)
-    return {"nmax": nmax, "dims": list(r.dims())}
-
-
-def _task_homotopy(doc, task, opts, path):
-    m = _one_bimodule(doc, task, path)
-    depth = task.options.get("depth", 2)
-    r = homotopy_check(m, depth, dim_cap=opts.dim_cap)
-    out = {"depth": depth, "ok": bool(r)}
-    if not r:
-        out["message"] = r.message
-    return out
-
-
-def _task_bar(doc, task, opts, path):
-    m = _one_bimodule(doc, task, path)
-    depth = task.options.get("depth", 2)
-    chain = bar_resolution(m, depth, dim_cap=opts.dim_cap)
-    return {"depth": depth, "dims": [o.dim for o in chain.objects]}
-
-
-def _task_separable_extension(doc, task, opts, path):
-    f = _one_map(doc, task, path)
-    r = is_separable_extension(f)
-    out = {"verdict": r.verdict}
-    if r.idempotent is not None:
-        out["idempotent"] = _coords(doc.field, r.idempotent)
-    if r.obstruction is not None:
-        out["obstruction"] = _coords(doc.field, r.obstruction)
-    out["dimensions"] = dict(r.dimensions)
-    return out
-
-
-def _task_smooth_extension(doc, task, opts, path):
-    f = _one_map(doc, task, path)
-    r = is_formally_smooth_extension(f)
-    out = {"verdict": r.verdict, "kernel_dim": r.kernel_dim}
-    if r.section is not None:
-        out["section"] = render_matrix(doc.field, r.section.matrix)
-    if r.obstruction is not None:
-        out["obstruction"] = _coords(doc.field, r.obstruction)
-    out["dimensions"] = dict(r.dimensions)
-    return out
-
-
-def _task_morita(doc, task, opts, path):
-    _argc(task, 2, path)
-    m = _resolve("bimodule", doc.bimodules, task.args[0], path)
-    w = _resolve("bimodule", doc.bimodules, task.args[1], path)
-    nmax = task.options.get("nmax", opts.nmax)
-    r = morita_check(m, w, nmax, dim_cap=opts.dim_cap)
-    return {"nmax": nmax, "module_dims": list(r.module_dims),
-            "ring_dims": list(r.ring_dims), "dims_agree": r.dims_agree,
-            "comparison_ok": r.comparison.ok}
-
-
-def _task_sugano(doc, task, opts, path):
-    m = _one_bimodule(doc, task, path)
-    r = sugano_check(m)
-    return {"separable_bimodule": r.separable_bimodule,
-            "generator": r.generator,
-            "extension_separable": r.extension_separable,
-            "agree": r.agree}
-
-
-def _task_static(doc, task, opts, path):
-    m = _one_bimodule(doc, task, path)
-    r = static_criteria(m)
-    return {"ev_endo_injective": r.ev_endo_injective,
-            "trace_static": r.trace_static, "generator": r.generator,
-            "ev_endo_iso": r.ev_endo_iso, "endo_separable": r.endo_separable,
-            "dimensions": dict(r.dimensions)}
-
-
-_HANDLERS = {
-    "generator": _task_generator,
-    "separable": _task_separable,
-    "smooth": _task_smooth,
-    "rel_projective": _task_rel_projective,
-    "hdim": _task_hdim,
-    "hochschild": _task_hochschild,
-    "homotopy": _task_homotopy,
-    "bar": _task_bar,
-    "separable_extension": _task_separable_extension,
-    "smooth_extension": _task_smooth_extension,
-    "morita": _task_morita,
-    "sugano": _task_sugano,
-    "static": _task_static,
+_OPS = {
+    "generator": _Op(
+        _M, None, lambda cap, m: is_generator(m),
+        ("verdict", "preimage_of_unit?", "cokernel_functional?"), _verdict),
+    "separable": _Op(
+        _M, None, lambda cap, m: is_separable_bimodule(m),
+        ("verdict", "casimir?", "obstruction?", "dimensions"), _verdict),
+    "smooth": _Op(
+        _M, None, lambda cap, m: is_formally_smooth_bimodule(m, dim_cap=cap),
+        ("verdict", "route", "kernel_dim", "dimensions"),
+        _fmt("{verdict} ({route})")),
+    "rel_projective": _Op(
+        _MN, None, lambda cap, p, m: is_rel_projective(p, m),
+        ("verdict", "section?", "obstruction?", "dimensions"), _verdict),
+    "hdim": _Op(
+        _M, "nmax", lambda cap, m, n: hdim_upto(m, n, dim_cap=cap),
+        (("hdim", lambda r: r.render()), "shift_inferred"), _fmt("{hdim}")),
+    "hochschild": _Op(
+        _MN, "nmax",
+        lambda cap, m, w, n: module_hochschild(m, w, n, dim_cap=cap),
+        (("dims", lambda r: r.dims()),), _dims),
+    "homotopy": _Op(
+        _M, "depth", lambda cap, m, d: homotopy_check(m, d, dim_cap=cap),
+        ("ok", ("message?", lambda r: None if r.ok else r.message)),
+        lambda report: ("ok" if report["ok"]
+                        else f"FAILED: {report['message']}")),
+    "bar": _Op(
+        _M, "depth", lambda cap, m, d: bar_resolution(m, d, dim_cap=cap),
+        (("dims", lambda chain: [o.dim for o in chain.objects]),), _dims),
+    "separable_extension": _Op(
+        _F, None, lambda cap, f: is_separable_extension(f),
+        ("verdict", "idempotent?", "obstruction?", "dimensions"), _verdict),
+    "smooth_extension": _Op(
+        _F, None, lambda cap, f: is_formally_smooth_extension(f),
+        ("verdict", "kernel_dim", "section?", "obstruction?", "dimensions"),
+        _fmt("{verdict} (kernel_dim={kernel_dim})")),
+    "morita": _Op(
+        _MN, "nmax", lambda cap, m, w, n: morita_check(m, w, n, dim_cap=cap),
+        ("module_dims", "ring_dims", "dims_agree",
+         ("comparison_ok", lambda r: r.comparison.ok)),
+        _fmt("dims_agree={dims_agree} comparison_ok={comparison_ok}")),
+    "sugano": _Op(
+        _M, None, lambda cap, m: sugano_check(m),
+        ("separable_bimodule", "generator", "extension_separable", "agree"),
+        _fmt("agree={agree}")),
+    "static": _Op(
+        _M, None, lambda cap, m: static_criteria(m),
+        ("ev_endo_injective", "trace_static", "generator", "ev_endo_iso",
+         "endo_separable", "dimensions"),
+        _fmt("ev_endo_injective={ev_endo_injective} "
+             "trace_static={trace_static} generator={generator} "
+             "ev_endo_iso={ev_endo_iso} endo_separable={endo_separable}")),
 }
+
+_OPTION_NAMES = {op.option for op in _OPS.values()} - {None}
+
+
+def _run_task(doc: InputDocument, task: Task, opts: RunOptions,
+              path: str) -> dict:
+    op = _OPS[task.op]
+    _require(len(task.args) == len(op.args),
+             f"{task.op} takes {len(op.args)} argument(s), "
+             f"got {len(task.args)}", path)
+    unread = set(task.options) - {op.option}
+    _require(not unread, f"{task.op} does not read options {sorted(unread)}",
+             path)
+    call_args = [_resolve(kind, doc.bimodules if kind == "bimodule"
+                          else doc.maps, name, path)
+                 for kind, name in zip(op.args, task.args)]
+    out = {}
+    if op.option is not None:
+        # --nmax sets the default nmax; depth defaults to 2
+        value = task.options.get(op.option,
+                                 opts.nmax if op.option == "nmax" else 2)
+        call_args.append(value)
+        out[op.option] = value
+    r = op.call(opts.dim_cap, *call_args)
+    for spec in op.fields:
+        key, read = spec if isinstance(spec, tuple) else (spec, None)
+        witness, key = key.endswith("?"), key.rstrip("?")
+        value = getattr(r, key) if read is None else read(r)
+        if not witness:
+            out[key] = list(value) if isinstance(value, tuple) else value
+        elif value is not None:
+            out[key] = _witness(doc.field, value)
+    return out
 
 
 def _json_eq(a, b) -> bool:
@@ -548,11 +506,11 @@ def run_document(doc: InputDocument, opts: RunOptions) -> list:
     reports = []
     for i, task in enumerate(doc.tasks):
         path = f"$.tasks[{i}]"
-        _require(task.op in _HANDLERS, f"unknown task op {task.op!r}", path)
+        _require(task.op in _OPS, f"unknown task op {task.op!r}", path)
         report = {"op": task.op, "args": list(task.args)}
         started = time.perf_counter()
         try:
-            report.update(_HANDLERS[task.op](doc, task, opts, path))
+            report.update(_run_task(doc, task, opts, path))
         except BimodcheckError as e:
             report["error"] = {"kind": type(e).__name__, "message": str(e)}
         if task.expect is not None:
@@ -571,31 +529,7 @@ def run_document(doc: InputDocument, opts: RunOptions) -> list:
 def _summary(report: dict) -> str:
     if "error" in report:
         return f"ERROR {report['error']['kind']}: {report['error']['message']}"
-    op = report["op"]
-    if op in ("generator", "separable", "rel_projective",
-              "separable_extension"):
-        return str(report["verdict"]).lower()
-    if op == "smooth":
-        return f"{str(report['verdict']).lower()} ({report['route']})"
-    if op == "smooth_extension":
-        return (f"{str(report['verdict']).lower()} "
-                f"(kernel_dim={report['kernel_dim']})")
-    if op == "hdim":
-        return report["hdim"]
-    if op in ("hochschild", "bar"):
-        return "dims=" + ",".join(str(d) for d in report["dims"])
-    if op == "homotopy":
-        return "ok" if report["ok"] else f"FAILED: {report.get('message', '')}"
-    if op == "morita":
-        return (f"dims_agree={str(report['dims_agree']).lower()} "
-                f"comparison_ok={str(report['comparison_ok']).lower()}")
-    if op == "sugano":
-        return f"agree={str(report['agree']).lower()}"
-    if op == "static":
-        keys = ("ev_endo_injective", "trace_static", "generator",
-                "ev_endo_iso", "endo_separable")
-        return " ".join(f"{k}={str(report[k]).lower()}" for k in keys)
-    return ""
+    return _OPS[report["op"]].summary(report)
 
 
 def render_text(reports: list) -> str:
@@ -664,10 +598,7 @@ def main(argv=None) -> int:
         opts = RunOptions(nmax=args.nmax, dim_cap=dim_cap,
                           timings=args.timings)
         reports = run_document(doc, opts)
-    except BimodcheckError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (BimodcheckError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -2,6 +2,7 @@
 
 Golden output files under fixtures/golden/ pin the exact report bytes;
 scripts/make_fixtures.py regenerates both sides when the corpus changes.
+tests/text_golden/ pins the --format text output of the same documents.
 """
 
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bimodcheck import exactlin
+from bimodcheck import cli, exactlin
 from bimodcheck.cli import (
     InputDocument, RunOptions, load_document, main, parse_document,
     parse_field, parse_scalar, render_scalar, run_document,
@@ -19,10 +20,12 @@ from bimodcheck.cli import (
 )
 from bimodcheck.errors import SchemaError
 from bimodcheck.exactlin import PRIME_LIMIT, Field, QQ
+from bimodcheck.structures import ValidationResult
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
 GOLDEN_DIR = FIXTURE_DIR / "golden"
+TEXT_GOLDEN_DIR = Path(__file__).resolve().parent / "text_golden"
 DOC_NAMES = sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
 
 
@@ -179,6 +182,48 @@ def test_unknown_algebra_reference_is_caught():
     assert exc.value.path == "$.bimodules.M.left"
 
 
+@pytest.mark.parametrize("section, obj, key", [
+    ("bimodules", "M", "left"), ("bimodules", "M", "right"),
+    ("maps", "unit", "source"), ("maps", "unit", "target"),
+])
+@pytest.mark.parametrize("name", [["k"], {"a": 1}], ids=["list", "dict"])
+def test_non_string_object_reference_is_a_schema_error(section, obj, key,
+                                                       name):
+    raw = minimal_doc()
+    raw[section][obj][key] = name
+    with pytest.raises(SchemaError) as exc:
+        parse_document(raw)
+    assert exc.value.path == f"$.{section}.{obj}.{key}"
+
+
+@pytest.mark.parametrize("task", [
+    "hochschild M M depth=7", "bar M nmax=9", "generator M nmax=3",
+    {"op": "homotopy", "args": ["M"], "options": {"nmax": 1}},
+])
+def test_option_the_op_does_not_read_is_a_task_error(task, tmp_path,
+                                                     capsys):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(minimal_doc(tasks=[task])))
+    rc = main(["check", str(p), "--format", "json"])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["error"]["kind"] == "SchemaError"
+    assert "$.tasks[0]" in report["error"]["message"]
+    assert set(report) == {"op", "args", "error"}
+
+
+@pytest.mark.parametrize("val", ["٣", "１", "1_0", "0x3", "+-3", "", "-"])
+def test_task_string_option_is_an_ascii_integer(val):
+    with pytest.raises(SchemaError, match="option nmax: bad integer"):
+        parse_document(minimal_doc(tasks=[f"hdim M nmax={val}"]))
+
+
+def test_task_string_option_takes_a_sign():
+    doc = parse_document(minimal_doc(tasks=["hdim M nmax=+3",
+                                            "bar M depth=007"]))
+    assert [t.options for t in doc.tasks] == [{"nmax": 3}, {"depth": 7}]
+
+
 def test_unknown_object_name_becomes_a_task_error():
     doc = parse_document(minimal_doc(tasks=["generator XX"]))
     reports = run_document(doc, RunOptions())
@@ -267,6 +312,40 @@ def test_text_format_marks_expectations(capsys):
     assert "[ok]" in out
     assert "[EXPECT FAILED]" not in out
     assert "> 3" in out                  # unbounded hdim rendering
+
+
+@pytest.mark.parametrize("name", DOC_NAMES)
+def test_text_format_matches_pinned_output(name, capsys):
+    # between them the corpus documents run every op
+    rc = main(["check", str(FIXTURE_DIR / name)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == (TEXT_GOLDEN_DIR / name).with_suffix(".txt").read_text()
+
+
+def test_text_format_of_errors_failed_expectations_and_failed_checks(
+        tmp_path, capsys, monkeypatch):
+    # the three summary forms the corpus never prints
+    monkeypatch.setattr(cli, "homotopy_check", lambda m, depth, dim_cap=None:
+                        ValidationResult(False, "contraction identity "
+                                                "fails at 1"))
+    raw = minimal_doc(tasks=[
+        "generator XX",
+        {"op": "generator", "args": ["M"], "expect": {"verdict": False}},
+        "homotopy M",
+        "hdim M nmax=3",
+    ])
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(raw))
+    rc = main(["check", str(p), "--dim-cap", "10"])
+    assert rc == 2
+    assert capsys.readouterr().out == (
+        "generator  XX  ERROR SchemaError: $.tasks[0]: unknown bimodule "
+        "'XX'\n"
+        "generator  M   true  [EXPECT FAILED]\n"
+        "homotopy   M   FAILED: contraction identity fails at 1\n"
+        "hdim       M   ERROR DimensionCapError: bar growth: bar object 2 "
+        "(2 x 8) needs dimension 16, above the cap 10\n")
 
 
 def test_hdim_is_rendered_as_a_string():
