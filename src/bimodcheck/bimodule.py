@@ -204,7 +204,7 @@ class EquivariantBasis:
       exists it builds just the block of the combined values.
     - `coords_from` reads the columns of a map at the generators only,
       so a caller that needs nothing but coordinates computes just those
-      columns.
+      columns, and looks each stored entry up in a position index.
     """
 
     def __init__(self, field: Field, src_dim: int, tgt_dim: int,
@@ -214,8 +214,14 @@ class EquivariantBasis:
         self.generators = generators    # source basis indices generating it
         self.positions = positions      # coordinate positions in a value row
         self.values = values
-        self._tgt_ops, self._n_ops, self._used = tgt_ops, n_ops, used
-        self._lift_used = lift_used
+        # coordinate of each position, and the used presentation columns
+        # of each generator j as (idx, k), used[idx] = j * n_ops + k
+        self._index = {pos: k for k, pos in enumerate(positions)}
+        self._tgt_ops, self._by_gen = tgt_ops, {}
+        for idx, c in enumerate(used):
+            j, k = divmod(c, n_ops)
+            self._by_gen.setdefault(j, []).append((idx, k))
+        self._n_used, self._lift_used = len(used), lift_used
         self._stack = None              # W
         self._maps = None
 
@@ -230,11 +236,9 @@ class EquivariantBasis:
     def _w_block(self, row: dict) -> list:
         """The tgt_dim rows of W for the map whose values are row."""
         out = [{} for _ in range(self.tgt_dim)]
-        blocks = _blocks(row, self.tgt_dim)
-        for idx, c in enumerate(self._used):
-            j, k = divmod(c, self._n_ops)
-            if j in blocks:
-                for s, x in self._tgt_ops[k].apply(blocks[j]).items():
+        for j, value in _blocks(row, self.tgt_dim).items():
+            for idx, k in self._by_gen.get(j, ()):
+                for s, x in self._tgt_ops[k].apply(value).items():
                     out[s][idx] = x
         return out
 
@@ -242,7 +246,7 @@ class EquivariantBasis:
         if self._stack is None:
             self._stack = Matrix.from_sparse(
                 self.field, [r for row in self.values
-                             for r in self._w_block(row)], len(self._used))
+                             for r in self._w_block(row)], self._n_used)
             self._tgt_ops = None
         return self._stack
 
@@ -274,12 +278,14 @@ class EquivariantBasis:
 
     def _coords_from(self, column) -> dict:
         """coords_from without the check, for columns the package built."""
-        vals = {}
+        index, t, coords = self._index, self.tgt_dim, {}
         for r, g in enumerate(self.generators):
-            base = r * self.tgt_dim
+            base = r * t
             for s, x in column(g).items():
-                vals[base + s] = x
-        return {k: vals[p] for k, p in enumerate(self.positions) if p in vals}
+                k = index.get(base + s)
+                if k is not None:
+                    coords[k] = x
+        return coords
 
     def coords_of(self, mat: Matrix, verify: bool = False) -> dict:
         if (mat.rows, mat.cols) != (self.tgt_dim, self.src_dim):
@@ -306,7 +312,7 @@ class EquivariantBasis:
             for u, c in coords.items():
                 for s in range(t):
                     axpy(block[s], c, stack[u * t + s], field.p)
-        return Matrix.from_sparse(field, block, len(self._used)) \
+        return Matrix.from_sparse(field, block, self._n_used) \
             @ self._lift_used
 
 
@@ -368,19 +374,28 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     lift_used = Matrix.from_sparse(field, [lift.nz[k] for k in used], src_dim)
     # unknowns: values v_j in target for each generator, stacked; a
     # relation says sum_{j,k} rel[j*n_ops+k] * tgt_ops[k] v_j = 0, and
-    # only its stored entries (j, k) contribute
-    unknowns = r * tgt_dim
+    # only its stored entries (j, k) and the nonzero rows t of those
+    # operators contribute: row t of the relation is the sum of
+    # coeff * row t of tgt_ops[k], shifted to block j
+    p, rels = field.p, relations.basis.nz
+    op_rows = {k: [(t, row) for t, row in enumerate(tgt_ops[k].nz) if row]
+               for k in {c % n_ops for rel in rels for c in rel}}
     rows = []
-    for rel in relations.basis.nz:
-        blocks = [(j * tgt_dim,
-                   _lincomb(field, tgt_dim, tgt_dim, coeffs, tgt_ops).nz)
-                  for j, coeffs in _blocks(rel, n_ops).items()]
-        for t in range(tgt_dim):
-            row = {base + s: x for base, blk in blocks
-                   for s, x in blk[t].items()}
-            if row:
-                rows.append(row)
-    solutions = kernel_basis(Matrix.from_sparse(field, rows, unknowns))
+    for rel in rels:
+        by_t: dict[int, dict] = {}
+        for j, coeffs in _blocks(rel, n_ops).items():
+            block: dict[int, dict] = {}
+            for k, c in coeffs.items():
+                for t, row in op_rows[k]:
+                    axpy(block.setdefault(t, {}), c, row, p)
+            base = j * tgt_dim
+            for t, vec in block.items():
+                if vec:
+                    out = by_t.setdefault(t, {})
+                    for s, x in vec.items():
+                        out[base + s] = x
+        rows.extend(by_t[t] for t in sorted(by_t))
+    solutions = kernel_basis(Matrix.from_sparse(field, rows, r * tgt_dim))
     return EquivariantBasis(field, src_dim, tgt_dim, generators,
                             solutions.positions, solutions.basis.nz,
                             tgt_ops, n_ops, used, lift_used)

@@ -22,6 +22,7 @@ are byte-identical across runs unless --timings is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -200,13 +201,14 @@ class Task:
     args: tuple
     options: dict = dc_field(default_factory=dict)
     expect: dict | None = None
+    repeated: tuple = ()    # options a task string gives more than once
 
 
 def _parse_task(obj, path: str) -> Task:
     if isinstance(obj, str):
         tokens = obj.split()
         _require(bool(tokens), "empty task string", path)
-        args, options = [], {}
+        args, options, repeated = [], {}, []
         for tok in tokens[1:]:
             if "=" in tok:
                 key, _, val = tok.partition("=")
@@ -217,10 +219,12 @@ def _parse_task(obj, path: str) -> Task:
                 digits = val[1:] if val[:1] in ("+", "-") else val
                 _require(digits.isascii() and digits.isdigit(),
                          f"option {key}: bad integer {val!r}", path)
+                if key in options and key not in repeated:
+                    repeated.append(key)
                 options[key] = int(val)
             else:
                 args.append(tok)
-        return Task(tokens[0], tuple(args), options)
+        return Task(tokens[0], tuple(args), options, repeated=tuple(repeated))
     obj = _as_dict(obj, path)
     extra = set(obj) - {"op", "args", "options", "expect"}
     _require(not extra, f"unknown keys {sorted(extra)}", path)
@@ -464,6 +468,8 @@ def _run_task(doc: InputDocument, task: Task, opts: RunOptions,
     _require(len(task.args) == len(op.args),
              f"{task.op} takes {len(op.args)} argument(s), "
              f"got {len(task.args)}", path)
+    _require(not task.repeated,
+             f"options given more than once: {list(task.repeated)}", path)
     unread = set(task.options) - {op.option}
     _require(not unread, f"{task.op} does not read options {sorted(unread)}",
              path)
@@ -557,7 +563,22 @@ def render_json(field: Field, reports: list) -> str:
 
 # ------------------------------------------------------------------ main
 
+def _positive_int(text: str) -> int:
+    """A --dim-cap value, from the flag or the environment."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; treat it as
+    read-only."""
     parser = argparse.ArgumentParser(
         prog="bimodcheck",
         description="Exact generator/separability/smoothness diagnostics "
@@ -573,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--nmax", type=int, default=2,
                        help="default degree bound for cohomology and hdim "
                             "tasks (default 2)")
-    check.add_argument("--dim-cap", type=int, default=None,
+    check.add_argument("--dim-cap", type=_positive_int, default=None,
                        help=f"abort constructions past this dimension "
                             f"(default {DIM_CAP_ENV} or built-in cap)")
     check.add_argument("--timings", action="store_true",
@@ -587,10 +608,9 @@ def main(argv=None) -> int:
     dim_cap = args.dim_cap
     if dim_cap is None and os.environ.get(DIM_CAP_ENV):
         try:
-            dim_cap = int(os.environ[DIM_CAP_ENV])
-        except ValueError:
-            print(f"error: {DIM_CAP_ENV} must be an integer",
-                  file=sys.stderr)
+            dim_cap = _positive_int(os.environ[DIM_CAP_ENV])
+        except argparse.ArgumentTypeError as e:
+            print(f"error: {DIM_CAP_ENV} {e}", file=sys.stderr)
             return 2
     try:
         doc = load_document(args.file)

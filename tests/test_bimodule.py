@@ -696,15 +696,21 @@ def test_matrix_of_equals_lincomb_of_maps_on_twists(m, seed):
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def _old_forming(field, src_dim, tgt_dim, src_ops, tgt_ops):
-    """values row -> the map with those generator values, formed alone."""
-    n_ops = len(src_ops)
+def _old_presentation(field, src_dim, src_ops):
+    """(g_mat, used, lift_used) of the source presentation."""
     _, g_cols = orbit_generators(field, src_dim, src_ops)
     g_mat = Matrix.from_columns(field, g_cols, src_dim)
     lift = right_inverse(g_mat) if src_dim else Matrix(field, [], cols=0)
     used = [k for k, row in enumerate(lift.nz) if row]
     lift_used = Matrix.from_sparse(field, [lift.nz[k] for k in used],
                                    src_dim)
+    return g_mat, used, lift_used
+
+
+def _old_forming(field, src_dim, tgt_dim, src_ops, tgt_ops):
+    """values row -> the map with those generator values, formed alone."""
+    n_ops = len(src_ops)
+    _, used, lift_used = _old_presentation(field, src_dim, src_ops)
 
     def form(row):
         blocks = {}
@@ -754,21 +760,19 @@ def _recording_solves(monkeypatch):
     return calls
 
 
-def test_stacked_values_match_forming_each_map_across_corpus(monkeypatch,
-                                                              capsys):
+def _corpus_solves(monkeypatch, capsys):
+    """The arguments of every solve the corpus documents make."""
     calls = _recording_solves(monkeypatch)
     for doc in sorted(CORPUS_DIR.glob("*.json")):
         cli.main(["check", str(doc), "--format", "json"])
     capsys.readouterr()
     monkeypatch.undo()
     assert len(calls) > 50 and any(not args[0].is_rational for args in calls)
-    for args in calls:
-        _assert_solver_matches_old_forming(args)
+    return calls
 
 
-@settings(max_examples=15)
-@given(twisted_bimodules)
-def test_stacked_values_match_forming_each_map_on_twists(m):
+def _twist_solves(m):
+    """The arguments of the solves of m's dual and its hom spaces."""
     calls = []
     solve = bimodule.equivariant_maps
 
@@ -784,5 +788,133 @@ def test_stacked_values_match_forming_each_map_on_twists(m):
         hom_bimodule(m, m)
     finally:
         bimodule.equivariant_maps = solve
-    for args in calls:
+    return calls
+
+
+def test_stacked_values_match_forming_each_map_across_corpus(monkeypatch,
+                                                              capsys):
+    for args in _corpus_solves(monkeypatch, capsys):
         _assert_solver_matches_old_forming(args)
+
+
+@settings(max_examples=15)
+@given(twisted_bimodules)
+def test_stacked_values_match_forming_each_map_on_twists(m):
+    for args in _twist_solves(m):
+        _assert_solver_matches_old_forming(args)
+
+
+# ---------------------------------------------------------------------------
+# The relation system, coordinate reads and W against the code they
+# replaced, kept here as oracles: one tgt_dim x tgt_dim combination of
+# the target operators per relation and generator, read row by row for
+# every t; coordinates read by scanning every position; and W's rows
+# built by walking every used presentation column for each map.
+
+
+def _old_relation_rows(field, src_dim, tgt_dim, src_ops, tgt_ops):
+    n_ops = len(src_ops)
+    g_mat, _, _ = _old_presentation(field, src_dim, src_ops)
+    rows = []
+    for rel in kernel_basis(g_mat).basis.nz:
+        coeffs = {}
+        for c, x in rel.items():
+            j, k = divmod(c, n_ops)
+            coeffs.setdefault(j, {})[k] = x
+        blocks = [(j * tgt_dim,
+                   lincomb(field, tgt_dim, tgt_dim, cs, tgt_ops).nz)
+                  for j, cs in coeffs.items()]
+        for t in range(tgt_dim):
+            row = {base + s: x for base, blk in blocks
+                   for s, x in blk[t].items()}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _old_coords_from(solver, column):
+    vals = {}
+    for r, g in enumerate(solver.generators):
+        base = r * solver.tgt_dim
+        for s, x in column(g).items():
+            vals[base + s] = x
+    return {k: vals[p] for k, p in enumerate(solver.positions) if p in vals}
+
+
+def _old_w_block(field, src_dim, tgt_dim, src_ops, tgt_ops):
+    """values row -> the tgt_dim rows of W for the map with those values."""
+    n_ops = len(src_ops)
+    _, used, _ = _old_presentation(field, src_dim, src_ops)
+
+    def block(row):
+        out = [{} for _ in range(tgt_dim)]
+        blocks = {}
+        for c, x in row.items():
+            j, s = divmod(c, tgt_dim)
+            blocks.setdefault(j, {})[s] = x
+        for idx, c in enumerate(used):
+            j, k = divmod(c, n_ops)
+            if j in blocks:
+                for s, x in tgt_ops[k].apply(blocks[j]).items():
+                    out[s][idx] = x
+        return out
+
+    return block
+
+
+def _solve_with_system(args):
+    """A fresh solve and the relation system it eliminated."""
+    systems = []
+    kernel = bimodule.kernel_basis
+
+    def recorded(m):
+        systems.append(m)
+        return kernel(m)
+
+    bimodule.kernel_basis = recorded
+    try:
+        solver = equivariant_maps(*args)
+    finally:
+        bimodule.kernel_basis = kernel
+    return solver, systems[-1]      # the first is the source relations
+
+
+def _assert_solver_matches_old_scans(args):
+    field, tgt_dim = args[0], args[2]
+    solver, system = _solve_with_system(args)
+    assert system.nz == _old_relation_rows(*args)
+    assert system.cols == len(solver.generators) * tgt_dim
+    combined = {}
+    for u in range(solver.dim):
+        axpy(combined, field.scalar(u + 2), solver.values[u], field.p)
+    block = _old_w_block(*args)
+    assert solver._w_block(combined) == block(combined)
+    w = solver._w()
+    assert w == Matrix.from_sparse(
+        field, [r for row in solver.values for r in block(row)], w.cols)
+
+    def off_the_span(g):
+        return {s: x for s in range(tgt_dim)
+                if (x := field.scalar(g * tgt_dim + s - 3))}
+
+    ones = {u: field.one for u in range(solver.dim)}
+    columns = [f.column for f in solver.maps] + [
+        solver.matrix_of(ones).column, off_the_span]
+    for column in columns:
+        assert solver._coords_from(column) \
+            == _old_coords_from(solver, column)
+    for u, f in enumerate(solver.maps):
+        assert solver.coords_of(f) == {u: field.one}
+
+
+def test_relation_rows_and_readers_match_the_scans_across_corpus(
+        monkeypatch, capsys):
+    for args in _corpus_solves(monkeypatch, capsys):
+        _assert_solver_matches_old_scans(args)
+
+
+@settings(max_examples=15)
+@given(twisted_bimodules)
+def test_relation_rows_and_readers_match_the_scans_on_twists(m):
+    for args in _twist_solves(m):
+        _assert_solver_matches_old_scans(args)

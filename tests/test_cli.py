@@ -446,6 +446,55 @@ def test_non_integer_env_cap_exits_two(tmp_path, capsys, monkeypatch):
     assert "BIMODCHECK_DIM_CAP" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_dim_cap_flag_must_be_positive(tmp_path, capsys, cap):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(minimal_doc(tasks=["hdim M nmax=3"])))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(p), f"--dim-cap={cap}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dim-cap" in captured.err and "positive" in captured.err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_dim_cap_env_must_be_positive(tmp_path, capsys, monkeypatch, cap):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(minimal_doc(tasks=["hdim M nmax=3"])))
+    monkeypatch.setenv("BIMODCHECK_DIM_CAP", cap)
+    rc = main(["check", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "BIMODCHECK_DIM_CAP" in captured.err
+    assert "positive" in captured.err
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(minimal_doc(tasks=["generator M"])))
+    parser = cli.build_parser()
+    assert main(["check", str(p)]) == 0
+    assert main(["check", str(p), "--dim-cap", "10"]) == 0
+    capsys.readouterr()
+    assert cli.build_parser() is parser
+
+
+def test_repeated_task_string_option_is_a_task_error(tmp_path, capsys):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(minimal_doc(
+        tasks=["hdim M nmax=1 nmax=3", "hdim M nmax=1"])))
+    rc = main(["check", str(p), "--format", "json"])
+    assert rc == 2
+    repeated, single = json.loads(capsys.readouterr().out)["reports"]
+    assert repeated["error"]["kind"] == "SchemaError"
+    assert "$.tasks[0]" in repeated["error"]["message"]
+    assert "'nmax'" in repeated["error"]["message"]
+    assert set(repeated) == {"op", "args", "error"}
+    assert single["nmax"] == 1 and "error" not in single
+
+
 def test_timings_are_opt_in(tmp_path, capsys):
     raw = minimal_doc(tasks=["generator M"])
     p = tmp_path / "doc.json"

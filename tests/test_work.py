@@ -96,6 +96,11 @@ FX6_TWISTED_BAR_MAX_FRACTIONS = 101_210
 # growing P_3 and solving for its cochains makes 103 of 2,345 rows.
 FX4_MAX_ECHELONS = 73
 FX4_MAX_ECHELON_ROWS = 1_453
+# exactlin.axpy calls on fixtures/fx4.json: 1,834.  A relation row of
+# an equivariant solve sums only the nonzero rows of the target
+# operators its stored entries name; forming the full tgt_dim x tgt_dim
+# combination of the operators per relation and generator makes 4,252.
+FX4_MAX_AXPYS = 1_834
 
 
 def _run(capsys, name):
@@ -178,6 +183,47 @@ def test_fx4_eliminations_stay_under_their_gates(monkeypatch, capsys):
     _run_fx4(capsys)
     assert counts["calls"] <= FX4_MAX_ECHELONS, counts
     assert counts["rows"] <= FX4_MAX_ECHELON_ROWS, counts
+
+
+def test_fx4_axpys_stay_under_their_gate(monkeypatch, capsys):
+    calls = [0]
+    axpy = exactlin.axpy
+
+    def counted(*args):
+        calls[0] += 1
+        return axpy(*args)
+
+    # every module that imported axpy holds its own name for it
+    for mod in (exactlin, bimodule, diagnostics, homology, structures):
+        if hasattr(mod, "axpy"):
+            monkeypatch.setattr(mod, "axpy", counted)
+    _run_fx4(capsys)
+    assert calls[0] <= FX4_MAX_AXPYS, calls[0]
+
+
+class _Unscannable(tuple):
+    """Positions that fail when a reader walks them."""
+
+    def __iter__(self):
+        raise AssertionError("a coordinate read scanned the positions")
+
+
+def test_coordinate_reads_never_scan_positions(monkeypatch, capsys):
+    # once a solver is built, coordinates are read through its position
+    # index: a scan of every position per column would cost solver.dim
+    # per read however sparse the column
+    solvers = []
+    solve = bimodule.equivariant_maps
+
+    def recorded(*args):
+        solver = solve(*args)
+        solver.positions = _Unscannable(solver.positions)
+        solvers.append(solver)
+        return solver
+
+    monkeypatch.setattr(bimodule, "equivariant_maps", recorded)
+    _run_fx4(capsys)
+    assert solvers and any(s.dim for s in solvers)
 
 
 def test_fx4_forms_few_basis_maps(monkeypatch, capsys):
