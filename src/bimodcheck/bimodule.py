@@ -21,8 +21,8 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ShapeError, ValidationError
 from .exactlin import (
     Field, Matrix, SpanTracker, Subspace, _lincomb, axpy, check_vec,
-    dense_vec, kernel_basis, lincomb, quotient_space, rank, right_inverse,
-    solve_or_certify,
+    dense_vec, kernel_and_right_inverse, kernel_basis, lincomb,
+    quotient_space, rank, solve_or_certify,
 )
 from .structures import Algebra, RingMap, ValidationResult, memoized
 
@@ -365,9 +365,9 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
     n_ops = len(src_ops)
     generators, g_cols = orbit_generators(field, src_dim, src_ops)
     r = len(generators)
-    g_mat = Matrix._from_columns(field, g_cols, src_dim)
-    relations = kernel_basis(g_mat)
-    lift = right_inverse(g_mat) if src_dim else Matrix(field, [], cols=0)
+    # the orbit columns span the source, so g has full row rank
+    relations, lift = kernel_and_right_inverse(
+        Matrix._from_columns(field, g_cols, src_dim))
     # lift is zero outside its pivot rows, so each map W_F @ lift needs
     # only the columns of W_F at those rows
     used = [k for k, row in enumerate(lift.nz) if row]

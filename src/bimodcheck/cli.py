@@ -279,9 +279,19 @@ def parse_document(obj) -> InputDocument:
 
 
 def load_document(path: str) -> InputDocument:
+    def unique_keys(pairs: list) -> dict:
+        # json.load keeps the last of a repeated key; a document that
+        # says two things at once is refused instead
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SchemaError(f"repeated key {key!r}", path)
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e.msg}",
                           f"{path}:{e.lineno}:{e.colno}") from None

@@ -23,7 +23,7 @@ from .exactlin import (
     rank, solve_affine, solve_or_certify,
 )
 from .homology import (
-    _engine, check_bar_level0, comonad_apply, comparison_check, syzygy,
+    _syzygy_chain, check_bar_level0, comonad_apply, comparison_check,
 )
 from .structures import (
     RingMap, memoized, multiplication_map, validate_ring_map,
@@ -203,9 +203,10 @@ def is_formally_smooth_bimodule(
 
     Short-circuits: an injective evaluation has zero kernel, and a
     separable bimodule splits the whole evaluation, which restricts to
-    the kernel.  The kernel is Omega^1 of the bar engine, ker d_0 with
-    d_0 = ev, so hdim level 1 reads the same object and split; dim_cap
-    bounds its bar object P_0 = M tensor_A *M, checked before it is built.
+    the kernel.  The kernel is Omega^1 = ker ev of the syzygy chain,
+    which is also the bar's first syzygy, so hdim level 1 reads the same
+    object and split; dim_cap bounds P_0 = M tensor_A *M, checked before
+    it is built.
     """
     check_bar_level0(m, dim_cap)
     ev = evaluation_data(m)
@@ -216,7 +217,7 @@ def is_formally_smooth_bimodule(
     sep = is_separable_bimodule(m)
     if sep.verdict:
         return SmoothnessResult(True, "separable", None, sep, dims)
-    l = _engine(m).syzygy(1, dim_cap)
+    l = _syzygy_chain(m).syzygy(1, dim_cap)
     dims["kernel"] = l.dim
     rp = is_rel_projective(l, m)
     return SmoothnessResult(rp.verdict, "kernel-splitting", l.dim, rp, dims)
@@ -329,18 +330,23 @@ def hdim_upto(m: Bimodule, nmax: int,
     """Least n <= nmax with the n-th syzygy relatively projective.
 
     Levels 0 and 1 are the separability and smoothness characterizations;
-    higher levels shift dimension along the bar resolution, which is the
-    standard argument but goes past the two characterized degrees, so the
-    result is flagged.
+    higher levels shift dimension along the syzygy resolution, which is
+    the standard argument but goes past the two characterized degrees, so
+    the result is flagged.  By relative Schanuel any allowable relatively
+    projective resolution gives the same verdicts; each cover of the
+    syzygy chain resolves only Omega^n, so its syzygies grow more slowly
+    than the bar's.
+    The cap is checked on each cover F(Omega^n) before the split forms it.
     """
     check_bar_level0(m, dim_cap)
     if not is_generator(m).verdict:
         raise PreconditionError("homological dimension needs a generator")
     if nmax < 0:
         raise PreconditionError("nmax must be nonnegative")
+    chain = _syzygy_chain(m)
     for n in range(nmax + 1):
-        p = syzygy(m, n, dim_cap=dim_cap)
-        r = is_rel_projective(p, m)
+        _, eps = chain.cover(n, dim_cap)
+        r = is_rel_projective(eps.target, m)
         if r.verdict:
             return HdimResult(n, nmax, r, n >= 2)
     return HdimResult(None, nmax, None, nmax >= 1)

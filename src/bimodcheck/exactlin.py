@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .errors import (
@@ -568,10 +569,16 @@ class Subspace:
         return cls(ambient_dim, Matrix.from_sparse(
             field, [piv[c] for c in pivots], ambient_dim), pivots)
 
+    @cached_property
+    def _index(self) -> dict:
+        """{position: coordinate}, so a read visits only vec's entries."""
+        return {p: k for k, p in enumerate(self.positions)}
+
     def coords_of(self, vec: dict, verify: bool = True) -> dict:
         """Coordinates of vec in the basis; vec must lie in the subspace."""
         check_vec(vec, self.ambient_dim)
-        coords = {k: vec[p] for k, p in enumerate(self.positions) if p in vec}
+        index = self._index
+        coords = {index[p]: x for p, x in vec.items() if p in index}
         if verify and self._embed(coords) != vec:
             raise ValidationError("vector is not in the subspace")
         return coords
@@ -680,18 +687,40 @@ def solve_or_certify(m: Matrix, rhs: dict) -> tuple[dict | None, dict | None]:
     return None, cert
 
 
-def right_inverse(m: Matrix) -> Matrix:
-    """X with m X = identity; requires full row rank."""
+def _reduce_beside_identity(m: Matrix) -> dict:
+    """The reduced pivot rows of [m | I]; SingularError unless every
+    pivot lies in m's block, that is unless m has full row rank.  The
+    left block of the rows is then RREF(m)."""
     n, p = m.cols, m.field.p
     one = m.field.one
     piv = _echelon(({**row, n + i: one} for i, row in enumerate(m.nz)), p)
     if any(c >= n for c in piv):
         raise SingularError("matrix does not have full row rank")
     _back_substitute(piv, p)
+    return piv
+
+
+def _right_block(m: Matrix, piv: dict) -> Matrix:
+    """X with m X = identity, read off the right block of the reduced
+    rows of [m | I]."""
+    n = m.cols
     out = [{} for _ in range(n)]
     for pc, row in piv.items():
         out[pc] = {j - n: x for j, x in row.items() if j >= n}
     return Matrix.from_sparse(m.field, out, m.rows)
+
+
+def right_inverse(m: Matrix) -> Matrix:
+    """X with m X = identity; requires full row rank."""
+    return _right_block(m, _reduce_beside_identity(m))
+
+
+def kernel_and_right_inverse(m: Matrix) -> tuple[Subspace, Matrix]:
+    """(kernel_basis(m), right_inverse(m)) from one elimination of
+    [m | I], entry for entry what the two calls give, since its left
+    block is RREF(m); requires full row rank."""
+    piv = _reduce_beside_identity(m)
+    return _free_column_basis(m.field, piv, m.cols), _right_block(m, piv)
 
 
 def invert(m: Matrix) -> Matrix:

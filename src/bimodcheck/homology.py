@@ -1,9 +1,12 @@
-"""Relative bar resolutions and the two Hochschild-style cohomologies.
+"""Relative resolutions and the two Hochschild-style cohomologies.
 
-The module-relative side resolves B by iterating the comonad
-F(Y) = M tensor_A Hom(M, Y); cochains are two-sided maps out of the bar
-objects. The ring-relative side builds tensor powers of S over A and
-the usual alternating coboundary. A transport pipeline rewrites
+The module-relative side resolves B with the comonad
+F(Y) = M tensor_A Hom(M, Y), in two ways: the bar resolution iterates
+F, and the syzygy resolution covers each syzygy by F of itself.
+Cochains are two-sided maps out of the resolving objects; `hochschild`
+and `hdim` read the smaller syzygy resolution, `bar`, `homotopy` and
+`morita` the bar. The ring-relative side builds tensor powers of S
+over A and the usual alternating coboundary. A transport pipeline rewrites
 module-relative cochains as ring-relative ones degree by degree, which
 is the comparison underlying the endomorphism-ring theorem.
 
@@ -141,21 +144,86 @@ def _cohomology(field: Field, space_dims: list, deltas: list,
 # The comonad and its bar complex
 
 
+@memoized
+def _cover_hom(m: Bimodule, y: Bimodule) -> HomSpace:
+    """Hom(M, Y), solved once per Y: F(Y) is built from it, and its
+    dim sizes F(Y) before the tensor is formed."""
+    return hom_left(m, y)
+
+
+@memoized
 def comonad_apply(m: Bimodule, y: Bimodule) -> tuple:
-    """One application F(Y) = M tensor_A Hom(M, Y), with its counit.
-    F(B) is M tensor_A *M with the evaluation, which evaluation_data
-    keeps."""
+    """One application F(Y) = M tensor_A Hom(M, Y), with its counit,
+    formed once per Y.  F(B) is M tensor_A *M with the evaluation,
+    which evaluation_data keeps."""
     if y is regular_bimodule(m.left_algebra):
         ev = evaluation_data(m)
         return ev.tensor.space, ev.map
-    hom = hom_left(m, y)
+    hom = _cover_hom(m, y)
     tensor = tensor_over(m, hom.space, name=f"F({y.name})")
     return tensor.space, counit_map(hom, tensor, "counit")
 
 
+@memoized
+def _cochains(obj: Bimodule, coefficients: Bimodule) -> EquivariantBasis:
+    """The two-sided maps obj -> coefficients, solved once per pair."""
+    return hom_bimodule(obj, coefficients)
+
+
+class _SyzygyChain:
+    """The relative syzygies of B for one generator M, grown on demand:
+    Omega^0 = B and Omega^{n+1} = ker(eps_n) for the counit
+    eps_n: P_n = F(Omega^n) -> Omega^n of comonad_apply, which
+    is_rel_projective reads too.
+
+    Hom(M, eps_n) is split by the unit, so P_n with
+    d_n = (Omega^n in P_{n-1}) eps_n is an allowable relatively
+    projective resolution of B, smaller than the bar: by the comparison
+    theorem its cochains have the bar's cohomology, and by relative
+    Schanuel its Omega^n is relatively projective exactly when the
+    bar's is.  Omega^1 = ker ev is the bar's first syzygy too.  The
+    chain stops growing at the first Omega^n that is 0."""
+
+    def __init__(self, m: Bimodule):
+        self.m = m
+        self.syzygies = [regular_bimodule(m.left_algebra)]
+        self.inclusions = [None]      # inclusions[n]: Omega^n -> P_{n-1}
+
+    def syzygy(self, n: int, dim_cap: int | None = None) -> Bimodule:
+        """Omega^n; once some Omega^k is 0, the same zero object for
+        every n > k."""
+        while len(self.syzygies) <= n and self.syzygies[-1].dim:
+            k = len(self.syzygies) - 1
+            obj, eps = self.cover(k, dim_cap)
+            sub, incl = sub_bimodule(obj, kernel_basis(eps.matrix),
+                                     name=f"syz{k + 1}({self.m.name})")
+            # d_k d_{k+1} = incl_k (eps_k incl_{k+1}) eps_{k+1}
+            if not (eps.matrix @ incl).is_zero():
+                raise ValidationError(f"differential square nonzero at {k}")
+            self.syzygies.append(sub)
+            self.inclusions.append(incl)
+        return self.syzygies[min(n, len(self.syzygies) - 1)]
+
+    def cover(self, n: int, dim_cap: int | None = None) -> tuple:
+        """(P_n, eps_n); the cap is checked on the plain dim of P_n
+        before it is formed (level 0 is check_bar_level0's)."""
+        y = self.syzygy(n, dim_cap)
+        if n:
+            hom = _cover_hom(self.m, y)
+            _check_cap(self.m.dim * hom.dim, dim_cap,
+                       f"syzygy resolution: P_{n} = F(Omega^{n}) "
+                       f"({self.m.dim} x {hom.dim})")
+        return comonad_apply(self.m, y)
+
+
+@memoized
+def _syzygy_chain(m: Bimodule) -> _SyzygyChain:
+    return _SyzygyChain(m)
+
+
 class _BarEngine:
     """Grow-on-demand bar data for one module: objects, differentials,
-    hom levels, syzygies, unit sections, and cached two-sided hom solvers.
+    hom levels, syzygies and unit sections.
 
     Level 0 is the evaluation: Hom(M, B) = *M (dual_module), P_0 =
     M tensor_A *M and d_0 = ev are read from evaluation_data(m), so the
@@ -175,7 +243,6 @@ class _BarEngine:
         self._syzygies: dict[int, Bimodule] = {}
         self._sections: dict[int, Matrix] = {}
         self._hom_diffs: dict[int, Matrix] = {}
-        self._bb: dict[tuple, EquivariantBasis] = {}   # (n, coefficients)
 
     def hom_level(self, k: int, dim_cap: int | None = None) -> HomSpace:
         while len(self.homs) <= k:
@@ -230,7 +297,10 @@ class _BarEngine:
 
     def syzygy(self, n: int, dim_cap: int | None = None) -> Bimodule:
         """Omega^n = ker d_{n-1} as a two-sided submodule of P_{n-1}, for
-        n >= 1; formed once.  Omega^1 = ker ev needs no generator."""
+        n >= 1; formed once.  Omega^1 = ker ev needs no generator, and is
+        the syzygy chain's."""
+        if n == 1:
+            return _syzygy_chain(self.m).syzygy(1, dim_cap)
         if n not in self._syzygies:
             d = self.diff(n - 1, dim_cap)
             self._syzygies[n], _ = sub_bimodule(
@@ -301,11 +371,6 @@ class _BarEngine:
                     values.append(v)
         return values
 
-    def bb_solver(self, n: int, coeff: Bimodule) -> EquivariantBasis:
-        if (n, coeff) not in self._bb:
-            self._bb[n, coeff] = hom_bimodule(self.object(n), coeff)
-        return self._bb[n, coeff]
-
 
 @memoized
 def _engine(m: Bimodule) -> _BarEngine:
@@ -367,12 +432,58 @@ def syzygy(m: Bimodule, n: int, dim_cap: int | None = None) -> Bimodule:
 
 def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
                       dim_cap: int | None = None) -> CohomologyResult:
-    """Cohomology of two-sided maps off the bar objects into the
-    coefficients, with the coboundary precomposing the next differential."""
+    """Cohomology of two-sided maps into the coefficients off the
+    syzygy resolution (_SyzygyChain), with the coboundary precomposing
+    the next differential; the bar complex (`morita`) has the same.
+
+    _cohomology reads the top coboundary only through its kernel, the
+    top cocycles: g kills d_{nmax+1} iff it kills Omega^{nmax+1} =
+    ker eps_nmax (eps_{nmax+1} is onto, M being a generator), iff
+    g = h eps_nmax for a two-sided h: Omega^nmax -> N.  deltas[nmax] is
+    the annihilator of those cocycles, so neither Omega^{nmax+1} nor
+    P_{nmax+1} is formed."""
     check_bar_level0(m, dim_cap)
     _require_generator(m)
-    solvers, deltas = _module_complex(m, coefficients, nmax, dim_cap)
-    return _cohomology(m.field, [s.dim for s in solvers], deltas, nmax)
+    _check_complex_args(m, coefficients, nmax)
+    field, chain = m.field, _syzygy_chain(m)
+    covers = []                 # eps_n for each nonzero Omega^n, n <= nmax
+    for n in range(nmax + 1):
+        if not chain.syzygy(n, dim_cap).dim:
+            break
+        covers.append(chain.cover(n, dim_cap)[1])
+    solvers = [_cochains(eps.source, coefficients) for eps in covers]
+    top = len(covers) - 1
+    deltas = [composition_matrix(
+                  solvers[n], chain.inclusions[n + 1] @ covers[n + 1].matrix,
+                  True, solvers[n + 1])
+              for n in range(top)]
+    if top == nmax:
+        eps = covers[top]
+        cocycles = composition_matrix(_cochains(eps.target, coefficients),
+                                      eps.matrix, True, solvers[top])
+        deltas.append(kernel_basis(cocycles.transpose()).basis)
+    else:
+        # Omega^{top+1} = 0: P_{top+1} = 0, so every cochain is a cocycle
+        deltas.append(Matrix.from_sparse(field, [], solvers[top].dim))
+        deltas += [Matrix.from_sparse(field, [], 0)] * (nmax - top)
+    _check_coboundary_squares(deltas, nmax)
+    dims = [s.dim for s in solvers] + [0] * (nmax - top)
+    return _cohomology(field, dims, deltas, nmax)
+
+
+def _check_complex_args(m: Bimodule, coefficients: Bimodule,
+                        nmax: int) -> None:
+    if nmax < 0:
+        raise PreconditionError("nmax must be nonnegative")
+    if coefficients.left_algebra is not m.left_algebra \
+            or coefficients.right_algebra is not m.left_algebra:
+        raise PreconditionError("coefficients must be two-sided over B")
+
+
+def _check_coboundary_squares(deltas: list, nmax: int) -> None:
+    for n in range(nmax):
+        if not (deltas[n + 1] @ deltas[n]).is_zero():
+            raise ValidationError(f"coboundary square nonzero at {n}")
 
 
 def _stacked(field: Field, columns: list, width: int, blocks: int) -> Matrix:
@@ -386,22 +497,21 @@ def _stacked(field: Field, columns: list, width: int, blocks: int) -> Matrix:
 def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
                     dim_cap: int | None):
     """Cochain solvers of degrees 0..nmax and the coboundaries out of
-    them for the module-relative side; m must be a generator.
+    them for the module-relative side on the bar complex, whose
+    coordinates the transport of comparison_check needs; m must be a
+    generator.
 
     deltas[n] is in solver coordinates of degree n + 1 for n < nmax.  The
     top one, deltas[nmax], lands in the embedding of _BarEngine.top_values
     instead, so neither P_{nmax+1} nor its cochains are built.  An
     injective map after it keeps its row space, hence its RREF and
     kernel, which is all that _cohomology reads of it."""
-    if nmax < 0:
-        raise PreconditionError("nmax must be nonnegative")
-    if coefficients.left_algebra is not m.left_algebra \
-            or coefficients.right_algebra is not m.left_algebra:
-        raise PreconditionError("coefficients must be two-sided over B")
+    _check_complex_args(m, coefficients, nmax)
     eng = _engine(m)
     eng.object(nmax, dim_cap)
     top = eng.top_values(nmax, coefficients.dim, dim_cap)
-    solvers = [eng.bb_solver(n, coefficients) for n in range(nmax + 1)]
+    solvers = [_cochains(eng.object(n), coefficients)
+               for n in range(nmax + 1)]
     deltas = [composition_matrix(solvers[n], eng.diffs[n + 1].matrix,
                                  True, solvers[n + 1])
               for n in range(nmax)]
@@ -410,9 +520,7 @@ def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
     deltas.append(_stacked(m.field, [[y[u] for y in images]
                                      for u in range(solvers[nmax].dim)],
                            coefficients.dim, len(top)))
-    for n in range(nmax):
-        if not (deltas[n + 1] @ deltas[n]).is_zero():
-            raise ValidationError(f"coboundary square nonzero at {n}")
+    _check_coboundary_squares(deltas, nmax)
     return solvers, deltas
 
 

@@ -246,6 +246,31 @@ def test_invalid_json_is_position_annotated(tmp_path):
     assert ":2:" in exc.value.path
 
 
+@pytest.mark.parametrize("where", ["options", "document"])
+def test_repeated_keys_are_schema_errors(tmp_path, capsys, where):
+    # json keeps the last of a repeated key, so nmax 1 would be dropped
+    # without a word and the task run at nmax 3
+    if where == "options":
+        text = json.dumps(minimal_doc(tasks=[
+            {"op": "hdim", "args": ["M"], "options": {"nmax": 0}}]))
+        text = text.replace('{"nmax": 0}', '{"nmax": 1, "nmax": 3}')
+        key = "nmax"
+    else:
+        text = json.dumps(minimal_doc())
+        text = text.replace('{"field": "Q"', '{"field": "Q", "field": "Q"')
+        key = "field"
+    assert text.count(f'"{key}"') == 2
+    bad = tmp_path / "doc.json"
+    bad.write_text(text)
+    with pytest.raises(SchemaError, match=f"repeated key '{key}'") as exc:
+        load_document(str(bad))
+    assert exc.value.path == str(bad)
+    assert main(["check", str(bad), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"repeated key '{key}'" in captured.err
+
+
 @pytest.mark.parametrize("content, message", [
     (b'{"field": "Q", "name": "\xff\xfe"}', "not UTF-8"),
     (b"[" * 5000 + b"]" * 5000, "nested too deeply"),
@@ -333,7 +358,7 @@ def test_text_format_of_errors_failed_expectations_and_failed_checks(
         "generator XX",
         {"op": "generator", "args": ["M"], "expect": {"verdict": False}},
         "homotopy M",
-        "hdim M nmax=3",
+        "bar M depth=3",
     ])
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(raw))
@@ -344,7 +369,7 @@ def test_text_format_of_errors_failed_expectations_and_failed_checks(
         "'XX'\n"
         "generator  M   true  [EXPECT FAILED]\n"
         "homotopy   M   FAILED: contraction identity fails at 1\n"
-        "hdim       M   ERROR DimensionCapError: bar growth: bar object 2 "
+        "bar        M   ERROR DimensionCapError: bar growth: bar object 2 "
         "(2 x 8) needs dimension 16, above the cap 10\n")
 
 
@@ -402,7 +427,7 @@ def test_missing_file_exits_two(tmp_path, capsys):
 
 
 def test_task_error_reports_and_exits_two(tmp_path, capsys):
-    raw = minimal_doc(tasks=["hdim M nmax=3"])
+    raw = minimal_doc(tasks=["bar M depth=3"])
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(raw))
     rc = main(["check", str(p), "--format", "json", "--dim-cap", "10"])
@@ -414,7 +439,7 @@ def test_task_error_reports_and_exits_two(tmp_path, capsys):
 
 
 def test_dim_cap_env_mirrors_the_flag(tmp_path, capsys, monkeypatch):
-    raw = minimal_doc(tasks=["hdim M nmax=3"])
+    raw = minimal_doc(tasks=["bar M depth=3"])
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(raw))
     monkeypatch.setenv("BIMODCHECK_DIM_CAP", "10")

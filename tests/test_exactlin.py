@@ -17,8 +17,8 @@ from bimodcheck import exactlin
 from bimodcheck.errors import FieldMismatchError, ShapeError, SingularError
 from bimodcheck.exactlin import (
     Field, Matrix, QQ, SpanTracker, Subspace, apply_slot, check_vec,
-    dense_vec, hstack, infeasibility_certificate, invert, kernel_basis,
-    kron_vec, lincomb, quotient_space, rank, right_inverse, rref,
+    dense_vec, hstack, infeasibility_certificate, invert,
+    kernel_and_right_inverse, kernel_basis, kron_vec, lincomb, quotient_space, rank, right_inverse, rref,
     solve_affine, solve_or_certify, sparse_vec, vstack,
 )
 
@@ -374,6 +374,23 @@ def test_kernel_vectors_annihilate(m):
     for row in ker.basis.data:
         assert all(not x for x in dense_vec(
             m.field, m.apply(sparse_vec(m.field, row)), m.rows))
+
+
+@given(sparse_matrices(max_dim=6), st.booleans())
+def test_one_elimination_gives_the_kernel_and_the_right_inverse(m, pad):
+    # [m | I] has full row rank, so padding makes both outcomes common
+    if pad:
+        m = hstack(m, Matrix.identity(m.field, m.rows))
+    try:
+        want = (kernel_basis(m), right_inverse(m))
+    except SingularError:
+        with pytest.raises(SingularError):
+            kernel_and_right_inverse(m)
+        return
+    got = kernel_and_right_inverse(m)
+    assert got == want
+    assert got[0].positions == want[0].positions
+    assert got[1].nz == want[1].nz
 
 
 @st.composite

@@ -7,6 +7,9 @@ output:
 
 * Maschke: F_p[C_3] has HH^0 of dim 3; for p = 3 every HH^i has dim 3,
   and for p = 2 every HH^i with i > 0 vanishes.
+* F_p[C_n] with p | n: F_p[C_n] = F_p[x]/(x^n - 1), and the derivative
+  n x^(n-1) of x^n - 1 vanishes, so every HH^i is F_p[C_n] itself, of
+  dim n.
 * Loday: Q[x]/(x^n) has Hochschild dims (n, n - 1, n - 1, ...).
 * Morita: M_2(Q) over its diagonal has dims (1, 0, 0, ...) on both
   sides.
@@ -52,11 +55,28 @@ def _loday_hochschild(n: int, nmax: int):
             {"hochschild": {"nmax": nmax, "dims": dims}})
 
 
+def _modular_group_hochschild(p: int, n: int, nmax: int):
+    # the closed form lives here: docs._maschke says p in positive
+    # degrees, which is n only at n = p
+    assert n % p == 0
+    tasks = [f"hochschild M BB nmax={nmax}"]
+
+    def build(twist):
+        return docs.over_ground_document(p, docs.cyclic_group_algebra(n),
+                                         tasks, twist)
+
+    return (f"F{p}[C{n}]", build,
+            {"hochschild": {"nmax": nmax, "dims": [n] * (nmax + 1)}})
+
+
 FAMILIES = [
     docs._maschke(3, 3, 3),
     docs._maschke(2, 3, 3),
     _loday_hochschild(3, 2),
     docs._morita(3),
+    # the sizes at which the bar complex took seconds and hundreds of MB
+    _loday_hochschild(4, 4),
+    _modular_group_hochschild(3, 6, 3),
 ]
 
 
@@ -77,6 +97,8 @@ def test_family_closed_forms_are_the_expected_ones():
     assert oracles["F3[C3]"]["hochschild"]["dims"] == [3, 3, 3, 3]
     assert oracles["F2[C3]"]["hochschild"]["dims"] == [3, 0, 0, 0]
     assert oracles["Q[x]/(x^3)"]["hochschild"]["dims"] == [3, 2, 2]
+    assert oracles["Q[x]/(x^4)"]["hochschild"]["dims"] == [4, 3, 3, 3, 3]
+    assert oracles["F3[C6]"]["hochschild"]["dims"] == [6, 6, 6, 6]
     assert oracles["M2(Q)/diag"]["morita"]["module_dims"] == [1, 0, 0, 0]
     assert oracles["M2(Q)/diag"]["morita"]["ring_dims"] == [1, 0, 0, 0]
 

@@ -28,7 +28,16 @@ from bimodcheck.homology import (
     coefficient_transport, homotopy_check, module_hochschild, morita_data,
     ring_hochschild, syzygy,
 )
-from bimodcheck.structures import identity_map
+from bimodcheck.structures import Algebra, identity_map
+
+
+def _truncated_polynomials_over_ground(n):
+    """Q[x]/(x^n) as a (B, k)-bimodule, built afresh on every call, so
+    nothing about it is cached yet."""
+    mult = tuple(tuple({i + j: 1} if i + j < n else {} for j in range(n))
+                 for i in range(n))
+    b = Algebra(QQ, n, mult, {0: 1}, name=f"Q[x]/(x^{n})")
+    return fixtures.over_ground(QQ, b)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +195,14 @@ def _forbid(monkeypatch, module, name):
 
 
 def test_dimension_cap_guards_the_top_coboundary_embedding(monkeypatch):
-    # fx4 at nmax 1: P_1 has dim 27, within the cap; the embedding reads
-    # 2 left x 18 right generator pairs into coefficients of dim 3
+    # fx4 at nmax 1 on the bar complex that morita reads: P_1 has dim 27,
+    # within the cap; the embedding reads 2 left x 18 right generator
+    # pairs into coefficients of dim 3
     m = fixture("fx4", Field(5)).bimodule
     _forbid(monkeypatch, homology, "hom_bimodule")
     with pytest.raises(DimensionCapError) as exc:
-        module_hochschild(m, regular_bimodule(m.left_algebra), 1, dim_cap=50)
+        homology._module_complex(m, regular_bimodule(m.left_algebra), 1,
+                                 dim_cap=50)
     assert "bar growth: top coboundary embedding" in str(exc.value)
     assert exc.value.requested == 108
     assert exc.value.cap == 50
@@ -256,10 +267,37 @@ def test_smooth_task_with_a_tiny_cap_builds_no_tensor(monkeypatch, tmp_path,
 def test_dimension_cap_names_the_offending_level():
     m = fixture("fx3", Field(5)).bimodule
     with pytest.raises(DimensionCapError) as exc:
-        module_hochschild(m, regular_bimodule(m.left_algebra), 2, dim_cap=10)
+        bar_resolution(m, 3, dim_cap=10)
     assert "bar object" in str(exc.value)
     assert exc.value.requested == 16
     assert exc.value.cap == 10
+
+
+@pytest.mark.parametrize("task", ["hdim", "hochschild"])
+def test_dimension_cap_names_the_syzygy_cover(monkeypatch, task):
+    # Q[x]/(x^4) over the ground: Omega^1 has dim 12 and Hom(M, Omega^1)
+    # dim 12, so P_1 = F(Omega^1) needs 4 x 12; P_0 (4 x 4) is within
+    # the cap, and nothing is tensored once P_1 is refused
+    m = _truncated_polynomials_over_ground(4)
+    b = regular_bimodule(m.left_algebra)
+    tensor_over = homology.tensor_over
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return tensor_over(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "tensor_over", recorded)
+    with pytest.raises(DimensionCapError) as exc:
+        if task == "hdim":
+            diagnostics.hdim_upto(m, 3, dim_cap=40)
+        else:
+            module_hochschild(m, b, 3, dim_cap=40)
+    assert str(exc.value) == ("syzygy resolution: P_1 = F(Omega^1) "
+                              "(4 x 12) needs dimension 48, above the "
+                              "cap 40")
+    assert (exc.value.requested, exc.value.cap) == (48, 40)
+    assert not calls
 
 
 def test_cohomology_is_deterministic_across_rebuilds():
@@ -495,11 +533,14 @@ def test_ring_deltas_over_the_diagonal_match_per_cochain():
 
 
 # ---------------------------------------------------------------------------
-# The top coboundary of each complex lands in an embedding of the next
-# cochain space instead of its solver.  The old path, kept here, grows the
-# next bar object (or takes the next tensor power), solves for its
-# cochains, and forms the top coboundary in solver coordinates.  Both
-# paths must give the same cohomology, field by field.
+# The top coboundary of each complex is replaced by a matrix with the
+# same kernel: on the bar complex (morita) and the ring side, an
+# embedding of the next cochain space; on the syzygy resolution
+# (hochschild), the annihilator of the top cocycles.  The old paths,
+# kept here, grow the next bar object, the next cover F(Omega^{n+1}) or
+# the next tensor power, solve for its cochains, and form the top
+# coboundary in solver coordinates.  Each pair of paths must give the
+# same cohomology, field by field.
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -511,6 +552,36 @@ def _old_module_cohomology(m, coefficients, nmax):
     deltas = []
     for n in range(nmax + 1):
         into, d = solvers[n + 1], eng.diffs[n + 1].matrix
+        deltas.append(Matrix.from_columns(
+            m.field, [into.coords_of(g @ d) for g in solvers[n].maps],
+            into.dim))
+    return homology._cohomology(m.field, [s.dim for s in solvers], deltas,
+                                nmax)
+
+
+def _bar_top_cohomology(m, coefficients, nmax):
+    solvers, deltas = homology._module_complex(m, coefficients, nmax, None)
+    return homology._cohomology(m.field, [s.dim for s in solvers], deltas,
+                                nmax)
+
+
+def _old_syzygy_cohomology(m, coefficients, nmax):
+    """The syzygy resolution through P_{nmax+1} = F(Omega^{nmax+1}), every
+    coboundary in solver coordinates of the next cochains."""
+    chain = homology._syzygy_chain(m)
+    covers = [chain.cover(n)[1].matrix for n in range(nmax + 2)]
+    solvers = [hom_bimodule(chain.cover(n)[0], coefficients)
+               for n in range(nmax + 2)]
+    deltas = []
+    for n in range(nmax + 1):
+        # d_{n+1} = (Omega^{n+1} in P_n) eps_{n+1}, zero past a zero Omega
+        if n + 1 < len(chain.inclusions):
+            d = chain.inclusions[n + 1] @ covers[n + 1]
+        else:
+            d = Matrix.from_sparse(m.field,
+                                   [{} for _ in range(covers[n].cols)],
+                                   covers[n + 1].cols)
+        into = solvers[n + 1]
         deltas.append(Matrix.from_columns(
             m.field, [into.coords_of(g @ d) for g in solvers[n].maps],
             into.dim))
@@ -545,8 +616,10 @@ def _assert_same_cohomology(new, old):
 
 
 def _assert_both_paths_agree(m, coefficients, nmax, ring_side):
-    # the new path runs first, on an engine that has not grown P_{nmax+1}
+    # each new path runs first, before its old one grows P_{nmax+1}
     _assert_same_cohomology(module_hochschild(m, coefficients, nmax),
+                            _old_syzygy_cohomology(m, coefficients, nmax))
+    _assert_same_cohomology(_bar_top_cohomology(m, coefficients, nmax),
                             _old_module_cohomology(m, coefficients, nmax))
     if ring_side:
         extension = morita_data(m).endo.to_endo
@@ -584,6 +657,29 @@ def test_top_embedding_matches_the_old_path_over_the_ground(name):
         _assert_same_cohomology(
             ring_hochschild(fx.base_map, b_reg, nmax),
             _old_ring_cohomology(fx.base_map, b_reg, nmax))
+
+
+def _bar_hdim(m, nmax):
+    """The least n <= nmax whose bar syzygy is relatively projective."""
+    for n in range(nmax + 1):
+        if diagnostics.is_rel_projective(syzygy(m, n), m).verdict:
+            return n
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(STANDARD + ("dual-self",)),
+       st.sampled_from([None, 2, 3, 5]), st.integers(0, 2 ** 16),
+       st.integers(0, 2))
+def test_syzygy_and_bar_resolutions_give_the_same_answers(name, p, seed,
+                                                          nmax):
+    # the comparison theorem for hochschild, relative Schanuel for hdim
+    field = QQ if p is None else Field(p)
+    m = conjugate(fixtures._build(name, field).bimodule, seed)
+    b_reg = regular_bimodule(m.left_algebra)
+    assert module_hochschild(m, b_reg, nmax).dims() \
+        == _bar_top_cohomology(m, b_reg, nmax).dims()
+    assert diagnostics.hdim_upto(m, nmax).value == _bar_hdim(m, nmax)
 
 
 @settings(max_examples=10)

@@ -36,7 +36,7 @@ TRACER = ROOT / "bench" / "tracer.py"
 # costs 29,961 applies.
 FX4_MAX_MATMUL_CELLS = 1_635_642
 FX4_MAX_APPLIES = 1_852
-# Basis maps formed on fixtures/fx4.json: 3 of the 244 solved, the
+# Basis maps formed on fixtures/fx4.json: 3 of the 242 solved, the
 # endomorphisms of M that End(M)'s multiplication and M as a
 # (B, End(M))-bimodule are made of.  Counits, hom-space actions,
 # coboundaries and the trace read images from W instead, and the counit
@@ -45,18 +45,28 @@ FX4_MAX_APPLIES = 1_852
 # and M as a (B, End(M))-bimodule; solving it for each solves 253 maps.
 # Forming each map that is read forms 99; building smooth's kernel apart
 # from Omega^1 solves 283 and forms 111; growing P_3 forms 192 of 364;
-# forming every solved map forms all 244.
-FX4_SOLVED_MAPS = 244
+# forming every solved map forms all 242.  Taking hochschild's
+# cochains on the bar complex instead of the syzygy resolution solves
+# 244.
+FX4_SOLVED_MAPS = 242
 FX4_MAX_MAPS_FORMED = 3
-# equivariant_maps calls on fixtures/fx4.json and fx5.json: 13 each, no
-# two with the same operator objects.  Solving Hom(M, B) apart for the
-# evaluation, the trace, evaluation over End(M) and M as a
-# (B, End(M))-bimodule makes 16, the (3, 3) and (2, 4) solves 4 times.
-EQUIVARIANT_SOLVES = {"fx4": 13, "fx5": 13}
-# Bar objects grown on fixtures/fx4.json, whose tasks reach degree 2: 3.
-# The top coboundary is read at generator pairs, so P_3 is not grown;
-# growing it makes 4.
+# equivariant_maps calls on fixtures/fx4.json and fx5.json: 15 and 13,
+# no two with the same operator objects.  On fx4, hochschild's syzygy
+# resolution solves Hom(M, Omega^n) for its covers, the cochains on
+# them, and Hom(Omega^2, B) for the top cocycles; the bar complex made
+# 13.  Solving Hom(M, B) apart for the evaluation, the trace, evaluation
+# over End(M) and M as a (B, End(M))-bimodule makes 3 more, the (3, 3)
+# and (2, 4) solves 4 times.
+EQUIVARIANT_SOLVES = {"fx4": 15, "fx5": 13}
+# Bar objects grown on fixtures/fx4.json, whose tasks reach degree 2: 3,
+# all for homotopy.  The top coboundary is read at generator pairs, so
+# P_3 is not grown; growing it makes 4.
 FX4_MAX_BAR_OBJECTS = 3
+# Bar objects grown on fixtures/fp5.json, whose only tasks that resolve
+# B are hdim and hochschild: 0.  Both read the syzygy chain, whose
+# Omega^1 the bar's first syzygy shares; on the bar complex they grow
+# P_0 to P_2, 3.
+FP5_BAR_OBJECTS = 0
 # Rows of the counit-splitting systems on fixtures/fx4.json: 42 over 3
 # splits, r * d rows each for r generators of a d-dimensional object.
 # Splitting ker ev for smooth apart from Omega^1 for hdim makes 4 splits
@@ -91,9 +101,13 @@ FX4_MAX_FRACTIONS = 0
 # 100,858.  The twisted basis has real denominators, so most of them
 # stay; storing integral rationals as Fractions costs 101,210.
 FX6_TWISTED_BAR_MAX_FRACTIONS = 101_210
-# exactlin._echelon on fixtures/fx4.json: 73 eliminations of 1,453 input
-# rows in total.  Solving Hom(M, B) once per use makes 82 of 1,483;
-# growing P_3 and solving for its cochains makes 103 of 2,345 rows.
+# exactlin._echelon on fixtures/fx4.json: 67 eliminations of 955 input
+# rows in total.  Eliminating each hom solve's presentation twice, once
+# for its relations and once for its lift, makes 82 of 1,069.  With
+# hochschild on the bar complex it was 60 of 1,300 with one elimination
+# per presentation and 73 of 1,453 with two; solving Hom(M, B) once per
+# use made 82 of 1,483, and growing P_3 and solving for its cochains
+# 103 of 2,345.
 FX4_MAX_ECHELONS = 73
 FX4_MAX_ECHELON_ROWS = 1_453
 # exactlin.axpy calls on fixtures/fx4.json: 1,834.  A relation row of
@@ -267,7 +281,7 @@ def test_no_hom_solve_repeats(monkeypatch, capsys, name):
     assert not repeated, repeated
 
 
-def test_fx4_grows_few_bar_objects(monkeypatch, capsys):
+def _bar_objects_grown(monkeypatch, capsys, name):
     grown = [0]
     extend = homology._BarEngine._extend
 
@@ -276,8 +290,18 @@ def test_fx4_grows_few_bar_objects(monkeypatch, capsys):
         return extend(self, dim_cap)
 
     monkeypatch.setattr(homology._BarEngine, "_extend", counted)
-    _run_fx4(capsys)
-    assert grown[0] <= FX4_MAX_BAR_OBJECTS, grown[0]
+    _run(capsys, name)
+    return grown[0]
+
+
+def test_fx4_grows_few_bar_objects(monkeypatch, capsys):
+    grown = _bar_objects_grown(monkeypatch, capsys, "fx4")
+    assert grown <= FX4_MAX_BAR_OBJECTS, grown
+
+
+def test_hdim_and_hochschild_grow_no_bar_object(monkeypatch, capsys):
+    grown = _bar_objects_grown(monkeypatch, capsys, "fp5")
+    assert grown == FP5_BAR_OBJECTS, grown
 
 
 def test_fx4_split_systems_stay_under_their_gate(monkeypatch, capsys):
