@@ -557,12 +557,11 @@ def hom_right(m: Bimodule, n: Bimodule, name: str = "Hom_r") -> HomSpace:
                       (m.left_algebra, m.left_action, True), name)
 
 
-@memoized
 def dual_module(m: Bimodule) -> HomSpace:
     """Left-linear maps into the regular bimodule; an (A, B) bimodule.
-    Solved once per module: the evaluation, the bar complex and the
-    dual basis test all read it."""
-    return hom_left(m, regular_bimodule(m.left_algebra), name=f"*{m.name}")
+    It is cover_hom(m, B), so the evaluation, the bar complex and the
+    dual basis test all read one solve."""
+    return cover_hom(m, regular_bimodule(m.left_algebra))
 
 
 def hom_bimodule(src: Bimodule, tgt: Bimodule) -> EquivariantBasis:
@@ -702,13 +701,6 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
 # Evaluation, endomorphisms, and the module-theoretic predicates
 
 
-@dataclass(eq=False)
-class EvaluationData:
-    dual: HomSpace
-    tensor: TensorProduct
-    map: BimoduleMap
-
-
 def descend_plain_map(field: Field, plain_cols: list[dict], out_dim: int,
                        tensor: TensorProduct) -> Matrix:
     """Turn a map off the plain tensor into one off the quotient, checking
@@ -725,25 +717,38 @@ def descend_plain_map(field: Field, plain_cols: list[dict], out_dim: int,
         field, [plain_cols[p] for p in tensor.positions], out_dim)
 
 
-def counit_map(hom: HomSpace, tensor: TensorProduct,
-               name: str) -> BimoduleMap:
-    """The counit m tensor f -> (m) f off M tensor Hom(M, Y) down to Y,
-    where hom = Hom(M, Y) and tensor is M tensored with its space."""
-    target = hom.target
-    one = target.field.one
-    # plain column i * hom.dim + u is f_u(e_i)
-    plain_cols = [y for i in range(tensor.left_factor.dim)
-                  for y in hom.solver.images({i: one})]
-    mat = descend_plain_map(target.field, plain_cols, target.dim, tensor)
-    return BimoduleMap(tensor.space, target, mat, name=name)
+@memoized
+def cover_hom(m: Bimodule, y: Bimodule) -> HomSpace:
+    """Hom(M, Y), solved once per Y: F(Y) is built from it, and its dim
+    sizes F(Y) before the tensor is formed."""
+    return hom_left(m, y, name=f"Hom({m.name}, {y.name})")
+
+
+@dataclass(eq=False)
+class Cover:
+    """F(Y) = M tensor_A Hom(M, Y) with its counit m tensor f -> (m) f."""
+    hom: HomSpace
+    tensor: TensorProduct
+    map: BimoduleMap
 
 
 @memoized
-def evaluation_data(m: Bimodule) -> EvaluationData:
-    """ev: M tensor_A *M -> B, m tensor f -> (m) f, with its tensor square."""
-    dual = dual_module(m)
-    tensor = tensor_over(m, dual.space, name=f"{m.name}(x)*{m.name}")
-    return EvaluationData(dual, tensor, counit_map(dual, tensor, "ev"))
+def comonad_apply(m: Bimodule, y: Bimodule) -> Cover:
+    """F(Y) and its counit, formed once per (M, Y) and only here: the
+    evaluation (Y = B), evaluation over End(M), relative projectivity
+    and both resolutions of B read it."""
+    hom = cover_hom(m, y)
+    tensor = tensor_over(m, hom.space, name=f"F({y.name})")
+    one = y.field.one
+    # plain column i * hom.dim + u is f_u(e_i)
+    plain_cols = [v for i in range(m.dim) for v in hom.solver.images({i: one})]
+    mat = descend_plain_map(y.field, plain_cols, y.dim, tensor)
+    return Cover(hom, tensor, BimoduleMap(tensor.space, y, mat, name="counit"))
+
+
+def evaluation_data(m: Bimodule) -> Cover:
+    """ev: M tensor_A *M -> B, m tensor f -> (m) f: the cover F(B)."""
+    return comonad_apply(m, regular_bimodule(m.left_algebra))
 
 
 @dataclass(eq=False)
@@ -857,16 +862,9 @@ def trace_in(m: Bimodule, n: Bimodule) -> Subspace:
     return Subspace.from_span(m.field, n.dim, vectors)
 
 
-def _counit_over_endo(m: Bimodule, n: Bimodule, name: str) -> BimoduleMap:
-    """ev: M tensor_S Hom(M, N) -> N where S is the endomorphism ring of M."""
-    m_bs = endomorphism_ring(m).right_module
-    hom = hom_left(m_bs, n, name="H")
-    return counit_map(hom, tensor_over(m_bs, hom.space), name)
-
-
 def ev_over_endo(m: Bimodule) -> BimoduleMap:
     """ev: M tensor_S *M -> B where S is the endomorphism ring of M."""
-    return _counit_over_endo(m, regular_bimodule(m.left_algebra), "ev_S")
+    return evaluation_data(endomorphism_ring(m).right_module).map
 
 
 @dataclass(frozen=True)
@@ -883,7 +881,7 @@ def static_check(m: Bimodule, n: Bimodule) -> tuple[StaticResult, BimoduleMap]:
 
     N must share the left algebra of M; S is the endomorphism ring.
     """
-    ev = _counit_over_endo(m, n, "ev_N")
+    ev = comonad_apply(endomorphism_ring(m).right_module, n).map
     r = rank(ev.matrix)
     inj = r == ev.source.dim
     surj = r == n.dim

@@ -12,19 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bimodule import (
-    Bimodule, BimoduleMap, centralizer, dual_module, endomorphism_ring,
-    ev_over_endo, evaluation_data, hom_bimodule, is_fg_projective_left,
-    is_fg_projective_right, is_generator, regular_bimodule, restrict_left,
-    restrict_right, static_check, sub_bimodule, tensor_over, trace_in,
+    Bimodule, BimoduleMap, centralizer, comonad_apply, dual_module,
+    endomorphism_ring, ev_over_endo, evaluation_data, hom_bimodule,
+    is_fg_projective_left, is_fg_projective_right, is_generator,
+    regular_bimodule, restrict_left, restrict_right, static_check,
+    sub_bimodule, tensor_over, trace_in,
 )
 from .errors import PreconditionError, ValidationError
 from .exactlin import (
     Matrix, apply_slot, dense_vec, infeasibility_certificate, kernel_basis,
     rank, solve_affine, solve_or_certify,
 )
-from .homology import (
-    _syzygy_chain, check_bar_level0, comonad_apply, comparison_check,
-)
+from .homology import _syzygy_chain, check_bar_level0, comparison_check
 from .structures import (
     RingMap, memoized, multiplication_map, validate_ring_map,
 )
@@ -173,7 +172,8 @@ def _rel_projective(m: Bimodule, p: Bimodule) -> RelProjectivityResult:
     if p.left_algebra is not m.left_algebra \
             or p.right_algebra is not m.left_algebra:
         raise PreconditionError("p must be two-sided over M's left algebra")
-    fp, counit = comonad_apply(m, p)
+    cover = comonad_apply(m, p)
+    fp, counit = cover.tensor.space, cover.map
     dims = {"object": p.dim, "expansion": fp.dim}
     if p.dim == 0:
         zero_sec = BimoduleMap(p, fp,
@@ -338,15 +338,14 @@ def hdim_upto(m: Bimodule, nmax: int,
     than the bar's.
     The cap is checked on each cover F(Omega^n) before the split forms it.
     """
+    if nmax < 0:
+        raise PreconditionError("nmax must be nonnegative")
     check_bar_level0(m, dim_cap)
     if not is_generator(m).verdict:
         raise PreconditionError("homological dimension needs a generator")
-    if nmax < 0:
-        raise PreconditionError("nmax must be nonnegative")
     chain = _syzygy_chain(m)
     for n in range(nmax + 1):
-        _, eps = chain.cover(n, dim_cap)
-        r = is_rel_projective(eps.target, m)
+        r = is_rel_projective(chain.cover(n, dim_cap).target, m)
         if r.verdict:
             return HdimResult(n, nmax, r, n >= 2)
     return HdimResult(None, nmax, None, nmax >= 1)
@@ -367,10 +366,8 @@ class MoritaReport:
 def morita_check(m: Bimodule, coefficients: Bimodule, nmax: int,
                  dim_cap: int | None = None) -> MoritaReport:
     """Both cohomology theories on a progenerator, with the degreewise
-    rewrite between them."""
-    check_bar_level0(m, dim_cap)
-    if not (is_generator(m).verdict and is_fg_projective_left(m).verdict):
-        raise PreconditionError("the comparison requires a progenerator")
+    rewrite between them; comparison_check checks the cap on P_0 and
+    that M is a progenerator."""
     comp = comparison_check(m, coefficients, nmax, dim_cap)
     mod_dims, ring_dims = comp.module.dims(), comp.ring.dims()
     return MoritaReport(mod_dims, ring_dims, mod_dims == ring_dims, comp)

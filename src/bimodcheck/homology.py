@@ -2,7 +2,9 @@
 
 The module-relative side resolves B with the comonad
 F(Y) = M tensor_A Hom(M, Y), in two ways: the bar resolution iterates
-F, and the syzygy resolution covers each syzygy by F of itself.
+F, and the syzygy resolution covers each syzygy by F of itself.  Both
+read the one memoized cover bimodule.comonad_apply, and both check
+the cap on F(Y) through _check_cover before it is formed.
 Cochains are two-sided maps out of the resolving objects; `hochschild`
 and `hdim` read the smaller syzygy resolution, `bar`, `homotopy` and
 `morita` the bar. The ring-relative side builds tensor powers of S
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 
 from .bimodule import (
     Bimodule, BimoduleMap, EquivariantBasis, HomSpace, TensorProduct,
-    basis_orbit, centralizer, composite_columns, composition_matrix,
-    counit_map, descend_plain_map, dual_module, endomorphism_ring,
-    evaluation_data, hom_bimodule, hom_left, is_fg_projective_left,
-    is_generator, regular_bimodule, restrict_left, restrict_right,
-    sub_bimodule, tensor_over, two_sided_generators,
+    basis_orbit, centralizer, comonad_apply, composite_columns,
+    composition_matrix, cover_hom, descend_plain_map, endomorphism_ring,
+    hom_bimodule, is_fg_projective_left, is_generator, regular_bimodule,
+    restrict_left, restrict_right, sub_bimodule, tensor_over,
+    two_sided_generators,
 )
 from .errors import (
     DimensionCapError, PreconditionError, SingularError, ValidationError,
@@ -55,20 +57,21 @@ def _check_cap(requested: int, dim_cap: int | None, what: str) -> None:
             requested, cap)
 
 
-def _check_bar_object(m: Bimodule, n: int, hom: HomSpace,
-                      dim_cap: int | None) -> None:
-    """The cap on bar object n = M tensor_A Hom(M, P_{n-1}), whose plain
-    dim is m.dim x hom.dim."""
-    _check_cap(m.dim * hom.dim, dim_cap,
-               f"bar growth: bar object {n} ({m.dim} x {hom.dim})")
+def _check_cover(m: Bimodule, y: Bimodule, dim_cap: int | None,
+                 what: str) -> None:
+    """The cap on F(Y) = M tensor_A Hom(M, Y), checked on its plain dim
+    m.dim x dim Hom(M, Y) before comonad_apply forms the tensor."""
+    hom = cover_hom(m, y)
+    _check_cap(m.dim * hom.dim, dim_cap, f"{what} ({m.dim} x {hom.dim})")
 
 
 def check_bar_level0(m: Bimodule, dim_cap: int | None) -> None:
-    """The cap on bar object 0, checked from *M alone: every task that
-    takes a cap calls this before evaluation_data(m) builds
+    """The cap on bar object 0 = F(B), checked from *M alone: every task
+    that takes a cap calls this before evaluation_data(m) builds
     M tensor_A *M, so the cap stops the tensor square instead of only
     refusing to hand it on."""
-    _check_bar_object(m, 0, dual_module(m), dim_cap)
+    _check_cover(m, regular_bimodule(m.left_algebra), dim_cap,
+                 "bar growth: bar object 0")
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +144,7 @@ def _cohomology(field: Field, space_dims: list, deltas: list,
 
 
 # ---------------------------------------------------------------------------
-# The comonad and its bar complex
-
-
-@memoized
-def _cover_hom(m: Bimodule, y: Bimodule) -> HomSpace:
-    """Hom(M, Y), solved once per Y: F(Y) is built from it, and its
-    dim sizes F(Y) before the tensor is formed."""
-    return hom_left(m, y)
-
-
-@memoized
-def comonad_apply(m: Bimodule, y: Bimodule) -> tuple:
-    """One application F(Y) = M tensor_A Hom(M, Y), with its counit,
-    formed once per Y.  F(B) is M tensor_A *M with the evaluation,
-    which evaluation_data keeps."""
-    if y is regular_bimodule(m.left_algebra):
-        ev = evaluation_data(m)
-        return ev.tensor.space, ev.map
-    hom = _cover_hom(m, y)
-    tensor = tensor_over(m, hom.space, name=f"F({y.name})")
-    return tensor.space, counit_map(hom, tensor, "counit")
+# The two resolutions of B by the comonad
 
 
 @memoized
@@ -174,7 +157,7 @@ class _SyzygyChain:
     """The relative syzygies of B for one generator M, grown on demand:
     Omega^0 = B and Omega^{n+1} = ker(eps_n) for the counit
     eps_n: P_n = F(Omega^n) -> Omega^n of comonad_apply, which
-    is_rel_projective reads too.
+    is_rel_projective reads too; P_n is eps_n.source.
 
     Hom(M, eps_n) is split by the unit, so P_n with
     d_n = (Omega^n in P_{n-1}) eps_n is an allowable relatively
@@ -194,8 +177,8 @@ class _SyzygyChain:
         every n > k."""
         while len(self.syzygies) <= n and self.syzygies[-1].dim:
             k = len(self.syzygies) - 1
-            obj, eps = self.cover(k, dim_cap)
-            sub, incl = sub_bimodule(obj, kernel_basis(eps.matrix),
+            eps = self.cover(k, dim_cap)
+            sub, incl = sub_bimodule(eps.source, kernel_basis(eps.matrix),
                                      name=f"syz{k + 1}({self.m.name})")
             # d_k d_{k+1} = incl_k (eps_k incl_{k+1}) eps_{k+1}
             if not (eps.matrix @ incl).is_zero():
@@ -204,16 +187,12 @@ class _SyzygyChain:
             self.inclusions.append(incl)
         return self.syzygies[min(n, len(self.syzygies) - 1)]
 
-    def cover(self, n: int, dim_cap: int | None = None) -> tuple:
-        """(P_n, eps_n); the cap is checked on the plain dim of P_n
-        before it is formed (level 0 is check_bar_level0's)."""
+    def cover(self, n: int, dim_cap: int | None = None) -> BimoduleMap:
+        """eps_n, with the cap checked on P_n before it is formed."""
         y = self.syzygy(n, dim_cap)
-        if n:
-            hom = _cover_hom(self.m, y)
-            _check_cap(self.m.dim * hom.dim, dim_cap,
-                       f"syzygy resolution: P_{n} = F(Omega^{n}) "
-                       f"({self.m.dim} x {hom.dim})")
-        return comonad_apply(self.m, y)
+        _check_cover(self.m, y, dim_cap,
+                     f"syzygy resolution: P_{n} = F(Omega^{n})")
+        return comonad_apply(self.m, y).map
 
 
 @memoized
@@ -223,35 +202,26 @@ def _syzygy_chain(m: Bimodule) -> _SyzygyChain:
 
 class _BarEngine:
     """Grow-on-demand bar data for one module: objects, differentials,
-    hom levels, syzygies and unit sections.
+    unit sections and Hom(M, -) of the differentials.
 
-    Level 0 is the evaluation: Hom(M, B) = *M (dual_module), P_0 =
-    M tensor_A *M and d_0 = ev are read from evaluation_data(m), so the
-    generator check,
-    separability, smoothness, F(B) (comonad_apply) and the bar complex
-    share one solve, one tensor square and one counit."""
+    P_n = F(P_{n-1}) (P_{-1} = B) is read from comonad_apply, so P_0,
+    d_0 and Hom(M, B) are the evaluation's, and the generator check,
+    separability, smoothness and the bar complex share one solve, one
+    tensor square and one counit."""
 
     def __init__(self, m: Bimodule):
         self.m = m
         self.field = m.field
         self.b = regular_bimodule(m.left_algebra)
-        self.homs: list[HomSpace] = []          # homs[k] = Hom(M, P_{k-1})
         self.tensors: list[TensorProduct] = []
         self.objects: list[Bimodule] = []
-        self.counits: list[BimoduleMap] = []
         self.diffs: list[BimoduleMap] = []
-        self._syzygies: dict[int, Bimodule] = {}
         self._sections: dict[int, Matrix] = {}
         self._hom_diffs: dict[int, Matrix] = {}
 
     def hom_level(self, k: int, dim_cap: int | None = None) -> HomSpace:
-        while len(self.homs) <= k:
-            idx = len(self.homs)
-            self.homs.append(
-                dual_module(self.m) if idx == 0 else
-                hom_left(self.m, self.object(idx - 1, dim_cap),
-                         name=f"hom{idx}"))
-        return self.homs[k]
+        """Hom(M, P_{k-1}), with P_{-1} = B."""
+        return cover_hom(self.m, self.object(k - 1, dim_cap) if k else self.b)
 
     def object(self, n: int, dim_cap: int | None = None) -> Bimodule:
         while len(self.objects) <= n:
@@ -264,49 +234,30 @@ class _BarEngine:
 
     def _extend(self, dim_cap: int | None) -> None:
         n = len(self.objects)
-        hom = self.hom_level(n, dim_cap)
-        _check_bar_object(self.m, n, hom, dim_cap)
-        if n == 0:
-            ev = evaluation_data(self.m)
-            tensor, counit = ev.tensor, ev.map
-            d = BimoduleMap(tensor.space, self.b, counit.matrix, name="d0")
-        else:
-            tensor = tensor_over(self.m, hom.space, name=f"bar{n}")
-            counit = counit_map(hom, tensor, f"counit{n}")
-            obj, prev = tensor.space, self.objects[n - 1]
+        prev = self.objects[n - 1] if n else self.b
+        _check_cover(self.m, prev, dim_cap, f"bar growth: bar object {n}")
+        cover = comonad_apply(self.m, prev)
+        tensor, d = cover.tensor, cover.map
+        if n:
             # d_n = counit - F(d_{n-1}).  Basis vector q lifts to the unit
             # vector e_i (x) e_u at plain index positions[q], which
             # F(d_{n-1}) sends to e_i (x) push[:, u], projected.
             push = self.hom_diff(n - 1)
             push_cols = push.colnz()
-            h, ph = hom.dim, push.rows
+            h, ph = cover.hom.dim, push.rows
             cols = []
             for p in tensor.positions:
                 i, u = divmod(p, h)
                 w = {i * ph + r: x for r, x in push_cols[u]}
                 cols.append(self.tensors[n - 1]._project_vec(w))
             fmat = Matrix._from_columns(self.field, cols, prev.dim)
-            d = BimoduleMap(obj, prev, counit.matrix - fmat, name=f"d{n}")
+            d = BimoduleMap(tensor.space, prev, d.matrix - fmat, name=f"d{n}")
             comp = self.diffs[n - 1].matrix @ d.matrix
             if not comp.is_zero():
                 raise ValidationError(f"differential square nonzero at {n}")
         self.tensors.append(tensor)
         self.objects.append(tensor.space)
-        self.counits.append(counit)
         self.diffs.append(d)
-
-    def syzygy(self, n: int, dim_cap: int | None = None) -> Bimodule:
-        """Omega^n = ker d_{n-1} as a two-sided submodule of P_{n-1}, for
-        n >= 1; formed once.  Omega^1 = ker ev needs no generator, and is
-        the syzygy chain's."""
-        if n == 1:
-            return _syzygy_chain(self.m).syzygy(1, dim_cap)
-        if n not in self._syzygies:
-            d = self.diff(n - 1, dim_cap)
-            self._syzygies[n], _ = sub_bimodule(
-                self.objects[n - 1], kernel_basis(d.matrix),
-                name=f"syz{n}({self.m.name})")
-        return self._syzygies[n]
 
     def unit_section(self, n: int) -> Matrix:
         """s_n: Hom(M,P_n) -> Hom(M,P_{n+1}), f -> (x -> x tensor f).
@@ -333,7 +284,7 @@ class _BarEngine:
             self.object(n)
             self._hom_diffs[n] = composition_matrix(
                 self.hom_level(n + 1).solver, self.diffs[n].matrix, False,
-                self.homs[n].solver)
+                self.hom_level(n).solver)
         return self._hom_diffs[n]
 
     def top_values(self, n: int, width: int, dim_cap: int | None) -> list:
@@ -355,9 +306,10 @@ class _BarEngine:
         _check_cap(len(lefts) * len(rights) * width, dim_cap,
                    f"bar growth: top coboundary embedding at degree {n} "
                    f"({len(lefts)} x {len(rights)} generator pairs x {width})")
+        below = self.hom_level(n)
         push = composite_columns(hom.solver, self.diffs[n].matrix, False,
-                                 self.homs[n].solver)
-        ph = self.homs[n].dim
+                                 below.solver)
+        ph = below.dim
         minus_one, p = -self.field.one, self.field.p
         values = []
         for u in rights:
@@ -386,10 +338,10 @@ def _require_generator(m: Bimodule) -> None:
 def bar_resolution(m: Bimodule, depth: int,
                    dim_cap: int | None = None) -> ChainComplex:
     """The augmented complex P_0 .. P_{depth-1} with d_0 the evaluation."""
-    check_bar_level0(m, dim_cap)
-    _require_generator(m)
     if depth < 1:
         raise PreconditionError("depth must be at least 1")
+    check_bar_level0(m, dim_cap)
+    _require_generator(m)
     eng = _engine(m)
     eng.object(depth - 1, dim_cap)
     return ChainComplex(tuple(eng.objects[:depth]), tuple(eng.diffs[:depth]),
@@ -401,33 +353,21 @@ def homotopy_check(m: Bimodule, depth: int,
     """Exactness certificate: after Hom(M,-), the unit sections contract
     the augmented complex. Checks the base identity and degrees below
     `depth`."""
-    check_bar_level0(m, dim_cap)
-    _require_generator(m)
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
+    check_bar_level0(m, dim_cap)
+    _require_generator(m)
     eng = _engine(m)
     eng.object(depth, dim_cap)
-    ident0 = Matrix.identity(eng.field, eng.homs[0].dim)
+    ident0 = Matrix.identity(eng.field, eng.hom_level(0).dim)
     if eng.hom_diff(0) @ eng.unit_section(-1) != ident0:
         return ValidationResult(False, "base contraction identity fails")
     for n in range(depth):
         lhs = (eng.hom_diff(n + 1) @ eng.unit_section(n)
                + eng.unit_section(n - 1) @ eng.hom_diff(n))
-        if lhs != Matrix.identity(eng.field, eng.homs[n + 1].dim):
+        if lhs != Matrix.identity(eng.field, eng.hom_level(n + 1).dim):
             return ValidationResult(False, f"contraction identity fails at {n}")
     return ValidationResult(True)
-
-
-def syzygy(m: Bimodule, n: int, dim_cap: int | None = None) -> Bimodule:
-    """Kernel of d_{n-1} as a two-sided submodule; degree 0 gives B back.
-    The same object on every call (the bar engine keeps it)."""
-    check_bar_level0(m, dim_cap)
-    _require_generator(m)
-    if n < 0:
-        raise PreconditionError("syzygy index must be nonnegative")
-    if n == 0:
-        return regular_bimodule(m.left_algebra)
-    return _engine(m).syzygy(n, dim_cap)
 
 
 def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
@@ -442,15 +382,15 @@ def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
     g = h eps_nmax for a two-sided h: Omega^nmax -> N.  deltas[nmax] is
     the annihilator of those cocycles, so neither Omega^{nmax+1} nor
     P_{nmax+1} is formed."""
+    _check_complex_args(m, coefficients, nmax)
     check_bar_level0(m, dim_cap)
     _require_generator(m)
-    _check_complex_args(m, coefficients, nmax)
     field, chain = m.field, _syzygy_chain(m)
     covers = []                 # eps_n for each nonzero Omega^n, n <= nmax
     for n in range(nmax + 1):
         if not chain.syzygy(n, dim_cap).dim:
             break
-        covers.append(chain.cover(n, dim_cap)[1])
+        covers.append(chain.cover(n, dim_cap))
     solvers = [_cochains(eps.source, coefficients) for eps in covers]
     top = len(covers) - 1
     deltas = [composition_matrix(
@@ -486,12 +426,18 @@ def _check_coboundary_squares(deltas: list, nmax: int) -> None:
             raise ValidationError(f"coboundary square nonzero at {n}")
 
 
-def _stacked(field: Field, columns: list, width: int, blocks: int) -> Matrix:
-    """The matrix whose column c concatenates the sparse vectors
-    columns[c] (each of length width), block k at rows k * width on."""
-    return Matrix._from_columns(
-        field, [{k * width + s: x for k, v in enumerate(col)
-                 for s, x in v.items()} for col in columns], blocks * width)
+def _stacked(field: Field, blocks: list, width: int, cols: int) -> Matrix:
+    """The matrix with blocks[k][u], a sparse vector of length width, in
+    column u at rows k * width on: one block per top value or generator,
+    each listing the cochains u."""
+    rows = []
+    for block in blocks:
+        part = [{} for _ in range(width)]
+        for u, y in enumerate(block):
+            for s, x in y.items():
+                part[s][u] = x
+        rows += part
+    return Matrix.from_sparse(field, rows, cols)
 
 
 def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
@@ -506,7 +452,6 @@ def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
     instead, so neither P_{nmax+1} nor its cochains are built.  An
     injective map after it keeps its row space, hence its RREF and
     kernel, which is all that _cohomology reads of it."""
-    _check_complex_args(m, coefficients, nmax)
     eng = _engine(m)
     eng.object(nmax, dim_cap)
     top = eng.top_values(nmax, coefficients.dim, dim_cap)
@@ -516,10 +461,8 @@ def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
                                  True, solvers[n + 1])
               for n in range(nmax)]
     # the top cochain g_u at the values: images, so no cochain is formed
-    images = [solvers[nmax].images(v) for v in top]
-    deltas.append(_stacked(m.field, [[y[u] for y in images]
-                                     for u in range(solvers[nmax].dim)],
-                           coefficients.dim, len(top)))
+    deltas.append(_stacked(m.field, [solvers[nmax].images(v) for v in top],
+                           coefficients.dim, solvers[nmax].dim))
     _check_coboundary_squares(deltas, nmax)
     return solvers, deltas
 
@@ -653,10 +596,9 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
         cols = [into._coords_from(lambda q: at[q][u])
                 for u in range(solvers[n].dim)]
         deltas.append(Matrix._from_columns(field, cols, into.dim))
-    tops = [coboundary_columns(nmax, q) for q in top_gens]
-    deltas.append(_stacked(field, [[t[u] for t in tops]
-                                   for u in range(solvers[nmax].dim)],
-                           w.dim, len(tops)))
+    deltas.append(_stacked(field, [coboundary_columns(nmax, q)
+                                   for q in top_gens],
+                           w.dim, solvers[nmax].dim))
     for n in range(nmax):
         if not (deltas[n + 1] @ deltas[n]).is_zero():
             raise ValidationError(f"ring coboundary square nonzero at {n}")
@@ -773,6 +715,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     the identification is a degreewise isomorphism commuting with both
     coboundaries and the degree-0 edge maps.  Each complex is built once,
     and the report carries the cohomology of both."""
+    _check_complex_args(m, coefficients, nmax)
     check_bar_level0(m, dim_cap)
     if not is_generator(m).verdict or not is_fg_projective_left(m).verdict:
         raise PreconditionError("comparison requires a progenerator")
@@ -794,7 +737,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         # plain (dual, P_{k-1}) -> Hom(M, P_{k-1}) solver coordinates
         if k not in iso_mats:
             prev = eng.objects[k - 1]
-            hom = eng.homs[k]
+            hom = eng.hom_level(k)
             orbits = [basis_orbit(prev, prev.left_action, y)
                       for y in range(prev.dim)]
             cols = [hom.solver._coords_from(

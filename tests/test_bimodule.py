@@ -516,7 +516,7 @@ def _assert_tensor_actions_match_products(t):
 
 def _tensors(m):
     ev = evaluation_data(m)
-    out = [ev.tensor, tensor_over(ev.dual.space, m)]
+    out = [ev.tensor, tensor_over(ev.hom.space, m)]
     m_bs = endomorphism_ring(m).right_module
     hom = hom_left(m_bs, regular_bimodule(m.left_algebra))
     out.append(tensor_over(m_bs, hom.space))

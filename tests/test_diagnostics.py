@@ -278,7 +278,7 @@ def test_smoothness_kernel_is_the_first_syzygy(monkeypatch):
     monkeypatch.setattr(diagnostics, "is_rel_projective", recorded)
     res = is_formally_smooth_bimodule(m)
     assert res.route == "kernel-splitting"
-    omega1 = homology.syzygy(m, 1)
+    omega1 = homology._syzygy_chain(m).syzygy(1)
     assert res.detail.counit.target is omega1
     assert res.kernel_dim == omega1.dim
     # hdim level 1 gets smoothness's split back, not a new one

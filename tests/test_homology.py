@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from bimodcheck import bimodule, cli, diagnostics, fixtures, homology
 from bimodcheck.bimodule import (
-    basis_orbit, centralizer, evaluation_data,
-    hom_bimodule, regular_bimodule, restrict_left, two_sided_generators,
+    basis_orbit, centralizer, comonad_apply, endomorphism_ring, ev_over_endo,
+    evaluation_data, hom_bimodule, regular_bimodule, restrict_left,
+    sub_bimodule, two_sided_generators,
 )
 from bimodcheck.errors import DimensionCapError, PreconditionError
 from bimodcheck.exactlin import (
@@ -24,9 +25,8 @@ from bimodcheck.exactlin import (
 )
 from bimodcheck.fixtures import STANDARD, conjugate, fixture, ground_map
 from bimodcheck.homology import (
-    _engine, bar_resolution, comonad_apply, comparison_check,
-    coefficient_transport, homotopy_check, module_hochschild, morita_data,
-    ring_hochschild, syzygy,
+    _engine, bar_resolution, comparison_check, coefficient_transport,
+    homotopy_check, module_hochschild, morita_data, ring_hochschild,
 )
 from bimodcheck.structures import Algebra, identity_map
 
@@ -40,6 +40,16 @@ def _truncated_polynomials_over_ground(n):
     return fixtures.over_ground(QQ, b)
 
 
+def _bar_syzygy(m, n):
+    """Omega^n = ker d_{n-1} of the bar resolution as a two-sided
+    submodule of P_{n-1}; degree 0 gives B back."""
+    if n == 0:
+        return regular_bimodule(m.left_algebra)
+    d = bar_resolution(m, n).differentials[n - 1]
+    return sub_bimodule(d.source, kernel_basis(d.matrix),
+                        name=f"bar-syz{n}({m.name})")[0]
+
+
 # ---------------------------------------------------------------------------
 # Comonad and bar complex
 
@@ -47,11 +57,26 @@ def _truncated_polynomials_over_ground(n):
 def test_comonad_expansion_of_the_regular_coefficients():
     m = fixture("fx3").bimodule
     b_reg = regular_bimodule(m.left_algebra)
-    fn, counit = comonad_apply(m, b_reg)
-    assert fn.dim == 4
-    assert counit.validate().ok
+    cover = comonad_apply(m, b_reg)
+    assert cover.tensor.space.dim == 4
+    assert cover.map.validate().ok
     # the counit against the regular coefficients is evaluation
-    assert counit.matrix == evaluation_data(m).map.matrix
+    assert cover.map.matrix == evaluation_data(m).map.matrix
+    assert cover is evaluation_data(m)
+
+
+def test_the_cover_is_shared():
+    # one F(Y) per (M, Y): the bar complex, the evaluation and evaluation
+    # over End(M) read the same objects
+    m = fixture("fx4").bimodule
+    eng = _engine(m)
+    eng.object(1)
+    p0 = eng.objects[0]
+    assert p0 is evaluation_data(m).tensor.space
+    assert eng.tensors[1] is comonad_apply(m, p0).tensor
+    assert eng.hom_level(1) is comonad_apply(m, p0).hom
+    assert ev_over_endo(m) \
+        is evaluation_data(endomorphism_ring(m).right_module).map
 
 
 def test_bar_object_dimensions():
@@ -77,8 +102,8 @@ def test_bar_differentials_equal_slotwise_assembly():
         bar_resolution(m, 3)
         eng = _engine(m)
         for n in (1, 2):
-            hom, tensor = eng.homs[n], eng.tensors[n]
-            below = eng.homs[n - 1].solver
+            hom, tensor = eng.hom_level(n), eng.tensors[n]
+            below = eng.hom_level(n - 1).solver
             push = Matrix.from_columns(
                 QQ, [below.coords_of(eng.diffs[n - 1].matrix @ f)
                      for f in hom.basis], below.dim)
@@ -88,7 +113,8 @@ def test_bar_differentials_equal_slotwise_assembly():
                                   [m.dim, hom.dim], 1, push)
                 cols.append(eng.tensors[n - 1].project_vec(w))
             fmat = Matrix.from_columns(QQ, cols, eng.objects[n - 1].dim)
-            assert eng.diffs[n].matrix == eng.counits[n].matrix - fmat, name
+            counit = comonad_apply(m, eng.objects[n - 1]).map
+            assert eng.diffs[n].matrix == counit.matrix - fmat, name
 
 
 def test_bar_resolution_requires_a_generator():
@@ -115,26 +141,28 @@ def test_homotopy_check_rejects_non_generators():
 
 def test_syzygy_zero_is_the_algebra_itself():
     m = fixture("fx3").bimodule
-    s0 = syzygy(m, 0)
+    s0 = homology._syzygy_chain(m).syzygy(0)
     assert s0 is regular_bimodule(m.left_algebra)
 
 
 def test_first_syzygy_dimensions():
-    assert syzygy(fixture("fx5").bimodule, 1).dim == 0
-    assert syzygy(fixture("fx3").bimodule, 1).dim == 2
-    assert syzygy(fixture("fx6").bimodule, 1).dim == 4
+    # Omega^1 = ker ev on both resolutions
+    for name, dim in (("fx5", 0), ("fx3", 2), ("fx6", 4)):
+        m = fixture(name).bimodule
+        assert _bar_syzygy(m, 1).dim == dim, name
+        assert homology._syzygy_chain(m).syzygy(1).dim == dim, name
 
 
 def test_second_syzygy_of_dual_numbers():
     # d_1: P_1 (dim 8) -> P_0 (dim 4) has rank 2 by exactness
-    assert syzygy(fixture("fx3").bimodule, 2).dim == 6
+    assert _bar_syzygy(fixture("fx3").bimodule, 2).dim == 6
 
 
 def test_syzygy_is_the_kernel_of_the_differential():
     m = fixture("fx3").bimodule
     chain = bar_resolution(m, 2)
     ker = kernel_basis(chain.differentials[1].matrix)
-    assert syzygy(m, 2).dim == ker.dim
+    assert _bar_syzygy(m, 2).dim == ker.dim
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +305,18 @@ def test_dimension_cap_names_the_offending_level():
 def test_dimension_cap_names_the_syzygy_cover(monkeypatch, task):
     # Q[x]/(x^4) over the ground: Omega^1 has dim 12 and Hom(M, Omega^1)
     # dim 12, so P_1 = F(Omega^1) needs 4 x 12; P_0 (4 x 4) is within
-    # the cap, and nothing is tensored once P_1 is refused
+    # the cap, and nothing but P_0 is tensored once P_1 is refused
     m = _truncated_polynomials_over_ground(4)
     b = regular_bimodule(m.left_algebra)
-    tensor_over = homology.tensor_over
+    tensor_over = bimodule.tensor_over
     calls = []
 
     def recorded(*args, **kwargs):
         calls.append(args)
         return tensor_over(*args, **kwargs)
 
-    monkeypatch.setattr(homology, "tensor_over", recorded)
+    for mod in (bimodule, homology):
+        monkeypatch.setattr(mod, "tensor_over", recorded)
     with pytest.raises(DimensionCapError) as exc:
         if task == "hdim":
             diagnostics.hdim_upto(m, 3, dim_cap=40)
@@ -297,7 +326,35 @@ def test_dimension_cap_names_the_syzygy_cover(monkeypatch, task):
                               "(4 x 12) needs dimension 48, above the "
                               "cap 40")
     assert (exc.value.requested, exc.value.cap) == (48, 40)
-    assert not calls
+    assert calls == [(m, evaluation_data(m).hom.space)]
+
+
+BAD_ARGUMENTS = {
+    "hochschild nmax": lambda m, b: module_hochschild(m, b, -1),
+    "hochschild coefficients": lambda m, b: module_hochschild(m, m, 1),
+    "hdim": lambda m, b: diagnostics.hdim_upto(m, -1),
+    "bar": lambda m, b: bar_resolution(m, 0),
+    "homotopy": lambda m, b: homotopy_check(m, -1),
+    "morita": lambda m, b: diagnostics.morita_check(m, b, -1),
+}
+
+
+@pytest.mark.parametrize("task", sorted(BAD_ARGUMENTS))
+def test_arguments_are_checked_before_any_work(monkeypatch, task):
+    # built afresh, so no hom solve or tensor of it is cached; a bad nmax,
+    # depth or coefficient bimodule is refused before Hom(M, B) is solved
+    # or M tensor_A *M is built
+    m = fixtures._build("fx3", QQ).bimodule
+    b = regular_bimodule(m.left_algebra)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the arguments were checked")
+
+    for name in ("tensor_over", "equivariant_maps"):
+        monkeypatch.setattr(bimodule, name, refuse)
+    monkeypatch.setattr(homology, "tensor_over", refuse)
+    with pytest.raises(PreconditionError):
+        BAD_ARGUMENTS[task](m, b)
 
 
 def test_cohomology_is_deterministic_across_rebuilds():
@@ -465,7 +522,7 @@ def _transport_phis(m, coefficients, nmax):
     s, ddm = md.endo.algebra.dim, dd * dm
 
     def iso_mat(k):
-        prev, hom = eng.objects[k - 1], eng.homs[k]
+        prev, hom = eng.objects[k - 1], eng.hom_level(k)
         cols = []
         for fd in md.dual.basis:
             for y in range(prev.dim):
@@ -569,8 +626,8 @@ def _old_syzygy_cohomology(m, coefficients, nmax):
     """The syzygy resolution through P_{nmax+1} = F(Omega^{nmax+1}), every
     coboundary in solver coordinates of the next cochains."""
     chain = homology._syzygy_chain(m)
-    covers = [chain.cover(n)[1].matrix for n in range(nmax + 2)]
-    solvers = [hom_bimodule(chain.cover(n)[0], coefficients)
+    covers = [chain.cover(n).matrix for n in range(nmax + 2)]
+    solvers = [hom_bimodule(chain.cover(n).source, coefficients)
                for n in range(nmax + 2)]
     deltas = []
     for n in range(nmax + 1):
@@ -662,7 +719,7 @@ def test_top_embedding_matches_the_old_path_over_the_ground(name):
 def _bar_hdim(m, nmax):
     """The least n <= nmax whose bar syzygy is relatively projective."""
     for n in range(nmax + 1):
-        if diagnostics.is_rel_projective(syzygy(m, n), m).verdict:
+        if diagnostics.is_rel_projective(_bar_syzygy(m, n), m).verdict:
             return n
     return None
 

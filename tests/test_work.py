@@ -22,7 +22,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
 TRACER = ROOT / "bench" / "tracer.py"
 
-# Measured on fixtures/fx4.json: 1,635,642 cells and 1,852 applies.
+# Measured on fixtures/fx4.json: 1,585,647 cells and 1,324 applies.
+# Tensoring M over End(M) with *M for the evaluation over End(M) apart
+# from M's own evaluation as a (B, End(M))-bimodule makes 1,375 applies.
 # Forming each basis map that a counit, a hom-space action or a
 # coboundary reads, one map at a time, instead of reading f_u(v) for
 # all u from the stacked value matrix W (EquivariantBasis.images) costs
@@ -34,8 +36,8 @@ TRACER = ROOT / "bench" / "tracer.py"
 # products again costs 204,540,480 cells and 92,142 applies; applying
 # the equivariant solver's target operators to all-zero value blocks
 # costs 29,961 applies.
-FX4_MAX_MATMUL_CELLS = 1_635_642
-FX4_MAX_APPLIES = 1_852
+FX4_MAX_MATMUL_CELLS = 1_585_647
+FX4_MAX_APPLIES = 1_324
 # Basis maps formed on fixtures/fx4.json: 3 of the 242 solved, the
 # endomorphisms of M that End(M)'s multiplication and M as a
 # (B, End(M))-bimodule are made of.  Counits, hom-space actions,
@@ -74,12 +76,13 @@ FP5_BAR_OBJECTS = 0
 FX4_SPLITS = 3
 FX4_MAX_SPLIT_ROWS = 42
 # Vector shape checks (exactlin.check_vec calls) on fixtures/fx4.json:
-# 3,019, at the entry points that take a vector from outside (apply,
+# 2,110, at the entry points that take a vector from outside (apply,
 # span_add, coords_of, lincomb for the actions, the eliminations).
+# Building the evaluation over End(M) apart makes 2,176.
 # Applying each formed map where W's images do makes 5,444; checking
 # every internal hop as well (from_columns, coords_from, lincomb,
 # multiply, embed, project_vec, kron_vec) makes 12,789.
-FX4_MAX_CHECK_VECS = 3_019
+FX4_MAX_CHECK_VECS = 2_110
 # homology.apply_slot calls on fixtures/fx6.json: 388, nearly all in the
 # transport of its one morita task.  Collapsing each transport vector
 # once per basis cochain instead of once per column makes 1,078.
@@ -101,20 +104,23 @@ FX4_MAX_FRACTIONS = 0
 # 100,858.  The twisted basis has real denominators, so most of them
 # stay; storing integral rationals as Fractions costs 101,210.
 FX6_TWISTED_BAR_MAX_FRACTIONS = 101_210
-# exactlin._echelon on fixtures/fx4.json: 67 eliminations of 955 input
-# rows in total.  Eliminating each hom solve's presentation twice, once
+# exactlin._echelon on fixtures/fx4.json: 65 eliminations of 934 input
+# rows in total.  Tensoring M over End(M) with *M for the evaluation
+# over End(M) apart from M's own evaluation as a (B, End(M))-bimodule
+# makes 67 of 955.  Eliminating each hom solve's presentation twice, once
 # for its relations and once for its lift, makes 82 of 1,069.  With
 # hochschild on the bar complex it was 60 of 1,300 with one elimination
 # per presentation and 73 of 1,453 with two; solving Hom(M, B) once per
 # use made 82 of 1,483, and growing P_3 and solving for its cochains
 # 103 of 2,345.
-FX4_MAX_ECHELONS = 73
-FX4_MAX_ECHELON_ROWS = 1_453
-# exactlin.axpy calls on fixtures/fx4.json: 1,834.  A relation row of
+FX4_MAX_ECHELONS = 65
+FX4_MAX_ECHELON_ROWS = 934
+# exactlin.axpy calls on fixtures/fx4.json: 1,466 (1,502 with the
+# evaluation over End(M) built apart).  A relation row of
 # an equivariant solve sums only the nonzero rows of the target
 # operators its stored entries name; forming the full tgt_dim x tgt_dim
 # combination of the operators per relation and generator makes 4,252.
-FX4_MAX_AXPYS = 1_834
+FX4_MAX_AXPYS = 1_466
 
 
 def _run(capsys, name):
@@ -384,6 +390,17 @@ def test_every_traced_layer_exists():
     from bimodcheck.bimodule import equivariant_maps
     params = list(inspect.signature(equivariant_maps).parameters)
     assert params[2] == "tgt_dim"
+
+
+def test_tracer_reads_the_bar_engine_it_wraps():
+    # the bar_extend span reads the engine's newest object, so renaming
+    # the attribute fails here and not only in the traced benchmark run;
+    # built afresh, so its engine has grown exactly P_0 and P_1
+    m = fixtures._build("fx4", QQ).bimodule
+    dims = [p.dim for p in homology.bar_resolution(m, 2).objects]
+    counts = _tracer()._counts("homology.bar_extend", "_extend",
+                               (homology._engine(m), None), None)
+    assert counts == {"dim": dims[-1]}
 
 
 def test_tracer_matmul_counts_read_the_sparse_storage():
