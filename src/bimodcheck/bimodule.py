@@ -424,9 +424,9 @@ class HomSpace:
     matrix_of / coords_of.
 
     `space`, with both action families, is formed on its first read.
-    The solver and `right_generators` need no space, and an action of
-    the form f -> op @ f reads only generator values, so a hom space read
-    through them forms no basis map.
+    The solver needs no space, and an action of the form f -> op @ f
+    reads only generator values, so a hom space read through them forms
+    no basis map.
     """
 
     def __init__(self, source: Bimodule, target: Bimodule,
@@ -448,15 +448,6 @@ class HomSpace:
             self._space = Bimodule(self._sides[0][0], self._sides[1][0],
                                    self.dim, left, right, name=self._name)
         return self._space
-
-    def right_generators(self) -> tuple:
-        """Maps whose orbits under the right action span the space, found
-        one action column at a time (orbit_generators)."""
-        _, ops, before = self._sides[1]
-        actions = [_Columns(composite_columns(self.solver, op, before,
-                                              self.solver))
-                   for op in ops]
-        return orbit_generators(self.solver.field, self.dim, actions)[0]
 
     @property
     def basis(self) -> tuple:

@@ -367,7 +367,9 @@ def morita_check(m: Bimodule, coefficients: Bimodule, nmax: int,
                  dim_cap: int | None = None) -> MoritaReport:
     """Both cohomology theories on a progenerator, with the degreewise
     rewrite between them; comparison_check checks the cap on P_0 and
-    that M is a progenerator."""
+    that M is a progenerator.  The module side is module_hochschild's,
+    off the syzygy resolution, and the ring side is computed apart, so
+    dims_agree compares two independent computations."""
     comp = comparison_check(m, coefficients, nmax, dim_cap)
     mod_dims, ring_dims = comp.module.dims(), comp.ring.dims()
     return MoritaReport(mod_dims, ring_dims, mod_dims == ring_dims, comp)

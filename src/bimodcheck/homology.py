@@ -5,12 +5,15 @@ F(Y) = M tensor_A Hom(M, Y), in two ways: the bar resolution iterates
 F, and the syzygy resolution covers each syzygy by F of itself.  Both
 read the one memoized cover bimodule.comonad_apply, and both check
 the cap on F(Y) through _check_cover before it is formed.
-Cochains are two-sided maps out of the resolving objects; `hochschild`
-and `hdim` read the smaller syzygy resolution, `bar`, `homotopy` and
-`morita` the bar. The ring-relative side builds tensor powers of S
-over A and the usual alternating coboundary. A transport pipeline rewrites
-module-relative cochains as ring-relative ones degree by degree, which
-is the comparison underlying the endomorphism-ring theorem.
+Cochains are two-sided maps out of the resolving objects.  The
+module-relative cohomology is read off the smaller syzygy resolution
+alone, by `hochschild`, `hdim` and `morita`; `bar` and `homotopy`
+report on the bar, and `morita`'s transport is written in its
+coordinates up to degree nmax. The ring-relative side builds tensor
+powers of S over A and the usual alternating coboundary. A transport
+pipeline rewrites module-relative cochains as ring-relative ones degree
+by degree, which is the comparison underlying the endomorphism-ring
+theorem.
 
 Everything is exact; complexes are verified (d after d vanishes) at
 construction time. Intermediate tensor dimensions are capped so an
@@ -23,11 +26,10 @@ from dataclasses import dataclass
 
 from .bimodule import (
     Bimodule, BimoduleMap, EquivariantBasis, HomSpace, TensorProduct,
-    basis_orbit, centralizer, comonad_apply, composite_columns,
-    composition_matrix, cover_hom, descend_plain_map, endomorphism_ring,
-    hom_bimodule, is_fg_projective_left, is_generator, regular_bimodule,
-    restrict_left, restrict_right, sub_bimodule, tensor_over,
-    two_sided_generators,
+    basis_orbit, centralizer, comonad_apply, composition_matrix, cover_hom,
+    descend_plain_map, endomorphism_ring, hom_bimodule,
+    is_fg_projective_left, is_generator, regular_bimodule, restrict_left,
+    restrict_right, sub_bimodule, tensor_over, two_sided_generators,
 )
 from .errors import (
     DimensionCapError, PreconditionError, SingularError, ValidationError,
@@ -219,9 +221,9 @@ class _BarEngine:
         self._sections: dict[int, Matrix] = {}
         self._hom_diffs: dict[int, Matrix] = {}
 
-    def hom_level(self, k: int, dim_cap: int | None = None) -> HomSpace:
+    def hom_level(self, k: int) -> HomSpace:
         """Hom(M, P_{k-1}), with P_{-1} = B."""
-        return cover_hom(self.m, self.object(k - 1, dim_cap) if k else self.b)
+        return cover_hom(self.m, self.object(k - 1) if k else self.b)
 
     def object(self, n: int, dim_cap: int | None = None) -> Bimodule:
         while len(self.objects) <= n:
@@ -287,42 +289,6 @@ class _BarEngine:
                 self.hom_level(n).solver)
         return self._hom_diffs[n]
 
-    def top_values(self, n: int, width: int, dim_cap: int | None) -> list:
-        """d_{n+1}(e_i (x) f_u) in P_n, without building P_{n+1}: i over
-        the left generators of M and u over the right generators of
-        H = Hom(M, P_n), which generate P_{n+1} = M (x) H as a bimodule.
-
-        A two-sided map phi off P_{n+1} is fixed by the phi(e_i (x) f_u),
-        so reading them embeds the degree-(n+1) cochains; for the
-        coboundary phi = g d_{n+1} they are g applied to these values.
-        Each value is f_u(e_i) - proj_n(e_i (x) d_n f_u): the first term
-        is a generator value of f_u, and d_n f_u is read off generator
-        values too.  Zero values are dropped.  The cap is checked on the rows of
-        the embedding, pairs times width (the coefficients' dim), before
-        any value is evaluated."""
-        hom = self.hom_level(n + 1, dim_cap)
-        lefts = hom.solver.generators
-        rights = hom.right_generators()
-        _check_cap(len(lefts) * len(rights) * width, dim_cap,
-                   f"bar growth: top coboundary embedding at degree {n} "
-                   f"({len(lefts)} x {len(rights)} generator pairs x {width})")
-        below = self.hom_level(n)
-        push = composite_columns(hom.solver, self.diffs[n].matrix, False,
-                                 below.solver)
-        ph = below.dim
-        minus_one, p = -self.field.one, self.field.p
-        values = []
-        for u in rights:
-            at = hom.solver.generator_values(u)
-            pushed = push(u)
-            for j, i in enumerate(lefts):
-                v = dict(at.get(j, {}))
-                axpy(v, minus_one, self.tensors[n]._project_vec(
-                    {i * ph + r: x for r, x in pushed.items()}), p)
-                if v:
-                    values.append(v)
-        return values
-
 
 @memoized
 def _engine(m: Bimodule) -> _BarEngine:
@@ -374,7 +340,8 @@ def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
                       dim_cap: int | None = None) -> CohomologyResult:
     """Cohomology of two-sided maps into the coefficients off the
     syzygy resolution (_SyzygyChain), with the coboundary precomposing
-    the next differential; the bar complex (`morita`) has the same.
+    the next differential; by the comparison theorem the bar complex has
+    the same, and comparison_check reports this one.
 
     _cohomology reads the top coboundary only through its kernel, the
     top cocycles: g kills d_{nmax+1} iff it kills Omega^{nmax+1} =
@@ -428,8 +395,8 @@ def _check_coboundary_squares(deltas: list, nmax: int) -> None:
 
 def _stacked(field: Field, blocks: list, width: int, cols: int) -> Matrix:
     """The matrix with blocks[k][u], a sparse vector of length width, in
-    column u at rows k * width on: one block per top value or generator,
-    each listing the cochains u."""
+    column u at rows k * width on: one block per top generator of the
+    ring side, each listing the cochains u."""
     rows = []
     for block in blocks:
         part = [{} for _ in range(width)]
@@ -442,28 +409,20 @@ def _stacked(field: Field, blocks: list, width: int, cols: int) -> Matrix:
 
 def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
                     dim_cap: int | None):
-    """Cochain solvers of degrees 0..nmax and the coboundaries out of
-    them for the module-relative side on the bar complex, whose
-    coordinates the transport of comparison_check needs; m must be a
-    generator.
-
-    deltas[n] is in solver coordinates of degree n + 1 for n < nmax.  The
-    top one, deltas[nmax], lands in the embedding of _BarEngine.top_values
-    instead, so neither P_{nmax+1} nor its cochains are built.  An
-    injective map after it keeps its row space, hence its RREF and
-    kernel, which is all that _cohomology reads of it."""
+    """Cochain solvers of degrees 0..nmax on the bar complex and the
+    coboundaries between them, deltas[n] into degree n + 1 for n < nmax:
+    the coordinates that the transport of comparison_check reads; m must
+    be a generator.  No top coboundary is formed: the cohomology is
+    module_hochschild's, so P_nmax is the last object grown and
+    Hom(M, P_nmax) is never solved."""
     eng = _engine(m)
     eng.object(nmax, dim_cap)
-    top = eng.top_values(nmax, coefficients.dim, dim_cap)
     solvers = [_cochains(eng.object(n), coefficients)
                for n in range(nmax + 1)]
     deltas = [composition_matrix(solvers[n], eng.diffs[n + 1].matrix,
                                  True, solvers[n + 1])
               for n in range(nmax)]
-    # the top cochain g_u at the values: images, so no cochain is formed
-    deltas.append(_stacked(m.field, [solvers[nmax].images(v) for v in top],
-                           coefficients.dim, solvers[nmax].dim))
-    _check_coboundary_squares(deltas, nmax)
+    _check_coboundary_squares(deltas, nmax - 1)
     return solvers, deltas
 
 
@@ -699,7 +658,7 @@ class ComparisonReport:
     degrees: tuple
     base_square: bool          # degree-0 edge square
     step_squares: tuple        # coboundary squares, degrees 1..nmax
-    module: CohomologyResult   # of the module-relative complex compared
+    module: CohomologyResult   # module_hochschild's, off the syzygies
     ring: CohomologyResult     # of the ring-relative complex compared
     phis: tuple                # the rewrite in each degree, in solver coords
 
@@ -711,14 +670,18 @@ class ComparisonReport:
 
 def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
                      dim_cap: int | None = None) -> ComparisonReport:
-    """Rewrite module-relative cochains as ring-relative ones and verify
-    the identification is a degreewise isomorphism commuting with both
-    coboundaries and the degree-0 edge maps.  Each complex is built once,
-    and the report carries the cohomology of both."""
+    """Rewrite module-relative cochains on the bar complex as
+    ring-relative ones and verify the identification is a degreewise
+    isomorphism commuting with both coboundaries and the degree-0 edge
+    maps.  The report carries the module-relative cohomology from
+    module_hochschild, computed first so that its caps fire before any
+    transport work, and the ring-relative cohomology of the complex
+    compared; each complex is built once."""
     _check_complex_args(m, coefficients, nmax)
     check_bar_level0(m, dim_cap)
     if not is_generator(m).verdict or not is_fg_projective_left(m).verdict:
         raise PreconditionError("comparison requires a progenerator")
+    module = module_hochschild(m, coefficients, nmax, dim_cap)
     field = m.field
     p = field.p
     k_solvers, mod_deltas = _module_complex(m, coefficients, nmax, dim_cap)
@@ -829,7 +792,6 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         step_ok.append(lhs == rhs)
 
     return ComparisonReport(
-        tuple(degrees), base_ok, tuple(step_ok),
-        _cohomology(field, [k.dim for k in k_solvers], mod_deltas, nmax),
+        tuple(degrees), base_ok, tuple(step_ok), module,
         _cohomology(field, [r.dim for r in rel_solvers], rel_deltas, nmax),
         tuple(phis))

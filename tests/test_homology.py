@@ -222,21 +222,6 @@ def _forbid(monkeypatch, module, name):
     monkeypatch.setattr(module, name, refuse)
 
 
-def test_dimension_cap_guards_the_top_coboundary_embedding(monkeypatch):
-    # fx4 at nmax 1 on the bar complex that morita reads: P_1 has dim 27,
-    # within the cap; the embedding reads 2 left x 18 right generator
-    # pairs into coefficients of dim 3
-    m = fixture("fx4", Field(5)).bimodule
-    _forbid(monkeypatch, homology, "hom_bimodule")
-    with pytest.raises(DimensionCapError) as exc:
-        homology._module_complex(m, regular_bimodule(m.left_algebra), 1,
-                                 dim_cap=50)
-    assert "bar growth: top coboundary embedding" in str(exc.value)
-    assert exc.value.requested == 108
-    assert exc.value.cap == 50
-    assert len(_engine(m).objects) == 2
-
-
 def test_ring_cap_guards_the_top_coboundary_embedding(monkeypatch):
     # the top tensor power of fx3 over F_5 at nmax 2 has dim 8, within the
     # cap; its 8 generators read coefficients of dim 2
@@ -301,11 +286,13 @@ def test_dimension_cap_names_the_offending_level():
     assert exc.value.cap == 10
 
 
-@pytest.mark.parametrize("task", ["hdim", "hochschild"])
+@pytest.mark.parametrize("task", ["hdim", "hochschild", "morita"])
 def test_dimension_cap_names_the_syzygy_cover(monkeypatch, task):
     # Q[x]/(x^4) over the ground: Omega^1 has dim 12 and Hom(M, Omega^1)
     # dim 12, so P_1 = F(Omega^1) needs 4 x 12; P_0 (4 x 4) is within
-    # the cap, and nothing but P_0 is tensored once P_1 is refused
+    # the cap, and nothing but P_0 is tensored once P_1 is refused.
+    # morita reads the syzygy resolution before its transport, so it
+    # grows no bar object past P_0 either
     m = _truncated_polynomials_over_ground(4)
     b = regular_bimodule(m.left_algebra)
     tensor_over = bimodule.tensor_over
@@ -320,6 +307,8 @@ def test_dimension_cap_names_the_syzygy_cover(monkeypatch, task):
     with pytest.raises(DimensionCapError) as exc:
         if task == "hdim":
             diagnostics.hdim_upto(m, 3, dim_cap=40)
+        elif task == "morita":
+            diagnostics.morita_check(m, b, 3, dim_cap=40)
         else:
             module_hochschild(m, b, 3, dim_cap=40)
     assert str(exc.value) == ("syzygy resolution: P_1 = F(Omega^1) "
@@ -591,13 +580,13 @@ def test_ring_deltas_over_the_diagonal_match_per_cochain():
 
 # ---------------------------------------------------------------------------
 # The top coboundary of each complex is replaced by a matrix with the
-# same kernel: on the bar complex (morita) and the ring side, an
-# embedding of the next cochain space; on the syzygy resolution
-# (hochschild), the annihilator of the top cocycles.  The old paths,
-# kept here, grow the next bar object, the next cover F(Omega^{n+1}) or
-# the next tensor power, solve for its cochains, and form the top
-# coboundary in solver coordinates.  Each pair of paths must give the
-# same cohomology, field by field.
+# same kernel: on the syzygy resolution (hochschild and morita), the
+# annihilator of the top cocycles; on the ring side, an embedding of the
+# next cochain space.  The old paths, kept here, grow the next cover
+# F(Omega^{n+1}) or the next tensor power, solve for its cochains, and
+# form the top coboundary in solver coordinates.  Each pair of paths
+# must give the same cohomology, field by field.  The bar oracle grows
+# P_{nmax+1} the same way; its dims must match the syzygy resolution's.
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -612,12 +601,6 @@ def _old_module_cohomology(m, coefficients, nmax):
         deltas.append(Matrix.from_columns(
             m.field, [into.coords_of(g @ d) for g in solvers[n].maps],
             into.dim))
-    return homology._cohomology(m.field, [s.dim for s in solvers], deltas,
-                                nmax)
-
-
-def _bar_top_cohomology(m, coefficients, nmax):
-    solvers, deltas = homology._module_complex(m, coefficients, nmax, None)
     return homology._cohomology(m.field, [s.dim for s in solvers], deltas,
                                 nmax)
 
@@ -676,8 +659,6 @@ def _assert_both_paths_agree(m, coefficients, nmax, ring_side):
     # each new path runs first, before its old one grows P_{nmax+1}
     _assert_same_cohomology(module_hochschild(m, coefficients, nmax),
                             _old_syzygy_cohomology(m, coefficients, nmax))
-    _assert_same_cohomology(_bar_top_cohomology(m, coefficients, nmax),
-                            _old_module_cohomology(m, coefficients, nmax))
     if ring_side:
         extension = morita_data(m).endo.to_endo
         w = coefficient_transport(m, coefficients).w
@@ -704,6 +685,43 @@ def test_top_embedding_matches_the_old_path_on_the_corpus(nmax):
     for _, doc, task in cases:
         m, n = (doc.bimodules[a] for a in task.args)
         _assert_both_paths_agree(m, n, nmax, task.op == "morita")
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2])
+def test_morita_reports_the_syzygy_cohomology_on_the_corpus(nmax):
+    cases = [(doc, task) for _, doc, task in _corpus_cases()
+             if task.op == "morita"]
+    assert len(cases) == 2
+    for doc, task in cases:
+        m, n = (doc.bimodules[a] for a in task.args)
+        _assert_same_cohomology(comparison_check(m, n, nmax).module,
+                                module_hochschild(m, n, nmax))
+
+
+@pytest.mark.parametrize("name, p, nmax", [
+    ("fx5", None, 2), ("fx6", None, 1), ("fx6", None, 2), ("fx6", 5, 2)])
+def test_morita_grows_the_bar_only_to_degree_nmax(monkeypatch, name, p,
+                                                  nmax):
+    # the transport reads bar degrees 0..nmax; the cohomology comes from
+    # the syzygy resolution, so Hom(M, P_nmax), which only a top
+    # coboundary on the bar would read, is never solved.  M is built
+    # afresh, so its bar engine starts empty.
+    m = fixtures._build(name, QQ if p is None else Field(p)).bimodule
+    b_reg = regular_bimodule(m.left_algebra)
+    covered = []
+    cover_hom = bimodule.cover_hom
+
+    def recorded(m, y):
+        covered.append(y)
+        return cover_hom(m, y)
+
+    for mod in (bimodule, homology):
+        monkeypatch.setattr(mod, "cover_hom", recorded)
+    assert diagnostics.morita_check(m, b_reg, nmax).ok
+    objects = _engine(m).objects
+    assert len(objects) == nmax + 1
+    assert all(y is not objects[nmax] for y in covered)
+    assert any(y is objects[nmax - 1] for y in covered)
 
 
 @pytest.mark.parametrize("name", ["fx2", "fx3", "fx4", "fx6"])
@@ -735,7 +753,7 @@ def test_syzygy_and_bar_resolutions_give_the_same_answers(name, p, seed,
     m = conjugate(fixtures._build(name, field).bimodule, seed)
     b_reg = regular_bimodule(m.left_algebra)
     assert module_hochschild(m, b_reg, nmax).dims() \
-        == _bar_top_cohomology(m, b_reg, nmax).dims()
+        == _old_module_cohomology(m, b_reg, nmax).dims()
     assert diagnostics.hdim_upto(m, nmax).value == _bar_hdim(m, nmax)
 
 
