@@ -348,29 +348,41 @@ def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
     ker eps_nmax (eps_{nmax+1} is onto, M being a generator), iff
     g = h eps_nmax for a two-sided h: Omega^nmax -> N.  deltas[nmax] is
     the annihilator of those cocycles, so neither Omega^{nmax+1} nor
-    P_{nmax+1} is formed."""
+    P_{nmax+1} is formed.
+
+    When B is relatively projective (M is separable), B resolves itself,
+    P_0 = B with d_0 the identity: only degree 0 has cochains and no
+    cover is formed.  B is generated by 1, so its split is one small
+    solve, shared with hdim level 0; a higher Omega^n's split costs about
+    what covering it does, so no later syzygy is tested."""
     _check_complex_args(m, coefficients, nmax)
     check_bar_level0(m, dim_cap)
     _require_generator(m)
+    # diagnostics imports this module, so its split is imported here
+    from .diagnostics import is_rel_projective
     field, chain = m.field, _syzygy_chain(m)
     covers = []                 # eps_n for each nonzero Omega^n, n <= nmax
-    for n in range(nmax + 1):
-        if not chain.syzygy(n, dim_cap).dim:
-            break
-        covers.append(chain.cover(n, dim_cap))
-    solvers = [_cochains(eps.source, coefficients) for eps in covers]
-    top = len(covers) - 1
+    if is_rel_projective(chain.syzygy(0), m).verdict:
+        objects = [chain.syzygy(0)]
+    else:
+        for n in range(nmax + 1):
+            if not chain.syzygy(n, dim_cap).dim:
+                break
+            covers.append(chain.cover(n, dim_cap))
+        objects = [eps.source for eps in covers]
+    solvers = [_cochains(p, coefficients) for p in objects]
+    top = len(solvers) - 1
     deltas = [composition_matrix(
                   solvers[n], chain.inclusions[n + 1] @ covers[n + 1].matrix,
                   True, solvers[n + 1])
               for n in range(top)]
-    if top == nmax:
+    if len(covers) > nmax:
         eps = covers[top]
         cocycles = composition_matrix(_cochains(eps.target, coefficients),
                                       eps.matrix, True, solvers[top])
         deltas.append(kernel_basis(cocycles.transpose()).basis)
     else:
-        # Omega^{top+1} = 0: P_{top+1} = 0, so every cochain is a cocycle
+        # P_{top+1} = 0, so every cochain is a cocycle
         deltas.append(Matrix.from_sparse(field, [], solvers[top].dim))
         deltas += [Matrix.from_sparse(field, [], 0)] * (nmax - top)
     _check_coboundary_squares(deltas, nmax)
@@ -655,10 +667,14 @@ class ComparisonDegree:
 
 @dataclass(eq=False)
 class ComparisonReport:
+    """`phis` are in bar cochain coordinates, `module` in those of
+    module_hochschild's resolution: only module.dims() may be set beside
+    `phis` or `ring`."""
+
     degrees: tuple
     base_square: bool          # degree-0 edge square
     step_squares: tuple        # coboundary squares, degrees 1..nmax
-    module: CohomologyResult   # module_hochschild's, off the syzygies
+    module: CohomologyResult   # module_hochschild's
     ring: CohomologyResult     # of the ring-relative complex compared
     phis: tuple                # the rewrite in each degree, in solver coords
 

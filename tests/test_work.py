@@ -58,10 +58,14 @@ FX4_MAX_MAPS_FORMED = 3
 # them, and Hom(Omega^2, B) for the top cocycles; the bar complex made
 # 13.  Solving Hom(M, B) apart for the evaluation, the trace, evaluation
 # over End(M) and M as a (B, End(M))-bimodule makes 3 more, the (3, 3)
-# and (2, 4) solves 4 times.  On fx5, morita reads its module cohomology
-# from the syzygy resolution and its transport from bar degrees 0..2;
-# reading the top coboundary on the bar too solves Hom(M, P_2), 13.
-EQUIVARIANT_SOLVES = {"fx4": 15, "fx5": 12}
+# and (2, 4) solves 4 times.  On fx5 and fx6, morita reads its module
+# cohomology from module_hochschild and its transport from bar degrees
+# 0..2.  B is relatively projective on both, so it resolves itself: one
+# solve of Hom(B, B), where covering Omega^1 and Omega^2 on fx6 makes
+# 18.  fx5's Omega^1 is 0, so its chain stops at P_0, whose cochains
+# the transport solves anyway: 12.  Reading the top coboundary on the
+# bar instead solves Hom(M, P_2): 13 and 18.
+EQUIVARIANT_SOLVES = {"fx4": 15, "fx5": 13, "fx6": 14}
 # Bar objects grown on fixtures/fx4.json, whose tasks reach degree 2: 3,
 # all for homotopy, which reads Hom(M, P_2) but not P_3; growing P_3
 # makes 4.
