@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ShapeError, ValidationError
 from .exactlin import (
-    Field, Matrix, SpanTracker, Subspace, _lincomb, axpy, check_vec,
-    dense_vec, kernel_and_right_inverse, kernel_basis, lincomb,
-    quotient_space, rank, solve_or_certify,
+    Field, Matrix, SpanTracker, Subspace, axpy, check_vec, dense_vec,
+    kernel_and_right_inverse, kernel_basis, lincomb, quotient_space, rank,
+    solve_or_certify,
 )
 from .structures import Algebra, RingMap, ValidationResult, memoized
 
@@ -200,8 +200,8 @@ class EquivariantBasis:
       applies, and forms no map.
     - `maps` forms the basis matrices on its first read, as the one
       product W @ lift_used cut into tgt_dim-row blocks, and keeps them.
-    - `matrix_of` combines W's blocks (or the formed maps); before W
-      exists it builds just the block of the combined values.
+    - `matrix_of` combines W's blocks; before W exists it builds just
+      the block of the combined values.
     - `coords_from` reads the columns of a map at the generators only,
       so a caller that needs nothing but coordinates computes just those
       columns, and looks each stored entry up in a position index.
@@ -299,8 +299,6 @@ class EquivariantBasis:
     def matrix_of(self, coords: dict) -> Matrix:
         check_vec(coords, self.dim)
         field, t = self.field, self.tgt_dim
-        if self._maps is not None:
-            return _lincomb(field, t, self.src_dim, coords, self._maps)
         if self._stack is None:         # forming is linear in the values
             row: dict = {}
             for u, c in coords.items():
@@ -472,24 +470,23 @@ def composite_columns(solver: EquivariantBasis, op: Matrix, before: bool,
     Only the columns of the composite at into.generators are computed,
     and no map is formed.  Column g of f_u @ op is f_u applied to column
     g of op, which solver.images gives for every u at once.  Column g of
-    op @ f_u is op applied to column g of f_u: a generator value of f_u
-    when g is one of solver's generators (every hom space out of one
-    source has the same), an image of e_g otherwise."""
-    if not before:
-        where = {g: j for j, g in enumerate(solver.generators)}
-        if all(g in where for g in into.generators):
-            def column(u: int) -> dict:
-                vals = solver.generator_values(u)
-                return into._coords_from(
-                    lambda g: op.apply(vals[where[g]])
-                    if where[g] in vals else {})
-            return column
-        one = solver.field.one
-        images = {g: [op.apply(y) for y in solver.images({g: one})]
-                  for g in into.generators}
-    else:
+    op @ f_u is op applied to column g of f_u, a generator value of f_u:
+    op @ f requires into's generators among solver's, as they are for
+    hom spaces out of one source under one operator family."""
+    if before:
         images = {g: solver.images(op.column(g)) for g in into.generators}
-    return lambda u: into._coords_from(lambda g: images[g][u])
+        return lambda u: into._coords_from(lambda g: images[g][u])
+    where = {g: j for j, g in enumerate(solver.generators)}
+    if not all(g in where for g in into.generators):
+        raise ValidationError(
+            "op @ f needs the target solver's generators among the "
+            "source solver's (one source, one operator family)")
+
+    def column(u: int) -> dict:
+        vals = solver.generator_values(u)
+        return into._coords_from(
+            lambda g: op.apply(vals[where[g]]) if where[g] in vals else {})
+    return column
 
 
 def composition_matrix(solver: EquivariantBasis, op: Matrix, before: bool,
@@ -603,13 +600,16 @@ def centralizer(m: Bimodule) -> Subspace:
 
 @dataclass(eq=False)
 class TensorProduct:
+    """A quotient of the plain tensor by its relations.  Basis vector q
+    is the class of the plain unit vector at positions[q]; a map leaves
+    the quotient only by descend_plain_map."""
+
     space: Bimodule
     projection: Matrix        # from the plain tensor square
-    section: Matrix           # splitting of the projection
     relations: Subspace
     left_factor: Bimodule
     right_factor: Bimodule
-    positions: tuple          # section column q: unit vector at positions[q]
+    positions: tuple          # plain index of each quotient basis vector
 
     @property
     def trivial(self) -> bool:
@@ -633,8 +633,9 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
     """m tensor n over the shared middle algebra.
 
     The plain tensor index (i, j) flattens to i * dim(n) + j.  Relations
-    (x a) tensor y - x tensor (a y) are spanned over all basis triples
-    and quotiented with a deterministic splitting.
+    (x a) tensor y - x tensor (a y) are spanned over all basis triples;
+    their reduced basis fixes the quotient's positions, the plain
+    indices left free.
     """
     a = m.right_algebra
     if a is not n.left_algebra:
@@ -666,9 +667,9 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
     def induced(slot: int, mat: Matrix) -> Matrix:
         if relations.dim == 0:
             return mat.kron(ident_n) if slot == 0 else ident_m.kron(mat)
-        # proj @ kron @ section: the section selects the kron columns at
-        # quot.positions, and column (i, j) of the kron is mat[:, i] (x) e_j
-        # (slot 0) or e_i (x) mat[:, j] (slot 1)
+        # proj @ kron read at quot.positions, where basis vector q lifts;
+        # column (i, j) of the kron is mat[:, i] (x) e_j (slot 0) or
+        # e_i (x) mat[:, j] (slot 1)
         mat_cols = mat.colnz()
         cols = []
         for p in quot.positions:
@@ -684,8 +685,7 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
     right = tuple(induced(1, mat) for mat in n.right_action)
     space = Bimodule(m.left_algebra, n.right_algebra, quot.dim, left, right,
                      name=name or f"{m.name}(x){n.name}")
-    return TensorProduct(space, proj, quot.section, relations, m, n,
-                         quot.positions)
+    return TensorProduct(space, proj, relations, m, n, quot.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +695,8 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
 def descend_plain_map(field: Field, plain_cols: list[dict], out_dim: int,
                        tensor: TensorProduct) -> Matrix:
     """Turn a map off the plain tensor into one off the quotient, checking
-    that it kills the tensor relations."""
+    that it kills the tensor relations: the one way a map leaves a
+    tensor quotient."""
     plain = Matrix._from_columns(field, plain_cols, out_dim)
     if tensor.trivial:
         return plain
@@ -703,7 +704,7 @@ def descend_plain_map(field: Field, plain_cols: list[dict], out_dim: int,
     for row in relations.basis.nz:
         if plain.apply(row):
             raise ValidationError("map does not descend through tensor relations")
-    # plain @ section: the section selects the columns at tensor.positions
+    # basis vector q lifts to the plain unit vector at positions[q]
     return Matrix._from_columns(
         field, [plain_cols[p] for p in tensor.positions], out_dim)
 

@@ -12,16 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bimodule import (
-    Bimodule, BimoduleMap, centralizer, comonad_apply, dual_module,
-    endomorphism_ring, ev_over_endo, evaluation_data, hom_bimodule,
+    Bimodule, BimoduleMap, centralizer, comonad_apply, descend_plain_map,
+    dual_module, endomorphism_ring, evaluation_data, hom_bimodule,
     is_fg_projective_left, is_fg_projective_right, is_generator,
     regular_bimodule, restrict_left, restrict_right, static_check,
     sub_bimodule, tensor_over, trace_in,
 )
 from .errors import PreconditionError, ValidationError
 from .exactlin import (
-    Matrix, apply_slot, dense_vec, infeasibility_certificate, kernel_basis,
-    rank, solve_affine, solve_or_certify,
+    Matrix, dense_vec, infeasibility_certificate, kernel_basis, rank,
+    solve_affine, solve_or_certify,
 )
 from .homology import _syzygy_chain, check_bar_level0, comparison_check
 from .structures import (
@@ -286,25 +286,17 @@ def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
     t1 = tensor_over(restrict_right(b_reg, f), restrict_left(l, f))
     t2 = tensor_over(restrict_right(t1.space, f), restrict_left(b_reg, f))
     dims["expansion"] = t2.space.dim
-    # two-sided multiplication off the fully plain (B, L, B) layout
-    prods = [[l.left_action[i] @ l.right_action[j] for j in range(b.dim)]
-             for i in range(b.dim)]
-    plain3 = []
-    for i in range(b.dim):
-        for q in range(l.dim):
-            for j in range(b.dim):
-                plain3.append(prods[i][j].column(q))
-    c3 = Matrix._from_columns(field, plain3, l.dim)
-    sec1 = t1.section
-    cols = []
-    for q2 in range(t2.space.dim):
-        v2 = t2.lift_column(q2)
-        if not t1.trivial:
-            v2, _ = apply_slot(v2, [t1.space.dim, b.dim], 0, sec1)
-        cols.append(c3.apply(v2))
-    counit = BimoduleMap(t2.space, l,
-                         Matrix._from_columns(field, cols, l.dim),
-                         name="two-sided-mult")
+    # two-sided multiplication in two descents: b (x) l -> b l off t1,
+    # then x (x) b' -> c1(x) b' off t2
+    c1 = descend_plain_map(
+        field, [l.left_action[i].column(q) for i in range(b.dim)
+                for q in range(l.dim)], l.dim, t1)
+    c1_cols = c1.columns()
+    mat = descend_plain_map(
+        field, [l.right_action[j].apply(c1_cols[x])
+                for x in range(t1.space.dim) for j in range(b.dim)],
+        l.dim, t2)
+    counit = BimoduleMap(t2.space, l, mat, name="two-sided-mult")
     section, certify = _split(counit, dims)
     return ExtensionSmoothnessResult(section is not None, l.dim, section,
                                      counit, certify, dims)
@@ -426,18 +418,15 @@ def static_criteria(m: Bimodule) -> StaticReport:
     injectivity matches staticness of the trace, and surjectivity onto an
     isomorphism matches generation and separability over (B, End(M))."""
     endo = endomorphism_ring(m)
-    ev_s = ev_over_endo(m)
-    r = rank(ev_s.matrix)
-    injective = r == ev_s.source.dim
-    iso = injective and r == ev_s.target.dim
     b_reg = regular_bimodule(m.left_algebra)
+    ev_b, _ = static_check(m, b_reg)     # ev_over_endo's cover
     tr = trace_in(m, b_reg)
     tr_sub, _ = sub_bimodule(b_reg, tr, name="trace")
     static_res, _ = static_check(m, tr_sub)
     report = StaticReport(
-        injective, static_res.verdict, is_generator(m).verdict, iso,
-        is_separable_bimodule(endo.right_module).verdict,
-        {"tensor_over_endo": ev_s.source.dim, "trace": tr.dim},
+        ev_b.injective, static_res.verdict, is_generator(m).verdict,
+        ev_b.verdict, is_separable_bimodule(endo.right_module).verdict,
+        {"tensor_over_endo": ev_b.source_dim, "trace": tr.dim},
     )
     if not (report.injectivity_cluster and report.generator_cluster):
         raise ValidationError("evaluation-over-endomorphisms criteria violated")

@@ -731,39 +731,31 @@ def invert(m: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class Quotient:
-    """k^ambient / relations with a fixed linear splitting.
+    """k^ambient / relations, with quotient coordinates at `positions`.
 
-    projection . section = identity on the quotient, and the kernel of
-    the projection is exactly the relation subspace.  The section embeds
-    quotient coordinates at the non-pivot coordinates of the relation
-    space's reduced row echelon form: column q of the section is the
-    unit vector at positions[q].
+    The kernel of the projection is exactly the relation subspace, and
+    the projection is the identity at positions: quotient vector q lifts
+    to the unit vector at positions[q], so a map off k^ambient that kills
+    the relations descends by reading its columns there.
     """
 
     ambient_dim: int
     dim: int
     projection: Matrix
-    section: Matrix
     positions: tuple[int, ...]
 
 
 def quotient_space(ambient_dim: int, relations: Subspace) -> Quotient:
+    """The quotient by a subspace, whose basis rows are the identity at
+    relations.positions and so already serve as reduced pivot rows
+    there; positions are the other coordinates."""
     if relations.ambient_dim != ambient_dim:
         raise ShapeError("relation subspace has wrong ambient dimension")
-    field = relations.field
-    if relations.dim == 0:
-        ident = Matrix.identity(field, ambient_dim)
-        return Quotient(ambient_dim, ambient_dim, ident, ident,
-                        tuple(range(ambient_dim)))
-    piv = _echelon(relations.basis.nz, field.p)
-    _back_substitute(piv, field.p)
-    complement = _free_column_basis(field, piv, ambient_dim)
-    q = complement.dim
-    sect = [{} for _ in range(ambient_dim)]
-    for i, fc in enumerate(complement.positions):
-        sect[fc] = {i: field.one}
-    return Quotient(ambient_dim, q, complement.basis,
-                    Matrix.from_sparse(field, sect, q), complement.positions)
+    complement = _free_column_basis(
+        relations.field, dict(zip(relations.positions, relations.basis.nz)),
+        ambient_dim)
+    return Quotient(ambient_dim, complement.dim, complement.basis,
+                    complement.positions)
 
 
 def apply_slot(sv: dict, dims: list[int], k: int, mat: Matrix,

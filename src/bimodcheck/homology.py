@@ -27,16 +27,14 @@ from dataclasses import dataclass
 from .bimodule import (
     Bimodule, BimoduleMap, EquivariantBasis, HomSpace, TensorProduct,
     basis_orbit, centralizer, comonad_apply, composition_matrix, cover_hom,
-    descend_plain_map, endomorphism_ring, hom_bimodule,
-    is_fg_projective_left, is_generator, regular_bimodule, restrict_left,
-    restrict_right, sub_bimodule, tensor_over, two_sided_generators,
+    dual_module, endomorphism_ring, hom_bimodule, is_fg_projective_left,
+    is_generator, regular_bimodule, restrict_left, restrict_right,
+    sub_bimodule, tensor_over, two_sided_generators,
 )
-from .errors import (
-    DimensionCapError, PreconditionError, SingularError, ValidationError,
-)
+from .errors import DimensionCapError, PreconditionError, ValidationError
 from .exactlin import (
-    Field, Matrix, SpanTracker, apply_slot, axpy, dense_vec, invert,
-    _kron_vec, kernel_basis, rank,
+    Field, Matrix, SpanTracker, apply_slot, axpy, dense_vec, _kron_vec,
+    kernel_basis, rank, sparse_vec,
 )
 from .structures import (
     Algebra, RingMap, ValidationResult, memoized, validate_ring_map,
@@ -456,10 +454,8 @@ def _ring_chain(extension: RingMap, upto: int,
                 dim_cap: int | None) -> _RingChain:
     a, s_alg = extension.source, extension.target
     field = a.field
-    s_reg = regular_bimodule(s_alg)
-    s_mid = restrict_right(restrict_left(s_reg, extension), extension)
-    s_mid = Bimodule(a, a, s_alg.dim, s_mid.left_action, s_mid.right_action,
-                     name=f"{s_alg.name} over {a.name}")
+    s_mid = restrict_right(restrict_left(regular_bimodule(s_alg), extension),
+                           extension)
     ident_s = Matrix.identity(field, s_alg.dim)
     chain = _RingChain(a, s_alg, s_mid, [regular_bimodule(a), s_mid],
                        [None, ident_s], [None, ident_s])
@@ -503,8 +499,6 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
     p = field.p
     s = s_alg.dim
     w_mid = restrict_right(restrict_left(w, extension), extension)
-    w_mid = Bimodule(a, a, w.dim, w_mid.left_action, w_mid.right_action,
-                     name=f"{w.name} over {a.name}")
     chain = _ring_chain(extension, nmax + 1, dim_cap)
     top_gens = two_sided_generators(chain.spaces[nmax + 1])
     _check_cap(len(top_gens) * w.dim, dim_cap,
@@ -593,14 +587,13 @@ def ring_hochschild(extension: RingMap, w: Bimodule, nmax: int,
 
 @dataclass(eq=False)
 class MoritaData:
-    """M's dual as a module over the endomorphism ring, and the
-    tensor-to-endomorphisms identification with its inverse."""
+    """M's dual as a module over the endomorphism ring S, and psi: S ->
+    plain dual tensor M, the inverse of the iso *M tensor_B M -> S read
+    off the dual basis {f_i, e_i} of M: psi(s) = sum f_i tensor (e_i) s."""
 
     endo: object
     dual: HomSpace
     dual_endo: Bimodule
-    theta_tensor: TensorProduct
-    theta: BimoduleMap
     psi_plain: Matrix          # endomorphism coords -> plain dual tensor M
     psi_unit: dict             # sparse image of the unit, slots (dual, M)
 
@@ -608,37 +601,31 @@ class MoritaData:
 @memoized
 def morita_data(m: Bimodule) -> MoritaData:
     field = m.field
+    projective = is_fg_projective_left(m)
+    if not projective.verdict:
+        raise PreconditionError(
+            f"{m.name} is not finitely generated projective; "
+            "it has no dual basis")
     endo = endomorphism_ring(m)
-    eng = _engine(m)
-    dual = eng.hom_level(0)
+    dual = dual_module(m)
     s_alg = endo.algebra
     left = tuple(composition_matrix(dual.solver, hu, True, dual.solver)
                  for hu in endo.hom.basis)
     dual_endo = Bimodule(s_alg, m.left_algebra, dual.dim, left,
                          dual.space.right_action, name=f"*{m.name}")
-    theta_tensor = tensor_over(dual_endo, endo.right_module)
-    # f tensor e_i -> the endomorphism y -> ((y) f) . e_i
-    orbits = [basis_orbit(m, m.left_action, i) for i in range(m.dim)]
-    plain_cols = [endo.hom.solver._coords_from(
-                      lambda g: orbit.apply(fd.column(g)))
-                  for fd in dual.basis for orbit in orbits]
-    theta_mat = descend_plain_map(field, plain_cols, s_alg.dim, theta_tensor)
-    theta = BimoduleMap(theta_tensor.space, regular_bimodule(s_alg), theta_mat,
-                        name="theta")
-    if theta_tensor.space.dim != s_alg.dim:
-        raise PreconditionError(
-            "dual tensor square does not match the endomorphism ring; "
-            "the module is not a progenerator")
-    try:
-        psi_q = invert(theta_mat)
-    except SingularError:
-        raise PreconditionError(
-            "the tensor-to-endomorphisms map is singular; "
-            "the module is not a progenerator") from None
-    psi_plain = psi_q if theta_tensor.trivial else theta_tensor.section @ psi_q
-    psi_unit = psi_plain.apply(s_alg.unit)
-    return MoritaData(endo, dual, dual_endo, theta_tensor, theta, psi_plain,
-                      psi_unit)
+    # column i of u is the functional paired with e_i; psi(s_k) is
+    # u @ s_k^T and psi(1) is u, each flattened row-major to (dual, M)
+    u = Matrix._from_columns(field, [sparse_vec(field, f) for _, f
+                                     in projective.dual_basis], dual.dim)
+
+    def flat(mat: Matrix) -> dict:
+        return {d * m.dim + i: x for d, row in enumerate(mat.nz)
+                for i, x in row.items()}
+
+    psi_plain = Matrix._from_columns(
+        field, [flat(u @ hu.transpose()) for hu in endo.hom.basis],
+        dual.dim * m.dim)
+    return MoritaData(endo, dual, dual_endo, psi_plain, flat(u))
 
 
 @dataclass(eq=False)

@@ -169,7 +169,6 @@ def multiplication_map(b: Algebra, over: RingMap):
     right_copy = bm.restrict_left(reg, over)    # (A, B)
     square = bm.tensor_over(left_copy, right_copy)
     # multiplication descends: on the plain tensor, (x, y) -> x * y
-    plain = Matrix._from_columns(b.field, [cell for row in b.mult
-                                           for cell in row], b.dim)
-    mat = plain @ square.section
+    mat = bm.descend_plain_map(b.field, [cell for row in b.mult
+                                         for cell in row], b.dim, square)
     return bm.BimoduleMap(square.space, reg, mat, name="mult")

@@ -186,7 +186,8 @@ def test_matrix_square_over_diagonal_has_dimension_eight():
     t = tensor_over(left, right)
     assert t.space.dim == 8
     assert t.relations.dim == 8
-    assert t.projection @ t.section == Matrix.identity(QQ, 8)
+    for q in range(t.space.dim):
+        assert t.project_vec(t.lift_column(q)) == {q: QQ.one}
     for row in t.relations.basis.data:
         assert not any(dense_vec(QQ, t.projection.apply(sparse_vec(QQ, row)),
                                  t.space.dim))
@@ -454,9 +455,10 @@ def test_bimodule_map_validation_catches_non_intertwiner():
 
 
 # ---------------------------------------------------------------------------
-# Generator columns, source columns and section columns against the full
-# products they stand for.  The solvers and tensor actions form only the
-# columns that are read; these oracles form the whole product.
+# Generator columns, source columns and tensor columns at their positions
+# against the full products they stand for.  The solvers and tensor
+# actions form only the columns that are read; these oracles form the
+# whole product.
 
 
 twisted_bimodules = st.builds(
@@ -504,14 +506,16 @@ def _assert_tensor_actions_match_products(t):
     m, n = t.left_factor, t.right_factor
     ident_m = Matrix.identity(m.field, m.dim)
     ident_n = Matrix.identity(m.field, n.dim)
-    for q in range(t.space.dim):
-        assert t.lift_column(q) == t.section.column(q)
+    lift = Matrix.from_columns(
+        m.field, [t.lift_column(q) for q in range(t.space.dim)], m.dim * n.dim)
+    assert t.projection @ lift == Matrix.identity(m.field, t.space.dim)
+    assert not any(t.projection.apply(row) for row in t.relations.basis.nz)
     pairs = ([(a.kron(ident_n), got) for a, got in
               zip(m.left_action, t.space.left_action)]
              + [(ident_m.kron(a), got) for a, got in
                 zip(n.right_action, t.space.right_action)])
     for k, got in pairs:
-        assert got == t.projection @ k @ t.section
+        assert got == t.projection @ k @ lift
 
 
 def _tensors(m):
@@ -526,6 +530,16 @@ def _tensors(m):
 def test_composition_matrix_equals_full_products_across_corpus():
     for fx in corpus():
         _assert_actions_match_products(fx.bimodule)
+
+
+def test_composing_after_needs_the_targets_generators_among_the_sources():
+    # op @ f reads f's generator values only; hom_left(fx3, fx3) is
+    # generated at e_0, while hom_right(fx3, fx3) needs e_0 and e_1
+    m = fixture("fx3").bimodule
+    solver, into = hom_left(m, m).solver, hom_right(m, m).solver
+    op = Matrix.identity(QQ, m.dim)
+    with pytest.raises(ValidationError, match="generators"):
+        composition_matrix(solver, op, False, into)
 
 
 @given(twisted_bimodules, st.data())

@@ -252,7 +252,7 @@ def test_quotient_by_zero_is_identity():
     q = quotient_space(2, Subspace.zero(QQ, 2))
     assert q.dim == 2
     assert q.projection == Matrix.identity(QQ, 2)
-    assert q.section == Matrix.identity(QQ, 2)
+    assert q.positions == (0, 1)
 
 
 def test_quotient_by_diagonal_line():
@@ -432,16 +432,25 @@ def test_infeasibility_certificates_are_complete(m, raw_rhs):
         assert cert is None
 
 
-@given(matrices())
-def test_quotient_section_splits_projection(m):
-    rel = kernel_basis(m)
-    q = quotient_space(m.cols, rel)
-    assert q.dim == m.cols - rel.dim
-    if q.dim:
-        assert q.projection @ q.section == Matrix.identity(m.field, q.dim)
+def _assert_quotient_at_positions(q, rel):
+    """q's positions are the coordinates rel's basis leaves free, the
+    projection is the identity there, and it kills rel."""
+    field = rel.field
+    assert q.dim == rel.ambient_dim - rel.dim
+    assert sorted(q.positions + rel.positions) == list(range(rel.ambient_dim))
+    for k, p in enumerate(q.positions):
+        assert q.projection.column(p) == {k: field.one}
     for row in rel.basis.data:
         assert all(not x for x in dense_vec(
-            m.field, q.projection.apply(sparse_vec(m.field, row)), q.dim))
+            field, q.projection.apply(sparse_vec(field, row)), q.dim))
+
+
+@given(matrices())
+def test_quotient_of_a_kernel_basis_is_the_identity_at_its_positions(m):
+    # a kernel basis is the identity at its free columns but is not in
+    # reduced row echelon form: its entries sit left of its positions
+    rel = kernel_basis(m)
+    _assert_quotient_at_positions(quotient_space(m.cols, rel), rel)
 
 
 @given(matrices())
@@ -583,14 +592,12 @@ def _eliminations_match_the_oracles(m) -> list:
                              [sparse_vec(field, row) for row in m.data])
     q = quotient_space(m.cols, rel)
     assert_stores_no_zero(q.projection)
-    assert_stores_no_zero(q.section)
     if rel.dim:
         assert q.projection == _from_oracle(
             field, oracles.kernel_of(red, m.cols, ops), m.cols)
-    assert [dense_vec(field, col, m.cols) for col in q.section.columns()] == [
-        [field.one if i == p else field.zero for i in range(m.cols)]
-        for p in q.positions]
-    return [r, ker.basis, q.projection, q.section]
+    assert q.positions == tuple(c for c in range(m.cols) if c not in pivots)
+    _assert_quotient_at_positions(q, rel)
+    return [r, ker.basis, q.projection]
 
 
 @given(sparse_matrices(), st.data())

@@ -21,7 +21,7 @@ from bimodcheck.bimodule import (
 )
 from bimodcheck.errors import DimensionCapError, PreconditionError
 from bimodcheck.exactlin import (
-    Field, Matrix, QQ, apply_slot, axpy, kernel_basis, kron_vec,
+    Field, Matrix, QQ, apply_slot, axpy, kernel_basis, kron_vec, lincomb,
 )
 from bimodcheck.fixtures import STANDARD, conjugate, fixture, ground_map
 from bimodcheck.homology import (
@@ -399,12 +399,21 @@ def test_ring_cohomology_respects_the_cap():
 # The identification between the two theories
 
 
-def test_progenerator_identification_dimensions():
-    m = fixture("fx5").bimodule
-    md = morita_data(m)
-    assert md.endo.algebra.dim == 1
-    assert md.theta_tensor.space.dim == md.endo.algebra.dim
-    assert md.theta.validate().ok
+def test_psi_rebuilds_each_endomorphism_from_the_dual_basis():
+    # psi(s_k) = sum over (u, j) of its entry at u * dim M + j times the
+    # endomorphism y -> ((y) f_u) . e_j, which must give back s_k
+    for name in ("fx5", "fx6", "dual-self", "fx5-twisted", "fx6-twisted",
+                 "dual-self-twisted"):
+        for field in (QQ, Field(5)):
+            m = fixture(name, field).bimodule
+            md = morita_data(m)
+            dm = m.dim
+            orbits = [basis_orbit(m, m.left_action, j) for j in range(dm)]
+            rank_one = [orbit @ f for f in md.dual.basis for orbit in orbits]
+            for k, s_k in enumerate(md.endo.hom.basis):
+                assert lincomb(field, dm, dm, md.psi_plain.column(k),
+                               rank_one) == s_k, (name, field, k)
+            assert md.psi_unit == md.psi_plain.apply(md.endo.algebra.unit)
 
 
 def test_coefficient_transport_dimension():
