@@ -413,61 +413,12 @@ class _Columns:
         self.column = column
 
 
-class HomSpace:
-    """Left-linear maps source -> target as a bimodule over
-    (right algebra of source, right algebra of target).
+def composition_matrix(solver: EquivariantBasis, op: Matrix, before: bool,
+                       into: EquivariantBasis) -> Matrix:
+    """f -> f @ op (before) or op @ f on the basis maps of solver, one
+    column of coordinates in the solver `into` per map.
 
-    a . f sends m to (m a) f, and f . t sends m to ((m) f) t.  The
-    embedding realizing abstract coordinates as concrete matrices is
-    matrix_of / coords_of.
-
-    `space`, with both action families, is formed on its first read.
-    The solver needs no space, and an action of the form f -> op @ f
-    reads only generator values, so a hom space read through them forms
-    no basis map.
-    """
-
-    def __init__(self, source: Bimodule, target: Bimodule,
-                 solver: EquivariantBasis, left: tuple, right: tuple,
-                 name: str):
-        # left and right are (algebra, operators, before): each operator
-        # acts on the maps by F -> F @ op when before is set, by
-        # F -> op @ F otherwise
-        self.source, self.target, self.solver = source, target, solver
-        self._sides, self._name = (left, right), name
-        self._space = None
-
-    @property
-    def space(self) -> Bimodule:
-        if self._space is None:
-            left, right = [
-                tuple(composition_matrix(self.solver, op, before, self.solver)
-                      for op in ops) for _, ops, before in self._sides]
-            self._space = Bimodule(self._sides[0][0], self._sides[1][0],
-                                   self.dim, left, right, name=self._name)
-        return self._space
-
-    @property
-    def basis(self) -> tuple:
-        return self.solver.maps
-
-    @property
-    def dim(self) -> int:
-        return self.solver.dim
-
-    def matrix_of(self, coords: dict) -> Matrix:
-        return self.solver.matrix_of(coords)
-
-    def coords_of(self, mat: Matrix, verify: bool = False) -> dict:
-        return self.solver.coords_of(mat, verify=verify)
-
-
-def composite_columns(solver: EquivariantBasis, op: Matrix, before: bool,
-                      into: EquivariantBasis):
-    """u -> the coordinates in the solver `into` of f_u @ op (before) or
-    op @ f_u, for f_u the u-th basis map of solver.
-
-    Only the columns of the composite at into.generators are computed,
+    Only the columns of each composite at into.generators are computed,
     and no map is formed.  Column g of f_u @ op is f_u applied to column
     g of op, which solver.images gives for every u at once.  Column g of
     op @ f_u is op applied to column g of f_u, a generator value of f_u:
@@ -475,51 +426,31 @@ def composite_columns(solver: EquivariantBasis, op: Matrix, before: bool,
     hom spaces out of one source under one operator family."""
     if before:
         images = {g: solver.images(op.column(g)) for g in into.generators}
-        return lambda u: into._coords_from(lambda g: images[g][u])
-    where = {g: j for j, g in enumerate(solver.generators)}
-    if not all(g in where for g in into.generators):
-        raise ValidationError(
-            "op @ f needs the target solver's generators among the "
-            "source solver's (one source, one operator family)")
-
-    def column(u: int) -> dict:
-        vals = solver.generator_values(u)
-        return into._coords_from(
-            lambda g: op.apply(vals[where[g]]) if where[g] in vals else {})
-    return column
-
-
-def composition_matrix(solver: EquivariantBasis, op: Matrix, before: bool,
-                       into: EquivariantBasis) -> Matrix:
-    """f -> f @ op (before) or op @ f on the basis maps of solver, one
-    column of coordinates in the solver `into` per map; see
-    composite_columns for what is computed."""
-    column = composite_columns(solver, op, before, into)
-    return Matrix._from_columns(into.field,
-                                [column(u) for u in range(solver.dim)],
-                                into.dim)
+        cols = [into._coords_from(lambda g: images[g][u])
+                for u in range(solver.dim)]
+    else:
+        where = {g: j for j, g in enumerate(solver.generators)}
+        if not all(g in where for g in into.generators):
+            raise ValidationError(
+                "op @ f needs the target solver's generators among the "
+                "source solver's (one source, one operator family)")
+        cols = []
+        for u in range(solver.dim):
+            vals = solver.generator_values(u)
+            cols.append(into._coords_from(
+                lambda g: op.apply(vals[where[g]]) if where[g] in vals else {}))
+    return Matrix._from_columns(into.field, cols, into.dim)
 
 
-def _hom_space(m: Bimodule, n: Bimodule, src_ops, tgt_ops, left: tuple,
-               right: tuple, name: str) -> HomSpace:
-    """All maps F: m -> n with F src_ops[k] = tgt_ops[k] F, as a bimodule
-    (see HomSpace for left and right)."""
-    solver = equivariant_maps(m.field, m.dim, n.dim, list(src_ops),
-                              list(tgt_ops))
-    return HomSpace(m, n, solver, left, right, name)
-
-
-def hom_left(m: Bimodule, n: Bimodule, name: str = "Hom") -> HomSpace:
-    """All maps intertwining the left actions, with its (A, T) structure."""
+def hom_left(m: Bimodule, n: Bimodule) -> EquivariantBasis:
+    """All maps m -> n intertwining the left actions."""
     b = m.left_algebra
     if b is not n.left_algebra:
         raise ValidationError("hom_left requires a common left algebra")
-    left = (m.right_algebra, m.right_action, True)
-    right = (n.right_algebra, n.right_action, False)
     if n is regular_bimodule(b):
-        return HomSpace(m, n, _maps_into_regular(b, m.left_action, m.dim),
-                        left, right, name)
-    return _hom_space(m, n, m.left_action, n.left_action, left, right, name)
+        return _maps_into_regular(b, m.left_action, m.dim)
+    return equivariant_maps(m.field, m.dim, n.dim, list(m.left_action),
+                            list(n.left_action))
 
 
 @memoized
@@ -533,22 +464,19 @@ def _maps_into_regular(b: Algebra, left_action: tuple,
                             list(b.left_mult))
 
 
-def hom_right(m: Bimodule, n: Bimodule, name: str = "Hom_r") -> HomSpace:
-    """All maps intertwining the right actions, as a (B of n, B of m) space.
-
-    (b . f)(m) = b ((m) f) and (f . c)(m) = (c m) f.
-    """
+def hom_right(m: Bimodule, n: Bimodule) -> EquivariantBasis:
+    """All maps m -> n intertwining the right actions."""
     if m.right_algebra is not n.right_algebra:
         raise ValidationError("hom_right requires a common right algebra")
-    return _hom_space(m, n, m.right_action, n.right_action,
-                      (n.left_algebra, n.left_action, False),
-                      (m.left_algebra, m.left_action, True), name)
+    return equivariant_maps(m.field, m.dim, n.dim, list(m.right_action),
+                            list(n.right_action))
 
 
-def dual_module(m: Bimodule) -> HomSpace:
-    """Left-linear maps into the regular bimodule; an (A, B) bimodule.
-    It is cover_hom(m, B), so the evaluation, the bar complex and the
-    dual basis test all read one solve."""
+def dual_module(m: Bimodule) -> EquivariantBasis:
+    """Left-linear maps into the regular bimodule, the maps of *M.  It is
+    cover_hom(m, B), so the evaluation, the bar complex and the dual
+    basis test all read one solve; hom_module(m, B) is *M as an (A, B)
+    bimodule."""
     return cover_hom(m, regular_bimodule(m.left_algebra))
 
 
@@ -710,16 +638,32 @@ def descend_plain_map(field: Field, plain_cols: list[dict], out_dim: int,
 
 
 @memoized
-def cover_hom(m: Bimodule, y: Bimodule) -> HomSpace:
+def cover_hom(m: Bimodule, y: Bimodule) -> EquivariantBasis:
     """Hom(M, Y), solved once per Y: F(Y) is built from it, and its dim
     sizes F(Y) before the tensor is formed."""
-    return hom_left(m, y, name=f"Hom({m.name}, {y.name})")
+    return hom_left(m, y)
+
+
+@memoized
+def hom_module(m: Bimodule, y: Bimodule) -> Bimodule:
+    """Hom(M, Y) on cover_hom(m, y)'s coordinates as an (A, C)-bimodule,
+    for M over (B, A) and Y over (B, C): a . f sends x to (x a) f, and
+    f . c sends x to ((x) f) c.  The one place the actions on a hom
+    space are formed; F(Y) tensors over A with it, and hom_module(m, B)
+    is *M."""
+    hom = cover_hom(m, y)
+    left = tuple(composition_matrix(hom, a, True, hom)
+                 for a in m.right_action)
+    right = tuple(composition_matrix(hom, c, False, hom)
+                  for c in y.right_action)
+    return Bimodule(m.right_algebra, y.right_algebra, hom.dim, left, right,
+                    name=f"Hom({m.name}, {y.name})")
 
 
 @dataclass(eq=False)
 class Cover:
     """F(Y) = M tensor_A Hom(M, Y) with its counit m tensor f -> (m) f."""
-    hom: HomSpace
+    hom: EquivariantBasis
     tensor: TensorProduct
     map: BimoduleMap
 
@@ -730,10 +674,10 @@ def comonad_apply(m: Bimodule, y: Bimodule) -> Cover:
     evaluation (Y = B), evaluation over End(M), relative projectivity
     and both resolutions of B read it."""
     hom = cover_hom(m, y)
-    tensor = tensor_over(m, hom.space, name=f"F({y.name})")
+    tensor = tensor_over(m, hom_module(m, y), name=f"F({y.name})")
     one = y.field.one
     # plain column i * hom.dim + u is f_u(e_i)
-    plain_cols = [v for i in range(m.dim) for v in hom.solver.images({i: one})]
+    plain_cols = [v for i in range(m.dim) for v in hom.images({i: one})]
     mat = descend_plain_map(y.field, plain_cols, y.dim, tensor)
     return Cover(hom, tensor, BimoduleMap(tensor.space, y, mat, name="counit"))
 
@@ -747,19 +691,19 @@ def evaluation_data(m: Bimodule) -> Cover:
 class EndoData:
     algebra: Algebra          # S = left-linear endomorphisms, f*g = f then g
     to_endo: RingMap          # A -> S, a -> right action by a
-    hom: HomSpace             # the underlying hom space of M -> M
+    hom: EquivariantBasis     # the left-linear maps M -> M
     right_module: Bimodule    # M as a (B, S) bimodule
 
 
 @memoized
 def endomorphism_ring(m: Bimodule) -> EndoData:
-    hom = hom_left(m, m, name=f"End({m.name})")
+    hom = hom_left(m, m)
     field = m.field
     d = hom.dim
     mult = []
-    for hu in hom.basis:
+    for hu in hom.maps:
         # u * v = apply u, then v: column v of f -> f @ hu
-        comp = composition_matrix(hom.solver, hu, True, hom.solver)
+        comp = composition_matrix(hom, hu, True, hom)
         mult.append(tuple(comp.columns()))
     unit = hom.coords_of(Matrix.identity(field, m.dim))
     s = Algebra(field, d, tuple(mult), unit, name=f"End({m.name})")
@@ -768,7 +712,7 @@ def endomorphism_ring(m: Bimodule) -> EndoData:
     to_endo = RingMap(a, s, Matrix._from_columns(field, cols, d),
                       name="to_endo")
     right_module = Bimodule(m.left_algebra, s, m.dim, m.left_action,
-                            tuple(hom.basis), name=m.name)
+                            hom.maps, name=m.name)
     return EndoData(s, to_endo, hom, right_module)
 
 
@@ -809,7 +753,7 @@ def _fg_projective(m: Bimodule, side: str) -> ProjectivityResult:
         hom = dual_module(m)
         acts = m.left_action
     else:
-        hom = hom_right(m, regular_bimodule(m.right_algebra), name=f"{m.name}^")
+        hom = hom_right(m, regular_bimodule(m.right_algebra))
         acts = m.right_action
     d = m.dim
     hd = hom.dim
@@ -819,7 +763,7 @@ def _fg_projective(m: Bimodule, side: str) -> ProjectivityResult:
     c = 0
     for i in range(d):
         orbit = basis_orbit(m, acts, i)
-        for f in hom.basis:
+        for f in hom.maps:
             for r, row in enumerate((orbit @ f).nz):
                 for j, x in row.items():
                     rows[r * d + j][c] = x
@@ -848,9 +792,9 @@ def is_fg_projective_right(m: Bimodule) -> ProjectivityResult:
 
 def trace_in(m: Bimodule, n: Bimodule) -> Subspace:
     """The trace ideal-like subspace: images of all left-linear maps M -> N."""
-    hom = hom_left(m, n, name="tr")
+    hom = hom_left(m, n)
     one = m.field.one
-    vectors = [y for i in range(m.dim) for y in hom.solver.images({i: one})]
+    vectors = [y for i in range(m.dim) for y in hom.images({i: one})]
     return Subspace.from_span(m.field, n.dim, vectors)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bimodule import (
     Bimodule, BimoduleMap, centralizer, comonad_apply, descend_plain_map,
-    dual_module, endomorphism_ring, evaluation_data, hom_bimodule,
+    endomorphism_ring, evaluation_data, hom_bimodule, hom_module,
     is_fg_projective_left, is_fg_projective_right, is_generator,
     regular_bimodule, restrict_left, restrict_right, static_check,
     sub_bimodule, tensor_over, trace_in,
@@ -465,8 +465,8 @@ def smooth_product(x: Bimodule, y: Bimodule, mode: int) -> SmoothProductReport:
     if mode == 1:
         hyps["partner_separable"] = is_separable_bimodule(y).verdict
     else:
-        dual = dual_module(x)
-        hyps["dual_left_projective"] = is_fg_projective_left(dual.space).verdict
+        dual = hom_module(x, regular_bimodule(x.left_algebra))
+        hyps["dual_left_projective"] = is_fg_projective_left(dual).verdict
         hyps["partner_left_projective"] = is_fg_projective_left(y).verdict
         hyps["partner_smooth"] = is_formally_smooth_bimodule(y).verdict
     t = tensor_over(x, y, name=f"{x.name}(x){y.name}")

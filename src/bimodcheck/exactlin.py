@@ -143,10 +143,6 @@ class Field:
         q = _rational(x)
         return int(q) if q.denominator == 1 else q
 
-    def to_str(self, x) -> str:
-        """Render a scalar exactly; rationals come out in lowest terms."""
-        return str(x)
-
     def __eq__(self, other):
         return isinstance(other, Field) and other.p == self.p
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bimodule import (
-    Bimodule, BimoduleMap, EquivariantBasis, HomSpace, TensorProduct,
-    basis_orbit, centralizer, comonad_apply, composition_matrix, cover_hom,
-    dual_module, endomorphism_ring, hom_bimodule, is_fg_projective_left,
+    Bimodule, BimoduleMap, EquivariantBasis, TensorProduct, basis_orbit,
+    centralizer, comonad_apply, composition_matrix, cover_hom, dual_module,
+    endomorphism_ring, hom_bimodule, hom_module, is_fg_projective_left,
     is_generator, regular_bimodule, restrict_left, restrict_right,
     sub_bimodule, tensor_over, two_sided_generators,
 )
@@ -37,7 +37,7 @@ from .exactlin import (
     kernel_basis, rank, sparse_vec,
 )
 from .structures import (
-    Algebra, RingMap, ValidationResult, memoized, validate_ring_map,
+    RingMap, ValidationResult, memoized, validate_ring_map,
 )
 
 DEFAULT_DIM_CAP = 20000
@@ -219,7 +219,7 @@ class _BarEngine:
         self._sections: dict[int, Matrix] = {}
         self._hom_diffs: dict[int, Matrix] = {}
 
-    def hom_level(self, k: int) -> HomSpace:
+    def hom_level(self, k: int) -> EquivariantBasis:
         """Hom(M, P_{k-1}), with P_{-1} = B."""
         return cover_hom(self.m, self.object(k - 1) if k else self.b)
 
@@ -271,7 +271,7 @@ class _BarEngine:
             # x -> x (x) f_u sends basis vector i to the class of (i, u),
             # column i * h + u of the projection (the identity when the
             # tensor is trivial)
-            cols = [tgt.solver._coords_from(
+            cols = [tgt._coords_from(
                         lambda i: tensor.projection.column(i * h + u))
                     for u in range(h)]
             self._sections[n] = Matrix._from_columns(self.field, cols, tgt.dim)
@@ -283,8 +283,8 @@ class _BarEngine:
         if n not in self._hom_diffs:
             self.object(n)
             self._hom_diffs[n] = composition_matrix(
-                self.hom_level(n + 1).solver, self.diffs[n].matrix, False,
-                self.hom_level(n).solver)
+                self.hom_level(n + 1), self.diffs[n].matrix, False,
+                self.hom_level(n))
         return self._hom_diffs[n]
 
 
@@ -442,9 +442,6 @@ def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
 
 @dataclass(eq=False)
 class _RingChain:
-    a: Algebra
-    s: Algebra
-    s_mid: Bimodule            # S restricted to an (A, A)-bimodule
     spaces: list               # spaces[k] = S^{tensor_A k}, spaces[0] = A
     to_plain: list             # columns of spaces[k] as plain s^k vectors
     from_plain: list           # projection plain s^k -> spaces[k]
@@ -457,8 +454,8 @@ def _ring_chain(extension: RingMap, upto: int,
     s_mid = restrict_right(restrict_left(regular_bimodule(s_alg), extension),
                            extension)
     ident_s = Matrix.identity(field, s_alg.dim)
-    chain = _RingChain(a, s_alg, s_mid, [regular_bimodule(a), s_mid],
-                       [None, ident_s], [None, ident_s])
+    chain = _RingChain([regular_bimodule(a), s_mid], [None, ident_s],
+                       [None, ident_s])
     s = s_alg.dim
     for k in range(2, upto + 1):
         prev = chain.spaces[k - 1]
@@ -592,7 +589,7 @@ class MoritaData:
     off the dual basis {f_i, e_i} of M: psi(s) = sum f_i tensor (e_i) s."""
 
     endo: object
-    dual: HomSpace
+    dual: EquivariantBasis
     dual_endo: Bimodule
     psi_plain: Matrix          # endomorphism coords -> plain dual tensor M
     psi_unit: dict             # sparse image of the unit, slots (dual, M)
@@ -609,10 +606,12 @@ def morita_data(m: Bimodule) -> MoritaData:
     endo = endomorphism_ring(m)
     dual = dual_module(m)
     s_alg = endo.algebra
-    left = tuple(composition_matrix(dual.solver, hu, True, dual.solver)
-                 for hu in endo.hom.basis)
-    dual_endo = Bimodule(s_alg, m.left_algebra, dual.dim, left,
-                         dual.space.right_action, name=f"*{m.name}")
+    left = tuple(composition_matrix(dual, hu, True, dual)
+                 for hu in endo.hom.maps)
+    # *M's right B-action is Hom(M, B)'s
+    right = hom_module(m, regular_bimodule(m.left_algebra)).right_action
+    dual_endo = Bimodule(s_alg, m.left_algebra, dual.dim, left, right,
+                         name=f"*{m.name}")
     # column i of u is the functional paired with e_i; psi(s_k) is
     # u @ s_k^T and psi(1) is u, each flattened row-major to (dual, M)
     u = Matrix._from_columns(field, [sparse_vec(field, f) for _, f
@@ -623,7 +622,7 @@ def morita_data(m: Bimodule) -> MoritaData:
                 for i, x in row.items()}
 
     psi_plain = Matrix._from_columns(
-        field, [flat(u @ hu.transpose()) for hu in endo.hom.basis],
+        field, [flat(u @ hu.transpose()) for hu in endo.hom.maps],
         dual.dim * m.dim)
     return MoritaData(endo, dual, dual_endo, psi_plain, flat(u))
 
@@ -706,9 +705,8 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
             hom = eng.hom_level(k)
             orbits = [basis_orbit(prev, prev.left_action, y)
                       for y in range(prev.dim)]
-            cols = [hom.solver._coords_from(
-                        lambda g: orbit.apply(fd.column(g)))
-                    for fd in md.dual.basis for orbit in orbits]
+            cols = [hom._coords_from(lambda g: orbit.apply(fd.column(g)))
+                    for fd in md.dual.maps for orbit in orbits]
             iso_mats[k] = Matrix._from_columns(field, cols, hom.dim)
         return iso_mats[k]
 
@@ -751,7 +749,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
         cols = [to_w(*apply_slot(sv, dims, 1, gmat)) for sv, dims in fed[n]]
         if n == 0:
             cols = [w_mid.left_action[q].apply(cols[0])
-                    for q in range(chain.a.dim)]
+                    for q in range(m.right_algebra.dim)]
         return Matrix._from_columns(field, cols, wd.w.dim)
 
     phis = []
@@ -782,7 +780,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
                     val * njv if p is None else val * njv % p
         w_n = to_w(ins, [dd, dn, dm])
         rhs_cols = [w_mid.left_action[q].apply(w_n)
-                    for q in range(chain.a.dim)]
+                    for q in range(m.right_algebra.dim)]
         rhs = Matrix._from_columns(field, rhs_cols, wd.w.dim)
         if lhs != rhs:
             base_ok = False

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimodcheck.bimodule import (
-    Bimodule, BimoduleMap, centralizer, composition_matrix, dual_module,
-    endomorphism_ring, equivariant_maps, ev_over_endo, evaluation_data,
-    hom_bimodule, hom_left, hom_right, is_fg_projective_left,
+    Bimodule, BimoduleMap, centralizer, comonad_apply, composition_matrix,
+    cover_hom, dual_module, endomorphism_ring, equivariant_maps,
+    ev_over_endo, evaluation_data, hom_bimodule, hom_left, hom_module,
+    hom_right, is_fg_projective_left,
     is_fg_projective_right, is_generator, orbit_generators,
     regular_bimodule, restrict_left,
     restrict_right, static_check, sub_bimodule, tensor_over, trace_in,
@@ -86,8 +87,8 @@ def test_hom_between_column_modules_is_scalars():
     m = fixture("fx5").bimodule
     hom = hom_left(m, m)
     assert hom.dim == 1
-    assert hom.basis[0] == Matrix.identity(QQ, 2) or \
-        invert(hom.basis[0]) @ hom.basis[0] == Matrix.identity(QQ, 2)
+    assert hom.maps[0] == Matrix.identity(QQ, 2) or \
+        invert(hom.maps[0]) @ hom.maps[0] == Matrix.identity(QQ, 2)
 
 
 def test_hom_onto_simple_module_kills_the_socle():
@@ -96,7 +97,7 @@ def test_hom_onto_simple_module_kills_the_socle():
     hom = hom_left(fx.bimodule, simple)
     assert hom.dim == 1
     # the map factors through B/(x), so x goes to zero
-    assert not any(hom.basis[0].column(1))
+    assert not any(hom.maps[0].column(1))
 
 
 def test_hom_basis_intertwines_left_actions():
@@ -104,7 +105,7 @@ def test_hom_basis_intertwines_left_actions():
         m = fixture(name).bimodule
         n = regular_bimodule(m.left_algebra)
         hom = hom_left(m, n)
-        for g in hom.basis:
+        for g in hom.maps:
             for lb, ln in zip(m.left_action, n.left_action):
                 assert g @ lb == ln @ g
 
@@ -113,10 +114,10 @@ def test_hom_space_coordinate_roundtrip():
     m = fixture("fx3").bimodule
     hom = hom_left(m, regular_bimodule(m.left_algebra))
     for u in range(hom.dim):
-        coords = hom.coords_of(hom.basis[u], verify=True)
+        coords = hom.coords_of(hom.maps[u], verify=True)
         expected = [QQ.one if v == u else QQ.zero for v in range(hom.dim)]
         assert dense_vec(QQ, coords, hom.dim) == expected
-        assert hom.matrix_of(coords) == hom.basis[u]
+        assert hom.matrix_of(coords) == hom.maps[u]
 
 
 def test_hom_right_of_column_module_is_full_matrix_space():
@@ -358,8 +359,7 @@ def test_fg_projective_tensor_dimension_matches_endo_ring():
     for name in ("fx3", "fx5", "fx6", "dual-self"):
         m = fixture(name).bimodule
         endo = endomorphism_ring(m)
-        dual = dual_module(m)
-        t = tensor_over(dual.space, m)
+        t = tensor_over(hom_module(m, regular_bimodule(m.left_algebra)), m)
         assert t.space.dim == endo.algebra.dim, name
 
 
@@ -413,9 +413,7 @@ def test_dense_lists_and_long_indices_fail_loudly():
         "left_act": (m.left_act, m.left_algebra.dim),
         "right_act": (m.right_act, m.right_algebra.dim),
         "matrix_of": (hom.matrix_of, hom.dim),
-        "solver matrix_of": (hom.solver.matrix_of, hom.dim),
-        "coords_from": (lambda v: hom.solver.coords_from(lambda g: v),
-                        hom.solver.tgt_dim),
+        "coords_from": (lambda v: hom.coords_from(lambda g: v), hom.tgt_dim),
         "project_vec": (tensor.project_vec, tensor.projection.cols),
     }
     for name, (call, n) in entry_points.items():
@@ -432,8 +430,8 @@ def test_coords_of_rejects_a_matrix_of_another_shape():
     # matrix's shape is checked first
     m = fixture("fx3").bimodule
     hom = hom_left(m, regular_bimodule(m.left_algebra))
-    tgt, src = hom.solver.tgt_dim, hom.solver.src_dim
-    assert hom.coords_of(hom.basis[0]) == {0: QQ.one}
+    tgt, src = hom.tgt_dim, hom.src_dim
+    assert hom.coords_of(hom.maps[0]) == {0: QQ.one}
     for rows, cols in ((tgt + 1, src), (tgt, src + 1), (tgt - 1, src)):
         with pytest.raises(ShapeError):
             hom.coords_of(Matrix.from_sparse(QQ, [{}] * rows, cols))
@@ -469,18 +467,38 @@ twisted_bimodules = st.builds(
 def _hom_spaces(m):
     """One-sided hom spaces out of m, each with the operators acting on
     its maps by F -> F @ op (before) and by F -> op @ F (after)."""
-    dual = dual_module(m)
+    b_reg = regular_bimodule(m.left_algebra)
     return [(hom_left(m, m), m.right_action, m.right_action),
-            (dual, m.right_action, dual.target.right_action),
+            (dual_module(m), m.right_action, b_reg.right_action),
             (hom_right(m, m), m.left_action, m.left_action)]
 
 
+def _composites(hom, op, before, verify=False):
+    """The matrix of f -> f @ op (before) or op @ f in hom's coordinates,
+    from full products of the formed maps; verify when each composite is
+    in hom."""
+    oracle = [hom.coords_of(f @ op if before else op @ f, verify=verify)
+              for f in hom.maps]
+    return Matrix.from_columns(QQ, oracle, hom.dim)
+
+
 def _assert_composition_matches_products(hom, op, before):
-    into = hom.solver
-    oracle = [into.coords_of(f @ op if before else op @ f)
-              for f in hom.basis]
-    assert composition_matrix(hom.solver, op, before, into) \
-        == Matrix.from_columns(QQ, oracle, into.dim)
+    assert composition_matrix(hom, op, before, hom) \
+        == _composites(hom, op, before)
+
+
+def _assert_hom_module_matches_products(m, y):
+    """Hom(M, Y)'s actions, a . f = (x -> (x a) f) and f . c = (x -> ((x)
+    f) c), against full products on its maps."""
+    hom, module = cover_hom(m, y), hom_module(m, y)
+    assert module.dim == hom.dim
+    assert (module.left_algebra, module.right_algebra) \
+        == (m.right_algebra, y.right_algebra)
+    for op, got in zip(m.right_action, module.left_action):
+        assert got == _composites(hom, op, True, verify=True)
+    for op, got in zip(y.right_action, module.right_action):
+        assert got == _composites(hom, op, False, verify=True)
+    assert validate_bimodule(module).ok
 
 
 def _assert_actions_match_products(m):
@@ -489,6 +507,9 @@ def _assert_actions_match_products(m):
             _assert_composition_matches_products(hom, op, True)
         for op in after_ops:
             _assert_composition_matches_products(hom, op, False)
+    # the covers' hom modules: F(B) = M (x)_A *M, and Hom(M, M)
+    for y in (regular_bimodule(m.left_algebra), m):
+        _assert_hom_module_matches_products(m, y)
 
 
 def _assert_hom_bimodule_matches_full_solve(src, tgt):
@@ -519,12 +540,11 @@ def _assert_tensor_actions_match_products(t):
 
 
 def _tensors(m):
-    ev = evaluation_data(m)
-    out = [ev.tensor, tensor_over(ev.hom.space, m)]
+    b_reg = regular_bimodule(m.left_algebra)
     m_bs = endomorphism_ring(m).right_module
-    hom = hom_left(m_bs, regular_bimodule(m.left_algebra))
-    out.append(tensor_over(m_bs, hom.space))
-    return out
+    return [evaluation_data(m).tensor,
+            tensor_over(hom_module(m, b_reg), m),
+            tensor_over(m_bs, hom_module(m_bs, b_reg))]
 
 
 def test_composition_matrix_equals_full_products_across_corpus():
@@ -536,10 +556,24 @@ def test_composing_after_needs_the_targets_generators_among_the_sources():
     # op @ f reads f's generator values only; hom_left(fx3, fx3) is
     # generated at e_0, while hom_right(fx3, fx3) needs e_0 and e_1
     m = fixture("fx3").bimodule
-    solver, into = hom_left(m, m).solver, hom_right(m, m).solver
+    solver, into = hom_left(m, m), hom_right(m, m)
+    assert into.generators == (0, 1) and solver.generators == (0,)
     op = Matrix.identity(QQ, m.dim)
     with pytest.raises(ValidationError, match="generators"):
         composition_matrix(solver, op, False, into)
+    # composing before reads images, so any generators will do
+    assert composition_matrix(solver, op, True, into).cols == solver.dim
+
+
+@pytest.mark.parametrize("name", ["fx4", "fx5", "fx6", "fx6-twisted"])
+def test_the_cover_tensors_over_the_one_hom_module(name):
+    # F(Y) = M (x)_A Hom(M, Y) takes Hom(M, Y)'s actions from hom_module,
+    # which forms them once per (M, Y) on cover_hom's coordinates
+    m = fixture(name).bimodule
+    for y in (regular_bimodule(m.left_algebra), m):
+        cover = comonad_apply(m, y)
+        assert cover.tensor.right_factor is hom_module(m, y)
+        assert cover.hom is cover_hom(m, y)
 
 
 @given(twisted_bimodules, st.data())

@@ -112,7 +112,7 @@ def test_rational_scalar_parsing():
     half = QQ.scalar("1/2")
     assert half + half == QQ.one
     assert QQ.scalar("-3") == QQ.scalar(-3)
-    assert QQ.to_str(QQ.scalar("2/4")) == "1/2"
+    assert str(QQ.scalar("2/4")) == "1/2"
 
 
 RATIONAL = type(QQ.scalar("1/2"))     # the backend's rational type

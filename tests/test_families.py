@@ -125,8 +125,8 @@ def test_doubling_the_module_keeps_the_hochschild_dims(name, nmax):
     m = fixture(name).bimodule
     mm = _doubled(m)
     b_reg = regular_bimodule(m.left_algebra)
-    gens = len(_engine(m).hom_level(0).solver.generators)
-    assert len(_engine(mm).hom_level(0).solver.generators) == 2 * gens
+    gens = len(_engine(m).hom_level(0).generators)
+    assert len(_engine(mm).hom_level(0).generators) == 2 * gens
     assert module_hochschild(mm, b_reg, nmax).dims() \
         == module_hochschild(m, b_reg, nmax).dims()
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from bimodcheck import bimodule, cli, diagnostics, fixtures, homology
 from bimodcheck.bimodule import (
     basis_orbit, centralizer, comonad_apply, endomorphism_ring, ev_over_endo,
-    evaluation_data, hom_bimodule, regular_bimodule, restrict_left,
+    evaluation_data, hom_bimodule, hom_module, regular_bimodule, restrict_left,
     sub_bimodule, two_sided_generators,
 )
 from bimodcheck.errors import DimensionCapError, PreconditionError
@@ -103,10 +103,10 @@ def test_bar_differentials_equal_slotwise_assembly():
         eng = _engine(m)
         for n in (1, 2):
             hom, tensor = eng.hom_level(n), eng.tensors[n]
-            below = eng.hom_level(n - 1).solver
+            below = eng.hom_level(n - 1)
             push = Matrix.from_columns(
                 QQ, [below.coords_of(eng.diffs[n - 1].matrix @ f)
-                     for f in hom.basis], below.dim)
+                     for f in hom.maps], below.dim)
             cols = []
             for q in range(eng.objects[n].dim):
                 w, _ = apply_slot(tensor.lift_column(q),
@@ -315,7 +315,7 @@ def test_dimension_cap_names_the_syzygy_cover(monkeypatch, task):
                               "(4 x 12) needs dimension 48, above the "
                               "cap 40")
     assert (exc.value.requested, exc.value.cap) == (48, 40)
-    assert calls == [(m, evaluation_data(m).hom.space)]
+    assert calls == [(m, hom_module(m, b))]
 
 
 BAD_ARGUMENTS = {
@@ -409,8 +409,8 @@ def test_psi_rebuilds_each_endomorphism_from_the_dual_basis():
             md = morita_data(m)
             dm = m.dim
             orbits = [basis_orbit(m, m.left_action, j) for j in range(dm)]
-            rank_one = [orbit @ f for f in md.dual.basis for orbit in orbits]
-            for k, s_k in enumerate(md.endo.hom.basis):
+            rank_one = [orbit @ f for f in md.dual.maps for orbit in orbits]
+            for k, s_k in enumerate(md.endo.hom.maps):
                 assert lincomb(field, dm, dm, md.psi_plain.column(k),
                                rank_one) == s_k, (name, field, k)
             assert md.psi_unit == md.psi_plain.apply(md.endo.algebra.unit)
@@ -522,10 +522,10 @@ def _transport_phis(m, coefficients, nmax):
     def iso_mat(k):
         prev, hom = eng.objects[k - 1], eng.hom_level(k)
         cols = []
-        for fd in md.dual.basis:
+        for fd in md.dual.maps:
             for y in range(prev.dim):
                 orbit = basis_orbit(prev, prev.left_action, y)
-                cols.append(hom.solver.coords_from(
+                cols.append(hom.coords_from(
                     lambda g: orbit.apply(fd.column(g))))
         return Matrix.from_columns(field, cols, hom.dim)
 
@@ -547,7 +547,7 @@ def _transport_phis(m, coefficients, nmax):
                 [dd, dm, dd, dm], 1)
             w0 = to_w(*apply_slot(sv, dims, 1, gmat))
             cols = [w_mid.left_action[q].apply(w0)
-                    for q in range(chain.a.dim)]
+                    for q in range(m.right_algebra.dim)]
             return Matrix.from_columns(field, cols, wd.w.dim)
         cols = []
         for q in range(chain.spaces[n].dim):
