@@ -24,7 +24,7 @@ from .exactlin import (
     kernel_and_right_inverse, kernel_basis, lincomb, quotient_space, rank,
     solve_or_certify,
 )
-from .structures import Algebra, RingMap, ValidationResult, memoized
+from .structures import Algebra, RingMap, ValidationResult, Verdict, memoized
 
 
 @dataclass(eq=False)
@@ -164,8 +164,7 @@ def sub_bimodule(parent: Bimodule, space: Subspace, name: str = "sub"
     incl = space.basis.transpose()    # ambient x k
 
     def induce(mat: Matrix) -> Matrix:
-        cols = [space.coords_of(mat.apply(row), verify=True)
-                for row in space.basis.nz]
+        cols = [space.coords_of(mat.apply(row)) for row in space.basis.nz]
         return Matrix._from_columns(parent.field, cols, k)
 
     left = tuple(induce(mat) for mat in parent.left_action)
@@ -717,7 +716,7 @@ def endomorphism_ring(m: Bimodule) -> EndoData:
 
 
 @dataclass(frozen=True)
-class GeneratorResult:
+class GeneratorResult(Verdict):
     verdict: bool
     preimage_of_unit: tuple | None      # coordinates in M tensor_A *M
     cokernel_functional: tuple | None   # functional on B vanishing on the image
@@ -740,7 +739,7 @@ def is_generator(m: Bimodule) -> GeneratorResult:
 
 
 @dataclass(frozen=True)
-class ProjectivityResult:
+class ProjectivityResult(Verdict):
     verdict: bool
     dual_basis: tuple | None      # pairs (element coords, functional coords)
     certificate: tuple | None     # infeasibility functional on endomorphism space
@@ -804,7 +803,7 @@ def ev_over_endo(m: Bimodule) -> BimoduleMap:
 
 
 @dataclass(frozen=True)
-class StaticResult:
+class StaticResult(Verdict):
     verdict: bool             # the comparison map is an isomorphism
     injective: bool
     surjective: bool

@@ -25,7 +25,7 @@ from .exactlin import (
 )
 from .homology import _syzygy_chain, check_bar_level0, comparison_check
 from .structures import (
-    RingMap, memoized, multiplication_map, validate_ring_map,
+    RingMap, Verdict, memoized, multiplication_map, require_ring_map,
 )
 
 
@@ -104,7 +104,7 @@ def _full_certificate(counit: BimoduleMap, solver) -> tuple:
     return tuple(dense_vec(field, cert, d * d))
 
 
-class _Obstructed:
+class _Obstructed(Verdict):
     """A result that splits a counit; `certify` is None when it splits,
     else what forms the obstruction (from _split)."""
 
@@ -123,14 +123,11 @@ class _Obstructed:
 
 
 @dataclass(eq=False)
-class SeparabilityResult:
+class SeparabilityResult(Verdict):
     verdict: bool
     casimir: tuple | None          # coords in M tensor_A *M
     obstruction: tuple | None      # functional on B infeasible against 1
     dimensions: dict
-
-    def __bool__(self) -> bool:
-        return self.verdict
 
 
 def is_separable_bimodule(m: Bimodule) -> SeparabilityResult:
@@ -150,9 +147,6 @@ class RelProjectivityResult(_Obstructed):
     counit: BimoduleMap            # the map the section must split
     certify: object                # forms the functional on End-coordinates
     dimensions: dict
-
-    def __bool__(self) -> bool:
-        return self.verdict
 
 
 def is_rel_projective(p: Bimodule, m: Bimodule) -> RelProjectivityResult:
@@ -186,15 +180,12 @@ def _rel_projective(m: Bimodule, p: Bimodule) -> RelProjectivityResult:
 
 
 @dataclass(eq=False)
-class SmoothnessResult:
+class SmoothnessResult(Verdict):
     verdict: bool
     route: str                     # ev-injective | separable | kernel-splitting
     kernel_dim: int | None
     detail: object                 # the underlying result used for the verdict
     dimensions: dict
-
-    def __bool__(self) -> bool:
-        return self.verdict
 
 
 def is_formally_smooth_bimodule(
@@ -224,25 +215,16 @@ def is_formally_smooth_bimodule(
 
 
 @dataclass(eq=False)
-class ExtensionSeparabilityResult:
+class ExtensionSeparabilityResult(Verdict):
     verdict: bool
     idempotent: tuple | None       # coords in B tensor_A B
     obstruction: tuple | None
     dimensions: dict
 
-    def __bool__(self) -> bool:
-        return self.verdict
-
-
-def _validated(f: RingMap) -> None:
-    v = validate_ring_map(f)
-    if not v:
-        raise ValidationError(f"invalid ring map: {v.message}")
-
 
 def is_separable_extension(f: RingMap) -> ExtensionSeparabilityResult:
     """A central element of B tensor_A B multiplying to 1, if one exists."""
-    _validated(f)
+    require_ring_map(f)
     b = f.target
     mult = multiplication_map(b, f)
     t_space = mult.source
@@ -261,9 +243,6 @@ class ExtensionSmoothnessResult(_Obstructed):
     certify: object                # forms the obstruction
     dimensions: dict
 
-    def __bool__(self) -> bool:
-        return self.verdict
-
 
 def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
     """Is the kernel of multiplication projective relative to the base?
@@ -271,7 +250,7 @@ def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
     The relevant counit is two-sided multiplication B (x)_A L (x)_A B -> L;
     a two-sided section witnesses smoothness of the extension.
     """
-    _validated(f)
+    require_ring_map(f)
     b = f.target
     field = b.field
     mult = multiplication_map(b, f)

@@ -16,8 +16,8 @@ field, which they do not carry:
   sparse_vec reduce what comes in from outside.
 
 Because a scalar does not know its field, fields are checked where
-matrices meet: @, +, -, kron, lincomb, hstack and vstack raise
-FieldMismatchError on operands over different fields.
+matrices meet: @, +, -, kron and lincomb raise FieldMismatchError on
+operands over different fields.
 
 A vector is a sparse {index: entry} dict that stores no zero, and a
 matrix stores each row as such a dict, so every kernel visits only the
@@ -421,23 +421,6 @@ def _lincomb(field: Field, rows: int, cols: int, coeffs: dict,
     return Matrix.from_sparse(field, out, cols)
 
 
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.rows != b.rows:
-        raise ShapeError("hstack row mismatch")
-    _same_field(a.field, b.field, "hstack")
-    shift = a.cols
-    return Matrix.from_sparse(
-        a.field, [{**r1, **{j + shift: x for j, x in r2.items()}}
-                  for r1, r2 in zip(a.nz, b.nz)], a.cols + b.cols)
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols:
-        raise ShapeError("vstack col mismatch")
-    _same_field(a.field, b.field, "vstack")
-    return Matrix.from_sparse(a.field, a.nz + b.nz, a.cols)
-
-
 def _inverse(x, p: int | None = None):
     """1 / x for a nonzero scalar, kept exact: over F_p (p given) the
     residue; over Q, 1 / int would be a float, so an int is inverted as a
@@ -548,15 +531,6 @@ class Subspace:
         return self.basis.field
 
     @classmethod
-    def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix(field, [], cols=ambient_dim), ())
-
-    @classmethod
-    def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(field, ambient_dim),
-                   tuple(range(ambient_dim)))
-
-    @classmethod
     def from_span(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
         """The span of sparse vectors of length ambient_dim."""
         piv = _echelon((check_vec(v, ambient_dim) for v in vectors), field.p)
@@ -570,18 +544,18 @@ class Subspace:
         """{position: coordinate}, so a read visits only vec's entries."""
         return {p: k for k, p in enumerate(self.positions)}
 
-    def coords_of(self, vec: dict, verify: bool = True) -> dict:
+    def coords_of(self, vec: dict) -> dict:
         """Coordinates of vec in the basis; vec must lie in the subspace."""
         check_vec(vec, self.ambient_dim)
         index = self._index
         coords = {index[p]: x for p, x in vec.items() if p in index}
-        if verify and self._embed(coords) != vec:
+        if self._embed(coords) != vec:
             raise ValidationError("vector is not in the subspace")
         return coords
 
     def contains(self, vec: dict) -> bool:
         try:
-            self.coords_of(vec, verify=True)
+            self.coords_of(vec)
             return True
         except ValidationError:
             return False

@@ -37,7 +37,7 @@ from .exactlin import (
     kernel_basis, rank, sparse_vec,
 )
 from .structures import (
-    RingMap, ValidationResult, memoized, validate_ring_map,
+    RingMap, ValidationResult, memoized, require_ring_map,
 )
 
 DEFAULT_DIM_CAP = 20000
@@ -397,10 +397,11 @@ def _check_complex_args(m: Bimodule, coefficients: Bimodule,
         raise PreconditionError("coefficients must be two-sided over B")
 
 
-def _check_coboundary_squares(deltas: list, nmax: int) -> None:
+def _check_coboundary_squares(deltas: list, nmax: int,
+                              what: str = "coboundary") -> None:
     for n in range(nmax):
         if not (deltas[n + 1] @ deltas[n]).is_zero():
-            raise ValidationError(f"coboundary square nonzero at {n}")
+            raise ValidationError(f"{what} square nonzero at {n}")
 
 
 def _stacked(field: Field, blocks: list, width: int, cols: int) -> Matrix:
@@ -485,9 +486,7 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
     stacks the coboundary's columns at the bimodule generators of
     S^{tensor_A (nmax+1)}, which fix a two-sided map off it, so the top
     cochain space is never solved for."""
-    v = validate_ring_map(extension)
-    if not v:
-        raise ValidationError(f"invalid ring map: {v.message}")
+    require_ring_map(extension)
     if w.left_algebra is not extension.target \
             or w.right_algebra is not extension.target:
         raise ValidationError("coefficients must be two-sided over the target")
@@ -561,9 +560,7 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
     deltas.append(_stacked(field, [coboundary_columns(nmax, q)
                                    for q in top_gens],
                            w.dim, solvers[nmax].dim))
-    for n in range(nmax):
-        if not (deltas[n + 1] @ deltas[n]).is_zero():
-            raise ValidationError(f"ring coboundary square nonzero at {n}")
+    _check_coboundary_squares(deltas, nmax, "ring coboundary")
     return solvers, deltas, chain, w_mid
 
 
@@ -605,13 +602,9 @@ def morita_data(m: Bimodule) -> MoritaData:
             "it has no dual basis")
     endo = endomorphism_ring(m)
     dual = dual_module(m)
-    s_alg = endo.algebra
-    left = tuple(composition_matrix(dual, hu, True, dual)
-                 for hu in endo.hom.maps)
-    # *M's right B-action is Hom(M, B)'s
-    right = hom_module(m, regular_bimodule(m.left_algebra)).right_action
-    dual_endo = Bimodule(s_alg, m.left_algebra, dual.dim, left, right,
-                         name=f"*{m.name}")
+    # M over (B, End(M)) shares M's left actions, so its hom space into B
+    # is dual's solve
+    dual_endo = hom_module(endo.right_module, regular_bimodule(m.left_algebra))
     # column i of u is the functional paired with e_i; psi(s_k) is
     # u @ s_k^T and psi(1) is u, each flattened row-major to (dual, M)
     u = Matrix._from_columns(field, [sparse_vec(field, f) for _, f

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, wraps
 
-from .errors import ShapeError
+from .errors import ShapeError, ValidationError
 from .exactlin import Field, Matrix, axpy, check_vec
 
 
@@ -84,6 +84,15 @@ def memoized(fn):
     return wrapper
 
 
+class Verdict:
+    """A decision result, truthy exactly when its `verdict` is."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return self.verdict
+
+
 @dataclass(frozen=True)
 class ValidationResult:
     ok: bool
@@ -151,6 +160,13 @@ def validate_ring_map(f: RingMap) -> ValidationResult:
                 return ValidationResult(
                     False, f"multiplicativity fails on basis pair ({i}, {j})")
     return ValidationResult(True)
+
+
+def require_ring_map(f: RingMap) -> None:
+    """Raise ValidationError unless f is a unital algebra map."""
+    v = validate_ring_map(f)
+    if not v:
+        raise ValidationError(f"invalid ring map: {v.message}")
 
 
 def multiplication_map(b: Algebra, over: RingMap):

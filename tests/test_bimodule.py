@@ -32,7 +32,7 @@ from bimodcheck.fixtures import (
     EXTRAS, STANDARD, algebra_dual_numbers, algebra_ground, algebra_matrix2,
     conjugate, corpus, fixture, ground_map,
 )
-from bimodcheck.homology import bar_resolution
+from bimodcheck.homology import bar_resolution, morita_data
 from bimodcheck.structures import validate_algebra, validate_ring_map
 
 
@@ -574,6 +574,22 @@ def test_the_cover_tensors_over_the_one_hom_module(name):
         cover = comonad_apply(m, y)
         assert cover.tensor.right_factor is hom_module(m, y)
         assert cover.hom is cover_hom(m, y)
+
+
+@pytest.mark.parametrize("seed", [None, 3, 2 ** 16])
+@pytest.mark.parametrize("name", ["fx5", "fx6", "dual-self"])
+def test_the_morita_dual_is_the_hom_module_over_the_endomorphisms(name, seed):
+    # *M over (End(M), B) is hom_module's, on dual_module's solve, so the
+    # static and morita tasks of one document form it once
+    m = fixture(name).bimodule
+    if seed is not None:
+        m = conjugate(m, seed)
+    m_bs = endomorphism_ring(m).right_module
+    b_reg = regular_bimodule(m.left_algebra)
+    md = morita_data(m)
+    assert md.dual_endo is hom_module(m_bs, b_reg)
+    assert cover_hom(m_bs, b_reg) is md.dual is dual_module(m)
+    _assert_hom_module_matches_products(m_bs, b_reg)
 
 
 @given(twisted_bimodules, st.data())

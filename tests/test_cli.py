@@ -273,7 +273,7 @@ def test_repeated_keys_are_schema_errors(tmp_path, capsys, where):
 
 @pytest.mark.parametrize("content, message", [
     (b'{"field": "Q", "name": "\xff\xfe"}', "not UTF-8"),
-    (b"[" * 5000 + b"]" * 5000, "nested too deeply"),
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
 ], ids=["non-utf8", "deep-nesting"])
 def test_unreadable_documents_are_schema_errors(tmp_path, capsys, content,
                                                 message):
@@ -285,6 +285,18 @@ def test_unreadable_documents_are_schema_errors(tmp_path, capsys, content,
     assert main(["check", str(bad)]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and message in err
+
+
+def test_nesting_that_some_decoders_read_is_still_a_schema_error(tmp_path,
+                                                                capsys):
+    # 5,000 nested lists overflow the decoder before Python 3.13 and are
+    # read from 3.13 on, and then the document is no object
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"[" * 5000 + b"]" * 5000)
+    with pytest.raises(SchemaError):
+        load_document(str(bad))
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,18 @@ from bimodcheck.diagnostics import (
     is_rel_projective, is_separable_bimodule, is_separable_extension,
     morita_check, smooth_product, static_criteria, sugano_check,
 )
-from bimodcheck.errors import PreconditionError
+from bimodcheck.errors import PreconditionError, ValidationError
 from bimodcheck.exactlin import (
     Field, Matrix, QQ, dense_vec, kernel_basis, rank, sparse_vec,
 )
 from bimodcheck.fixtures import (
-    EXTRAS, STANDARD, algebra_matrix2, conjugate, corpus, fixture,
-    ground_map,
+    EXTRAS, STANDARD, algebra_dual_numbers, algebra_ground, algebra_matrix2,
+    conjugate, corpus, fixture, ground_map,
 )
-from bimodcheck.structures import identity_map, multiplication_map
+from bimodcheck.homology import ring_hochschild
+from bimodcheck.structures import (
+    RingMap, Verdict, identity_map, multiplication_map,
+)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -542,3 +545,48 @@ def test_separable_implies_formally_smooth_everywhere():
         sep = is_separable_bimodule(fx.bimodule)
         if sep.verdict:
             assert is_formally_smooth_bimodule(fx.bimodule).verdict, fx.name
+
+
+# ---------------------------------------------------------------------------
+# One rule for every verdict and one ring-map check
+
+
+def _verdicts(fx):
+    """One result of every verdict type that fx can be asked for."""
+    m = fx.bimodule
+    b_reg = regular_bimodule(m.left_algebra)
+    out = [is_generator(m), is_fg_projective_left(m),
+           is_fg_projective_right(m), bimodule.static_check(m, b_reg)[0],
+           is_separable_bimodule(m), is_rel_projective(b_reg, m),
+           is_formally_smooth_bimodule(m)]
+    if fx.base_map is not None:
+        out += [is_separable_extension(fx.base_map),
+                is_formally_smooth_extension(fx.base_map)]
+    return out
+
+
+def test_every_verdict_is_truthy_exactly_when_its_verdict_is():
+    fxs = corpus()
+    assert "simple-over-dual" in {fx.name for fx in fxs}
+    kinds = set()
+    for fx in fxs:
+        for r in _verdicts(fx):
+            assert isinstance(r, Verdict), type(r)
+            assert bool(r) is r.verdict, (fx.name, type(r).__name__)
+            kinds.add(type(r))
+    assert len(kinds) == 8          # both projectivity sides share a type
+    # the case that read True while its verdict was False
+    assert not is_generator(fixture("simple-over-dual").bimodule)
+
+
+def test_a_nonunital_map_is_refused_alike_by_every_extension_reader():
+    k = algebra_ground(QQ)
+    b = algebra_dual_numbers(QQ)
+    bad = RingMap(k, b, Matrix(QQ, [[QQ.zero], [QQ.one]]), name="to-x")
+    for call in (lambda: ring_hochschild(bad, regular_bimodule(b), 1),
+                 lambda: is_separable_extension(bad),
+                 lambda: is_formally_smooth_extension(bad)):
+        with pytest.raises(ValidationError,
+                           match="invalid ring map: map does not preserve "
+                                 "the unit"):
+            call()
