@@ -201,9 +201,10 @@ class EquivariantBasis:
       product W @ lift_used cut into tgt_dim-row blocks, and keeps them.
     - `matrix_of` combines W's blocks; before W exists it builds just
       the block of the combined values.
-    - `coords_from` reads the columns of a map at the generators only,
-      so a caller that needs nothing but coordinates computes just those
-      columns, and looks each stored entry up in a position index.
+    - `_coords_from` reads the columns of a map at the generators only,
+      so a caller in the package that needs nothing but coordinates
+      computes just those columns, and looks each stored entry up in a
+      position index.
     """
 
     def __init__(self, field: Field, src_dim: int, tgt_dim: int,
@@ -270,13 +271,9 @@ class EquivariantBasis:
                                    self.src_dim) for u in range(self.dim))
         return self._maps
 
-    def coords_from(self, column) -> dict:
-        """Coordinates of the map whose column g is column(g), a sparse
-        vector; column is called at the generators only."""
-        return self._coords_from(lambda g: check_vec(column(g), self.tgt_dim))
-
     def _coords_from(self, column) -> dict:
-        """coords_from without the check, for columns the package built."""
+        """Coordinates of the map whose column g is column(g), a sparse
+        vector the package built; column is called at the generators only."""
         index, t, coords = self._index, self.tgt_dim, {}
         for r, g in enumerate(self.generators):
             base = r * t
@@ -546,12 +543,8 @@ class TensorProduct:
         """Plain-tensor representative of the q-th quotient basis vector."""
         return {self.positions[q]: self.space.field.one}
 
-    def project_vec(self, plain_vec: dict) -> dict:
-        """The class of a plain-tensor vector in the quotient."""
-        return self._project_vec(check_vec(plain_vec, self.projection.cols))
-
     def _project_vec(self, plain_vec: dict) -> dict:
-        """project_vec without the check, for vectors the package built."""
+        """The class of a plain-tensor vector the package built."""
         return plain_vec if self.trivial else self.projection.apply(plain_vec)
 
 
@@ -795,11 +788,6 @@ def trace_in(m: Bimodule, n: Bimodule) -> Subspace:
     one = m.field.one
     vectors = [y for i in range(m.dim) for y in hom.images({i: one})]
     return Subspace.from_span(m.field, n.dim, vectors)
-
-
-def ev_over_endo(m: Bimodule) -> BimoduleMap:
-    """ev: M tensor_S *M -> B where S is the endomorphism ring of M."""
-    return evaluation_data(endomorphism_ring(m).right_module).map
 
 
 @dataclass(frozen=True)

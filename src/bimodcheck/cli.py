@@ -300,7 +300,10 @@ def load_document(path: str) -> InputDocument:
                           f"decoded", path) from None
     except RecursionError:
         raise SchemaError("JSON nested too deeply to read", path) from None
-    return parse_document(obj)
+    try:
+        return parse_document(obj)
+    except SchemaError as e:        # the file, then the JSON path
+        raise SchemaError(str(e), path) from None
 
 
 def validate_document(doc: InputDocument) -> None:

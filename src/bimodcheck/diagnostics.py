@@ -398,7 +398,7 @@ def static_criteria(m: Bimodule) -> StaticReport:
     isomorphism matches generation and separability over (B, End(M))."""
     endo = endomorphism_ring(m)
     b_reg = regular_bimodule(m.left_algebra)
-    ev_b, _ = static_check(m, b_reg)     # ev_over_endo's cover
+    ev_b, _ = static_check(m, b_reg)     # ev: M tensor_End(M) *M -> B
     tr = trace_in(m, b_reg)
     tr_sub, _ = sub_bimodule(b_reg, tr, name="trace")
     static_res, _ = static_check(m, tr_sub)

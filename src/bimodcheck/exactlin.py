@@ -27,13 +27,10 @@ reads one, dense_vec writes one.
 A vector does not carry its length, so its shape is checked where it
 enters.  Every public function or method that takes a vector checks it
 against the length it expects (check_vec) and raises ShapeError on a
-dense list or an index out of range.  The package's own hops between
-layers pass vectors they built themselves and call the unchecked
-private twins instead: Matrix._from_columns, _lincomb, Subspace._embed
-and _kron_vec here, and EquivariantBasis._coords_from,
-Algebra._multiply and TensorProduct._project_vec elsewhere.
-Matrix.apply, SpanTracker.add, apply_slot, Subspace.from_span and the
-eliminations always check.
+dense list or an index out of range.  Private helpers, such as
+Matrix._from_columns, Subspace._embed and _kron_vec here, take only
+vectors the package built and trust them; no operation has both a
+checked and an unchecked version.
 
 Every elimination routine pivots on the leftmost nonzero column, so all
 echelon forms, kernel bases, particular solutions, and quotient
@@ -262,14 +259,8 @@ class Matrix:
         return cls.from_sparse(field, [{i: one} for i in range(n)], n)
 
     @classmethod
-    def from_columns(cls, field: Field, columns, rows: int) -> "Matrix":
-        """From sparse column vectors of length rows, each checked."""
-        return cls._from_columns(
-            field, [check_vec(col, rows) for col in columns], rows)
-
-    @classmethod
     def _from_columns(cls, field: Field, columns, rows: int) -> "Matrix":
-        """from_columns without the check, for columns the package built."""
+        """From sparse columns of length rows that the package built."""
         cols = list(columns)
         nz = [{} for _ in range(rows)]
         for j, col in enumerate(cols):
@@ -370,12 +361,6 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, -self.field.one, "-")
 
-    def __neg__(self) -> "Matrix":
-        p = self.field.p
-        neg = [{j: -a for j, a in row.items()} if p is None
-               else {j: p - a for j, a in row.items()} for row in self.nz]
-        return Matrix.from_sparse(self.field, neg, self.cols)
-
     def kron(self, other: "Matrix") -> "Matrix":
         _same_field(self.field, other.field, "kron")
         oc = other.cols
@@ -406,12 +391,7 @@ def lincomb(field: Field, rows: int, cols: int, coeffs: dict,
             mats) -> Matrix:
     """The rows x cols matrix sum of c * mats[k] over the entries k: c of
     the sparse vector coeffs, accumulated in place."""
-    return _lincomb(field, rows, cols, check_vec(coeffs, len(mats)), mats)
-
-
-def _lincomb(field: Field, rows: int, cols: int, coeffs: dict,
-             mats) -> Matrix:
-    """lincomb without the check, for coefficients the package built."""
+    check_vec(coeffs, len(mats))
     out = [{} for _ in range(rows)]
     p = field.p
     for k, c in coeffs.items():
@@ -553,19 +533,8 @@ class Subspace:
             raise ValidationError("vector is not in the subspace")
         return coords
 
-    def contains(self, vec: dict) -> bool:
-        try:
-            self.coords_of(vec)
-            return True
-        except ValidationError:
-            return False
-
-    def embed(self, coords: dict) -> dict:
-        """The ambient vector with the given basis coordinates."""
-        return self._embed(check_vec(coords, self.dim))
-
     def _embed(self, coords: dict) -> dict:
-        """embed without the check, for coordinates the package built."""
+        """The ambient vector with basis coordinates the package built."""
         out: dict = {}
         basis, p = self.basis.nz, self.basis.field.p
         for k, c in coords.items():
@@ -759,15 +728,9 @@ def apply_slot(sv: dict, dims: list[int], k: int, mat: Matrix,
     return {pos: v for pos, v in out.items() if v}, dims
 
 
-def kron_vec(u: dict, v: dict, len_u: int, len_v: int,
-             p: int | None = None) -> dict:
-    """The Kronecker product of sparse vectors of lengths len_u, len_v,
-    over F_p when p is given and over Q otherwise."""
-    return _kron_vec(check_vec(u, len_u), check_vec(v, len_v), len_v, p)
-
-
 def _kron_vec(u: dict, v: dict, len_v: int, p: int | None = None) -> dict:
-    """kron_vec without the checks, for vectors the package built."""
+    """The Kronecker product of sparse vectors the package built, v of
+    length len_v, over F_p when p is given and over Q otherwise."""
     if p is not None:           # a product of nonzero residues is nonzero
         return {i * len_v + j: a * b % p
                 for i, a in u.items() for j, b in v.items()}

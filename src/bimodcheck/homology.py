@@ -84,7 +84,6 @@ class ChainComplex:
 
     objects: tuple
     differentials: tuple       # differentials[n]: P_n -> P_{n-1} (P_{-1} = B)
-    augmentation_target: Bimodule
 
     def validate(self) -> ValidationResult:
         for n, d in enumerate(self.differentials):
@@ -113,9 +112,6 @@ class CohomologyResult:
 
     def dims(self) -> tuple:
         return tuple(d.dim for d in self.degrees)
-
-    def degree(self, n: int) -> CohomologyDegree:
-        return self.degrees[n]
 
 
 def _cohomology(field: Field, space_dims: list, deltas: list,
@@ -228,10 +224,6 @@ class _BarEngine:
             self._extend(dim_cap)
         return self.objects[n]
 
-    def diff(self, n: int, dim_cap: int | None = None) -> BimoduleMap:
-        self.object(n, dim_cap)
-        return self.diffs[n]
-
     def _extend(self, dim_cap: int | None) -> None:
         n = len(self.objects)
         prev = self.objects[n - 1] if n else self.b
@@ -308,8 +300,7 @@ def bar_resolution(m: Bimodule, depth: int,
     _require_generator(m)
     eng = _engine(m)
     eng.object(depth - 1, dim_cap)
-    return ChainComplex(tuple(eng.objects[:depth]), tuple(eng.diffs[:depth]),
-                        eng.b)
+    return ChainComplex(tuple(eng.objects[:depth]), tuple(eng.diffs[:depth]))
 
 
 def homotopy_check(m: Bimodule, depth: int,

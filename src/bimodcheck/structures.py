@@ -32,11 +32,8 @@ class Algebra:
                 check_vec(cell, self.dim)
         check_vec(self.unit, self.dim)
 
-    def multiply(self, u: dict, v: dict) -> dict:
-        return self._multiply(check_vec(u, self.dim), check_vec(v, self.dim))
-
     def _multiply(self, u: dict, v: dict) -> dict:
-        """multiply without the checks, for vectors the package built."""
+        """The product of coordinate vectors the package built."""
         out, p = {}, self.field.p
         for i, a in u.items():
             for j, b in v.items():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bimodcheck.bimodule import (
     Bimodule, BimoduleMap, centralizer, comonad_apply, composition_matrix,
     cover_hom, dual_module, endomorphism_ring, equivariant_maps,
-    ev_over_endo, evaluation_data, hom_bimodule, hom_left, hom_module,
+    evaluation_data, hom_bimodule, hom_left, hom_module,
     hom_right, is_fg_projective_left,
     is_fg_projective_right, is_generator, orbit_generators,
     regular_bimodule, restrict_left,
@@ -188,7 +188,7 @@ def test_matrix_square_over_diagonal_has_dimension_eight():
     assert t.space.dim == 8
     assert t.relations.dim == 8
     for q in range(t.space.dim):
-        assert t.project_vec(t.lift_column(q)) == {q: QQ.one}
+        assert t._project_vec(t.lift_column(q)) == {q: QQ.one}
     for row in t.relations.basis.data:
         assert not any(dense_vec(QQ, t.projection.apply(sparse_vec(QQ, row)),
                                  t.space.dim))
@@ -317,7 +317,7 @@ def test_trace_of_simple_module_is_the_socle():
     m = fixture("simple-over-dual").bimodule
     tr = trace_in(m, regular_bimodule(m.left_algebra))
     assert tr.dim == 1
-    assert tr.contains(sparse_vec(QQ, [QQ.zero, QQ.one]))
+    assert tr.coords_of(sparse_vec(QQ, [QQ.zero, QQ.one])) == {0: QQ.one}
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +367,19 @@ def test_fg_projective_tensor_dimension_matches_endo_ring():
 # Evaluation over the endomorphism ring and staticness
 
 
-def test_ev_over_endo_is_iso_for_column_module():
-    ev_s = ev_over_endo(fixture("fx5").bimodule)
+# static_check(M, B)'s map is ev: M tensor_End(M) *M -> B
+
+
+def test_evaluation_over_endomorphisms_is_iso_for_column_module():
+    m = fixture("fx5").bimodule
+    _, ev_s = static_check(m, regular_bimodule(m.left_algebra))
     assert ev_s.source.dim == 4
     assert rank(ev_s.matrix) == 4
 
 
-def test_ev_over_endo_of_simple_injects_but_misses():
-    ev_s = ev_over_endo(fixture("simple-over-dual").bimodule)
+def test_evaluation_over_endomorphisms_of_simple_injects_but_misses():
+    m = fixture("simple-over-dual").bimodule
+    _, ev_s = static_check(m, regular_bimodule(m.left_algebra))
     r = rank(ev_s.matrix)
     assert r == ev_s.source.dim        # injective
     assert r < ev_s.target.dim         # not surjective
@@ -408,13 +413,10 @@ def test_sub_bimodule_requires_invariance():
 def test_dense_lists_and_long_indices_fail_loudly():
     m = fixture("fx3").bimodule
     hom = hom_left(m, regular_bimodule(m.left_algebra))
-    tensor = evaluation_data(m).tensor
     entry_points = {
         "left_act": (m.left_act, m.left_algebra.dim),
         "right_act": (m.right_act, m.right_algebra.dim),
         "matrix_of": (hom.matrix_of, hom.dim),
-        "coords_from": (lambda v: hom.coords_from(lambda g: v), hom.tgt_dim),
-        "project_vec": (tensor.project_vec, tensor.projection.cols),
     }
     for name, (call, n) in entry_points.items():
         with pytest.raises(ShapeError):
@@ -479,7 +481,7 @@ def _composites(hom, op, before, verify=False):
     in hom."""
     oracle = [hom.coords_of(f @ op if before else op @ f, verify=verify)
               for f in hom.maps]
-    return Matrix.from_columns(QQ, oracle, hom.dim)
+    return Matrix._from_columns(QQ, oracle, hom.dim)
 
 
 def _assert_composition_matches_products(hom, op, before):
@@ -527,7 +529,7 @@ def _assert_tensor_actions_match_products(t):
     m, n = t.left_factor, t.right_factor
     ident_m = Matrix.identity(m.field, m.dim)
     ident_n = Matrix.identity(m.field, n.dim)
-    lift = Matrix.from_columns(
+    lift = Matrix._from_columns(
         m.field, [t.lift_column(q) for q in range(t.space.dim)], m.dim * n.dim)
     assert t.projection @ lift == Matrix.identity(m.field, t.space.dim)
     assert not any(t.projection.apply(row) for row in t.relations.basis.nz)
@@ -681,7 +683,7 @@ def _assert_split_matches_full_system(counit, section, certify):
     # column u is counit @ g_u flattened column-major: (i, j) at j * d + i
     cols = [{j * d + i: x for i, row in enumerate((counit.matrix @ g).nz)
              for j, x in row.items()} for g in solver.maps]
-    full = Matrix.from_columns(field, cols, d * d)
+    full = Matrix._from_columns(field, cols, d * d)
     rhs = {i * (d + 1): field.one for i in range(d)}
     sol, cert = solve_or_certify(full, rhs)
     if sol is not None:
@@ -763,7 +765,7 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 def _old_presentation(field, src_dim, src_ops):
     """(g_mat, used, lift_used) of the source presentation."""
     _, g_cols = orbit_generators(field, src_dim, src_ops)
-    g_mat = Matrix.from_columns(field, g_cols, src_dim)
+    g_mat = Matrix._from_columns(field, g_cols, src_dim)
     lift = right_inverse(g_mat) if src_dim else Matrix(field, [], cols=0)
     used = [k for k, row in enumerate(lift.nz) if row]
     lift_used = Matrix.from_sparse(field, [lift.nz[k] for k in used],
@@ -785,7 +787,7 @@ def _old_forming(field, src_dim, tgt_dim, src_ops, tgt_ops):
         for c in used:
             j, k = divmod(c, n_ops)
             w_cols.append(tgt_ops[k].apply(blocks[j]) if j in blocks else {})
-        return Matrix.from_columns(field, w_cols, tgt_dim) @ lift_used
+        return Matrix._from_columns(field, w_cols, tgt_dim) @ lift_used
 
     return form
 

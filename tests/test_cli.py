@@ -293,10 +293,24 @@ def test_nesting_that_some_decoders_read_is_still_a_schema_error(tmp_path,
     # read from 3.13 on, and then the document is no object
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"[" * 5000 + b"]" * 5000)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as exc:
         load_document(str(bad))
+    assert exc.value.path == str(bad)
     assert main(["check", str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_schema_errors_name_the_file_and_the_json_path(tmp_path, capsys):
+    raw = minimal_doc()
+    del raw["algebras"]["B"]["mult"]
+    bad = tmp_path / "doc.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(SchemaError, match="missing key 'mult'") as exc:
+        load_document(str(bad))
+    assert exc.value.path == str(bad)
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err \
+        == f"error: {bad}: $.algebras.B: missing key 'mult'\n"
 
 
 # ---------------------------------------------------------------------------

