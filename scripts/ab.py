@@ -17,6 +17,13 @@ bench/docs.py with a seeded basis twist (written to a temporary
 directory; nothing under bench/ is written).  Both trees must give
 byte-identical reports, or the script stops with status 1.
 
+Each round also times each tree's set-up, in the same alternating
+order: a fresh import of the package (under a third name, so the
+imports that run the documents keep their state) and the loading and
+validation of every document, as bench/run.py's setup_s does.  Whether
+the package is compiled from its source or read from its __pycache__
+changes set-up several-fold, so that state is printed with it.
+
 Times are CPU seconds of this process (time.process_time).  The ratio
 printed is base / tree, so above 1 means TREE is faster.
 """
@@ -25,9 +32,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib.util
 import io
 import json
+import os
 import pathlib
 import statistics
 import sys
@@ -48,6 +57,30 @@ def load_tree(tree: pathlib.Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
+
+
+def set_up(tree: pathlib.Path, name: str, documents: list) -> float:
+    """CPU seconds to import tree afresh as package name, then load and
+    validate every document."""
+    for loaded in [n for n in sys.modules
+                   if n == name or n.startswith(name + ".")]:
+        del sys.modules[loaded]
+    start = time.process_time()
+    cli = load_tree(tree, name)
+    for _, path, _ in documents:
+        cli.validate_document(cli.load_document(path))
+    return time.process_time() - start
+
+
+def bytecode_state(tree: pathlib.Path) -> str:
+    """The package's state: "bytecode" when every module has bytecode at
+    least as new as its source, "source" when none has, else "mixed"."""
+    fresh = []
+    for path in (tree / "src" / "bimodcheck").glob("*.py"):
+        cached = pathlib.Path(importlib.util.cache_from_source(str(path)))
+        fresh.append(cached.exists()
+                     and os.path.getmtime(cached) >= os.path.getmtime(path))
+    return "bytecode" if all(fresh) else "mixed" if any(fresh) else "source"
 
 
 def corpus_documents() -> list:
@@ -93,15 +126,23 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1,
                     help="basis twist of the families documents")
     args = ap.parse_args(argv)
-    trees = {"base": load_tree(args.base.resolve(), "ab_base"),
-             "tree": load_tree(args.tree.resolve(), "ab_tree")}
+    paths = {"base": args.base.resolve(), "tree": args.tree.resolve()}
+    trees = {side: load_tree(path, f"ab_{side}")
+             for side, path in paths.items()}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
         documents = (corpus_documents() if args.workload == "corpus"
                      else family_documents(workdir, args.seed))
         times = {(side, d[0]): [] for side in trees for d in documents}
+        setups = {side: [] for side in trees}
         for r in range(args.rounds):
             order = list(trees) if r % 2 == 0 else list(reversed(trees))
+            for side in order:
+                setups[side].append(set_up(paths[side], f"ab_{side}_setup",
+                                           documents))
+            # the import set_up replaced is cyclic garbage; collect it
+            # here, not inside some document's time
+            gc.collect()
             for name, path, golden in documents:
                 reports = {}
                 for side in order:
@@ -126,6 +167,11 @@ def main(argv=None) -> int:
     base, tree = totals["base"], totals["tree"]
     print(f"{'pass (sum of medians)':<24} {base * 1e3:9.2f} "
           f"{tree * 1e3:9.2f} {base / tree:7.3f}")
+    med = {side: statistics.median(setups[side]) for side in trees}
+    print(f"{'set-up (median)':<24} {med['base'] * 1e3:9.2f} "
+          f"{med['tree'] * 1e3:9.2f} {med['base'] / med['tree']:7.3f}")
+    print("set-up from " + ", ".join(
+        f"{side} {bytecode_state(path)}" for side, path in paths.items()))
     return 0
 
 

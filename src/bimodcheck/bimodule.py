@@ -16,35 +16,33 @@ the hom space instead of the product of both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import ShapeError, ValidationError
 from .exactlin import (
-    Field, Matrix, SpanTracker, Subspace, axpy, check_vec, dense_vec,
+    Field, Frozen, Matrix, SpanTracker, Subspace, axpy, check_vec, dense_vec,
     kernel_and_right_inverse, kernel_basis, lincomb, quotient_space, rank,
     solve_or_certify,
 )
 from .structures import Algebra, RingMap, ValidationResult, Verdict, memoized
 
 
-@dataclass(eq=False)
 class Bimodule:
-    left_algebra: Algebra
-    right_algebra: Algebra
-    dim: int
-    left_action: tuple       # one dim x dim Matrix per left-algebra basis element
-    right_action: tuple      # one dim x dim Matrix per right-algebra basis element
-    name: str = "M"
-    cache: dict = dc_field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.left_action) != self.left_algebra.dim:
+    def __init__(self, left_algebra: Algebra, right_algebra: Algebra,
+                 dim: int, left_action: tuple, right_action: tuple,
+                 name: str = "M"):
+        if len(left_action) != left_algebra.dim:
             raise ShapeError("need one left action matrix per left basis element")
-        if len(self.right_action) != self.right_algebra.dim:
+        if len(right_action) != right_algebra.dim:
             raise ShapeError("need one right action matrix per right basis element")
-        for mat in list(self.left_action) + list(self.right_action):
-            if mat.rows != self.dim or mat.cols != self.dim:
+        for mat in list(left_action) + list(right_action):
+            if mat.rows != dim or mat.cols != dim:
                 raise ShapeError("action matrices must be dim x dim")
+        self.left_algebra = left_algebra
+        self.right_algebra = right_algebra
+        self.dim = dim
+        self.left_action = left_action      # a dim x dim Matrix per b_i
+        self.right_action = right_action    # a dim x dim Matrix per a_j
+        self.name = name
+        self.cache = {}        # memoized's, for this bimodule's lifetime
 
     @property
     def field(self) -> Field:
@@ -90,16 +88,15 @@ def validate_bimodule(m: Bimodule) -> ValidationResult:
     return ValidationResult(True)
 
 
-@dataclass(eq=False)
 class BimoduleMap:
-    source: Bimodule
-    target: Bimodule
-    matrix: Matrix
-    name: str = "f"
-
-    def __post_init__(self):
-        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
-            raise ShapeError(f"map {self.name}: matrix shape does not match modules")
+    def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix,
+                 name: str = "f"):
+        if matrix.rows != target.dim or matrix.cols != source.dim:
+            raise ShapeError(f"map {name}: matrix shape does not match modules")
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+        self.name = name
 
     def validate(self) -> ValidationResult:
         if self.source.left_algebra is not self.target.left_algebra:
@@ -522,18 +519,20 @@ def centralizer(m: Bimodule) -> Subspace:
 # Tensor products over the middle algebra
 
 
-@dataclass(eq=False)
 class TensorProduct:
     """A quotient of the plain tensor by its relations.  Basis vector q
     is the class of the plain unit vector at positions[q]; a map leaves
     the quotient only by descend_plain_map."""
 
-    space: Bimodule
-    projection: Matrix        # from the plain tensor square
-    relations: Subspace
-    left_factor: Bimodule
-    right_factor: Bimodule
-    positions: tuple          # plain index of each quotient basis vector
+    def __init__(self, space: Bimodule, projection: Matrix,
+                 relations: Subspace, left_factor: Bimodule,
+                 right_factor: Bimodule, positions: tuple):
+        self.space = space
+        self.projection = projection    # from the plain tensor square
+        self.relations = relations
+        self.left_factor = left_factor
+        self.right_factor = right_factor
+        self.positions = positions      # plain index of each basis vector
 
     @property
     def trivial(self) -> bool:
@@ -652,12 +651,14 @@ def hom_module(m: Bimodule, y: Bimodule) -> Bimodule:
                     name=f"Hom({m.name}, {y.name})")
 
 
-@dataclass(eq=False)
 class Cover:
     """F(Y) = M tensor_A Hom(M, Y) with its counit m tensor f -> (m) f."""
-    hom: EquivariantBasis
-    tensor: TensorProduct
-    map: BimoduleMap
+
+    def __init__(self, hom: EquivariantBasis, tensor: TensorProduct,
+                 map: BimoduleMap):
+        self.hom = hom
+        self.tensor = tensor
+        self.map = map
 
 
 @memoized
@@ -679,12 +680,13 @@ def evaluation_data(m: Bimodule) -> Cover:
     return comonad_apply(m, regular_bimodule(m.left_algebra))
 
 
-@dataclass(eq=False)
 class EndoData:
-    algebra: Algebra          # S = left-linear endomorphisms, f*g = f then g
-    to_endo: RingMap          # A -> S, a -> right action by a
-    hom: EquivariantBasis     # the left-linear maps M -> M
-    right_module: Bimodule    # M as a (B, S) bimodule
+    def __init__(self, algebra: Algebra, to_endo: RingMap,
+                 hom: EquivariantBasis, right_module: Bimodule):
+        self.algebra = algebra            # S = left-linear endos, f*g = f then g
+        self.to_endo = to_endo            # A -> S, a -> right action by a
+        self.hom = hom                    # the left-linear maps M -> M
+        self.right_module = right_module  # M as a (B, S) bimodule
 
 
 @memoized
@@ -708,11 +710,13 @@ def endomorphism_ring(m: Bimodule) -> EndoData:
     return EndoData(s, to_endo, hom, right_module)
 
 
-@dataclass(frozen=True)
-class GeneratorResult(Verdict):
-    verdict: bool
-    preimage_of_unit: tuple | None      # coordinates in M tensor_A *M
-    cokernel_functional: tuple | None   # functional on B vanishing on the image
+class GeneratorResult(Frozen, Verdict):
+    # preimage_of_unit: coordinates in M tensor_A *M;
+    # cokernel_functional: a functional on B vanishing on the image
+    def __init__(self, verdict: bool, preimage_of_unit: tuple | None,
+                 cokernel_functional: tuple | None):
+        vars(self).update(verdict=verdict, preimage_of_unit=preimage_of_unit,
+                          cokernel_functional=cokernel_functional)
 
 
 @memoized
@@ -731,11 +735,13 @@ def is_generator(m: Bimodule) -> GeneratorResult:
     return GeneratorResult(True, tuple(dense_vec(m.field, sol, ev.cols)), None)
 
 
-@dataclass(frozen=True)
-class ProjectivityResult(Verdict):
-    verdict: bool
-    dual_basis: tuple | None      # pairs (element coords, functional coords)
-    certificate: tuple | None     # infeasibility functional on endomorphism space
+class ProjectivityResult(Frozen, Verdict):
+    # dual_basis: pairs (element coords, functional coords);
+    # certificate: an infeasibility functional on the endomorphism space
+    def __init__(self, verdict: bool, dual_basis: tuple | None,
+                 certificate: tuple | None):
+        vars(self).update(verdict=verdict, dual_basis=dual_basis,
+                          certificate=certificate)
 
 
 @memoized
@@ -790,13 +796,13 @@ def trace_in(m: Bimodule, n: Bimodule) -> Subspace:
     return Subspace.from_span(m.field, n.dim, vectors)
 
 
-@dataclass(frozen=True)
-class StaticResult(Verdict):
-    verdict: bool             # the comparison map is an isomorphism
-    injective: bool
-    surjective: bool
-    source_dim: int
-    target_dim: int
+class StaticResult(Frozen, Verdict):
+    # verdict: the comparison map is an isomorphism
+    def __init__(self, verdict: bool, injective: bool, surjective: bool,
+                 source_dim: int, target_dim: int):
+        vars(self).update(verdict=verdict, injective=injective,
+                          surjective=surjective, source_dim=source_dim,
+                          target_dim=target_dim)
 
 
 def static_check(m: Bimodule, n: Bimodule) -> tuple[StaticResult, BimoduleMap]:

@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 
 from .bimodule import Bimodule, BimoduleMap, is_generator, validate_bimodule
 from .diagnostics import (
@@ -42,7 +41,7 @@ from .diagnostics import (
     sugano_check,
 )
 from .errors import BimodcheckError, SchemaError, ValidationError
-from .exactlin import Field, Matrix, dense_vec, sparse_vec
+from .exactlin import Field, Frozen, Matrix, dense_vec, sparse_vec
 from .homology import bar_resolution, homotopy_check, module_hochschild
 from .structures import Algebra, RingMap, validate_algebra, validate_ring_map
 
@@ -195,13 +194,14 @@ def _parse_map(field: Field, name: str, obj, algebras: dict,
     return RingMap(src, tgt, mat, name=name)
 
 
-@dataclass(eq=False)
 class Task:
-    op: str
-    args: tuple
-    options: dict = dc_field(default_factory=dict)
-    expect: dict | None = None
-    repeated: tuple = ()    # options a task string gives more than once
+    def __init__(self, op: str, args: tuple, options: dict | None = None,
+                 expect: dict | None = None, repeated: tuple = ()):
+        self.op = op
+        self.args = args
+        self.options = {} if options is None else options
+        self.expect = expect
+        self.repeated = repeated    # options a task string gives more than once
 
 
 def _parse_task(obj, path: str) -> Task:
@@ -246,13 +246,14 @@ def _parse_task(obj, path: str) -> Task:
     return Task(op, tuple(args), dict(options), expect)
 
 
-@dataclass(eq=False)
 class InputDocument:
-    field: Field
-    algebras: dict
-    bimodules: dict
-    maps: dict
-    tasks: list
+    def __init__(self, field: Field, algebras: dict, bimodules: dict,
+                 maps: dict, tasks: list):
+        self.field = field
+        self.algebras = algebras
+        self.bimodules = bimodules
+        self.maps = maps
+        self.tasks = tasks
 
 
 def parse_document(obj) -> InputDocument:
@@ -367,11 +368,12 @@ def serialize_document(doc: InputDocument) -> dict:
 
 # ------------------------------------------------------------------ tasks
 
-@dataclass(eq=False)
 class RunOptions:
-    nmax: int = 2
-    dim_cap: int | None = None
-    timings: bool = False
+    def __init__(self, nmax: int = 2, dim_cap: int | None = None,
+                 timings: bool = False):
+        self.nmax = nmax
+        self.dim_cap = dim_cap
+        self.timings = timings
 
 
 def _coords(field: Field, vec) -> list:
@@ -397,9 +399,11 @@ def _fmt(template: str):
         {key: text(value) for key, value in report.items()})
 
 
-@dataclass(frozen=True)
-class _Op:
-    """What one task op takes, runs and reports.
+class _Op(Frozen):
+    """What one task op takes, runs and reports: `args` is "bimodule" or
+    "map" for each argument, `option` the one option read ("nmax",
+    "depth" or None), `fields` the report keys after the option, in
+    order, and `summary` the report's text summary.
 
     `call(dim_cap, *objects)` gets the resolved arguments, then the
     option's value when the op reads one; it looks its function up by
@@ -407,11 +411,11 @@ class _Op:
     a result attribute or a (key, read) pair; a key ending in "?" is a
     certificate, left out when None and rendered by `_witness`.
     """
-    args: tuple            # "bimodule" or "map", one per argument
-    option: str | None     # the one option read: "nmax" or "depth"
-    call: object
-    fields: tuple          # report keys after the option, in order
-    summary: object        # report -> its text summary
+
+    def __init__(self, args: tuple, option: str | None, call,
+                 fields: tuple, summary):
+        vars(self).update(args=args, option=option, call=call,
+                          fields=fields, summary=summary)
 
 
 _M, _MN, _F = ("bimodule",), ("bimodule", "bimodule"), ("map",)

@@ -9,8 +9,6 @@ verdict carries a finite obstruction (an infeasibility functional).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bimodule import (
     Bimodule, BimoduleMap, centralizer, comonad_apply, descend_plain_map,
     endomorphism_ring, evaluation_data, hom_bimodule, hom_module,
@@ -122,12 +120,13 @@ class _Obstructed(Verdict):
         return self._obstruction
 
 
-@dataclass(eq=False)
 class SeparabilityResult(Verdict):
-    verdict: bool
-    casimir: tuple | None          # coords in M tensor_A *M
-    obstruction: tuple | None      # functional on B infeasible against 1
-    dimensions: dict
+    def __init__(self, verdict: bool, casimir: tuple | None,
+                 obstruction: tuple | None, dimensions: dict):
+        self.verdict = verdict
+        self.casimir = casimir            # coords in M tensor_A *M
+        self.obstruction = obstruction    # functional on B infeasible against 1
+        self.dimensions = dimensions
 
 
 def is_separable_bimodule(m: Bimodule) -> SeparabilityResult:
@@ -140,13 +139,14 @@ def is_separable_bimodule(m: Bimodule) -> SeparabilityResult:
     return SeparabilityResult(element is not None, element, cert, dims)
 
 
-@dataclass(eq=False)
 class RelProjectivityResult(_Obstructed):
-    verdict: bool
-    section: BimoduleMap | None    # splits the counit F(P) -> P
-    counit: BimoduleMap            # the map the section must split
-    certify: object                # forms the functional on End-coordinates
-    dimensions: dict
+    def __init__(self, verdict: bool, section: BimoduleMap | None,
+                 counit: BimoduleMap, certify, dimensions: dict):
+        self.verdict = verdict
+        self.section = section      # splits the counit F(P) -> P
+        self.counit = counit        # the map the section must split
+        self.certify = certify      # forms the functional on End-coordinates
+        self.dimensions = dimensions
 
 
 def is_rel_projective(p: Bimodule, m: Bimodule) -> RelProjectivityResult:
@@ -179,13 +179,14 @@ def _rel_projective(m: Bimodule, p: Bimodule) -> RelProjectivityResult:
                                  certify, dims)
 
 
-@dataclass(eq=False)
 class SmoothnessResult(Verdict):
-    verdict: bool
-    route: str                     # ev-injective | separable | kernel-splitting
-    kernel_dim: int | None
-    detail: object                 # the underlying result used for the verdict
-    dimensions: dict
+    def __init__(self, verdict: bool, route: str, kernel_dim: int | None,
+                 detail, dimensions: dict):
+        self.verdict = verdict
+        self.route = route          # ev-injective | separable | kernel-splitting
+        self.kernel_dim = kernel_dim
+        self.detail = detail        # the underlying result used for the verdict
+        self.dimensions = dimensions
 
 
 def is_formally_smooth_bimodule(
@@ -214,12 +215,13 @@ def is_formally_smooth_bimodule(
     return SmoothnessResult(rp.verdict, "kernel-splitting", l.dim, rp, dims)
 
 
-@dataclass(eq=False)
 class ExtensionSeparabilityResult(Verdict):
-    verdict: bool
-    idempotent: tuple | None       # coords in B tensor_A B
-    obstruction: tuple | None
-    dimensions: dict
+    def __init__(self, verdict: bool, idempotent: tuple | None,
+                 obstruction: tuple | None, dimensions: dict):
+        self.verdict = verdict
+        self.idempotent = idempotent    # coords in B tensor_A B
+        self.obstruction = obstruction
+        self.dimensions = dimensions
 
 
 def is_separable_extension(f: RingMap) -> ExtensionSeparabilityResult:
@@ -234,14 +236,16 @@ def is_separable_extension(f: RingMap) -> ExtensionSeparabilityResult:
                                        dims)
 
 
-@dataclass(eq=False)
 class ExtensionSmoothnessResult(_Obstructed):
-    verdict: bool
-    kernel_dim: int
-    section: BimoduleMap | None    # splits B (x) L (x) B -> L
-    counit: BimoduleMap | None     # two-sided multiplication, None when L = 0
-    certify: object                # forms the obstruction
-    dimensions: dict
+    def __init__(self, verdict: bool, kernel_dim: int,
+                 section: BimoduleMap | None, counit: BimoduleMap | None,
+                 certify, dimensions: dict):
+        self.verdict = verdict
+        self.kernel_dim = kernel_dim
+        self.section = section      # splits B (x) L (x) B -> L
+        self.counit = counit        # two-sided multiplication, None when L = 0
+        self.certify = certify      # forms the obstruction
+        self.dimensions = dimensions
 
 
 def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
@@ -281,12 +285,14 @@ def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
                                      counit, certify, dims)
 
 
-@dataclass(eq=False)
 class HdimResult:
-    value: int | None              # None means every level up to nmax failed
-    nmax: int
-    witness: RelProjectivityResult | None
-    shift_inferred: bool           # verdict used syzygy shifting beyond level 1
+    def __init__(self, value: int | None, nmax: int,
+                 witness: RelProjectivityResult | None,
+                 shift_inferred: bool):
+        self.value = value          # None means every level up to nmax failed
+        self.nmax = nmax
+        self.witness = witness
+        self.shift_inferred = shift_inferred    # syzygy shifting beyond level 1
 
     @property
     def bounded(self) -> bool:
@@ -322,12 +328,13 @@ def hdim_upto(m: Bimodule, nmax: int,
     return HdimResult(None, nmax, None, nmax >= 1)
 
 
-@dataclass(eq=False)
 class MoritaReport:
-    module_dims: tuple
-    ring_dims: tuple
-    dims_agree: bool
-    comparison: object             # degreewise rewrite report
+    def __init__(self, module_dims: tuple, ring_dims: tuple,
+                 dims_agree: bool, comparison):
+        self.module_dims = module_dims
+        self.ring_dims = ring_dims
+        self.dims_agree = dims_agree
+        self.comparison = comparison    # degreewise rewrite report
 
     @property
     def ok(self) -> bool:
@@ -346,11 +353,12 @@ def morita_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     return MoritaReport(mod_dims, ring_dims, mod_dims == ring_dims, comp)
 
 
-@dataclass(eq=False)
 class SuganoReport:
-    separable_bimodule: bool
-    generator: bool
-    extension_separable: bool      # base -> endomorphism ring
+    def __init__(self, separable_bimodule: bool, generator: bool,
+                 extension_separable: bool):
+        self.separable_bimodule = separable_bimodule
+        self.generator = generator
+        self.extension_separable = extension_separable  # base -> End(M)
 
     @property
     def agree(self) -> bool:
@@ -374,14 +382,16 @@ def sugano_check(m: Bimodule) -> SuganoReport:
     return report
 
 
-@dataclass(eq=False)
 class StaticReport:
-    ev_endo_injective: bool
-    trace_static: bool
-    generator: bool
-    ev_endo_iso: bool
-    endo_separable: bool           # M as a bimodule over (B, End(M))
-    dimensions: dict
+    def __init__(self, ev_endo_injective: bool, trace_static: bool,
+                 generator: bool, ev_endo_iso: bool, endo_separable: bool,
+                 dimensions: dict):
+        self.ev_endo_injective = ev_endo_injective
+        self.trace_static = trace_static
+        self.generator = generator
+        self.ev_endo_iso = ev_endo_iso
+        self.endo_separable = endo_separable    # M over (B, End(M))
+        self.dimensions = dimensions
 
     @property
     def injectivity_cluster(self) -> bool:
@@ -412,12 +422,13 @@ def static_criteria(m: Bimodule) -> StaticReport:
     return report
 
 
-@dataclass(eq=False)
 class SmoothProductReport:
-    product: Bimodule
-    mode: int
-    hypotheses: dict               # name -> bool
-    smooth: SmoothnessResult
+    def __init__(self, product: Bimodule, mode: int, hypotheses: dict,
+                 smooth: SmoothnessResult):
+        self.product = product
+        self.mode = mode
+        self.hypotheses = hypotheses    # name -> bool
+        self.smooth = smooth
 
     @property
     def hypotheses_hold(self) -> bool:

@@ -41,7 +41,6 @@ Zero-dimensional matrices and subspaces are legal everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -489,8 +488,39 @@ class SpanTracker:
         return len(self.piv)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Frozen:
+    """A value record.  Its __init__ stores each argument under the
+    argument's own name; two records of one class are equal, and hash
+    alike, when those values are, and a record refuses assignment once
+    built.  Caches may still go into its __dict__ (cached_property)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self._fields]
+                == [getattr(other, f) for f in self._fields])
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields))
+
+
+class Subspace(Frozen):
     """A linear subspace of k^ambient_dim given by independent basis rows.
 
     The basis is normalized so that its restriction to `positions` is the
@@ -498,9 +528,10 @@ class Subspace:
     restriction, no solving required.
     """
 
-    ambient_dim: int
-    basis: Matrix
-    positions: tuple[int, ...]
+    def __init__(self, ambient_dim: int, basis: Matrix,
+                 positions: tuple[int, ...]):
+        vars(self).update(ambient_dim=ambient_dim, basis=basis,
+                          positions=positions)
 
     @property
     def dim(self) -> int:
@@ -570,10 +601,9 @@ def _free_column_basis(field: Field, piv: dict, n: int) -> Subspace:
     return Subspace(n, Matrix.from_sparse(field, rows, n), tuple(free))
 
 
-@dataclass(frozen=True)
-class AffineSolution:
-    particular: dict
-    homogeneous: Subspace
+class AffineSolution(Frozen):
+    def __init__(self, particular: dict, homogeneous: Subspace):
+        vars(self).update(particular=particular, homogeneous=homogeneous)
 
 
 def solve_affine(m: Matrix, rhs: dict) -> AffineSolution | None:
@@ -668,8 +698,7 @@ def invert(m: Matrix) -> Matrix:
     return right_inverse(m)
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(Frozen):
     """k^ambient / relations, with quotient coordinates at `positions`.
 
     The kernel of the projection is exactly the relation subspace, and
@@ -678,10 +707,10 @@ class Quotient:
     the relations descends by reading its columns there.
     """
 
-    ambient_dim: int
-    dim: int
-    projection: Matrix
-    positions: tuple[int, ...]
+    def __init__(self, ambient_dim: int, dim: int, projection: Matrix,
+                 positions: tuple[int, ...]):
+        vars(self).update(ambient_dim=ambient_dim, dim=dim,
+                          projection=projection, positions=positions)
 
 
 def quotient_space(ambient_dim: int, relations: Subspace) -> Quotient:

@@ -9,7 +9,6 @@ default; a prime field can be substituted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .bimodule import Bimodule, regular_bimodule, restrict_right, \
     validate_bimodule
@@ -143,12 +142,13 @@ def conjugate(m: Bimodule, seed: int) -> Bimodule:
     return twisted
 
 
-@dataclass(eq=False)
 class Fixture:
-    name: str
-    description: str
-    bimodule: Bimodule
-    base_map: RingMap | None        # A -> B when the module is B itself
+    def __init__(self, name: str, description: str, bimodule: Bimodule,
+                 base_map: RingMap | None):
+        self.name = name
+        self.description = description
+        self.bimodule = bimodule
+        self.base_map = base_map    # A -> B when the module is B itself
 
 
 def _build(name: str, field: Field) -> Fixture:

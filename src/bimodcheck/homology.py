@@ -22,7 +22,7 @@ accidental blow-up surfaces as a resource error instead of a hang.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 
 from .bimodule import (
     Bimodule, BimoduleMap, EquivariantBasis, TensorProduct, basis_orbit,
@@ -33,8 +33,8 @@ from .bimodule import (
 )
 from .errors import DimensionCapError, PreconditionError, ValidationError
 from .exactlin import (
-    Field, Matrix, SpanTracker, apply_slot, axpy, dense_vec, _kron_vec,
-    kernel_basis, rank, sparse_vec,
+    Field, Frozen, Matrix, SpanTracker, apply_slot, axpy, dense_vec,
+    _kron_vec, kernel_basis, rank, sparse_vec,
 )
 from .structures import (
     RingMap, ValidationResult, memoized, require_ring_map,
@@ -78,12 +78,12 @@ def check_bar_level0(m: Bimodule, dim_cap: int | None) -> None:
 # Result containers
 
 
-@dataclass(eq=False)
 class ChainComplex:
     """P_0 <- P_1 <- ... with an augmentation P_0 -> B at index 0."""
 
-    objects: tuple
-    differentials: tuple       # differentials[n]: P_n -> P_{n-1} (P_{-1} = B)
+    def __init__(self, objects: tuple, differentials: tuple):
+        self.objects = objects
+        self.differentials = differentials  # [n]: P_n -> P_{n-1} (P_{-1} = B)
 
     def validate(self) -> ValidationResult:
         for n, d in enumerate(self.differentials):
@@ -97,18 +97,18 @@ class ChainComplex:
         return ValidationResult(True)
 
 
-@dataclass(frozen=True)
-class CohomologyDegree:
-    degree: int
-    dim: int
-    cocycle_dim: int
-    coboundary_dim: int
-    representatives: tuple     # cocycle coordinates in the cochain basis
+class CohomologyDegree(Frozen):
+    # representatives: cocycle coordinates in the cochain basis
+    def __init__(self, degree: int, dim: int, cocycle_dim: int,
+                 coboundary_dim: int, representatives: tuple):
+        vars(self).update(degree=degree, dim=dim, cocycle_dim=cocycle_dim,
+                          coboundary_dim=coboundary_dim,
+                          representatives=representatives)
 
 
-@dataclass(eq=False)
 class CohomologyResult:
-    degrees: tuple
+    def __init__(self, degrees: tuple):
+        self.degrees = degrees
 
     def dims(self) -> tuple:
         return tuple(d.dim for d in self.degrees)
@@ -379,10 +379,19 @@ def module_hochschild(m: Bimodule, coefficients: Bimodule, nmax: int,
     return _cohomology(field, dims, deltas, nmax)
 
 
-def _check_complex_args(m: Bimodule, coefficients: Bimodule,
-                        nmax: int) -> None:
+def _check_nmax(nmax: int) -> None:
+    """A result lists nmax + 1 degrees, so nmax + 1 must be a length."""
     if nmax < 0:
         raise PreconditionError("nmax must be nonnegative")
+    if nmax >= sys.maxsize:
+        raise PreconditionError(
+            f"nmax must be below {sys.maxsize}: {nmax} + 1 degrees "
+            "cannot be indexed")
+
+
+def _check_complex_args(m: Bimodule, coefficients: Bimodule,
+                        nmax: int) -> None:
+    _check_nmax(nmax)
     if coefficients.left_algebra is not m.left_algebra \
             or coefficients.right_algebra is not m.left_algebra:
         raise PreconditionError("coefficients must be two-sided over B")
@@ -432,11 +441,11 @@ def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
 # Ring-relative side: tensor powers of S over A and the coboundary
 
 
-@dataclass(eq=False)
 class _RingChain:
-    spaces: list               # spaces[k] = S^{tensor_A k}, spaces[0] = A
-    to_plain: list             # columns of spaces[k] as plain s^k vectors
-    from_plain: list           # projection plain s^k -> spaces[k]
+    def __init__(self, spaces: list, to_plain: list, from_plain: list):
+        self.spaces = spaces    # spaces[k] = S^{tensor_A k}, spaces[0] = A
+        self.to_plain = to_plain    # columns of spaces[k] as plain s^k vectors
+        self.from_plain = from_plain    # projection plain s^k -> spaces[k]
 
 
 def _ring_chain(extension: RingMap, upto: int,
@@ -559,8 +568,7 @@ def ring_hochschild(extension: RingMap, w: Bimodule, nmax: int,
                     dim_cap: int | None = None) -> CohomologyResult:
     """Relative Hochschild cohomology of the target over the source, with
     two-sided coefficients w."""
-    if nmax < 0:
-        raise PreconditionError("nmax must be nonnegative")
+    _check_nmax(nmax)
     solvers, deltas, _, _ = _ring_complex(extension, w, nmax, dim_cap)
     return _cohomology(extension.source.field, [s.dim for s in solvers],
                        deltas, nmax)
@@ -570,17 +578,18 @@ def ring_hochschild(extension: RingMap, w: Bimodule, nmax: int,
 # Transport between the two theories (the endomorphism-ring comparison)
 
 
-@dataclass(eq=False)
 class MoritaData:
     """M's dual as a module over the endomorphism ring S, and psi: S ->
     plain dual tensor M, the inverse of the iso *M tensor_B M -> S read
     off the dual basis {f_i, e_i} of M: psi(s) = sum f_i tensor (e_i) s."""
 
-    endo: object
-    dual: EquivariantBasis
-    dual_endo: Bimodule
-    psi_plain: Matrix          # endomorphism coords -> plain dual tensor M
-    psi_unit: dict             # sparse image of the unit, slots (dual, M)
+    def __init__(self, endo, dual: EquivariantBasis, dual_endo: Bimodule,
+                 psi_plain: Matrix, psi_unit: dict):
+        self.endo = endo
+        self.dual = dual
+        self.dual_endo = dual_endo
+        self.psi_plain = psi_plain  # endomorphism coords -> plain dual tensor M
+        self.psi_unit = psi_unit    # sparse image of the unit, slots (dual, M)
 
 
 @memoized
@@ -611,11 +620,11 @@ def morita_data(m: Bimodule) -> MoritaData:
     return MoritaData(endo, dual, dual_endo, psi_plain, flat(u))
 
 
-@dataclass(eq=False)
 class TransportedCoefficients:
-    w: Bimodule                # dual tensor_B N tensor_B M, an (S,S)-bimodule
-    t1: TensorProduct
-    t2: TensorProduct
+    def __init__(self, w: Bimodule, t1: TensorProduct, t2: TensorProduct):
+        self.w = w      # dual tensor_B N tensor_B M, an (S,S)-bimodule
+        self.t1 = t1
+        self.t2 = t2
 
 
 @memoized
@@ -627,26 +636,28 @@ def coefficient_transport(m: Bimodule, n: Bimodule) -> TransportedCoefficients:
     return TransportedCoefficients(t2.space, t1, t2)
 
 
-@dataclass(frozen=True)
-class ComparisonDegree:
-    degree: int
-    module_cochain_dim: int
-    ring_cochain_dim: int
-    iso: bool
+class ComparisonDegree(Frozen):
+    def __init__(self, degree: int, module_cochain_dim: int,
+                 ring_cochain_dim: int, iso: bool):
+        vars(self).update(degree=degree,
+                          module_cochain_dim=module_cochain_dim,
+                          ring_cochain_dim=ring_cochain_dim, iso=iso)
 
 
-@dataclass(eq=False)
 class ComparisonReport:
     """`phis` are in bar cochain coordinates, `module` in those of
     module_hochschild's resolution: only module.dims() may be set beside
     `phis` or `ring`."""
 
-    degrees: tuple
-    base_square: bool          # degree-0 edge square
-    step_squares: tuple        # coboundary squares, degrees 1..nmax
-    module: CohomologyResult   # module_hochschild's
-    ring: CohomologyResult     # of the ring-relative complex compared
-    phis: tuple                # the rewrite in each degree, in solver coords
+    def __init__(self, degrees: tuple, base_square: bool,
+                 step_squares: tuple, module: CohomologyResult,
+                 ring: CohomologyResult, phis: tuple):
+        self.degrees = degrees
+        self.base_square = base_square      # degree-0 edge square
+        self.step_squares = step_squares    # coboundary squares, 1..nmax
+        self.module = module                # module_hochschild's
+        self.ring = ring    # of the ring-relative complex compared
+        self.phis = phis    # the rewrite in each degree, in solver coords
 
     @property
     def ok(self) -> bool:

@@ -8,29 +8,27 @@ in exactlin.  Algebra maps are plain matrices between coordinate spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property, wraps
 
 from .errors import ShapeError, ValidationError
-from .exactlin import Field, Matrix, axpy, check_vec
+from .exactlin import Field, Frozen, Matrix, axpy, check_vec
 
 
-@dataclass(eq=False)
 class Algebra:
-    field: Field
-    dim: int
-    mult: tuple            # mult[i][j]: coordinates of basis_i * basis_j
-    unit: dict             # coordinates of 1
-    name: str = "A"
-    cache: dict = dc_field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.mult) != self.dim or any(len(r) != self.dim for r in self.mult):
+    def __init__(self, field: Field, dim: int, mult: tuple, unit: dict,
+                 name: str = "A"):
+        if len(mult) != dim or any(len(r) != dim for r in mult):
             raise ShapeError("structure constant table must be dim x dim")
-        for row in self.mult:
+        for row in mult:
             for cell in row:
-                check_vec(cell, self.dim)
-        check_vec(self.unit, self.dim)
+                check_vec(cell, dim)
+        check_vec(unit, dim)
+        self.field = field
+        self.dim = dim
+        self.mult = mult       # mult[i][j]: coordinates of basis_i * basis_j
+        self.unit = unit       # coordinates of 1
+        self.name = name
+        self.cache = {}        # memoized's, for this algebra's lifetime
 
     def _multiply(self, u: dict, v: dict) -> dict:
         """The product of coordinate vectors the package built."""
@@ -68,7 +66,8 @@ class Algebra:
 def memoized(fn):
     """fn(owner, *args), computed once per owner and args and kept in
     owner.cache, so it lives exactly as long as owner.  Algebras and
-    bimodules are eq=False, so as args they are told apart by identity."""
+    bimodules define no __eq__, so as args they are told apart by
+    identity."""
 
     @wraps(fn)
     def wrapper(owner, *args):
@@ -90,10 +89,9 @@ class Verdict:
         return self.verdict
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    message: str = ""
+class ValidationResult(Frozen):
+    def __init__(self, ok: bool, message: str = ""):
+        vars(self).update(ok=ok, message=message)
 
     def __bool__(self):
         return self.ok
@@ -120,18 +118,17 @@ def validate_algebra(a: Algebra) -> ValidationResult:
     return ValidationResult(True)
 
 
-@dataclass(eq=False)
 class RingMap:
     """A unital algebra homomorphism source -> target, as a matrix."""
 
-    source: Algebra
-    target: Algebra
-    matrix: Matrix
-    name: str = "f"
-
-    def __post_init__(self):
-        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
+    def __init__(self, source: Algebra, target: Algebra, matrix: Matrix,
+                 name: str = "f"):
+        if matrix.rows != target.dim or matrix.cols != source.dim:
             raise ShapeError("ring map matrix has wrong shape")
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+        self.name = name
 
     def apply(self, coords: dict) -> dict:
         return self.matrix.apply(coords)

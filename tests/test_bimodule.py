@@ -445,6 +445,21 @@ def test_equivariant_maps_rejects_unpaired_operator_lists():
         equivariant_maps(QQ, 2, 2, [ident, ident], [ident])
 
 
+def test_bimodule_and_map_shapes_are_enforced():
+    # Algebra's and RingMap's checks are tested in test_structures.py
+    m = fixture("dual-self").bimodule
+    b, acts = m.left_algebra, m.left_action
+    for left, right, dim in ((acts[:1], acts, 2), (acts, acts[:1], 2),
+                             (acts, acts, 3)):
+        with pytest.raises(ShapeError):
+            Bimodule(b, b, dim, left, right, name="bad")
+    with pytest.raises(ShapeError, match="map g"):
+        BimoduleMap(m, m, Matrix.identity(QQ, 3), name="g")
+    with pytest.raises(ShapeError):
+        BimoduleMap(m, regular_bimodule(fixture("fx1").bimodule.left_algebra),
+                    Matrix.identity(QQ, 2))
+
+
 def test_bimodule_map_validation_catches_non_intertwiner():
     swap = Matrix(QQ, [[QQ.zero, QQ.one], [QQ.one, QQ.zero]])
     bad = BimoduleMap(fixture("dual-self").bimodule,

@@ -546,6 +546,25 @@ def test_repeated_task_string_option_is_a_task_error(tmp_path, capsys):
     assert single["nmax"] == 1 and "error" not in single
 
 
+@pytest.mark.parametrize("nmax", [sys.maxsize, 10 ** 20 - 1])
+@pytest.mark.parametrize("name, task", [
+    ("fx1", "hochschild M M"), ("fx6", "hochschild M BB"),
+    ("fx6", "morita M BB")])
+def test_an_nmax_past_any_list_length_is_a_task_error(tmp_path, capsys,
+                                                      name, task, nmax):
+    # the task sets no nmax, so --nmax does; nmax + 1 degrees cannot be
+    # indexed, which once escaped as an untyped OverflowError
+    raw = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+    raw["tasks"] = [task]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(raw))
+    rc = main(["check", str(p), "--format", "json", "--nmax", str(nmax)])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["error"]["kind"] == "PreconditionError"
+    assert "nmax must be below" in report["error"]["message"]
+
+
 def test_timings_are_opt_in(tmp_path, capsys):
     raw = minimal_doc(tasks=["generator M"])
     p = tmp_path / "doc.json"

@@ -1,10 +1,13 @@
-"""Structure constants, validation, ring maps, and the multiplication map."""
+"""Structure constants, validation, ring maps, the multiplication map,
+and the semantics of the package's record classes."""
 
 import pytest
 
+from bimodcheck import bimodule, cli, exactlin, homology
 from bimodcheck.errors import ShapeError
 from bimodcheck.exactlin import (
-    Matrix, QQ, Field, dense_vec, kernel_basis, rank, sparse_vec,
+    Frozen, Matrix, QQ, Field, Subspace, dense_vec, kernel_basis, rank,
+    sparse_vec,
 )
 from bimodcheck.fixtures import (
     algebra_diagonal, algebra_dual_numbers, algebra_ground, algebra_matrix2,
@@ -12,8 +15,8 @@ from bimodcheck.fixtures import (
     ground_map,
 )
 from bimodcheck.structures import (
-    Algebra, RingMap, identity_map, multiplication_map, validate_algebra,
-    validate_ring_map,
+    Algebra, RingMap, ValidationResult, identity_map, multiplication_map,
+    validate_algebra, validate_ring_map,
 )
 
 ALGEBRA_BUILDERS = (
@@ -201,3 +204,85 @@ def test_multiplication_map_rejects_foreign_target():
     k = algebra_ground(QQ)
     with pytest.raises(ShapeError):
         multiplication_map(k, ground_map(QQ, b))
+
+
+# ---------------------------------------------------------------------------
+# Record classes
+
+_ONE_ROW = Matrix.from_sparse(QQ, [{0: 1}], 2)
+_TWO_ROWS = Matrix.identity(QQ, 2)
+
+
+def _summary(report):
+    return "summary"
+
+
+# (class, arguments, arguments differing in one field)
+VALUE_RECORDS = [
+    (Subspace, (2, _ONE_ROW, (0,)), (2, _ONE_ROW, (1,))),
+    (exactlin.AffineSolution, ({0: 1}, Subspace(2, _ONE_ROW, (0,))),
+     ({0: 2}, Subspace(2, _ONE_ROW, (0,)))),
+    (exactlin.Quotient, (2, 1, _ONE_ROW, (1,)), (2, 2, _TWO_ROWS, (0, 1))),
+    (ValidationResult, (False, "unit fails"), (False, "")),
+    (bimodule.GeneratorResult, (True, (1, 0), None), (True, (0, 1), None)),
+    (bimodule.ProjectivityResult, (True, (((1,), (1,)),), None),
+     (False, None, (1,))),
+    (bimodule.StaticResult, (True, True, True, 2, 2),
+     (False, True, False, 3, 2)),
+    (cli._Op, (("bimodule",), "nmax", len, ("verdict",), _summary),
+     (("bimodule",), "depth", len, ("verdict",), _summary)),
+    (homology.CohomologyDegree, (1, 1, 2, 1, ((0, 1),)),
+     (1, 1, 2, 1, ((1, 0),))),
+    (homology.ComparisonDegree, (2, 3, 3, True), (2, 3, 3, False)),
+]
+
+
+def test_every_value_record_is_listed():
+    assert set(Frozen.__subclasses__()) == {c for c, _, _ in VALUE_RECORDS}
+
+
+@pytest.mark.parametrize("cls, args, other", VALUE_RECORDS,
+                         ids=[c.__name__ for c, _, _ in VALUE_RECORDS])
+def test_value_records_compare_by_value_and_refuse_assignment(cls, args,
+                                                               other):
+    a, b = cls(*args), cls(*args)
+    assert a is not b and a == b and not a != b
+    assert a != cls(*other)
+    assert a != args
+    try:
+        hash(args)
+    except TypeError:       # a field is unhashable, and so is the record
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    field = cls._fields[0]
+    assert [getattr(a, f) for f in cls._fields] == list(args)
+    with pytest.raises(AttributeError):
+        setattr(a, field, args[0])
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
+
+
+def test_records_keep_their_keyword_defaults():
+    k = algebra_ground(QQ)
+    one = Matrix.identity(QQ, 1)
+    a = Algebra(QQ, 1, k.mult, k.unit)
+    assert a.name == "A" and a.cache == {}
+    assert Algebra(QQ, 1, k.mult, k.unit).cache is not a.cache
+    m = bimodule.Bimodule(k, k, 1, (one,), (one,))
+    assert m.name == "M" and m.cache == {}
+    n = bimodule.Bimodule(k, k, 1, (one,), (one,), name="N")
+    assert n.name == "N" and n.cache is not m.cache
+    assert bimodule.BimoduleMap(m, m, one).name == "f"
+    assert RingMap(k, k, one).name == "f"
+    assert RingMap(k, k, one, name="g").name == "g"
+    assert ValidationResult(True).message == ""
+    task = cli.Task("hdim", ("M",))
+    assert (task.options, task.expect, task.repeated) == ({}, None, ())
+    assert cli.Task("hdim", ("M",)).options is not task.options
+    assert cli.Task(op="hdim", args=("M",), expect={}).expect == {}
+    opts = cli.RunOptions()
+    assert (opts.nmax, opts.dim_cap, opts.timings) == (2, None, False)
+    assert cli.RunOptions(dim_cap=5).dim_cap == 5
