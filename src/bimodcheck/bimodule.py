@@ -19,8 +19,8 @@ from __future__ import annotations
 from .errors import ShapeError, ValidationError
 from .exactlin import (
     Field, Frozen, Matrix, SpanTracker, Subspace, axpy, check_vec, dense_vec,
-    kernel_and_right_inverse, kernel_basis, lincomb, quotient_space, rank,
-    solve_or_certify,
+    infeasibility_certificate, kernel_and_right_inverse, kernel_basis,
+    lincomb, quotient_space, rank, solve_affine, solve_or_certify,
 )
 from .structures import Algebra, RingMap, ValidationResult, Verdict, memoized
 
@@ -190,14 +190,14 @@ class EquivariantBasis:
     and W_F holds F's values there: entry s of tgt_ops[k] applied to the
     value of F at generators[j].  W stacks those blocks for the whole
     basis, map u at rows u * tgt_dim up to (u + 1) * tgt_dim, and is
-    built on first need; the target operators are dropped then.
+    built on first need; the target operators are kept for matrix_of.
 
     - `images(v)` gives f_u(v) for every u at once from W, by two
       applies, and forms no map.
     - `maps` forms the basis matrices on its first read, as the one
       product W @ lift_used cut into tgt_dim-row blocks, and keeps them.
-    - `matrix_of` combines W's blocks; before W exists it builds just
-      the block of the combined values.
+    - `matrix_of` forms one map, its combined generator values pushed
+      through the target operators; it reads neither W nor `maps`.
     - `_coords_from` reads the columns of a map at the generators only,
       so a caller in the package that needs nothing but coordinates
       computes just those columns, and looks each stored entry up in a
@@ -244,7 +244,6 @@ class EquivariantBasis:
             self._stack = Matrix.from_sparse(
                 self.field, [r for row in self.values
                              for r in self._w_block(row)], self._n_used)
-            self._tgt_ops = None
         return self._stack
 
     def images(self, vec: dict) -> list:
@@ -291,20 +290,11 @@ class EquivariantBasis:
 
     def matrix_of(self, coords: dict) -> Matrix:
         check_vec(coords, self.dim)
-        field, t = self.field, self.tgt_dim
-        if self._stack is None:         # forming is linear in the values
-            row: dict = {}
-            for u, c in coords.items():
-                axpy(row, c, self.values[u], field.p)
-            block = self._w_block(row)
-        else:
-            block = [{} for _ in range(t)]
-            stack = self._stack.nz
-            for u, c in coords.items():
-                for s in range(t):
-                    axpy(block[s], c, stack[u * t + s], field.p)
-        return Matrix.from_sparse(field, block, self._n_used) \
-            @ self._lift_used
+        row: dict = {}
+        for u, c in coords.items():
+            axpy(row, c, self.values[u], self.field.p)
+        return Matrix.from_sparse(self.field, self._w_block(row),
+                                  self._n_used) @ self._lift_used
 
 
 def _blocks(row: dict, size: int) -> dict:
@@ -735,6 +725,40 @@ def is_generator(m: Bimodule) -> GeneratorResult:
     return GeneratorResult(True, tuple(dense_vec(m.field, sol, ev.cols)), None)
 
 
+def split_at_generators(field: Field, d: int, generators: tuple, n: int,
+                        values, columns) -> tuple:
+    """c with sum_u c_u X_u = 1 for n module maps X_u of a d-dimensional
+    module, each fixed by its values at `generators`: (particular
+    solution, None), else (None, certify).
+
+    values yields {j: X_u(e_generators[j])} for each u, entry i in row
+    j * d + i.  Every other entry of X_u and of 1 is a fixed combination
+    of these r * d rows, so they reduce as the full d^2 rows do, to the
+    same particular solution.  The certificate depends on the rows:
+    certify() gives the full system's functional, a dense tuple, from
+    columns(), each X_u flattened by the caller with (i, i) at i(d + 1)."""
+    rows = [{} for _ in range(len(generators) * d)]
+    for u, vals in enumerate(values):
+        for j, val in vals.items():
+            for i, x in val.items():
+                rows[j * d + i][u] = x
+    rhs = {j * d + g: field.one for j, g in enumerate(generators)}
+    sol = solve_affine(Matrix.from_sparse(field, rows, n), rhs)
+    if sol is not None:
+        return sol.particular, None
+
+    def certify() -> tuple:
+        cert = infeasibility_certificate(
+            Matrix._from_columns(field, columns(), d * d),
+            {i * (d + 1): field.one for i in range(d)})
+        if cert is None:
+            raise ValidationError("1 is a combination on all entries but "
+                                  "not at the generators")
+        return tuple(dense_vec(field, cert, d * d))
+
+    return None, certify
+
+
 class ProjectivityResult(Frozen, Verdict):
     # dual_basis: pairs (element coords, functional coords);
     # certificate: an infeasibility functional on the endomorphism space
@@ -746,33 +770,29 @@ class ProjectivityResult(Frozen, Verdict):
 
 @memoized
 def _fg_projective(m: Bimodule, side: str) -> ProjectivityResult:
-    field = m.field
+    """The dual basis criterion: sum c_{i,u} X_{i,u} = 1, unknown
+    i * hd + u, for the module maps X_{i,u}: y -> ((y) f_u) . m_i on the
+    given side, solved at the generators of the maps f_u; the certificate
+    flattens X_{i,u} row-major, entry (r, j) at r * d + j."""
+    field, d = m.field, m.dim
     if side == "left":
-        hom = dual_module(m)
-        acts = m.left_action
+        hom, acts = dual_module(m), m.left_action
     else:
         hom = hom_right(m, regular_bimodule(m.right_algebra))
         acts = m.right_action
-    d = m.dim
     hd = hom.dim
-    # column c = i * hd + u of the system is the endomorphism
-    # y -> ((y) f_u) . m_i on the relevant side, flattened row-major
-    rows = [{} for _ in range(d * d)]
-    c = 0
-    for i in range(d):
-        orbit = basis_orbit(m, acts, i)
-        for f in hom.maps:
-            for r, row in enumerate((orbit @ f).nz):
-                for j, x in row.items():
-                    rows[r * d + j][c] = x
-            c += 1
-    system = Matrix.from_sparse(field, rows, c)
-    rhs = {i * (d + 1): field.one for i in range(d)}
-    sol, cert = solve_or_certify(system, rhs)
+    orbits = [basis_orbit(m, acts, i) for i in range(d)]
+    gen_values = [hom.generator_values(u) for u in range(hd)]
+    sol, certify = split_at_generators(
+        field, d, hom.generators, d * hd,
+        ({j: orbit.apply(v) for j, v in vals.items()}
+         for orbit in orbits for vals in gen_values),
+        lambda: [{r * d + j: x for r, row in enumerate((orbit @ f).nz)
+                  for j, x in row.items()}
+                 for orbit in orbits for f in hom.maps])
     if sol is None:
-        return ProjectivityResult(False, None,
-                                  tuple(dense_vec(field, cert, d * d)))
-    sol = dense_vec(field, sol, c)
+        return ProjectivityResult(False, None, certify())
+    sol = dense_vec(field, sol, d * hd)
     pairs = tuple((tuple(dense_vec(field, {i: field.one}, d)),
                    tuple(sol[i * hd:(i + 1) * hd]))
                   for i in range(d))

@@ -13,13 +13,12 @@ from .bimodule import (
     Bimodule, BimoduleMap, centralizer, comonad_apply, descend_plain_map,
     endomorphism_ring, evaluation_data, hom_bimodule, hom_module,
     is_fg_projective_left, is_fg_projective_right, is_generator,
-    regular_bimodule, restrict_left, restrict_right, static_check,
-    sub_bimodule, tensor_over, trace_in,
+    regular_bimodule, restrict_left, restrict_right, split_at_generators,
+    static_check, sub_bimodule, tensor_over, trace_in,
 )
 from .errors import PreconditionError, ValidationError
 from .exactlin import (
-    Matrix, dense_vec, infeasibility_certificate, kernel_basis, rank,
-    solve_affine, solve_or_certify,
+    Matrix, dense_vec, kernel_basis, rank, solve_or_certify,
 )
 from .homology import _syzygy_chain, check_bar_level0, comparison_check
 from .structures import (
@@ -51,60 +50,36 @@ def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: dict):
 
 def _split(counit: BimoduleMap, dims: dict):
     """A two-sided section of counit: F -> P, re-checked by substitution,
-    as (section, None); else (None, certify), where certify() returns an
+    as (section, None); else (None, certify), certify() returning an
     infeasibility functional on the coordinates of End(P).
 
-    counit @ g is a two-sided map P -> P for every basis map g of the
-    solver, so it is fixed by its values at the solver's generators, and
-    those are counit applied to the generator values of g.  The system
-    is built on those r * d rows instead of d^2, with no basis map
-    formed.  It has the same solution set as the full system, hence the
-    same reduced form and the same section.  The certificate does depend
-    on the rows, so certify() builds the full d^2-row system; it runs
-    only when a report reads the obstruction (_Obstructed).
+    counit @ g is a two-sided map fixed by counit applied to g's values
+    at the solver's generators, so split_at_generators solves with no
+    basis map formed.  certify() forms them all and flattens counit @ g
+    column-major, (i, j) at j * d + i; only a report that reads the
+    obstruction runs it (_Obstructed).
     """
     p, fp = counit.target, counit.source
-    field, d = p.field, p.dim
+    field, d, eps = p.field, p.dim, counit.matrix
     solver = hom_bimodule(p, fp)
     dims["map_space"] = solver.dim
-    # row j * d + i, column u: entry i of (counit @ g_u) at generators[j]
-    rows = [{} for _ in range(len(solver.generators) * d)]
-    for u in range(solver.dim):
-        for j, val in solver.generator_values(u).items():
-            for i, x in counit.matrix.apply(val).items():
-                rows[j * d + i][u] = x
-    rhs = {j * d + g: field.one for j, g in enumerate(solver.generators)}
-    sol = solve_affine(Matrix.from_sparse(field, rows, solver.dim), rhs)
+    sol, certify = split_at_generators(
+        field, d, solver.generators, solver.dim,
+        ({j: eps.apply(v) for j, v in solver.generator_values(u).items()}
+         for u in range(solver.dim)),
+        lambda: [{j * d + i: x for i, row in enumerate((eps @ g).nz)
+                  for j, x in row.items()} for g in solver.maps])
     if sol is None:
-        return None, lambda: _full_certificate(counit, solver)
-    sec_mat = solver.matrix_of(sol.particular)
-    if counit.matrix @ sec_mat != Matrix.identity(field, d):
+        return None, certify
+    sec_mat = solver.matrix_of(sol)
+    if eps @ sec_mat != Matrix.identity(field, d):
         raise ValidationError(f"section does not split {counit.name}")
     return BimoduleMap(p, fp, sec_mat, name="section"), None
 
 
-def _full_certificate(counit: BimoduleMap, solver) -> tuple:
-    """The infeasibility functional of counit @ sum_u c_u g_u = 1 on all
-    d^2 entries: column u is counit @ g_u flattened column-major, entry
-    (i, j) at row j * d + i.  Forms every basis map of the solver."""
-    field, d = counit.target.field, counit.target.dim
-    rows = [{} for _ in range(d * d)]
-    for u, g in enumerate(solver.maps):
-        for i, prow in enumerate((counit.matrix @ g).nz):
-            for j, x in prow.items():
-                rows[j * d + i][u] = x
-    rhs = {i * (d + 1): field.one for i in range(d)}
-    cert = infeasibility_certificate(
-        Matrix.from_sparse(field, rows, solver.dim), rhs)
-    if cert is None:
-        raise ValidationError(f"{counit.name} splits on all entries but "
-                              f"not at the generators")
-    return tuple(dense_vec(field, cert, d * d))
-
-
 class _Obstructed(Verdict):
     """A result that splits a counit; `certify` is None when it splits,
-    else what forms the obstruction (from _split)."""
+    else _split's certify(), which forms the obstruction."""
 
     _obstruction = None
 
@@ -129,8 +104,10 @@ class SeparabilityResult(Verdict):
         self.dimensions = dimensions
 
 
+@memoized
 def is_separable_bimodule(m: Bimodule) -> SeparabilityResult:
-    """A central element of M tensor_A *M evaluating to 1, if one exists."""
+    """A central element of M tensor_A *M evaluating to 1, if one exists;
+    decided once per M, for separable and smooth's separable route."""
     ev = evaluation_data(m)
     t_space = ev.tensor.space
     b = m.left_algebra

@@ -65,9 +65,9 @@ class Algebra:
 
 def memoized(fn):
     """fn(owner, *args), computed once per owner and args and kept in
-    owner.cache, so it lives exactly as long as owner.  Algebras and
-    bimodules define no __eq__, so as args they are told apart by
-    identity."""
+    owner.cache, so it lives exactly as long as owner.  Algebras,
+    bimodules and ring maps define no __eq__, so as args they are told
+    apart by identity."""
 
     @wraps(fn)
     def wrapper(owner, *args):
@@ -163,13 +163,13 @@ def require_ring_map(f: RingMap) -> None:
         raise ValidationError(f"invalid ring map: {v.message}")
 
 
+@memoized
 def multiplication_map(b: Algebra, over: RingMap):
-    """The multiplication B tensor_A B -> B induced along a ring map A -> B.
+    """The multiplication B tensor_A B -> B induced along a ring map A -> B,
+    once per map: separable_extension and smooth_extension share it.
 
-    A acts on both copies of B through the map.  Returns a BimoduleMap
-    whose source is the constructed tensor square; surjectivity of the
-    multiplication is equivalent to B being generated by products.
-    """
+    A acts on both copies of B through the map.  The BimoduleMap's
+    source is the constructed tensor square."""
     from . import bimodule as bm
 
     if over.target is not b and over.target != b:

@@ -25,12 +25,12 @@ from bimodcheck.bimodule import (
 from bimodcheck import bimodule, cli, diagnostics, fixtures
 from bimodcheck.errors import ShapeError, ValidationError
 from bimodcheck.exactlin import (
-    Matrix, QQ, Subspace, axpy, dense_vec, invert, kernel_basis, lincomb,
-    rank, right_inverse, solve_or_certify, sparse_vec,
+    Field, Matrix, QQ, Subspace, axpy, dense_vec, invert, kernel_basis,
+    lincomb, rank, right_inverse, solve_or_certify, sparse_vec,
 )
 from bimodcheck.fixtures import (
-    EXTRAS, STANDARD, algebra_dual_numbers, algebra_ground, algebra_matrix2,
-    conjugate, corpus, fixture, ground_map,
+    EXTRAS, STANDARD, TWISTED, algebra_dual_numbers, algebra_ground,
+    algebra_matrix2, conjugate, corpus, fixture, ground_map,
 )
 from bimodcheck.homology import bar_resolution, morita_data
 from bimodcheck.structures import validate_algebra, validate_ring_map
@@ -730,9 +730,86 @@ def test_split_equals_the_full_system_on_twists(m, seed):
         _assert_split_matches_full_system(counit, section, certify)
 
 
+# The dual basis criterion against its full d^2-row system, built from
+# formed maps.  _fg_projective solves at the generators of the maps f_u
+# and forms them only for a certificate.
+
+FIELDS = (QQ, Field(3), Field(5))
+
+
+def _assert_projectivity_matches_full_system(m, side):
+    field, d = m.field, m.dim
+    if side == "left":
+        res, hom, acts = is_fg_projective_left(m), dual_module(m), \
+            m.left_action
+    else:
+        res = is_fg_projective_right(m)
+        hom = hom_right(m, regular_bimodule(m.right_algebra))
+        acts = m.right_action
+    # column i * hd + u is y -> ((y) f_u) . m_i, flattened row-major:
+    # entry (r, j) at r * d + j
+    cols = [{r * d + j: x for r, row in enumerate((orbit @ f).nz)
+             for j, x in row.items()}
+            for orbit in (bimodule.basis_orbit(m, acts, i)
+                          for i in range(d))
+            for f in hom.maps]
+    full = Matrix._from_columns(field, cols, d * d)
+    rhs = {i * (d + 1): field.one for i in range(d)}
+    sol, cert = solve_or_certify(full, rhs)
+    if sol is not None:
+        hd, sol = hom.dim, dense_vec(field, sol, len(cols))
+        assert res.verdict and res.certificate is None
+        assert res.dual_basis == tuple(
+            (tuple(dense_vec(field, {i: field.one}, d)),
+             tuple(sol[i * hd:(i + 1) * hd])) for i in range(d))
+        return
+    assert not res.verdict and res.dual_basis is None
+    assert res.certificate == tuple(dense_vec(field, cert, d * d))
+    # y . full = 0 and y . 1 = 1, by substitution
+    assert full.transpose().apply(sparse_vec(field, res.certificate)) == {}
+    assert sum((res.certificate[k] for k in rhs), field.zero) == field.one
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_projectivity_equals_the_full_system_across_corpus(field):
+    verdicts = []
+    for name in STANDARD + EXTRAS + TWISTED:
+        # built afresh: fixture() shares instances, whose results are
+        # memoized
+        m = fixtures._build(name, field).bimodule
+        for twisted in (m, conjugate(m, 1), conjugate(m, 7)):
+            for side in ("left", "right"):
+                _assert_projectivity_matches_full_system(twisted, side)
+                verdicts.append(bimodule._fg_projective(twisted, side))
+    assert any(verdicts) and not all(verdicts)
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(STANDARD + EXTRAS), st.sampled_from(FIELDS),
+       st.integers(0, 2 ** 16))
+def test_projectivity_equals_the_full_system_on_twists(name, field, seed):
+    m = conjugate(fixtures._build(name, field).bimodule, seed)
+    for side in ("left", "right"):
+        _assert_projectivity_matches_full_system(m, side)
+
+
+def test_projectivity_forms_no_basis_map_unless_it_certifies(monkeypatch):
+    reads = []
+    maps = bimodule.EquivariantBasis.maps
+    monkeypatch.setattr(bimodule.EquivariantBasis, "maps", property(
+        lambda solver: reads.append(solver) or maps.fget(solver)))
+    for name in STANDARD + EXTRAS:
+        for side in ("left", "right"):
+            reads.clear()
+            # run afresh, as if not memoized
+            res = bimodule._fg_projective.__wrapped__(fixture(name).bimodule,
+                                                      side)
+            assert bool(reads) == (not res.verdict), (name, side)
+
+
 def _assert_matrix_of_matches_formed_maps(solver, coords_list):
-    # matrix_of on a fresh solver forms from the combined values; after
-    # maps is read it combines the formed maps
+    # matrix_of gives the same map on a fresh solver and after its maps
+    # are formed, which it never reads
     before = [solver.matrix_of(c) for c in coords_list]
     maps = solver.maps
     for coords, got in zip(coords_list, before):
@@ -818,7 +895,7 @@ def _assert_solver_matches_old_forming(args):
         axpy(combined, c, solver.values[u], field.p)
     want_combined = form(combined)
     want = [form(row) for row in solver.values]
-    # matrix_of before W exists, from W, then from the formed maps
+    # matrix_of before W exists, after it, and after the maps are formed
     assert solver.matrix_of(coords) == want_combined
     vectors = [{i: field.one} for i in range(src_dim)] + [
         {i: c for i in range(src_dim) if (c := field.scalar(i - 2))}]
