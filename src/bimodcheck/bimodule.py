@@ -736,7 +736,7 @@ def split_at_generators(field: Field, d: int, generators: tuple, n: int,
     of these r * d rows, so they reduce as the full d^2 rows do, to the
     same particular solution.  The certificate depends on the rows:
     certify() gives the full system's functional, a dense tuple, from
-    columns(), each X_u flattened by the caller with (i, i) at i(d + 1)."""
+    columns(), each X_u flattened by the caller, (i, i) at i * (d + 1)."""
     rows = [{} for _ in range(len(generators) * d)]
     for u, vals in enumerate(values):
         for j, val in vals.items():

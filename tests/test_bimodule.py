@@ -332,9 +332,12 @@ def test_fg_projective_verdicts():
 
 
 def test_fg_projective_failure_carries_certificate():
-    res = is_fg_projective_left(fixture("simple-over-dual").bimodule)
+    m = fixture("simple-over-dual").bimodule
+    res = is_fg_projective_left(m)
     assert res.certificate is not None
     assert res.dual_basis is None
+    # it vanishes on the full system and pairs to 1 with the identity
+    _assert_projectivity_matches_full_system(m, "left")
 
 
 def test_dual_basis_reconstructs_identity():
@@ -740,8 +743,8 @@ FIELDS = (QQ, Field(3), Field(5))
 def _assert_projectivity_matches_full_system(m, side):
     field, d = m.field, m.dim
     if side == "left":
-        res, hom, acts = is_fg_projective_left(m), dual_module(m), \
-            m.left_action
+        res = is_fg_projective_left(m)
+        hom, acts = dual_module(m), m.left_action
     else:
         res = is_fg_projective_right(m)
         hom = hom_right(m, regular_bimodule(m.right_algebra))
