@@ -10,8 +10,11 @@ Hom spaces are solved through a module presentation: a greedy pass
 collects basis vectors generating the source under the available
 operators, linear relations among their operator translates cut out the
 admissible values on the generators, and every intertwiner is rebuilt
-from those values.  This keeps solves proportional to the small side of
-the hom space instead of the product of both sides.
+from those values.  A translate that is zero enters no relation: it
+says only that the target operator kills the generator's value, which
+pins the unknowns of the operator's one-entry rows to 0 without
+building a row for them.  This keeps solves proportional to the small
+side of the hom space instead of the product of both sides.
 """
 
 from __future__ import annotations
@@ -310,7 +313,9 @@ def _blocks(row: dict, size: int) -> dict:
 def orbit_generators(field: Field, dim: int, ops) -> tuple[tuple, list]:
     """Basis indices whose orbits under a unital operator family span the
     space, taken greedily in index order, with the orbit columns
-    (op.column(i) for each generator i, then each op in order).
+    (op.column(i) for each generator i, then each op in order).  A zero
+    column is listed, so column j * len(ops) + k stays op k at generator
+    j, but it is not offered to the span.
 
     An operator is read only through op.column(i), at the generators
     found, so any object with that method will do."""
@@ -328,7 +333,8 @@ def orbit_generators(field: Field, dim: int, ops) -> tuple[tuple, list]:
         for op in ops:
             col = op.column(i)
             g_cols.append(col)
-            span.add(col)
+            if col:
+                span.add(col)
     if span.dim != dim and dim > 0:
         raise ValidationError("operator family does not span a unital action")
     return tuple(generators), g_cols
@@ -339,29 +345,53 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
                      ) -> EquivariantBasis:
     """Solve for all F with F src_ops[k] = ... = tgt_ops[k] F via a
     presentation of the source by operator orbits of basis vectors
-    (orbit_generators, which reads the source operators)."""
+    (orbit_generators, which reads the source operators).
+
+    Only the nonzero orbit columns are eliminated for the relations and
+    the lift; they span the source alike.  A zero column (j, k) is no
+    relation: the rows of tgt_ops[k] at block j join the value system,
+    except that a row with one entry only pins its unknown to 0, which
+    kernel_basis takes without a row, so no one-entry row of a zero
+    column is built or eliminated."""
     if len(src_ops) != len(tgt_ops):
         raise ShapeError(f"{len(src_ops)} source operators for "
                          f"{len(tgt_ops)} target operators")
     n_ops = len(src_ops)
     generators, g_cols = orbit_generators(field, src_dim, src_ops)
     r = len(generators)
-    # the orbit columns span the source, so g has full row rank
+    # the nonzero orbit columns span the source, so g has full row rank
+    nonzero = [c for c, col in enumerate(g_cols) if col]
     relations, lift = kernel_and_right_inverse(
-        Matrix._from_columns(field, g_cols, src_dim))
+        Matrix._from_columns(field, [g_cols[c] for c in nonzero], src_dim))
     # lift is zero outside its pivot rows, so each map W_F @ lift needs
     # only the columns of W_F at those rows
-    used = [k for k, row in enumerate(lift.nz) if row]
-    lift_used = Matrix.from_sparse(field, [lift.nz[k] for k in used], src_dim)
+    used = [nonzero[k] for k, row in enumerate(lift.nz) if row]
+    lift_used = Matrix.from_sparse(field, [row for row in lift.nz if row],
+                                   src_dim)
     # unknowns: values v_j in target for each generator, stacked; a
     # relation says sum_{j,k} rel[j*n_ops+k] * tgt_ops[k] v_j = 0, and
     # only its stored entries (j, k) and the nonzero rows t of those
     # operators contribute: row t of the relation is the sum of
     # coeff * row t of tgt_ops[k], shifted to block j
-    p, rels = field.p, relations.basis.nz
+    p = field.p
+    rels = [{nonzero[c]: x for c, x in rel.items()}
+            for rel in relations.basis.nz]
     op_rows = {k: [(t, row) for t, row in enumerate(tgt_ops[k].nz) if row]
                for k in {c % n_ops for rel in rels for c in rel}}
-    rows = []
+    # a zero column (j, k) says tgt_ops[k] v_j = 0 alone: each one-entry
+    # row of tgt_ops[k] pins an unknown of block j to 0, and the other
+    # rows are shifted to block j
+    zero = [c for c, col in enumerate(g_cols) if not col]
+    split = {k: ([s for row in tgt_ops[k].nz if len(row) == 1 for s in row],
+                 [row for row in tgt_ops[k].nz if len(row) > 1])
+             for k in {c % n_ops for c in zero}}
+    rows, pinned = [], set()
+    for c in zero:
+        j, k = divmod(c, n_ops)
+        base = j * tgt_dim
+        units, longer = split[k]
+        pinned.update([base + s for s in units])
+        rows.extend({base + s: x for s, x in row.items()} for row in longer)
     for rel in rels:
         by_t: dict[int, dict] = {}
         for j, coeffs in _blocks(rel, n_ops).items():
@@ -376,7 +406,8 @@ def equivariant_maps(field: Field, src_dim: int, tgt_dim: int,
                     for s, x in vec.items():
                         out[base + s] = x
         rows.extend(by_t[t] for t in sorted(by_t))
-    solutions = kernel_basis(Matrix.from_sparse(field, rows, r * tgt_dim))
+    solutions = kernel_basis(Matrix.from_sparse(field, rows, r * tgt_dim),
+                             pinned)
     return EquivariantBasis(field, src_dim, tgt_dim, generators,
                             solutions.positions, solutions.basis.nz,
                             tgt_ops, n_ops, used, lift_used)
@@ -470,7 +501,8 @@ def hom_bimodule(src: Bimodule, tgt: Bimodule) -> EquivariantBasis:
     (left basis action) . (right basis action); unlike the one-sided
     families, neither side alone is closed under composition.  The solver
     reads the source products only at its generator columns, so those are
-    all that is formed of them.
+    all that is formed of them, and a product whose right factor's column
+    is zero there is read as zero without applying the left factor.
     """
     if src.left_algebra is not tgt.left_algebra:
         raise ValidationError("hom_bimodule requires a common left algebra")
@@ -482,8 +514,10 @@ def hom_bimodule(src: Bimodule, tgt: Bimodule) -> EquivariantBasis:
 
 
 def _two_sided_operators(m: Bimodule) -> list:
-    # (left basis action) . (right basis action), formed column by column
-    return [_Columns(lambda i, l=l, r=r: l.apply(r.column(i)))
+    # (left basis action) . (right basis action), formed column by
+    # column, and zero wherever the right action's column is
+    return [_Columns(lambda i, l=l, r=r: l.apply(col)
+                     if (col := r.column(i)) else {})
             for l in m.left_action for r in m.right_action]
 
 

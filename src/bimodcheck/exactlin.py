@@ -573,23 +573,30 @@ class Subspace(Frozen):
         return out
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Right kernel {x : m x = 0} with the standard free-column basis.
+def kernel_basis(m: Matrix, pinned=()) -> Subspace:
+    """Right kernel {x : m x = 0, x_c = 0 for c in pinned} with the
+    standard free-column basis.
 
     Each basis vector carries 1 at its own free column and 0 at the other
     free columns, so coordinates in this basis are read off by restriction.
+    A pinned column's entries are dropped from m's rows before the
+    elimination, and it joins the reduced rows as a unit pivot row after:
+    the reduced rows of m stacked with those unit rows, never built.
     """
     p = m.field.p
-    piv = _echelon(m.nz, p)
+    piv = _echelon(({c: x for c, x in row.items() if c not in pinned}
+                    for row in m.nz) if pinned else m.nz, p)
     _back_substitute(piv, p)
-    return _free_column_basis(m.field, piv, m.cols)
+    return _free_column_basis(m.field, piv, m.cols, pinned)
 
 
-def _free_column_basis(field: Field, piv: dict, n: int) -> Subspace:
-    """The kernel of reduced pivot rows over their first n columns: one
-    vector per free column, 1 there and minus the pivot rows' entries at
-    the pivot columns."""
-    free = [c for c in range(n) if c not in piv]
+def _free_column_basis(field: Field, piv: dict, n: int,
+                       pinned=()) -> Subspace:
+    """The kernel of reduced pivot rows over their first n columns, with
+    a unit pivot row at each pinned column that holds no other entry:
+    one vector per free column, 1 there and minus the pivot rows'
+    entries at the pivot columns."""
+    free = [c for c in range(n) if c not in piv and c not in pinned]
     one, p = field.one, field.p
     rows = [{fc: one} for fc in free]
     at = dict(zip(free, rows))

@@ -966,9 +966,10 @@ def test_stacked_values_match_forming_each_map_on_twists(m):
 
 
 # ---------------------------------------------------------------------------
-# The relation system, coordinate reads and W against the code they
-# replaced, kept here as oracles: one tgt_dim x tgt_dim combination of
-# the target operators per relation and generator, read row by row for
+# The solve, coordinate reads and W against the code they replaced,
+# kept here as oracles: every relation among the orbit columns, zero
+# columns included, built as one tgt_dim x tgt_dim combination of the
+# target operators per relation and generator, read row by row for
 # every t; coordinates read by scanning every position; and W's rows
 # built by walking every used presentation column for each map.
 
@@ -1023,28 +1024,15 @@ def _old_w_block(field, src_dim, tgt_dim, src_ops, tgt_ops):
     return block
 
 
-def _solve_with_system(args):
-    """A fresh solve and the relation system it eliminated."""
-    systems = []
-    kernel = bimodule.kernel_basis
-
-    def recorded(m):
-        systems.append(m)
-        return kernel(m)
-
-    bimodule.kernel_basis = recorded
-    try:
-        solver = equivariant_maps(*args)
-    finally:
-        bimodule.kernel_basis = kernel
-    return solver, systems[-1]      # the first is the source relations
-
-
 def _assert_solver_matches_old_scans(args):
     field, tgt_dim = args[0], args[2]
-    solver, system = _solve_with_system(args)
-    assert system.nz == _old_relation_rows(*args)
-    assert system.cols == len(solver.generators) * tgt_dim
+    solver = equivariant_maps(*args)
+    # the solve, not its rows: a zero orbit column pins unknowns instead
+    # of adding a relation, and the reduced rows are the same
+    old = kernel_basis(Matrix.from_sparse(
+        field, _old_relation_rows(*args), len(solver.generators) * tgt_dim))
+    assert old.positions == solver.positions
+    assert old.basis.nz == solver.values
     combined = {}
     for u in range(solver.dim):
         axpy(combined, field.scalar(u + 2), solver.values[u], field.p)
@@ -1075,7 +1063,9 @@ def test_relation_rows_and_readers_match_the_scans_across_corpus(
 
 
 @settings(max_examples=15)
-@given(twisted_bimodules)
-def test_relation_rows_and_readers_match_the_scans_on_twists(m):
-    for args in _twist_solves(m):
-        _assert_solver_matches_old_scans(args)
+@given(st.sampled_from(STANDARD + EXTRAS), st.integers(0, 2 ** 16))
+def test_relation_rows_and_readers_match_the_scans_on_twists(name, seed):
+    for field in (QQ, Field(2), Field(3), Field(5)):
+        m = conjugate(fixtures._build(name, field).bimodule, seed)
+        for args in _twist_solves(m):
+            _assert_solver_matches_old_scans(args)

@@ -13,6 +13,12 @@ output:
 * Loday: Q[x]/(x^n) has Hochschild dims (n, n - 1, n - 1, ...).
 * Morita: M_2(Q) over its diagonal has dims (1, 0, 0, ...) on both
   sides.
+* Radical square zero: kQ/J^2 for the linear quiver A_n has global
+  dimension n - 1, the longest path, and so Hochschild dimension n - 1,
+  since its radical quotient k^n is separable (Cartan-Eilenberg, IX).
+  So B over k is smooth iff n <= 2 (the paper's theorem, B a
+  generator), B is not separable, and HH^* = (1, 0, 0, ...) (Cibils,
+  1998: no path of A_n is parallel to a vertex or an arrow).
 """
 
 import importlib.util
@@ -69,6 +75,24 @@ def _modular_group_hochschild(p: int, n: int, nmax: int):
             {"hochschild": {"nmax": nmax, "dims": [n] * (nmax + 1)}})
 
 
+def _radical_square_zero(p, n: int, nmax: int):
+    # the linear quiver 0 -> 1 -> ... -> n - 1; path_algebra sets every
+    # product of two arrows to 0, so it builds kQ/J^2
+    hdim = n - 1
+    tasks = ["smooth M", f"hdim M nmax={nmax}",
+             f"hochschild M BB nmax={nmax}", "separable M"]
+    alg = docs.path_algebra(n, [(i, i + 1) for i in range(n - 1)])
+
+    def build(twist):
+        return docs.over_ground_document(p, alg, tasks, twist)
+
+    return (f"A{n}/J^2-{'Q' if p is None else f'F{p}'}", build,
+            {"smooth": {"verdict": hdim <= 1},
+             "hdim": {"nmax": nmax, "hdim": str(hdim)},
+             "hochschild": {"nmax": nmax, "dims": [1] + [0] * nmax},
+             "separable": {"verdict": False}})
+
+
 FAMILIES = [
     docs._maschke(3, 3, 3),
     docs._maschke(2, 3, 3),
@@ -77,6 +101,8 @@ FAMILIES = [
     # the sizes at which the bar complex took seconds and hundreds of MB
     _loday_hochschild(4, 4),
     _modular_group_hochschild(3, 6, 3),
+    # exact Hochschild dimensions 1 and 2, over Q and F_3
+    *(_radical_square_zero(p, n, 3) for p in (None, 3) for n in (2, 3)),
 ]
 
 
@@ -101,6 +127,11 @@ def test_family_closed_forms_are_the_expected_ones():
     assert oracles["F3[C6]"]["hochschild"]["dims"] == [6, 6, 6, 6]
     assert oracles["M2(Q)/diag"]["morita"]["module_dims"] == [1, 0, 0, 0]
     assert oracles["M2(Q)/diag"]["morita"]["ring_dims"] == [1, 0, 0, 0]
+    for field in ("Q", "F3"):
+        assert oracles[f"A2/J^2-{field}"]["hdim"]["hdim"] == "1"
+        assert oracles[f"A2/J^2-{field}"]["smooth"]["verdict"] is True
+        assert oracles[f"A3/J^2-{field}"]["hdim"]["hdim"] == "2"
+        assert oracles[f"A3/J^2-{field}"]["smooth"]["verdict"] is False
 
 
 def _doubled(m: Bimodule) -> Bimodule:

@@ -24,7 +24,10 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
 TRACER = ROOT / "bench" / "tracer.py"
 
-# Measured on fixtures/fx4.json: 1,583,433 cells and 1,324 applies.
+# Measured on fixtures/fx4.json: 1,583,433 cells and 1,138 applies.
+# Applying each left action to the right action's column at a generator
+# for every two-sided product, where that column is zero, makes 1,324
+# applies.
 # Deciding separability of M twice, once for separable and once for
 # smooth's separable route, makes 1,583,460 cells.
 # Forming the dim B^2 products of the left and right actions on the
@@ -45,7 +48,7 @@ TRACER = ROOT / "bench" / "tracer.py"
 # the equivariant solver's target operators to all-zero value blocks
 # costs 29,961 applies.
 FX4_MAX_MATMUL_CELLS = 1_583_433
-FX4_MAX_APPLIES = 1_324
+FX4_MAX_APPLIES = 1_138
 # Basis maps formed on fixtures/fx4.json: 3 of the 242 solved, the
 # endomorphisms of M that End(M)'s multiplication and M as a
 # (B, End(M))-bimodule are made of.  Counits, hom-space actions,
@@ -90,14 +93,16 @@ FP5_BAR_OBJECTS = 0
 FX4_SPLITS = 3
 FX4_MAX_SPLIT_ROWS = 42
 # Vector shape checks (exactlin.check_vec calls) on fixtures/fx4.json:
-# 2,108, at the entry points that take a vector from outside (apply,
+# 1,620, at the entry points that take a vector from outside (apply,
 # span_add, coords_of, lincomb for the actions, the eliminations).
-# Deciding separability of M twice makes 2,110.  Building the
-# evaluation over End(M) apart makes 2,176.
+# Applying the left actions to zero right-action columns makes 1,806;
+# adding every zero orbit column to the span tracker as well makes
+# 2,108.  Deciding separability of M twice adds 2, and building the
+# evaluation over End(M) apart 68 more.
 # Applying each formed map where W's images do makes 5,444; checking
 # every internal hop as well (from_columns, coords_from, lincomb,
 # multiply, embed, project_vec, kron_vec) makes 12,789.
-FX4_MAX_CHECK_VECS = 2_108
+FX4_MAX_CHECK_VECS = 1_620
 # homology.apply_slot calls on fixtures/fx6.json: 388, nearly all in the
 # transport of its one morita task.  Collapsing each transport vector
 # once per basis cochain instead of once per column makes 1,078.
@@ -119,8 +124,10 @@ FX4_MAX_FRACTIONS = 0
 # 100,858.  The twisted basis has real denominators, so most of them
 # stay; storing integral rationals as Fractions costs 101,210.
 FX6_TWISTED_BAR_MAX_FRACTIONS = 101_210
-# exactlin._echelon on fixtures/fx4.json: 60 eliminations of 903 input
-# rows in total.  Deciding separability of M twice, once for separable
+# exactlin._echelon on fixtures/fx4.json: 60 eliminations of 277 input
+# rows in total.  A relation row per zero orbit column, most of them one
+# entry that only pins an unknown to 0, makes 60 of 903.  Measured with
+# those rows: deciding separability of M twice, once for separable
 # and once for smooth's separable route, makes 63 of 922.  Eliminating
 # each tensor relation basis, already reduced, a second time in
 # quotient_space makes 65 of 934.  Tensoring
@@ -133,7 +140,7 @@ FX6_TWISTED_BAR_MAX_FRACTIONS = 101_210
 # use made 82 of 1,483, and growing P_3 and solving for its cochains
 # 103 of 2,345.
 FX4_MAX_ECHELONS = 60
-FX4_MAX_ECHELON_ROWS = 903
+FX4_MAX_ECHELON_ROWS = 277
 # exactlin._echelon on fixtures/fx6.json: 61 eliminations.  Deciding
 # separability of M twice makes 63; building B tensor_A B once for
 # separable_extension and again for smooth_extension makes 62; both make
@@ -142,13 +149,20 @@ FX4_MAX_ECHELON_ROWS = 903
 # theta for morita's psi, instead of reading psi off the dual basis,
 # makes 66; both make 78.
 FX6_MAX_ECHELONS = 61
-# exactlin.axpy calls on fixtures/fx4.json: 1,431; deciding separability
+# exactlin.axpy calls on fixtures/fx4.json: 555.  A relation row per
+# zero orbit column makes 1,431; with those rows, deciding separability
 # of M twice makes 1,466, and building the evaluation over End(M) apart
 # as well makes 1,502.  A relation row of
 # an equivariant solve sums only the nonzero rows of the target
 # operators its stored entries name; forming the full tgt_dim x tgt_dim
 # combination of the operators per relation and generator makes 4,252.
-FX4_MAX_AXPYS = 1_431
+FX4_MAX_AXPYS = 555
+# Zero orbit columns handed to a hom solve's presentation elimination
+# (kernel_and_right_inverse) on fixtures/fx4.json: 0 of 115 columns.  A
+# zero column pins the unknowns it names instead; handing the
+# elimination every orbit column hands it 302 zero columns of 417, each
+# of which became a relation.
+FX4_ZERO_ORBIT_COLUMNS_ELIMINATED = 0
 
 
 def _count_calls(monkeypatch, fn, weight=lambda *args: 1):
@@ -264,6 +278,21 @@ def test_fx4_axpys_stay_under_their_gate(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, exactlin.axpy)
     _run_fx4(capsys)
     assert 0 < calls[0] <= FX4_MAX_AXPYS, calls[0]
+
+
+def test_no_zero_orbit_column_reaches_an_elimination(monkeypatch, capsys):
+    counts = {"zero": 0, "columns": 0}
+    eliminate = bimodule.kernel_and_right_inverse
+
+    def counted(m):
+        counts["zero"] += m.cols - len({c for row in m.nz for c in row})
+        counts["columns"] += m.cols
+        return eliminate(m)
+
+    monkeypatch.setattr(bimodule, "kernel_and_right_inverse", counted)
+    _run_fx4(capsys)
+    assert counts["columns"] > 0, counts
+    assert counts["zero"] == FX4_ZERO_ORBIT_COLUMNS_ELIMINATED, counts
 
 
 class _Unscannable(tuple):
