@@ -9,21 +9,24 @@ endomorphism spaces is "apply f, then g".
 Hom spaces are solved through a module presentation: a greedy pass
 collects basis vectors generating the source under the available
 operators, linear relations among their operator translates cut out the
-admissible values on the generators, and every intertwiner is rebuilt
-from those values.  A translate that is zero enters no relation: it
-says only that the target operator kills the generator's value, which
-pins the unknowns of the operator's one-entry rows to 0 without
-building a row for them.  This keeps solves proportional to the small
-side of the hom space instead of the product of both sides.
+admissible values on the generators, and every intertwiner is read off
+those values at the translates a source vector lifts to, one sparse
+column per translate for the whole basis.  A zero translate enters no
+relation; it pins the unknowns of its target operator's one-entry rows
+to 0 without building a row for them.  This keeps solves proportional
+to the small side of the hom space instead of the product of both sides.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import ShapeError, ValidationError
 from .exactlin import (
-    Field, Frozen, Matrix, SpanTracker, Subspace, axpy, check_vec, dense_vec,
-    infeasibility_certificate, kernel_and_right_inverse, kernel_basis,
-    lincomb, quotient_space, rank, solve_affine, solve_or_certify,
+    Field, Frozen, Matrix, SpanTracker, Subspace, _sum_columns, axpy,
+    check_vec, dense_vec, infeasibility_certificate, kernel_and_right_inverse,
+    kernel_basis, lincomb, quotient_space, rank, solve_affine,
+    solve_or_certify,
 )
 from .structures import Algebra, RingMap, ValidationResult, Verdict, memoized
 
@@ -191,16 +194,16 @@ class EquivariantBasis:
     to its coordinates on the presentation columns that matter (`used`,
     column c = j * n_ops + k being tgt_ops[k] applied to generator j),
     and W_F holds F's values there: entry s of tgt_ops[k] applied to the
-    value of F at generators[j].  W stacks those blocks for the whole
-    basis, map u at rows u * tgt_dim up to (u + 1) * tgt_dim, and is
-    built on first need; the target operators are kept for matrix_of.
+    value of F at generators[j].  W is kept as its used columns only,
+    one per used index for the whole basis, map u's entries at
+    u * tgt_dim + s, built on first need.  Each reader sums W's columns
+    with Matrix.apply's loop (exactlin._sum_columns):
 
-    - `images(v)` gives f_u(v) for every u at once from W, by two
-      applies, and forms no map.
-    - `maps` forms the basis matrices on its first read, as the one
-      product W @ lift_used cut into tgt_dim-row blocks, and keeps them.
-    - `matrix_of` forms one map, its combined generator values pushed
-      through the target operators; it reads neither W nor `maps`.
+    - `images(v)` sums them by lift_used.apply(v), split by map.
+    - `maps` forms the basis on its first read and keeps it: column g
+      of every map at once sums them by column g of lift_used.
+    - `matrix_of` forms one map the same way, from the W of its
+      combined generator values; the target operators are kept for it.
     - `_coords_from` reads the columns of a map at the generators only,
       so a caller in the package that needs nothing but coordinates
       computes just those columns, and looks each stored entry up in a
@@ -222,7 +225,6 @@ class EquivariantBasis:
             j, k = divmod(c, n_ops)
             self._by_gen.setdefault(j, []).append((idx, k))
         self._n_used, self._lift_used = len(used), lift_used
-        self._stack = None              # W
         self._maps = None
 
     @property
@@ -233,41 +235,46 @@ class EquivariantBasis:
         """{j: value of basis map u at generators[j]} where it is nonzero."""
         return _blocks(self.values[u], self.tgt_dim)
 
-    def _w_block(self, row: dict) -> list:
-        """The tgt_dim rows of W for the map whose values are row."""
-        out = [{} for _ in range(self.tgt_dim)]
-        for j, value in _blocks(row, self.tgt_dim).items():
-            for idx, k in self._by_gen.get(j, ()):
-                for s, x in self._tgt_ops[k].apply(value).items():
-                    out[s][idx] = x
-        return out
+    def _w(self, rows: list) -> list:
+        """W's used columns for the maps whose value rows are rows, each
+        a list of (u * tgt_dim + s, entry) over the maps u."""
+        t, cols = self.tgt_dim, [[] for _ in range(self._n_used)]
+        for u, row in enumerate(rows):
+            for j, value in _blocks(row, t).items():
+                for idx, k in self._by_gen.get(j, ()):
+                    cols[idx].extend((u * t + s, x) for s, x
+                                     in self._tgt_ops[k].apply(value).items())
+        return cols
 
-    def _w(self) -> Matrix:
-        if self._stack is None:
-            self._stack = Matrix.from_sparse(
-                self.field, [r for row in self.values
-                             for r in self._w_block(row)], self._n_used)
-        return self._stack
+    @cached_property
+    def _basis_w(self) -> list:
+        return self._w(self.values)
 
     def images(self, vec: dict) -> list:
         """[f_u(vec) for every basis map u], each a sparse vector, read
         from W without forming a map."""
-        stacked = self._w().apply(self._lift_used.apply(vec))
         out = [{} for _ in range(self.dim)]
-        for c, x in stacked.items():
+        for c, x in _sum_columns(self._basis_w, self._lift_used.apply(vec)
+                                 .items(), self.field.p).items():
             u, s = divmod(c, self.tgt_dim)
             out[u][s] = x
         return out
+
+    def _form(self, w: list, count: int) -> list:
+        """The count maps whose W is w, each a tgt_dim x src_dim Matrix."""
+        t, p = self.tgt_dim, self.field.p
+        nz = [{} for _ in range(count * t)]
+        for g, col in enumerate(self._lift_used.colnz()):
+            for c, x in _sum_columns(w, col, p).items():
+                nz[c][g] = x
+        return [Matrix.from_sparse(self.field, nz[u * t:(u + 1) * t],
+                                   self.src_dim) for u in range(count)]
 
     @property
     def maps(self) -> tuple:
         """The basis, each a tgt_dim x src_dim Matrix; formed on first read."""
         if self._maps is None:
-            formed = (self._w() @ self._lift_used).nz
-            t = self.tgt_dim
-            self._maps = tuple(
-                Matrix.from_sparse(self.field, formed[u * t:(u + 1) * t],
-                                   self.src_dim) for u in range(self.dim))
+            self._maps = tuple(self._form(self._basis_w, self.dim))
         return self._maps
 
     def _coords_from(self, column) -> dict:
@@ -296,8 +303,7 @@ class EquivariantBasis:
         row: dict = {}
         for u, c in coords.items():
             axpy(row, c, self.values[u], self.field.p)
-        return Matrix.from_sparse(self.field, self._w_block(row),
-                                  self._n_used) @ self._lift_used
+        return self._form(self._w([row]), 1)[0]
 
 
 def _blocks(row: dict, size: int) -> dict:

@@ -326,21 +326,7 @@ class Matrix:
     def apply(self, vec: dict) -> dict:
         """Matrix times a sparse column vector."""
         check_vec(vec, self.cols)
-        colnz = self.colnz()
-        out = {}
-        summed = False              # only sums can cancel to zero
-        for j, x in vec.items():
-            for i, a in colnz[j]:
-                y = out.get(i)
-                if y is None:
-                    out[i] = a * x
-                else:
-                    out[i] = y + a * x
-                    summed = True
-        p = self.field.p
-        if p is not None:           # reduce each sum once, at the end
-            return {i: r for i, v in out.items() if (r := v % p)}
-        return {i: v for i, v in out.items() if v} if summed else out
+        return _sum_columns(self.colnz(), vec.items(), self.field.p)
 
     def _combine(self, other: "Matrix", c, op: str) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -384,6 +370,24 @@ class Matrix:
         body = "; ".join(" ".join(str(a) for a in self.row(i))
                          for i in range(self.rows))
         return f"Matrix[{body}]"
+
+
+def _sum_columns(columns: list, pairs, p: int | None) -> dict:
+    """The sum of c * columns[j] over the (j, c) pairs, each column a list
+    of (i, entry) the package built, as colnz() is; over Q when p is None."""
+    out = {}
+    summed = False              # only sums can cancel to zero
+    for j, c in pairs:
+        for i, a in columns[j]:
+            y = out.get(i)
+            if y is None:
+                out[i] = a * c
+            else:
+                out[i] = y + a * c
+                summed = True
+    if p is not None:           # reduce each sum once, at the end
+        return {i: r for i, v in out.items() if (r := v % p)}
+    return {i: v for i, v in out.items() if v} if summed else out
 
 
 def lincomb(field: Field, rows: int, cols: int, coeffs: dict,

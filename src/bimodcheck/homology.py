@@ -404,20 +404,6 @@ def _check_coboundary_squares(deltas: list, nmax: int,
             raise ValidationError(f"{what} square nonzero at {n}")
 
 
-def _stacked(field: Field, blocks: list, width: int, cols: int) -> Matrix:
-    """The matrix with blocks[k][u], a sparse vector of length width, in
-    column u at rows k * width on: one block per top generator of the
-    ring side, each listing the cochains u."""
-    rows = []
-    for block in blocks:
-        part = [{} for _ in range(width)]
-        for u, y in enumerate(block):
-            for s, x in y.items():
-                part[s][u] = x
-        rows += part
-    return Matrix.from_sparse(field, rows, cols)
-
-
 def _module_complex(m: Bimodule, coefficients: Bimodule, nmax: int,
                     dim_cap: int | None):
     """Cochain solvers of degrees 0..nmax on the bar complex and the
@@ -557,9 +543,12 @@ def _ring_complex(extension: RingMap, w: Bimodule, nmax: int,
         cols = [into._coords_from(lambda q: at[q][u])
                 for u in range(solvers[n].dim)]
         deltas.append(Matrix._from_columns(field, cols, into.dim))
-    deltas.append(_stacked(field, [coboundary_columns(nmax, q)
-                                   for q in top_gens],
-                           w.dim, solvers[nmax].dim))
+    # the top coboundary: column u holds top generator k's block at k * w.dim
+    tops = [coboundary_columns(nmax, q) for q in top_gens]
+    deltas.append(Matrix._from_columns(field, [
+        {k * w.dim + s: x for k, block in enumerate(tops)
+         for s, x in block[u].items()}
+        for u in range(solvers[nmax].dim)], len(tops) * w.dim))
     _check_coboundary_squares(deltas, nmax, "ring coboundary")
     return solvers, deltas, chain, w_mid
 

@@ -1036,11 +1036,21 @@ def _assert_solver_matches_old_scans(args):
     combined = {}
     for u in range(solver.dim):
         axpy(combined, field.scalar(u + 2), solver.values[u], field.p)
+    # W's used columns: the old rows of map u, at u * tgt_dim + s, read
+    # by column, each entry listed once
     block = _old_w_block(*args)
-    assert solver._w_block(combined) == block(combined)
-    w = solver._w()
-    assert w == Matrix.from_sparse(
-        field, [r for row in solver.values for r in block(row)], w.cols)
+    n_used = len(_old_presentation(field, args[1], args[3])[1])
+
+    def old_columns(rows):
+        cols = [{} for _ in range(n_used)]
+        for u, row in enumerate(rows):
+            for s, part in enumerate(block(row)):
+                for idx, x in part.items():
+                    cols[idx][u * tgt_dim + s] = x
+        return [sorted(col.items()) for col in cols]
+
+    for rows in ([combined], solver.values):
+        assert [sorted(col) for col in solver._w(rows)] == old_columns(rows)
 
     def off_the_span(g):
         return {s: x for s in range(tgt_dim)

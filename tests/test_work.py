@@ -8,7 +8,9 @@ are read shows up as a jump in dense-product cells or in applies.
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,9 +24,13 @@ from bimodcheck.exactlin import QQ, Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
-TRACER = ROOT / "bench" / "tracer.py"
+BENCH = ROOT / "bench"
 
-# Measured on fixtures/fx4.json: 1,583,433 cells and 1,138 applies.
+# Measured on fixtures/fx4.json: 1,580,760 cells and 1,046 applies.
+# Forming the basis maps and matrix_of as the product W @ lift_used of
+# W stacked as a matrix, one row per basis map and target coordinate,
+# makes 1,583,433 cells; reading images through that matrix's apply
+# instead of summing W's used columns makes 1,138 applies.
 # Applying each left action to the right action's column at a generator
 # for every two-sided product, where that column is zero, makes 1,324
 # applies.
@@ -38,7 +44,7 @@ TRACER = ROOT / "bench" / "tracer.py"
 # from M's own evaluation as a (B, End(M))-bimodule makes 1,375 applies.
 # Forming each basis map that a counit, a hom-space action or a
 # coboundary reads, one map at a time, instead of reading f_u(v) for
-# all u from the stacked value matrix W (EquivariantBasis.images) costs
+# all u from W's used columns (EquivariantBasis.images) costs
 # 2,195,514 cells and 4,253 applies.  Growing bar object P_3 and solving
 # for its two-sided cochains, which only give the top coboundary a
 # target basis, costs 2,799,693 cells and 7,188 applies.  Forming every
@@ -47,8 +53,8 @@ TRACER = ROOT / "bench" / "tracer.py"
 # products again costs 204,540,480 cells and 92,142 applies; applying
 # the equivariant solver's target operators to all-zero value blocks
 # costs 29,961 applies.
-FX4_MAX_MATMUL_CELLS = 1_583_433
-FX4_MAX_APPLIES = 1_138
+FX4_MAX_MATMUL_CELLS = 1_580_760
+FX4_MAX_APPLIES = 1_046
 # Basis maps formed on fixtures/fx4.json: 3 of the 242 solved, the
 # endomorphisms of M that End(M)'s multiplication and M as a
 # (B, End(M))-bimodule are made of.  Counits, hom-space actions,
@@ -93,8 +99,10 @@ FP5_BAR_OBJECTS = 0
 FX4_SPLITS = 3
 FX4_MAX_SPLIT_ROWS = 42
 # Vector shape checks (exactlin.check_vec calls) on fixtures/fx4.json:
-# 1,620, at the entry points that take a vector from outside (apply,
+# 1,528, at the entry points that take a vector from outside (apply,
 # span_add, coords_of, lincomb for the actions, the eliminations).
+# Reading images through the apply of W stacked as a matrix, which
+# checks each lifted vector again, makes 1,620.
 # Applying the left actions to zero right-action columns makes 1,806;
 # adding every zero orbit column to the span tracker as well makes
 # 2,108.  Deciding separability of M twice adds 2, and building the
@@ -102,7 +110,7 @@ FX4_MAX_SPLIT_ROWS = 42
 # Applying each formed map where W's images do makes 5,444; checking
 # every internal hop as well (from_columns, coords_from, lincomb,
 # multiply, embed, project_vec, kron_vec) makes 12,789.
-FX4_MAX_CHECK_VECS = 1_620
+FX4_MAX_CHECK_VECS = 1_528
 # homology.apply_slot calls on fixtures/fx6.json: 388, nearly all in the
 # transport of its one morita task.  Collapsing each transport vector
 # once per basis cochain instead of once per column makes 1,078.
@@ -163,6 +171,13 @@ FX4_MAX_AXPYS = 555
 # elimination every orbit column hands it 302 zero columns of 417, each
 # of which became a relation.
 FX4_ZERO_ORBIT_COLUMNS_ELIMINATED = 0
+# tracemalloc peak of `hochschild M BB nmax=4` on Q[x]/(x^4), Twist(1)
+# from bench/docs.py, through the CLI: 10.6 MB in this suite and 10.7 MB
+# alone under Python 3.11, 10.7 MB alone under 3.13 and 11.0 MB under
+# 3.10.  Keeping W as one row dict per basis map and target coordinate,
+# beside Matrix.colnz's copy of them by column, peaks at 19.7 MB in
+# this suite (19.9 MB alone under 3.11 and 3.13, 20.2 MB under 3.10).
+LODAY_HOCHSCHILD_MAX_PEAK_BYTES = 11_500_000
 
 
 def _count_calls(monkeypatch, fn, weight=lambda *args: 1):
@@ -425,15 +440,33 @@ def test_fx6_transport_apply_slots_stay_under_their_gate(monkeypatch,
     assert 0 < calls[0] <= FX6_MAX_APPLY_SLOTS, calls[0]
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def test_loday_hochschild_peak_memory_stays_under_its_gate(tmp_path, capsys):
+    docs = _bench("docs")
+    doc = docs.over_ground_document(
+        None, docs.truncated_polynomials(4), ["hochschild M BB nmax=4"],
+        docs.Twist(1))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert cli.main(["check", str(path), "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert 0 < peak <= LODAY_HOCHSCHILD_MAX_PEAK_BYTES, peak
+
+
+def _bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_layer_exists():
-    tracer = _tracer()
+    tracer = _bench("tracer")
     for mod_name, fn_name, _ in tracer.FUNCTIONS:
         mod = importlib.import_module(f"bimodcheck.{mod_name}")
         assert callable(getattr(mod, fn_name, None)), (mod_name, fn_name)
@@ -453,8 +486,8 @@ def test_tracer_reads_the_bar_engine_it_wraps():
     # built afresh, so its engine has grown exactly P_0 and P_1
     m = fixtures._build("fx4", QQ).bimodule
     dims = [p.dim for p in homology.bar_resolution(m, 2).objects]
-    counts = _tracer()._counts("homology.bar_extend", "_extend",
-                               (homology._engine(m), None), None)
+    counts = _bench("tracer")._counts("homology.bar_extend", "_extend",
+                                      (homology._engine(m), None), None)
     assert counts == {"dim": dims[-1]}
 
 
@@ -467,5 +500,6 @@ def test_tracer_matmul_counts_read_the_sparse_storage():
                  if a.data[i][k] and b.data[k][j])
     assert useful == 5
     fresh_a, fresh_b = Matrix(QQ, a.data), Matrix(QQ, b.data)
-    counts = _tracer()._matmul_counts((fresh_a, fresh_b), fresh_a @ fresh_b)
+    counts = _bench("tracer")._matmul_counts((fresh_a, fresh_b),
+                                             fresh_a @ fresh_b)
     assert counts == {"cells": 3 * 3 * 2, "useful": useful}
