@@ -289,12 +289,13 @@ class EquivariantBasis:
                     coords[k] = x
         return coords
 
-    def coords_of(self, mat: Matrix, verify: bool = False) -> dict:
+    def coords_of(self, mat: Matrix) -> dict:
+        """Coordinates of mat, which must lie in the span."""
         if (mat.rows, mat.cols) != (self.tgt_dim, self.src_dim):
             raise ShapeError(f"{mat.rows}x{mat.cols} matrix for maps "
                              f"{self.src_dim} -> {self.tgt_dim}")
         coords = self._coords_from(mat.column)
-        if verify and self.matrix_of(coords) != mat:
+        if self.matrix_of(coords) != mat:
             raise ValidationError("matrix is not in the equivariant span")
         return coords
 
@@ -611,7 +612,7 @@ def tensor_over(m: Bimodule, n: Bimodule, name: str | None = None
                     rel_rows.append(row)
     relations = Subspace.from_span(field, plain, rel_rows)
     quot = quotient_space(plain, relations)
-    proj = quot.projection
+    proj = quot.basis
 
     def induced(slot: int, mat: Matrix) -> Matrix:
         if relations.dim == 0:
@@ -729,10 +730,12 @@ def endomorphism_ring(m: Bimodule) -> EndoData:
         # u * v = apply u, then v: column v of f -> f @ hu
         comp = composition_matrix(hom, hu, True, hom)
         mult.append(tuple(comp.columns()))
-    unit = hom.coords_of(Matrix.identity(field, m.dim))
+    # left-linear, so in the span: read at the generators only
+    unit = hom._coords_from(Matrix.identity(field, m.dim).column)
     s = Algebra(field, d, tuple(mult), unit, name=f"End({m.name})")
     a = m.right_algebra
-    cols = [hom.coords_of(m.right_action[j]) for j in range(a.dim)]
+    cols = [hom._coords_from(m.right_action[j].column)
+            for j in range(a.dim)]
     to_endo = RingMap(a, s, Matrix._from_columns(field, cols, d),
                       name="to_endo")
     right_module = Bimodule(m.left_algebra, s, m.dim, m.left_action,

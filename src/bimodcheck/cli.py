@@ -453,10 +453,12 @@ _OPS = {
         (("dims", lambda chain: [o.dim for o in chain.objects]),), _dims),
     "separable_extension": _Op(
         _F, None, lambda cap, f: is_separable_extension(f),
-        ("verdict", "idempotent?", "obstruction?", "dimensions"), _verdict),
+        ("verdict", ("idempotent?", lambda r: r.casimir), "obstruction?",
+         "dimensions"), _verdict),
     "smooth_extension": _Op(
         _F, None, lambda cap, f: is_formally_smooth_extension(f),
-        ("verdict", "kernel_dim", "section?", "obstruction?", "dimensions"),
+        ("verdict", ("kernel_dim", lambda r: r.dimensions["kernel"]),
+         "section?", "obstruction?", "dimensions"),
         _fmt("{verdict} (kernel_dim={kernel_dim})")),
     "morita": _Op(
         _MN, "nmax", lambda cap, m, w, n: morita_check(m, w, n, dim_cap=cap),

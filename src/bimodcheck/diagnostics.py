@@ -26,18 +26,32 @@ from .structures import (
 )
 
 
-def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: dict):
-    """Solve target_mat(s) = unit over the centralizer of t_space.
+class SeparabilityResult(Verdict):
+    def __init__(self, verdict: bool, casimir: tuple | None,
+                 obstruction: tuple | None, dimensions: dict):
+        self.verdict = verdict
+        self.casimir = casimir            # coords in the tensor square
+        self.obstruction = obstruction    # functional on B infeasible against 1
+        self.dimensions = dimensions
 
-    Returns (element coords in t_space, None, centralizer), the element
-    re-checked by substitution, or (None, obstruction functional on the
-    target, centralizer); both as dense tuples.
+
+def _central_solve(square: BimoduleMap, unit: dict) -> SeparabilityResult:
+    """The Casimir element of square, a central element of its source
+    that square sends to unit, re-checked by substitution; else an
+    obstruction functional on B.  Both are dense tuples.
+
+    square is the evaluation M tensor_A *M -> B of a bimodule or the
+    multiplication B tensor_A B -> B of an extension, whose Casimir
+    element is its separability idempotent.
     """
+    t_space, target_mat = square.source, square.matrix
     field = t_space.field
     cz = centralizer(t_space)
+    dims = {"tensor_square": t_space.dim, "centralizer": cz.dim}
     sol, cert = solve_or_certify(target_mat @ cz.basis.transpose(), unit)
     if sol is None:
-        return None, tuple(dense_vec(field, cert, target_mat.rows)), cz
+        return SeparabilityResult(
+            False, None, tuple(dense_vec(field, cert, target_mat.rows)), dims)
     element = cz._embed(sol)
     for i in range(t_space.left_algebra.dim):
         delta = t_space.left_action[i] - t_space.right_action[i]
@@ -45,43 +59,23 @@ def _central_solve(t_space: Bimodule, target_mat: Matrix, unit: dict):
             raise ValidationError("witness is not central")
     if target_mat.apply(element) != unit:
         raise ValidationError("witness does not evaluate to the unit")
-    return tuple(dense_vec(field, element, t_space.dim)), None, cz
+    return SeparabilityResult(
+        True, tuple(dense_vec(field, element, t_space.dim)), None, dims)
 
 
-def _split(counit: BimoduleMap, dims: dict):
-    """A two-sided section of counit: F -> P, re-checked by substitution,
-    as (section, None); else (None, certify), certify() returning an
-    infeasibility functional on the coordinates of End(P).
-
-    counit @ g is a two-sided map fixed by counit applied to g's values
-    at the solver's generators, so split_at_generators solves with no
-    basis map formed.  certify() forms them all and flattens counit @ g
-    column-major, (i, j) at j * d + i; only a report that reads the
-    obstruction runs it (_Obstructed).
-    """
-    p, fp = counit.target, counit.source
-    field, d, eps = p.field, p.dim, counit.matrix
-    solver = hom_bimodule(p, fp)
-    dims["map_space"] = solver.dim
-    sol, certify = split_at_generators(
-        field, d, solver.generators, solver.dim,
-        ({j: eps.apply(v) for j, v in solver.generator_values(u).items()}
-         for u in range(solver.dim)),
-        lambda: [{j * d + i: x for i, row in enumerate((eps @ g).nz)
-                  for j, x in row.items()} for g in solver.maps])
-    if sol is None:
-        return None, certify
-    sec_mat = solver.matrix_of(sol)
-    if eps @ sec_mat != Matrix.identity(field, d):
-        raise ValidationError(f"section does not split {counit.name}")
-    return BimoduleMap(p, fp, sec_mat, name="section"), None
-
-
-class _Obstructed(Verdict):
-    """A result that splits a counit; `certify` is None when it splits,
-    else _split's certify(), which forms the obstruction."""
+class RelProjectivityResult(Verdict):
+    """A split of a counit F -> P: `section` when it splits, else
+    `certify`, which forms the obstruction when it is first read."""
 
     _obstruction = None
+
+    def __init__(self, verdict: bool, section: BimoduleMap | None,
+                 counit: BimoduleMap | None, certify, dimensions: dict):
+        self.verdict = verdict
+        self.section = section      # splits the counit F(P) -> P
+        self.counit = counit        # the split map; None when L = 0
+        self.certify = certify      # forms the functional on End-coordinates
+        self.dimensions = dimensions
 
     @property
     def obstruction(self) -> tuple | None:
@@ -95,35 +89,41 @@ class _Obstructed(Verdict):
         return self._obstruction
 
 
-class SeparabilityResult(Verdict):
-    def __init__(self, verdict: bool, casimir: tuple | None,
-                 obstruction: tuple | None, dimensions: dict):
-        self.verdict = verdict
-        self.casimir = casimir            # coords in M tensor_A *M
-        self.obstruction = obstruction    # functional on B infeasible against 1
-        self.dimensions = dimensions
+def _split(counit: BimoduleMap, dims: dict) -> RelProjectivityResult:
+    """Does counit: F -> P split as two-sided maps?  The result holds a
+    section re-checked by substitution, or a certify() that forms an
+    infeasibility functional on the coordinates of End(P).
+
+    counit @ g is a two-sided map fixed by counit applied to g's values
+    at the solver's generators, so split_at_generators solves with no
+    basis map formed.  certify() forms them all and flattens counit @ g
+    column-major, (i, j) at j * d + i; only a report that reads the
+    obstruction runs it.
+    """
+    p, fp = counit.target, counit.source
+    field, d, eps = p.field, p.dim, counit.matrix
+    solver = hom_bimodule(p, fp)
+    dims["map_space"] = solver.dim
+    sol, certify = split_at_generators(
+        field, d, solver.generators, solver.dim,
+        ({j: eps.apply(v) for j, v in solver.generator_values(u).items()}
+         for u in range(solver.dim)),
+        lambda: [{j * d + i: x for i, row in enumerate((eps @ g).nz)
+                  for j, x in row.items()} for g in solver.maps])
+    if sol is None:
+        return RelProjectivityResult(False, None, counit, certify, dims)
+    sec_mat = solver.matrix_of(sol)
+    if eps @ sec_mat != Matrix.identity(field, d):
+        raise ValidationError(f"section does not split {counit.name}")
+    return RelProjectivityResult(
+        True, BimoduleMap(p, fp, sec_mat, name="section"), counit, None, dims)
 
 
 @memoized
 def is_separable_bimodule(m: Bimodule) -> SeparabilityResult:
     """A central element of M tensor_A *M evaluating to 1, if one exists;
     decided once per M, for separable and smooth's separable route."""
-    ev = evaluation_data(m)
-    t_space = ev.tensor.space
-    b = m.left_algebra
-    element, cert, cz = _central_solve(t_space, ev.map.matrix, b.unit)
-    dims = {"tensor_square": t_space.dim, "centralizer": cz.dim}
-    return SeparabilityResult(element is not None, element, cert, dims)
-
-
-class RelProjectivityResult(_Obstructed):
-    def __init__(self, verdict: bool, section: BimoduleMap | None,
-                 counit: BimoduleMap, certify, dimensions: dict):
-        self.verdict = verdict
-        self.section = section      # splits the counit F(P) -> P
-        self.counit = counit        # the map the section must split
-        self.certify = certify      # forms the functional on End-coordinates
-        self.dimensions = dimensions
+    return _central_solve(evaluation_data(m).map, m.left_algebra.unit)
 
 
 def is_rel_projective(p: Bimodule, m: Bimodule) -> RelProjectivityResult:
@@ -151,9 +151,7 @@ def _rel_projective(m: Bimodule, p: Bimodule) -> RelProjectivityResult:
                                Matrix(m.field, [[] for _ in range(fp.dim)],
                                       cols=0), name="section")
         return RelProjectivityResult(True, zero_sec, counit, None, dims)
-    section, certify = _split(counit, dims)
-    return RelProjectivityResult(section is not None, section, counit,
-                                 certify, dims)
+    return _split(counit, dims)
 
 
 class SmoothnessResult(Verdict):
@@ -192,44 +190,21 @@ def is_formally_smooth_bimodule(
     return SmoothnessResult(rp.verdict, "kernel-splitting", l.dim, rp, dims)
 
 
-class ExtensionSeparabilityResult(Verdict):
-    def __init__(self, verdict: bool, idempotent: tuple | None,
-                 obstruction: tuple | None, dimensions: dict):
-        self.verdict = verdict
-        self.idempotent = idempotent    # coords in B tensor_A B
-        self.obstruction = obstruction
-        self.dimensions = dimensions
-
-
-def is_separable_extension(f: RingMap) -> ExtensionSeparabilityResult:
-    """A central element of B tensor_A B multiplying to 1, if one exists."""
+def is_separable_extension(f: RingMap) -> SeparabilityResult:
+    """A separability idempotent: a central element of B tensor_A B
+    multiplying to 1, if one exists.  It is the Casimir element of the
+    multiplication, so the result is a bimodule's SeparabilityResult."""
     require_ring_map(f)
-    b = f.target
-    mult = multiplication_map(b, f)
-    t_space = mult.source
-    element, cert, cz = _central_solve(t_space, mult.matrix, b.unit)
-    dims = {"tensor_square": t_space.dim, "centralizer": cz.dim}
-    return ExtensionSeparabilityResult(element is not None, element, cert,
-                                       dims)
+    return _central_solve(multiplication_map(f.target, f), f.target.unit)
 
 
-class ExtensionSmoothnessResult(_Obstructed):
-    def __init__(self, verdict: bool, kernel_dim: int,
-                 section: BimoduleMap | None, counit: BimoduleMap | None,
-                 certify, dimensions: dict):
-        self.verdict = verdict
-        self.kernel_dim = kernel_dim
-        self.section = section      # splits B (x) L (x) B -> L
-        self.counit = counit        # two-sided multiplication, None when L = 0
-        self.certify = certify      # forms the obstruction
-        self.dimensions = dimensions
+def is_formally_smooth_extension(f: RingMap) -> RelProjectivityResult:
+    """Is the kernel L of multiplication projective relative to the base?
 
-
-def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
-    """Is the kernel of multiplication projective relative to the base?
-
-    The relevant counit is two-sided multiplication B (x)_A L (x)_A B -> L;
-    a two-sided section witnesses smoothness of the extension.
+    The relevant counit is two-sided multiplication B (x)_A L (x)_A B -> L,
+    so smoothness of the extension is relative projectivity of L, and the
+    result is _split's, with L's dimension at dimensions["kernel"]; a
+    zero L splits with no counit formed.
     """
     require_ring_map(f)
     b = f.target
@@ -240,8 +215,7 @@ def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
     dims = {"tensor_square": mult.source.dim, "kernel": l.dim}
     if l.dim == 0:
         zero_sec = BimoduleMap(l, l, Matrix(field, [], cols=0), name="section")
-        return ExtensionSmoothnessResult(True, 0, zero_sec, None, None,
-                                         dims)
+        return RelProjectivityResult(True, zero_sec, None, None, dims)
     b_reg = regular_bimodule(b)
     t1 = tensor_over(restrict_right(b_reg, f), restrict_left(l, f))
     t2 = tensor_over(restrict_right(t1.space, f), restrict_left(b_reg, f))
@@ -256,10 +230,7 @@ def is_formally_smooth_extension(f: RingMap) -> ExtensionSmoothnessResult:
         field, [l.right_action[j].apply(c1_cols[x])
                 for x in range(t1.space.dim) for j in range(b.dim)],
         l.dim, t2)
-    counit = BimoduleMap(t2.space, l, mat, name="two-sided-mult")
-    section, certify = _split(counit, dims)
-    return ExtensionSmoothnessResult(section is not None, l.dim, section,
-                                     counit, certify, dims)
+    return _split(BimoduleMap(t2.space, l, mat, name="two-sided-mult"), dims)
 
 
 class HdimResult:

@@ -709,32 +709,23 @@ def invert(m: Matrix) -> Matrix:
     return right_inverse(m)
 
 
-class Quotient(Frozen):
-    """k^ambient / relations, with quotient coordinates at `positions`.
+def quotient_space(ambient_dim: int, relations: Subspace) -> Subspace:
+    """k^ambient / relations as the complement Subspace whose basis,
+    read as a matrix, is the projection onto the quotient coordinates.
 
-    The kernel of the projection is exactly the relation subspace, and
-    the projection is the identity at positions: quotient vector q lifts
-    to the unit vector at positions[q], so a map off k^ambient that kills
-    the relations descends by reading its columns there.
+    The relations' basis rows are the identity at relations.positions and
+    so already serve as reduced pivot rows there; the complement's
+    positions are the other coordinates.  The projection's kernel is
+    exactly the relation subspace, and it is the identity at positions:
+    quotient vector q lifts to the unit vector at positions[q], so a map
+    off k^ambient that kills the relations descends by reading its
+    columns there.
     """
-
-    def __init__(self, ambient_dim: int, dim: int, projection: Matrix,
-                 positions: tuple[int, ...]):
-        vars(self).update(ambient_dim=ambient_dim, dim=dim,
-                          projection=projection, positions=positions)
-
-
-def quotient_space(ambient_dim: int, relations: Subspace) -> Quotient:
-    """The quotient by a subspace, whose basis rows are the identity at
-    relations.positions and so already serve as reduced pivot rows
-    there; positions are the other coordinates."""
     if relations.ambient_dim != ambient_dim:
         raise ShapeError("relation subspace has wrong ambient dimension")
-    complement = _free_column_basis(
+    return _free_column_basis(
         relations.field, dict(zip(relations.positions, relations.basis.nz)),
         ambient_dim)
-    return Quotient(ambient_dim, complement.dim, complement.basis,
-                    complement.positions)
 
 
 def apply_slot(sv: dict, dims: list[int], k: int, mat: Matrix,

@@ -739,7 +739,7 @@ def comparison_check(m: Bimodule, coefficients: Bimodule, nmax: int,
     phis = []
     degrees = []
     for n in range(nmax + 1):
-        cols = [rel_solvers[n].coords_of(image_cochain(g, n), verify=True)
+        cols = [rel_solvers[n].coords_of(image_cochain(g, n))
                 for g in k_solvers[n].maps]
         phi = Matrix._from_columns(field, cols, rel_solvers[n].dim)
         phis.append(phi)

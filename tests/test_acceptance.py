@@ -273,10 +273,10 @@ def test_criterion_6_every_witness_revalidates():
             mult = multiplication_map(m.left_algebra, fx.base_map)
             checked += 1
             if not recheck_casimir(mult.source, mult.matrix,
-                                   m.left_algebra.unit, ext_sep.idempotent):
+                                   m.left_algebra.unit, ext_sep.casimir):
                 failures.append(f"{fx.name}: extension idempotent fails")
         ext_smooth = is_formally_smooth_extension(fx.base_map)
-        if ext_smooth.verdict and ext_smooth.kernel_dim:
+        if ext_smooth.verdict and ext_smooth.dimensions["kernel"]:
             checked += 1
             if not recheck_section(ext_smooth.counit, ext_smooth.section):
                 failures.append(f"{fx.name}: extension section fails")

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from bimodcheck.bimodule import (
     Bimodule, BimoduleMap, centralizer, comonad_apply, composition_matrix,
-    cover_hom, dual_module, endomorphism_ring, equivariant_maps,
-    evaluation_data, hom_bimodule, hom_left, hom_module,
+    cover_hom, descend_plain_map, dual_module, endomorphism_ring,
+    equivariant_maps, evaluation_data, hom_bimodule, hom_left, hom_module,
     hom_right, is_fg_projective_left,
     is_fg_projective_right, is_generator, orbit_generators,
     regular_bimodule, restrict_left,
@@ -114,7 +114,7 @@ def test_hom_space_coordinate_roundtrip():
     m = fixture("fx3").bimodule
     hom = hom_left(m, regular_bimodule(m.left_algebra))
     for u in range(hom.dim):
-        coords = hom.coords_of(hom.maps[u], verify=True)
+        coords = hom.coords_of(hom.maps[u])
         expected = [QQ.one if v == u else QQ.zero for v in range(hom.dim)]
         assert dense_vec(QQ, coords, hom.dim) == expected
         assert hom.matrix_of(coords) == hom.maps[u]
@@ -442,6 +442,30 @@ def test_coords_of_rejects_a_matrix_of_another_shape():
             hom.coords_of(Matrix.from_sparse(QQ, [{}] * rows, cols))
 
 
+def test_coords_of_refuses_a_matrix_outside_the_span():
+    # Hom_B(M, B) on fx3 is 2-dimensional inside the 2x2 matrices, and
+    # the unit matrix at (0, 0) is not left-linear; its columns at the
+    # generators still read as coordinates, which coords_of must check
+    m = fixture("fx3").bimodule
+    hom = hom_left(m, regular_bimodule(m.left_algebra))
+    outside = Matrix.from_sparse(QQ, [{0: QQ.one}, {}], hom.src_dim)
+    assert hom.matrix_of(hom._coords_from(outside.column)) != outside
+    with pytest.raises(ValidationError, match="not in the equivariant span"):
+        hom.coords_of(outside)
+
+
+def test_descend_plain_map_refuses_a_map_that_does_not_kill_the_relations():
+    # B (x)_B B has relations; the functional reading one of their pivot
+    # coordinates is 1 on the relation row with that pivot
+    reg = regular_bimodule(algebra_dual_numbers(QQ))
+    t = tensor_over(reg, reg)
+    assert not t.trivial
+    p = t.relations.positions[0]
+    cols = [{0: QQ.one} if i == p else {} for i in range(reg.dim ** 2)]
+    with pytest.raises(ValidationError, match="does not descend"):
+        descend_plain_map(QQ, cols, 1, t)
+
+
 def test_equivariant_maps_rejects_unpaired_operator_lists():
     ident = Matrix.identity(QQ, 2)
     with pytest.raises(ShapeError):
@@ -493,18 +517,19 @@ def _hom_spaces(m):
             (hom_right(m, m), m.left_action, m.left_action)]
 
 
-def _composites(hom, op, before, verify=False):
+def _composites(hom, op, before, read=None):
     """The matrix of f -> f @ op (before) or op @ f in hom's coordinates,
-    from full products of the formed maps; verify when each composite is
-    in hom."""
-    oracle = [hom.coords_of(f @ op if before else op @ f, verify=verify)
-              for f in hom.maps]
+    from full products of the formed maps.  Each composite is read by
+    hom.coords_of, which checks that it lies in hom, unless read is given
+    for an operator whose composites may not."""
+    read = read or hom.coords_of
+    oracle = [read(f @ op if before else op @ f) for f in hom.maps]
     return Matrix._from_columns(QQ, oracle, hom.dim)
 
 
-def _assert_composition_matches_products(hom, op, before):
+def _assert_composition_matches_products(hom, op, before, read=None):
     assert composition_matrix(hom, op, before, hom) \
-        == _composites(hom, op, before)
+        == _composites(hom, op, before, read)
 
 
 def _assert_hom_module_matches_products(m, y):
@@ -515,9 +540,9 @@ def _assert_hom_module_matches_products(m, y):
     assert (module.left_algebra, module.right_algebra) \
         == (m.right_algebra, y.right_algebra)
     for op, got in zip(m.right_action, module.left_action):
-        assert got == _composites(hom, op, True, verify=True)
+        assert got == _composites(hom, op, True)
     for op, got in zip(y.right_action, module.right_action):
-        assert got == _composites(hom, op, False, verify=True)
+        assert got == _composites(hom, op, False)
     assert validate_bimodule(module).ok
 
 
@@ -622,7 +647,8 @@ def test_composition_matrix_equals_full_products_on_twists(m, data):
                        cols=m.dim)
     for hom in (hom_left(m, m), hom_right(m, m)):
         for before in (True, False):
-            _assert_composition_matches_products(hom, arbitrary, before)
+            _assert_composition_matches_products(
+                hom, arbitrary, before, lambda g: hom._coords_from(g.column))
 
 
 def test_hom_bimodule_equals_full_product_solve_across_corpus():
@@ -673,9 +699,9 @@ def _split_counits(m, fx=None, seed=0):
     split = diagnostics._split
 
     def recorded(counit, dims):
-        section, certify = split(counit, dims)
-        seen.append((counit, section, certify))
-        return section, certify
+        r = split(counit, dims)
+        seen.append((counit, r.section, r.certify))
+        return r
 
     def afresh(p, n):
         return diagnostics._rel_projective.__wrapped__(n, p)

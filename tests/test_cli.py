@@ -445,6 +445,60 @@ def test_invalid_algebra_exits_two(tmp_path, capsys):
     assert "algebra B" in err
 
 
+_I, _N = [["1", "0"], ["0", "1"]], [["0", "0"], ["1", "0"]]
+
+
+@pytest.mark.parametrize("bimodule, message", [
+    ({"left": "B", "right": "k", "left_action": [[["1", "0"], ["0", "0"]], _N],
+      "right_action": [_I]}, "left unit does not act as identity"),
+    ({"left": "B", "right": "k", "left_action": [_I, _N],
+      "right_action": [[["2", "0"], ["0", "2"]]]},
+     "right unit does not act as identity"),
+    # x acts as the identity on the right, but x * x = 0
+    ({"left": "k", "right": "B", "left_action": [_I],
+      "right_action": [_I, _I]},
+     "right action is not multiplicative at pair (1, 1)"),
+    # x sends e0 to e1 on the left and e1 to e0 on the right
+    ({"left": "B", "right": "B", "left_action": [_I, _N],
+      "right_action": [_I, [["0", "1"], ["0", "0"]]]},
+     "left/right actions do not commute at pair (1, 1)"),
+], ids=["left-unit", "right-unit", "right-multiplicative", "commuting"])
+def test_bimodule_breaking_an_axiom_exits_two(tmp_path, capsys, bimodule,
+                                              message):
+    raw = minimal_doc()
+    raw["bimodules"]["M"] = {"dim": 2, **bimodule}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(raw))
+    assert main(["check", str(p)]) == 2
+    assert f"bimodule M: {message}" in capsys.readouterr().err
+
+
+def test_ring_map_breaking_multiplicativity_exits_two(tmp_path, capsys):
+    # B -> B fixing 1 and sending x to 1: x * x = 0 but 1 * 1 = 1
+    raw = minimal_doc()
+    raw["maps"]["bad"] = {"source": "B", "target": "B",
+                          "matrix": [["1", "1"], ["0", "0"]]}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(raw))
+    assert main(["check", str(p)]) == 2
+    assert "map bad: multiplicativity fails on basis pair (1, 1)" \
+        in capsys.readouterr().err
+
+
+def test_expectations_compare_objects_key_by_key_and_type_strictly():
+    raw = minimal_doc()
+    raw["bimodules"]["K"] = {"left": "k", "right": "k", "dim": 1,
+                             "left_action": [[["1"]]],
+                             "right_action": [[["1"]]]}
+    dims = {"tensor_square": 1, "centralizer": 1}
+    expects = [dims, {**dims, "centralizer": True}, {"tensor_square": 1}]
+    raw["tasks"] = [{"op": "separable", "args": ["K"],
+                     "expect": {"dimensions": want}} for want in expects]
+    reports = run_document(parse_document(raw), RunOptions())
+    assert [r["dimensions"] for r in reports] == [dims] * 3
+    assert [r["expect_ok"] for r in reports] == [True, False, False]
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     rc = main(["check", str(tmp_path / "absent.json")])
     err = capsys.readouterr().err

@@ -253,7 +253,7 @@ def test_solve_affine_infeasible_with_certificate():
 def test_quotient_by_zero_is_identity():
     q = quotient_space(2, Subspace.from_span(QQ, 2, []))
     assert q.dim == 2
-    assert q.projection == Matrix.identity(QQ, 2)
+    assert q.basis == Matrix.identity(QQ, 2)
     assert q.positions == (0, 1)
 
 
@@ -263,7 +263,7 @@ def test_quotient_by_diagonal_line():
     q = quotient_space(2, rel)
     assert q.dim == 1
     # both standard basis vectors land on the same class
-    assert q.projection.column(0) == q.projection.column(1)
+    assert q.basis.column(0) == q.basis.column(1)
 
 
 def test_quotient_by_multiplication_kernel():
@@ -429,10 +429,10 @@ def _assert_quotient_at_positions(q, rel):
     assert q.dim == rel.ambient_dim - rel.dim
     assert sorted(q.positions + rel.positions) == list(range(rel.ambient_dim))
     for k, p in enumerate(q.positions):
-        assert q.projection.column(p) == {k: field.one}
+        assert q.basis.column(p) == {k: field.one}
     for row in rel.basis.data:
         assert all(not x for x in dense_vec(
-            field, q.projection.apply(sparse_vec(field, row)), q.dim))
+            field, q.basis.apply(sparse_vec(field, row)), q.dim))
 
 
 @given(matrices())
@@ -579,13 +579,13 @@ def _eliminations_match_the_oracles(m) -> list:
     rel = Subspace.from_span(field, m.cols,
                              [sparse_vec(field, row) for row in m.data])
     q = quotient_space(m.cols, rel)
-    assert_stores_no_zero(q.projection)
+    assert_stores_no_zero(q.basis)
     if rel.dim:
-        assert q.projection == _from_oracle(
+        assert q.basis == _from_oracle(
             field, oracles.kernel_of(red, m.cols, ops), m.cols)
     assert q.positions == tuple(c for c in range(m.cols) if c not in pivots)
     _assert_quotient_at_positions(q, rel)
-    return [r, ker.basis, q.projection]
+    return [r, ker.basis, q.basis]
 
 
 @given(sparse_matrices(), st.data())

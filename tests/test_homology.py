@@ -19,7 +19,9 @@ from bimodcheck.bimodule import (
     evaluation_data, hom_bimodule, hom_module, regular_bimodule,
     restrict_left, static_check, sub_bimodule, two_sided_generators,
 )
-from bimodcheck.errors import DimensionCapError, PreconditionError
+from bimodcheck.errors import (
+    DimensionCapError, PreconditionError, ValidationError,
+)
 from bimodcheck.exactlin import (
     Field, Matrix, QQ, _kron_vec, apply_slot, axpy, kernel_basis, lincomb,
 )
@@ -388,6 +390,17 @@ def test_ring_cohomology_of_matrix_algebra_over_diagonal():
     assert h.dims() == (1, 0, 0)
 
 
+def test_ring_cohomology_refuses_coefficients_over_another_algebra():
+    # regular_bimodule(k) is over the source on both sides, and fx3's
+    # bimodule is over (B, k): each must be two-sided over the target B
+    fx = fixture("fx3")
+    for w in (regular_bimodule(fx.base_map.source), fx.bimodule):
+        with pytest.raises(ValidationError,
+                           match="coefficients must be two-sided over the "
+                                 "target"):
+            ring_hochschild(fx.base_map, w, 1)
+
+
 def test_ring_cohomology_respects_the_cap():
     fx = fixture("fx3", Field(5))
     b = fx.bimodule.left_algebra
@@ -563,7 +576,7 @@ def _transport_phis(m, coefficients, nmax):
         return Matrix._from_columns(field, cols, wd.w.dim)
 
     return [Matrix._from_columns(
-                field, [rel_solvers[n].coords_of(image(g, n), verify=True)
+                field, [rel_solvers[n].coords_of(image(g, n))
                         for g in k_solvers[n].maps], rel_solvers[n].dim)
             for n in range(nmax + 1)]
 

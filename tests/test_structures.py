@@ -210,7 +210,6 @@ def test_multiplication_map_rejects_foreign_target():
 # Record classes
 
 _ONE_ROW = Matrix.from_sparse(QQ, [{0: 1}], 2)
-_TWO_ROWS = Matrix.identity(QQ, 2)
 
 
 def _summary(report):
@@ -222,7 +221,6 @@ VALUE_RECORDS = [
     (Subspace, (2, _ONE_ROW, (0,)), (2, _ONE_ROW, (1,))),
     (exactlin.AffineSolution, ({0: 1}, Subspace(2, _ONE_ROW, (0,))),
      ({0: 2}, Subspace(2, _ONE_ROW, (0,)))),
-    (exactlin.Quotient, (2, 1, _ONE_ROW, (1,)), (2, 2, _TWO_ROWS, (0, 1))),
     (ValidationResult, (False, "unit fails"), (False, "")),
     (bimodule.GeneratorResult, (True, (1, 0), None), (True, (0, 1), None)),
     (bimodule.ProjectivityResult, (True, (((1,), (1,)),), None),
